@@ -337,23 +337,27 @@ Observation SoftwareHypervisor::MakeTrafficObservation(const PortBinding& bindin
   return obs;
 }
 
+VerdictPlan SoftwareHypervisor::EvaluateBatch(int hv_core_id,
+                                              const std::vector<Observation>& batch,
+                                              ServiceStats& stats) {
+  VerdictPlan plan = detectors_->EvaluateBatch(batch);
+  machine_.hv_core(hv_core_id).AccountWork(plan.total_cost);
+  ++stats.detector_batches;
+  stats.detector_batch_obs += batch.size();
+  return plan;
+}
+
 void SoftwareHypervisor::FinalizeResponse(int hv_core_id, PortBinding& binding,
-                                          IoSlot out, ServiceStats& stats,
-                                          bool account_bytes_in) {
-  // Fail closed when a device callback (e.g. a control channel's escalate)
-  // raised isolation to >= Severed mid-request: no response may trail an
-  // hv.isolation>=Severed event onto a model core (the severed-ports-dark
-  // invariant). The serial path needs this gate just as the batched
-  // pipeline's delivery loop does.
+                                          IoSlot out, ServiceStats& stats) {
+  // Fail closed when the inbound verdict on this very response escalated
+  // to >= Severed: no response may trail an hv.isolation>=Severed event
+  // onto a model core (the severed-ports-dark invariant).
   if (isolation_ >= IsolationLevel::kSevered) {
     IoSlot refused;
     refused.tag = out.tag;
     RejectRequest(hv_core_id, binding, refused, 0xE150,
                   "isolation level severs all ports", stats);
     return;
-  }
-  if (account_bytes_in) {
-    binding.bytes_in += out.payload.size();
   }
 
   // Truncate payloads that cannot fit the response slot: the guest sees the
@@ -369,16 +373,8 @@ void SoftwareHypervisor::FinalizeResponse(int hv_core_id, PortBinding& binding,
       ++stats.bulk_serviced;
     }
     TraceIo(hv_core_id, binding, /*outbound=*/false, out);
-    if (config_.raise_completion_irqs) {
-      if (config_.batch_completion_irqs &&
-          static_cast<size_t>(binding.owner_core) < pending_completions_.size()) {
-        ++pending_completions_[static_cast<size_t>(binding.owner_core)];
-      } else {
-        machine_.model_core(binding.owner_core)
-            .RaiseExternalInterrupt(TrapCause::kPortCompletion);
-        ++stats.completion_irqs;
-      }
-    }
+    // Coalesced: FlushCompletionBatches raises one IRQ per model core.
+    ++pending_completions_[static_cast<size_t>(binding.owner_core)];
   } else {
     ++stats.dropped_responses;
     machine_.trace().Event(machine_.clock().now(), TraceCategory::kPortIo, "hv",
@@ -388,112 +384,32 @@ void SoftwareHypervisor::FinalizeResponse(int hv_core_id, PortBinding& binding,
   }
 }
 
-void SoftwareHypervisor::HandleRequest(int hv_core_id, PortBinding& binding,
-                                       const IoSlot& slot, ServiceStats& stats) {
-  HypervisorCore& hv = machine_.hv_core(hv_core_id);
-  if (!ValidateRequest(hv_core_id, binding, slot, stats)) {
-    return;
-  }
-
-  IoRequest request;
-  request.opcode = slot.opcode;
-  request.tag = slot.tag;
-  request.payload = slot.payload;
-
-  // Detector mediation: outbound traffic.
-  if (detectors_ != nullptr) {
-    DetectorVerdict v = detectors_->Evaluate(
-        MakeTrafficObservation(binding, slot.opcode, /*outbound=*/true, slot.payload));
-    hv.AccountWork(v.cost);
-    if (v.action == VerdictAction::kEscalate) {
-      ++stats.escalations;
-      if (escalate_) {
-        escalate_(IsolationLevel::kSevered, v.reason);
-      }
-      RejectRequest(hv_core_id, binding, slot, 0xE154,
-                    "detector escalation: " + v.reason, stats);
-      return;
-    }
-    if (v.action == VerdictAction::kBlock) {
-      RejectRequest(hv_core_id, binding, slot, 0xE155, "detector block: " + v.reason,
-                    stats);
-      return;
-    }
-    if (v.action == VerdictAction::kRewrite && v.rewritten_data.has_value()) {
-      ++stats.rewritten;
-      request.payload = *v.rewritten_data;
-    }
-  }
-  binding.bytes_out += request.payload.size();
-
-  Device* dev = machine_.device(binding.device_index);
-  if (dev == nullptr) {
-    RejectRequest(hv_core_id, binding, slot, 0xE156, "device vanished", stats);
-    return;
-  }
-  if (isolation_ >= IsolationLevel::kSevered) {
-    // Unreachable while the severed gate above holds; counted (and trip the
-    // invariant checker) rather than silently forwarded if it ever breaks.
-    ++severed_traffic_;
-  }
-  Cycles service_cycles = 0;
-  IoResponse response = dev->Handle(request, machine_.clock().now(), service_cycles);
-  hv.AccountWork(service_cycles / 4);  // hv overlaps with device; partial charge
-
-  IoSlot out;
-  out.opcode = response.status;
-  out.tag = response.tag;
-  out.payload = std::move(response.payload);
-
-  // Detector mediation + rights on the inbound (device -> model) path.
-  if (!binding.rights.can_recv || binding.recv_suspended) {
-    out.payload.clear();
-    out.opcode = 0xE157;
-  } else if (detectors_ != nullptr && !out.payload.empty()) {
-    DetectorVerdict v = detectors_->Evaluate(
-        MakeTrafficObservation(binding, out.opcode, /*outbound=*/false, out.payload));
-    hv.AccountWork(v.cost);
-    if (v.action == VerdictAction::kBlock || v.action == VerdictAction::kEscalate) {
-      ++stats.blocked;
-      out.payload.clear();
-      out.opcode = 0xE158;
-      if (v.action == VerdictAction::kEscalate && escalate_) {
-        ++stats.escalations;
-        escalate_(IsolationLevel::kSevered, v.reason);
-      }
-    } else if (v.action == VerdictAction::kRewrite && v.rewritten_data.has_value()) {
-      ++stats.rewritten;
-      out.payload = *v.rewritten_data;
-    }
-  }
-  FinalizeResponse(hv_core_id, binding, std::move(out), stats);
-}
-
-// The batched pipeline: the same stations as HandleRequest, but every
-// validated request of the pass crosses each station together. Outbound
-// observations are evaluated in one EvaluateBatch whose aggregate cost is
-// charged once; survivors dispatch to their devices; inbound observations
-// batch the same way; then every response delivers. Verdict application is
-// identical per request — the block/rewrite/escalate arms mirror the serial
-// code path by construction.
-void SoftwareHypervisor::RunBatchedPipeline(int hv_core_id,
-                                            std::vector<PendingRequest>& pending,
-                                            ServiceStats& stats) {
+// The service pipeline: every validated request of the pass crosses each
+// station together. Outbound observations are evaluated in one
+// EvaluateBatch whose aggregate cost is charged once; survivors dispatch to
+// their devices; inbound observations batch the same way; then every
+// response delivers. Without detectors the plan is all-allow and no
+// observation is built.
+void SoftwareHypervisor::RunPipeline(int hv_core_id,
+                                     std::vector<PendingRequest>& pending,
+                                     ServiceStats& stats) {
   if (pending.empty()) {
     return;
   }
   HypervisorCore& hv = machine_.hv_core(hv_core_id);
 
-  std::vector<Observation> outbound;
-  outbound.reserve(pending.size());
-  for (const PendingRequest& p : pending) {
-    outbound.push_back(MakeTrafficObservation(*p.binding, p.slot.opcode,
-                                              /*outbound=*/true, p.slot.payload));
+  VerdictPlan plan;
+  if (detectors_ == nullptr) {
+    plan.verdicts.resize(pending.size());  // all-allow
+  } else {
+    std::vector<Observation> outbound;
+    outbound.reserve(pending.size());
+    for (const PendingRequest& p : pending) {
+      outbound.push_back(MakeTrafficObservation(*p.binding, p.slot.opcode,
+                                                /*outbound=*/true, p.slot.payload));
+    }
+    plan = EvaluateBatch(hv_core_id, outbound, stats);
   }
-  VerdictPlan plan = detectors_->EvaluateBatch(outbound);
-  hv.AccountWork(plan.total_cost);  // aggregate cost, charged once per batch
-  ++stats.detector_batches;
-  stats.detector_batch_obs += outbound.size();
 
   std::vector<PendingResponse> responses;
   responses.reserve(pending.size());
@@ -527,8 +443,7 @@ void SoftwareHypervisor::RunBatchedPipeline(int hv_core_id,
     // Re-check the byte quota against accounting that earlier batch members
     // have advanced since validation: the pop-time check saw the pass-start
     // quota_used(), so without this gate a single batch could overshoot the
-    // quota (and trip the quota-corruption assertion) where the serial path
-    // rejects request-by-request.
+    // quota (and trip the quota-corruption assertion).
     if (binding.rights.byte_quota != 0 &&
         binding.quota_used() + slot.payload.size() > binding.rights.byte_quota) {
       RejectRequest(hv_core_id, binding, slot, 0xE153, "byte quota exhausted", stats);
@@ -549,9 +464,15 @@ void SoftwareHypervisor::RunBatchedPipeline(int hv_core_id,
       RejectRequest(hv_core_id, binding, slot, 0xE156, "device vanished", stats);
       continue;
     }
+    if (isolation_ >= IsolationLevel::kSevered) {
+      // Unreachable while the severed re-check above holds; counted (and
+      // tripping the invariant checker) rather than silently forwarded if it
+      // ever breaks.
+      ++severed_traffic_;
+    }
     Cycles service_cycles = 0;
     IoResponse response = dev->Handle(request, machine_.clock().now(), service_cycles);
-    hv.AccountWork(service_cycles / 4);
+    hv.AccountWork(service_cycles / 4);  // hv overlaps with device; partial charge
 
     PendingResponse pr;
     pr.binding = &binding;
@@ -561,15 +482,14 @@ void SoftwareHypervisor::RunBatchedPipeline(int hv_core_id,
     if (!binding.rights.can_recv || binding.recv_suspended) {
       pr.out.payload.clear();
       pr.out.opcode = 0xE157;
-    } else if (!pr.out.payload.empty()) {
+    } else if (detectors_ != nullptr && !pr.out.payload.empty()) {
       pr.obs_index = inbound.size();
       pr.mediated = true;
       inbound.push_back(MakeTrafficObservation(binding, pr.out.opcode,
                                                /*outbound=*/false, pr.out.payload));
     }
     // Account bytes_in now, not at delivery: later batch members' quota
-    // re-checks must see this response's bytes the way they would under
-    // the serial request-by-request interleaving. Corrected at delivery if
+    // re-checks must see this response's bytes. Corrected at delivery if
     // inbound mediation changes the payload.
     pr.accounted_bytes = pr.out.payload.size();
     binding.bytes_in += pr.accounted_bytes;
@@ -578,19 +498,14 @@ void SoftwareHypervisor::RunBatchedPipeline(int hv_core_id,
 
   VerdictPlan inbound_plan;
   if (!inbound.empty()) {
-    inbound_plan = detectors_->EvaluateBatch(inbound);
-    hv.AccountWork(inbound_plan.total_cost);
-    ++stats.detector_batches;
-    stats.detector_batch_obs += inbound.size();
+    inbound_plan = EvaluateBatch(hv_core_id, inbound, stats);
   }
   for (PendingResponse& pr : responses) {
     // Fail closed once severed: whether an outbound verdict escalated in
     // the dispatch loop or an inbound verdict escalated earlier in THIS
     // loop, undelivered responses are refused — a port.response must never
     // trail an hv.isolation>=Severed event (the severed-ports-dark
-    // invariant). Serial mode would have delivered responses that preceded
-    // an outbound escalation; batched mode trades that delivery for the
-    // stronger containment guarantee (documented on HvConfig).
+    // invariant).
     if (isolation_ >= IsolationLevel::kSevered) {
       // Nothing reaches the model; back out the provisional accounting.
       // Clamped: a mid-batch escalation's policy may have reset or clamped
@@ -625,8 +540,7 @@ void SoftwareHypervisor::RunBatchedPipeline(int hv_core_id,
         pr.binding->bytes_in += pr.out.payload.size();
       }
     }
-    FinalizeResponse(hv_core_id, *pr.binding, std::move(pr.out), stats,
-                     /*account_bytes_in=*/false);
+    FinalizeResponse(hv_core_id, *pr.binding, std::move(pr.out), stats);
   }
 }
 
@@ -640,7 +554,7 @@ bool SoftwareHypervisor::SliceExhausted(int hv_core_id, u64 busy_start) const {
 
 void SoftwareHypervisor::ServicePort(int hv_core_id, PortBinding& binding,
                                      ServiceStats& stats, u64 busy_start,
-                                     std::vector<PendingRequest>* pending,
+                                     std::vector<PendingRequest>& pending,
                                      bool bypass_slice) {
   RingView req_ring = machine_.io_dram().RequestRing(binding.region);
   while (bypass_slice || !SliceExhausted(hv_core_id, busy_start)) {
@@ -648,15 +562,10 @@ void SoftwareHypervisor::ServicePort(int hv_core_id, PortBinding& binding,
     if (!slot.has_value()) {
       return;  // ring drained
     }
-    if (pending != nullptr) {
-      // Batched-detector pass: validate + trace now, park the survivor for
-      // the pipeline's per-pass EvaluateBatch.
-      if (ValidateRequest(hv_core_id, binding, *slot, stats)) {
-        pending->push_back({&binding, std::move(*slot)});
-      }
-      continue;
+    // Validate + trace now, park the survivor for the pass's pipeline.
+    if (ValidateRequest(hv_core_id, binding, *slot, stats)) {
+      pending.push_back({&binding, std::move(*slot)});
     }
-    HandleRequest(hv_core_id, binding, *slot, stats);
   }
   // Slice ran out with requests still queued: re-arm our own IRQ so even a
   // pure interrupt-driven loop (no poll sweep) revisits this port next
@@ -709,9 +618,7 @@ ServiceStats SoftwareHypervisor::ServiceOnce(int hv_core_id, bool poll_all) {
     to_service.insert(to_service.end(), all.begin(), all.end());
   }
   pending_completions_.assign(static_cast<size_t>(machine_.num_model_cores()), 0);
-  // With batching on, popped requests park here until the pass-wide
-  // EvaluateBatch; without detectors there is nothing to batch.
-  const bool batched = detectors_ != nullptr && config_.batch_detector_observations;
+  // Validated requests park here until the pass's pipeline runs.
   std::vector<PendingRequest> pending;
   // Dedup while preserving arrival order. Port ids are dense from zero
   // (PortTable::Create), so a flat seen-bitmap does it in O(n) — the old
@@ -765,8 +672,8 @@ ServiceStats SoftwareHypervisor::ServiceOnce(int hv_core_id, bool poll_all) {
                              {binding->port_id, hv_core_id},
                              static_cast<i64>(binding->port_id));
     }
-    ServicePort(hv_core_id, *binding, stats, busy_start,
-                batched ? &pending : nullptr, /*bypass_slice=*/true);
+    ServicePort(hv_core_id, *binding, stats, busy_start, pending,
+                /*bypass_slice=*/true);
   }
   for (PortBinding* binding : bulk_ports) {
     if (SliceExhausted(hv_core_id, busy_start)) {
@@ -778,14 +685,10 @@ ServiceStats SoftwareHypervisor::ServiceOnce(int hv_core_id, bool poll_all) {
       }
       continue;
     }
-    ServicePort(hv_core_id, *binding, stats, busy_start, batched ? &pending : nullptr);
+    ServicePort(hv_core_id, *binding, stats, busy_start, pending);
   }
-  if (batched) {
-    RunBatchedPipeline(hv_core_id, pending, stats);
-  }
-  if (config_.raise_completion_irqs && config_.batch_completion_irqs) {
-    FlushCompletionBatches(hv_core_id, stats);
-  }
+  RunPipeline(hv_core_id, pending, stats);
+  FlushCompletionBatches(hv_core_id, stats);
   EmitSystemObservation(hv_core_id);
 
   lifetime_stats_.Accumulate(stats);
@@ -1033,9 +936,6 @@ void SoftwareHypervisor::MeasurePlatform(MeasurementRegister& reg) const {
   reg.Extend("hv_image", config_.image_version);
   std::ostringstream cfg;
   cfg << "log_hashes=" << config_.log_payload_hashes
-      << ";completion_irqs=" << config_.raise_completion_irqs
-      << ";batch_irqs=" << config_.batch_completion_irqs
-      << ";batch_detect=" << config_.batch_detector_observations
       << ";slice=" << config_.service_slice_cycles
       << ";base_cost=" << config_.request_base_cost;
   reg.Extend("hv_config", cfg.str());

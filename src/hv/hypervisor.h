@@ -27,40 +27,26 @@
 
 namespace guillotine {
 
+// Every service pass mediates port traffic through one pipeline: validate
+// what it pops, one outbound EvaluateBatch over the survivors (aggregate
+// cost charged once), device dispatch, one inbound EvaluateBatch over the
+// responses, delivery with one completion IRQ per owning model core. With no
+// detectors the plan is all-allow (no detector cost, no batches). Within a
+// pass:
+//   * service_slice_cycles bounds request intake (the pop loop); detector
+//     and device work for everything admitted then completes, so a pass may
+//     overrun the slice by that batch's mediation cost.
+//   * Rejects reach a port's response ring ahead of successful responses
+//     (guests correlate by tag, not position).
+//   * Severing fails CLOSED: once a verdict or device callback raises
+//     isolation to >= Severed, every undelivered response of the pass is
+//     refused 0xE150, including ones dispatched before the escalation.
 struct HvConfig {
   std::string image_version = "guillotine-hv 1.0.0";
   // Record a SHA-256 prefix of every port payload in the audit trace.
   bool log_payload_hashes = true;
-  // Raise a completion interrupt on the owning model core per response.
-  bool raise_completion_irqs = true;
-  // Coalesce completion interrupts: accumulate responses during a service
-  // pass and raise one IRQ per owning model core per pass (batch depth is
-  // counted in ServiceStats) instead of one IRQ per response.
-  bool batch_completion_irqs = true;
-  // Batch detector observations per service pass: instead of one
-  // DetectorSuite::Evaluate per port request (outbound) and response
-  // (inbound), a pass collects the port-traffic observations of every
-  // request its core services, submits one EvaluateBatch per direction, and
-  // applies the VerdictPlan with the same block/rewrite/escalate semantics
-  // — charging the plan's aggregate cost once, the detector-side mirror of
-  // batch_completion_irqs. Verdicts are bit-identical to the serial path.
-  // Documented mode differences (all bounded by one pass's batch):
-  //   * service_slice_cycles bounds request intake (the pop loop); the
-  //     pipeline then completes detector + device work for everything
-  //     admitted, so a pass may overrun the slice by the admitted batch's
-  //     mediation cost. Leftover ring content still re-arms the IRQ.
-  //   * Per-port response rings carry rejects ahead of successful
-  //     responses within a pass (guests correlate by tag, not position).
-  //   * Escalation severs FAIL CLOSED over the whole batch: once any
-  //     verdict (outbound or inbound) raises isolation to >= Severed, every
-  //     undelivered response of the pass is refused 0xE150 — including
-  //     responses whose device dispatch preceded the escalation, which the
-  //     serial path would have delivered. Devices already dispatched for
-  //     the batch ran either way; no response ever trails the severed
-  //     transition onto a model core.
-  bool batch_detector_observations = false;
-  // Busy-cycle budget one hv core may spend per ServiceOnce pass. 0 means
-  // unlimited — the pre-async behavior of draining every ring to empty.
+  // Busy-cycle budget for one hv core's request intake per ServiceOnce
+  // pass. 0 means unlimited — drain every ring to empty.
   // With a budget, leftover requests stay queued in their rings and the
   // core re-arms its own IRQ so an interrupt-driven loop revisits them.
   Cycles service_slice_cycles = 0;
@@ -148,7 +134,7 @@ class SoftwareHypervisor {
   // Audit-epoch reset: zeroes a port's byte/request counters (operator
   // tooling rebaselining between audit windows, or a containment routine
   // wiping accounting at escalation time). In-flight batched corrections
-  // are clamped against it, never wrapped (see RunBatchedPipeline).
+  // are clamped against it, never wrapped (see RunPipeline).
   Status ResetPortAccounting(u32 port_id);
   const PortBinding* FindPort(u32 port_id) const { return ports_.Find(port_id); }
   Result<PortGuestInfo> PortInfo(u32 port_id) const;
@@ -180,9 +166,9 @@ class SoftwareHypervisor {
   // handoff) are forwarded to the owner, never serviced. With `poll_all`,
   // also sweeps every owned port (picks up coalesced doorbells). Responses
   // are delivered in batches: one completion IRQ per owning model core per
-  // pass when `batch_completion_irqs` is set. A nonzero
-  // `service_slice_cycles` caps the busy cycles one pass may spend; leftover
-  // requests stay ring-queued and the core re-arms its own IRQ.
+  // pass. A nonzero `service_slice_cycles` caps the busy cycles one pass may
+  // spend on intake; leftover requests stay ring-queued and the core
+  // re-arms its own IRQ.
   ServiceStats ServiceOnce(int hv_core_id, bool poll_all = false);
   const ServiceStats& lifetime_stats() const { return lifetime_stats_; }
   // Per-hv-core lifetime accumulation of the same counters.
@@ -202,10 +188,10 @@ class SoftwareHypervisor {
   u64 mis_owned_services() const { return mis_owned_services_; }
 
   // Requests forwarded to a device while isolation was >= Severed. The
-  // severed gate in HandleRequest makes this unreachable by construction;
-  // the counter exists so the fuzzer's invariant layer can prove it stayed
-  // zero (a regression that drops the gate trips the invariant, not just a
-  // scripted test).
+  // pipeline's severed re-check just before device dispatch makes this
+  // unreachable by construction; the counter exists so the fuzzer's
+  // invariant layer can prove it stayed zero (a regression that drops the
+  // gate trips the invariant, not just a scripted test).
   u64 severed_traffic() const { return severed_traffic_; }
 
   // ---- Isolation coupling (driven by the control console) ----
@@ -256,12 +242,8 @@ class SoftwareHypervisor {
   AttestationQuote Attest(u64 nonce, const SimSigKeyPair& device_key) const;
 
  private:
-  struct HandleOutcome {
-    bool responded = false;
-  };
-
-  // One request popped during a batched pass that survived validation and
-  // waits for its outbound verdict (then device dispatch + inbound verdict).
+  // One request popped during a pass that survived validation and waits
+  // for its outbound verdict (then device dispatch + inbound verdict).
   struct PendingRequest {
     PortBinding* binding = nullptr;
     IoSlot slot;
@@ -273,26 +255,22 @@ class SoftwareHypervisor {
     size_t obs_index = 0;   // into the inbound observation batch
     bool mediated = false;  // false: deliver as-is (no detectors apply)
     // bytes_in provisionally accounted at dispatch time (so later batch
-    // members' quota re-checks see it, as they would serially); corrected
-    // at delivery if mediation changes the payload or delivery is refused.
+    // members' quota re-checks see it); corrected at delivery if mediation
+    // changes the payload or delivery is refused.
     size_t accounted_bytes = 0;
   };
 
   // Drains `binding`'s request ring until empty or the slice budget runs
-  // out; a non-empty leftover ring re-arms the core's own IRQ so the work
-  // is revisited next pass even without a poll sweep. In batched-detector
-  // mode the popped requests are validated and parked on `pending` instead
-  // of being handled inline. `bypass_slice` (kill-class ports) drains the
-  // ring to empty regardless of the budget — the cycles are still accounted,
-  // the deferral just never happens.
+  // out, validating each popped request and parking the survivors on
+  // `pending` for the pass's pipeline; a non-empty leftover ring re-arms the
+  // core's own IRQ so the work is revisited next pass even without a poll
+  // sweep. `bypass_slice` (kill-class ports) drains the ring to empty
+  // regardless of the budget — the cycles are still accounted, the deferral
+  // just never happens.
   void ServicePort(int hv_core_id, PortBinding& binding, ServiceStats& stats,
-                   u64 busy_start, std::vector<PendingRequest>* pending,
+                   u64 busy_start, std::vector<PendingRequest>& pending,
                    bool bypass_slice = false);
   bool SliceExhausted(int hv_core_id, u64 busy_start) const;
-  void HandleRequest(int hv_core_id, PortBinding& binding, const IoSlot& slot,
-                     ServiceStats& stats);
-  // Shared pieces of the request path (identical semantics in the serial
-  // and batched pipelines):
   void RejectRequest(int hv_core_id, PortBinding& binding, const IoSlot& slot,
                      u32 code, std::string_view why, ServiceStats& stats);
   // Intake counters + trace + rights/isolation/quota gate. Returns false
@@ -301,16 +279,19 @@ class SoftwareHypervisor {
                        ServiceStats& stats);
   Observation MakeTrafficObservation(const PortBinding& binding, u32 opcode,
                                      bool outbound, const Bytes& payload) const;
-  // bytes_in accounting (skipped when the batched pipeline accounted it at
-  // dispatch time), slot truncation, response push + trace +
-  // completion-IRQ accounting (or drop).
+  // One detector batch: EvaluateBatch over `batch`, its aggregate cost
+  // charged once to the hv core.
+  VerdictPlan EvaluateBatch(int hv_core_id, const std::vector<Observation>& batch,
+                            ServiceStats& stats);
+  // Slot truncation, response push + trace + completion-IRQ accounting (or
+  // drop). bytes_in was already accounted by the pipeline.
   void FinalizeResponse(int hv_core_id, PortBinding& binding, IoSlot out,
-                        ServiceStats& stats, bool account_bytes_in = true);
-  // The batched service pipeline: outbound EvaluateBatch over `pending`,
-  // verdict application, device dispatch, inbound EvaluateBatch over the
-  // responses, delivery. Aggregate plan costs are charged once per batch.
-  void RunBatchedPipeline(int hv_core_id, std::vector<PendingRequest>& pending,
-                          ServiceStats& stats);
+                        ServiceStats& stats);
+  // The service pipeline: outbound verdicts over `pending`, verdict
+  // application, device dispatch, inbound verdicts over the responses,
+  // delivery.
+  void RunPipeline(int hv_core_id, std::vector<PendingRequest>& pending,
+                   ServiceStats& stats);
   void FlushCompletionBatches(int hv_core_id, ServiceStats& stats);
   void EmitSystemObservation(int hv_core_id);
   void TraceIo(int hv_core_id, const PortBinding& binding, bool outbound,

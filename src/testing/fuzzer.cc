@@ -85,12 +85,11 @@ std::vector<int> PickVotes(Rng& rng, int num_admins) {
 }
 
 Scenario FromSteps(const std::string& name, const std::vector<ScenarioStep>& steps,
-                   u32 hv_cores, bool detector_batching, bool priority_traffic,
+                   u32 hv_cores, bool priority_traffic,
                    const std::optional<TrafficShape>& traffic, bool recovery,
                    u32 fabric_hosts) {
   Scenario scenario(name);
   scenario.WithHvCores(hv_cores);
-  scenario.WithDetectorBatching(detector_batching);
   scenario.WithPriorityTraffic(priority_traffic);
   if (traffic.has_value()) {
     scenario.WithTraffic(*traffic);
@@ -157,25 +156,17 @@ Scenario ScenarioFuzzer::Generate(u64 seed) const {
     scenario.WithHvCores(rng.NextBool(0.5) ? 2 : 4);
   }
 
-  // And a third runs the per-pass batched detector pipeline, so amortized
-  // verdict application (block/rewrite/escalate from a VerdictPlan) faces
-  // the same invariants as the serial path. Independent of the core-count
-  // draw: single- and multi-core batched deployments both appear.
-  if (rng.NextBool(0.34)) {
-    scenario.WithDetectorBatching(true);
-  }
-
   // And a third rides kill-class console pings alongside every doorbell
   // flood, so mixed-priority storms face the kill-path-not-starved
-  // invariant (and the other eleven) across every core-count / batching
-  // combination the two draws above produce.
+  // invariant (and the other twelve) on every core count the draw above
+  // produces.
   if (rng.NextBool(0.34)) {
     scenario.WithPriorityTraffic(true);
   }
 
   // And ~30% ride open-world service traffic: every pump step serves a
   // continuous burst (with a mid-burst elastic resize) through a sharded
-  // ModelService over Guillotine adapters, so the twelve invariants run
+  // ModelService over Guillotine adapters, so the thirteen invariants run
   // against the open-world loop and its audited KV handover as well.
   static constexpr TrafficShape kShapes[] = {
       TrafficShape::kPoisson, TrafficShape::kBursty, TrafficShape::kDiurnal};
@@ -339,7 +330,6 @@ Scenario ScenarioFuzzer::Shrink(const Scenario& scenario) {
     --budget;
     ScenarioRunner runner(config_.runner);
     const Scenario s = FromSteps(scenario.name(), candidate, scenario.hv_cores(),
-                                 scenario.detector_batching(),
                                  scenario.priority_traffic(), scenario.traffic(),
                                  scenario.recovery(), scenario.fabric_hosts());
     const ScenarioResult r = runner.Run(s);
@@ -400,9 +390,8 @@ Scenario ScenarioFuzzer::Shrink(const Scenario& scenario) {
     }
   }
   return FromSteps(scenario.name() + "-min", steps, scenario.hv_cores(),
-                   scenario.detector_batching(), scenario.priority_traffic(),
-                   scenario.traffic(), scenario.recovery(),
-                   scenario.fabric_hosts());
+                   scenario.priority_traffic(), scenario.traffic(),
+                   scenario.recovery(), scenario.fabric_hosts());
 }
 
 std::string ScenarioFuzzer::ReproScript(

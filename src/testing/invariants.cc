@@ -1,5 +1,6 @@
 #include "src/testing/invariants.h"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_map>
 
@@ -316,7 +317,10 @@ void CheckAuditCoverage(const InvariantContext& ctx,
 // Probation suspends NIC sends, Severed+ refuses ports outright. The level
 // estimate below only sees scripted transitions, so it can lag behind
 // detector-driven escalations — that lag never produces false positives
-// because the true level is always >= the estimate.
+// because the true level is always >= the estimate. The one scripted step
+// that lowers the level is an audited snapshot recovery, and the estimate
+// follows it: the step reports the console's level afterwards, or -1 when
+// the recovery was refused after forcing the deployment Offline.
 void CheckExfilContained(const InvariantContext& ctx,
                          const InvariantChecker::ViolateFn& violate) {
   if (ctx.scenario == nullptr || ctx.result == nullptr ||
@@ -336,6 +340,10 @@ void CheckExfilContained(const InvariantContext& ctx,
         break;
       case ScenarioStepKind::kDropHeartbeats:
         level = static_cast<IsolationLevel>(outcome.value);
+        break;
+      case ScenarioStepKind::kRecoverSnapshot:
+        level = outcome.value >= 0 ? static_cast<IsolationLevel>(outcome.value)
+                                   : std::max(level, IsolationLevel::kOffline);
         break;
       case ScenarioStepKind::kAttemptExfil:
         if (outcome.value > 0 && level != IsolationLevel::kStandard) {

@@ -185,11 +185,6 @@ Scenario& Scenario::WithHvCores(u32 hv_cores) {
   return *this;
 }
 
-Scenario& Scenario::WithDetectorBatching(bool batched) {
-  detector_batching_ = batched;
-  return *this;
-}
-
 Scenario& Scenario::WithPriorityTraffic(bool enabled) {
   priority_traffic_ = enabled;
   return *this;
@@ -413,9 +408,6 @@ Result<std::string> SerializeScenarioScript(const Scenario& scenario) {
   if (scenario.hv_cores() != 0) {
     out << " hv_cores=" << scenario.hv_cores();
   }
-  if (scenario.detector_batching()) {
-    out << " detector_batch=1";
-  }
   if (scenario.priority_traffic()) {
     out << " priority=1";
   }
@@ -564,10 +556,6 @@ Result<Scenario> ParseScenarioScript(std::string_view script) {
         GLL_ASSIGN_OR_RETURN(u64 n, ParseNumber(cores->value, line_no));
         GLL_ASSIGN_OR_RETURN(u32 narrowed, NarrowNumber<u32>(n, line_no));
         scenario.WithHvCores(narrowed);
-      }
-      if (const ScriptToken* batch = find("detector_batch"); batch != nullptr) {
-        GLL_ASSIGN_OR_RETURN(u64 n, ParseNumber(batch->value, line_no));
-        scenario.WithDetectorBatching(n != 0);
       }
       if (const ScriptToken* prio = find("priority"); prio != nullptr) {
         GLL_ASSIGN_OR_RETURN(u64 n, ParseNumber(prio->value, line_no));
@@ -772,9 +760,6 @@ ScenarioResult ScenarioRunner::Run(const Scenario& scenario) {
   DeploymentConfig deployment = config_.deployment;
   if (scenario.hv_cores() > 0) {
     deployment.machine.num_hv_cores = static_cast<int>(scenario.hv_cores());
-  }
-  if (scenario.detector_batching()) {
-    deployment.hv.batch_detector_observations = true;
   }
   system_ = std::make_unique<GuillotineSystem>(deployment);
   if (config_.trace_retention != 0) {
@@ -1165,8 +1150,10 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
       }
       Result<ModelSnapshot> snapshot = CaptureSnapshot(sys.hv(), 0);
       if (!snapshot.ok()) {
+        // Nothing was recovered: report the unchanged level (-1 is kept
+        // for a refused recovery, which has forced the deployment Offline).
         outcome.ok = true;
-        outcome.value = -1;
+        outcome.value = static_cast<i64>(sys.console().level());
         outcome.detail = "capture: " + snapshot.status().ToString();
         break;
       }

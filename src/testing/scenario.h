@@ -137,18 +137,11 @@ class Scenario {
   Scenario& WithHvCores(u32 hv_cores);
   u32 hv_cores() const { return hv_cores_; }
 
-  // Runs the deployment with per-pass batched detector observations
-  // (HvConfig::batch_detector_observations). The fuzzer flips this on for a
-  // third of the corpus so the batched pipeline rides every global safety
-  // invariant; serialized on the script header line like hv_cores.
-  Scenario& WithDetectorBatching(bool batched);
-  bool detector_batching() const { return detector_batching_; }
-
   // Rides kill-class control traffic (console pings on the kKill port)
   // alongside every flood_interrupts step, so mixed-priority floods face
   // the kill-path-not-starved invariant. The fuzzer flips this on for a
   // third of the corpus; serialized on the script header line (priority=1)
-  // like hv_cores and detector_batch.
+  // like hv_cores.
   Scenario& WithPriorityTraffic(bool enabled);
   bool priority_traffic() const { return priority_traffic_; }
 
@@ -186,7 +179,6 @@ class Scenario {
   std::string name_;
   std::vector<ScenarioStep> steps_;
   u32 hv_cores_ = 0;
-  bool detector_batching_ = false;
   bool priority_traffic_ = false;
   bool recovery_ = false;
   u32 fabric_hosts_ = 0;

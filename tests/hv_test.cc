@@ -51,23 +51,25 @@ class KeywordDetector : public MisbehaviorDetector {
 
 class HvTest : public ::testing::Test {
  protected:
-  HvTest()
-      : machine_(SmallConfig(), clock_, trace_),
-        hv_(machine_, &detectors_) {
+  HvTest() : machine_(SmallConfig(), clock_, trace_) {
     detectors_.Add(std::make_unique<KeywordDetector>());
     disk_index_ = machine_.AttachDevice(std::make_unique<StorageDevice>(64, 512));
   }
 
-  // Pushes a raw request into a port's request ring (as a guest would) and
-  // services it by polling.
-  ServiceStats PushAndService(u32 port_id, u32 opcode, u64 tag, Bytes payload) {
+  // Pushes a raw request into a port's request ring (as a guest would).
+  void Push(u32 port_id, u32 opcode, u64 tag, Bytes payload) {
     const PortBinding* binding = hv_.FindPort(port_id);
     RingView ring = machine_.io_dram().RequestRing(binding->region);
     IoSlot slot;
     slot.opcode = opcode;
     slot.tag = tag;
     slot.payload = std::move(payload);
-    EXPECT_TRUE(ring.Push(slot).ok());
+    ASSERT_TRUE(ring.Push(slot).ok());
+  }
+
+  // Pushes one request and services it by polling.
+  ServiceStats PushAndService(u32 port_id, u32 opcode, u64 tag, Bytes payload) {
+    Push(port_id, opcode, tag, std::move(payload));
     return hv_.ServiceOnce(0, /*poll_all=*/true);
   }
 
@@ -81,7 +83,7 @@ class HvTest : public ::testing::Test {
   EventTrace trace_;
   Machine machine_;
   DetectorSuite detectors_;
-  SoftwareHypervisor hv_{machine_, nullptr};
+  SoftwareHypervisor hv_{machine_, &detectors_};
   u32 disk_index_ = 0;
 };
 
@@ -215,39 +217,7 @@ TEST_F(HvTest, DetectorRewritesPayload) {
   EXPECT_EQ(stats.rewritten, 1u);
 }
 
-// Batched-detector-mode fixture: same machine shape, same KeywordDetector,
-// but the service pass collects observations and applies a VerdictPlan.
-class HvBatchedTest : public ::testing::Test {
- protected:
-  HvBatchedTest()
-      : machine_(SmallConfig(), clock_, trace_), hv_(machine_, &detectors_, [] {
-          HvConfig c;
-          c.batch_detector_observations = true;
-          return c;
-        }()) {
-    detectors_.Add(std::make_unique<KeywordDetector>());
-    disk_index_ = machine_.AttachDevice(std::make_unique<StorageDevice>(64, 512));
-  }
-
-  void Push(u32 port_id, u32 opcode, u64 tag, Bytes payload) {
-    const PortBinding* binding = hv_.FindPort(port_id);
-    RingView ring = machine_.io_dram().RequestRing(binding->region);
-    IoSlot slot;
-    slot.opcode = opcode;
-    slot.tag = tag;
-    slot.payload = std::move(payload);
-    ASSERT_TRUE(ring.Push(slot).ok());
-  }
-
-  SimClock clock_;
-  EventTrace trace_;
-  Machine machine_;
-  DetectorSuite detectors_;
-  SoftwareHypervisor hv_{machine_, nullptr};
-  u32 disk_index_ = 0;
-};
-
-TEST_F(HvBatchedTest, BatchedPassAppliesBlockRewriteAllowPerRequest) {
+TEST_F(HvTest, BatchedPassAppliesBlockRewriteAllowPerRequest) {
   const auto port = hv_.CreatePort(disk_index_, PortRights{});
   ASSERT_TRUE(port.ok());
   // Three requests land in one pass: one evil (block), one masked
@@ -274,12 +244,12 @@ TEST_F(HvBatchedTest, BatchedPassAppliesBlockRewriteAllowPerRequest) {
   EXPECT_EQ(trace_.CountKind("port.reject"), 1u);
 }
 
-TEST_F(HvBatchedTest, BatchedPassCannotOvershootTheByteQuota) {
+TEST_F(HvTest, BatchedPassCannotOvershootTheByteQuota) {
   // Three 40-byte writes against a 64-byte quota land in ONE pass. The
   // pop-time validation saw quota_used()=0 for all three; the pipeline's
-  // apply-time re-check must reject the overflow request-by-request like
-  // the serial path, instead of overshooting the quota (which would trip
-  // the quota-corruption assertion and force the failsafe).
+  // apply-time re-check must reject the overflow request-by-request
+  // instead of overshooting the quota (which would trip the
+  // quota-corruption assertion and force the failsafe).
   PortRights rights;
   rights.byte_quota = 64;
   const auto port = hv_.CreatePort(disk_index_, rights);
@@ -297,53 +267,6 @@ TEST_F(HvBatchedTest, BatchedPassCannotOvershootTheByteQuota) {
   const PortBinding* binding = hv_.FindPort(*port);
   EXPECT_LE(binding->quota_used(), binding->rights.byte_quota);
   EXPECT_TRUE(hv_.RunAssertions().ok());
-}
-
-TEST_F(HvBatchedTest, BatchedAndSerialPassesAgreeOnVerdictCounters) {
-  // Drive the identical workload through a serial-mode twin; every
-  // externally visible verdict counter must match.
-  SimClock serial_clock;
-  EventTrace serial_trace;
-  Machine serial_machine(SmallConfig(), serial_clock, serial_trace);
-  DetectorSuite serial_detectors;
-  serial_detectors.Add(std::make_unique<KeywordDetector>());
-  SoftwareHypervisor serial_hv(serial_machine, &serial_detectors);
-  const u32 serial_disk =
-      serial_machine.AttachDevice(std::make_unique<StorageDevice>(64, 512));
-
-  const auto port = hv_.CreatePort(disk_index_, PortRights{});
-  const auto serial_port = serial_hv.CreatePort(serial_disk, PortRights{});
-  ASSERT_TRUE(port.ok());
-  ASSERT_TRUE(serial_port.ok());
-  auto push = [](Machine& m, SoftwareHypervisor& h, u32 port_id, u64 tag,
-                 std::string_view text) {
-    const PortBinding* binding = h.FindPort(port_id);
-    RingView ring = m.io_dram().RequestRing(binding->region);
-    IoSlot slot;
-    slot.opcode = static_cast<u32>(StorageOpcode::kWrite);
-    slot.tag = tag;
-    PutU64(slot.payload, 0);
-    const Bytes body = ToBytes(text);
-    slot.payload.insert(slot.payload.end(), body.begin(), body.end());
-    ASSERT_TRUE(ring.Push(slot).ok());
-  };
-  const std::string_view kBodies[] = {"clean write", "EVIL attempt", "MASK me",
-                                      "another clean", "EVIL again"};
-  for (u64 i = 0; i < 5; ++i) {
-    push(machine_, hv_, *port, i + 1, kBodies[i]);
-    push(serial_machine, serial_hv, *serial_port, i + 1, kBodies[i]);
-  }
-  const ServiceStats batched = hv_.ServiceOnce(0, /*poll_all=*/true);
-  const ServiceStats serial = serial_hv.ServiceOnce(0, /*poll_all=*/true);
-  EXPECT_EQ(batched.requests, serial.requests);
-  EXPECT_EQ(batched.blocked, serial.blocked);
-  EXPECT_EQ(batched.rewritten, serial.rewritten);
-  EXPECT_EQ(batched.responses, serial.responses);
-  EXPECT_EQ(batched.escalations, serial.escalations);
-  EXPECT_EQ(trace_.CountKind("port.reject"), serial_trace.CountKind("port.reject"));
-  // Only the batched side reports batch accounting.
-  EXPECT_GT(batched.detector_batches, 0u);
-  EXPECT_EQ(serial.detector_batches, 0u);
 }
 
 // --- Priority classes and the containment path ---
@@ -438,11 +361,11 @@ TEST_F(HvTest, EscalationChannelSeversAndRefusesItsOwnResponse) {
   EXPECT_EQ(trace_.CountKind("port.response"), 0u);
 }
 
-// Satellite regression: the batched pipeline's severed/mediation corrections
+// Regression: the pipeline's severed/mediation corrections
 // subtract provisionally accounted bytes_in; an escalation handler that
 // resets port accounting mid-batch used to make that subtraction wrap the
 // u64 to ~0.
-TEST_F(HvBatchedTest, MidBatchEscalationKeepsBytesInSane) {
+TEST_F(HvTest, MidBatchEscalationKeepsBytesInSane) {
   detectors_.Add(std::make_unique<BreakGlassDetector>());
   const auto port = hv_.CreatePort(disk_index_, PortRights{});
   ASSERT_TRUE(port.ok());
@@ -465,6 +388,28 @@ TEST_F(HvBatchedTest, MidBatchEscalationKeepsBytesInSane) {
   EXPECT_EQ(binding->bytes_in, 0u);  // clamped, not wrapped to ~0ULL
   EXPECT_TRUE(hv_.RunAssertions().ok());
   EXPECT_GE(trace_.CountKind("port.accounting_reset"), 1u);
+}
+
+// A request validated before a mid-batch escalation never reaches its
+// device: the pipeline re-checks isolation at dispatch, so the
+// severed-forward counter (the severed-ports-dark invariant's probe) stays
+// zero.
+TEST_F(HvTest, MidBatchEscalationGatesLaterDispatches) {
+  detectors_.Add(std::make_unique<BreakGlassDetector>());
+  const auto port = hv_.CreatePort(disk_index_, PortRights{});
+  ASSERT_TRUE(port.ok());
+  hv_.set_escalation_handler([this](IsolationLevel level, std::string) {
+    hv_.ApplySoftwareIsolation(level);
+  });
+  Push(*port, static_cast<u32>(StorageOpcode::kWrite), 1, ToBytes("BREAKGLASS"));
+  Push(*port, static_cast<u32>(StorageOpcode::kInfo), 2, {});
+  const ServiceStats stats = hv_.ServiceOnce(0, /*poll_all=*/true);
+  EXPECT_EQ(stats.escalations, 1u);
+  EXPECT_EQ(stats.blocked, 2u);
+  EXPECT_EQ(stats.responses, 0u);
+  EXPECT_EQ(hv_.severed_traffic(), 0u);
+  EXPECT_EQ(PopResponse(*port)->opcode, 0xE154u);  // the escalating request
+  EXPECT_EQ(PopResponse(*port)->opcode, 0xE150u);  // refused at dispatch
 }
 
 TEST_F(HvTest, AssertionFailureTriggersFailsafe) {
@@ -577,14 +522,8 @@ TEST_F(HvTest, DroppedResponsesCountedTracedAndAccumulated) {
   const auto port = hv_.CreatePort(disk_index_, PortRights{}, 0,
                                    /*slot_bytes=*/64, /*slot_count=*/2);
   ASSERT_TRUE(port.ok());
-  const PortBinding* binding = hv_.FindPort(*port);
-  RingView req = machine_.io_dram().RequestRing(binding->region);
-
   for (u64 tag = 1; tag <= 2; ++tag) {
-    IoSlot slot;
-    slot.opcode = static_cast<u32>(StorageOpcode::kInfo);
-    slot.tag = tag;
-    ASSERT_TRUE(req.Push(slot).ok());
+    Push(*port, static_cast<u32>(StorageOpcode::kInfo), tag, {});
   }
   const ServiceStats first = hv_.ServiceOnce(0, /*poll_all=*/true);
   EXPECT_EQ(first.requests, 2u);
@@ -593,10 +532,7 @@ TEST_F(HvTest, DroppedResponsesCountedTracedAndAccumulated) {
 
   // Response ring now full (the guest never consumed); service two more.
   for (u64 tag = 3; tag <= 4; ++tag) {
-    IoSlot slot;
-    slot.opcode = static_cast<u32>(StorageOpcode::kInfo);
-    slot.tag = tag;
-    ASSERT_TRUE(req.Push(slot).ok());
+    Push(*port, static_cast<u32>(StorageOpcode::kInfo), tag, {});
   }
   const ServiceStats second = hv_.ServiceOnce(0, /*poll_all=*/true);
   EXPECT_EQ(second.requests, 2u);
@@ -637,13 +573,8 @@ TEST_F(HvTest, BatchedCompletionIrqsOnePerPass) {
   const auto port = hv_.CreatePort(disk_index_, PortRights{}, 0,
                                    /*slot_bytes=*/64, /*slot_count=*/16);
   ASSERT_TRUE(port.ok());
-  const PortBinding* binding = hv_.FindPort(*port);
-  RingView req = machine_.io_dram().RequestRing(binding->region);
   for (u64 tag = 1; tag <= 5; ++tag) {
-    IoSlot slot;
-    slot.opcode = static_cast<u32>(StorageOpcode::kInfo);
-    slot.tag = tag;
-    ASSERT_TRUE(req.Push(slot).ok());
+    Push(*port, static_cast<u32>(StorageOpcode::kInfo), tag, {});
   }
   const ServiceStats stats = hv_.ServiceOnce(0, /*poll_all=*/true);
   EXPECT_EQ(stats.responses, 5u);
@@ -652,25 +583,6 @@ TEST_F(HvTest, BatchedCompletionIrqsOnePerPass) {
   EXPECT_EQ(stats.irq_batches, 1u);
   EXPECT_EQ(stats.batch_depth_max, 5u);
   EXPECT_EQ(trace_.CountKind("port.irq_batch"), 1u);
-}
-
-TEST_F(HvTest, UnbatchedModeRaisesPerResponse) {
-  HvConfig config;
-  config.batch_completion_irqs = false;
-  SoftwareHypervisor hv(machine_, nullptr, config);
-  const auto port = hv.CreatePort(disk_index_, PortRights{}, 0, 64, 16);
-  ASSERT_TRUE(port.ok());
-  RingView req = machine_.io_dram().RequestRing(hv.FindPort(*port)->region);
-  for (u64 tag = 1; tag <= 4; ++tag) {
-    IoSlot slot;
-    slot.opcode = static_cast<u32>(StorageOpcode::kInfo);
-    slot.tag = tag;
-    ASSERT_TRUE(req.Push(slot).ok());
-  }
-  const ServiceStats stats = hv.ServiceOnce(0, /*poll_all=*/true);
-  EXPECT_EQ(stats.responses, 4u);
-  EXPECT_EQ(stats.completion_irqs, 4u);
-  EXPECT_EQ(stats.irq_batches, 0u);
 }
 
 // --- Per-port hv-core ownership ---
@@ -766,7 +678,8 @@ TEST(HvSliceTest, SliceBudgetDefersAndRearms) {
   EventTrace trace;
   Machine machine(mc, clock, trace);
   HvConfig config;
-  config.service_slice_cycles = 300;  // one kInfo request (~325 cyc) per pass
+  // Intake charges 300 cyc per kInfo request: one admission per pass.
+  config.service_slice_cycles = 300;
   SoftwareHypervisor hv(machine, nullptr, config);
   const u32 disk = machine.AttachDevice(std::make_unique<StorageDevice>(64, 512));
   const auto port = hv.CreatePort(disk, PortRights{});
@@ -781,14 +694,17 @@ TEST(HvSliceTest, SliceBudgetDefersAndRearms) {
   }
   machine.hv_core(0).InjectIrq(*port);
 
-  // Each IRQ-driven pass drains one request and re-arms its own IRQ for
-  // the leftovers — no request is ever stranded.
-  u64 serviced = 0;
+  // Each IRQ-driven pass admits exactly one request and re-arms its own
+  // IRQ for the leftovers — no request is ever stranded. With no detectors
+  // the pipeline runs an all-allow plan: no detector batch is submitted.
   for (int pass = 0; pass < 3; ++pass) {
-    serviced += hv.ServiceOnce(0, /*poll_all=*/false).requests;
+    const ServiceStats stats = hv.ServiceOnce(0, /*poll_all=*/false);
+    EXPECT_EQ(stats.requests, 1u) << "pass " << pass;
+    EXPECT_EQ(stats.responses, 1u) << "pass " << pass;
   }
-  EXPECT_EQ(serviced, 3u);
   EXPECT_TRUE(req.empty());
+  EXPECT_EQ(hv.lifetime_stats().detector_batches, 0u);
+  EXPECT_EQ(hv.lifetime_stats().detector_batch_obs, 0u);
   // Ring drained: the re-arm chain stops.
   EXPECT_EQ(hv.ServiceOnce(0, /*poll_all=*/false).requests, 0u);
 }

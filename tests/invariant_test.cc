@@ -125,6 +125,34 @@ TEST(InvariantCheckerTest, ProperlyVotedRelaxPassesTheFloor) {
   EXPECT_TRUE(violations.empty()) << RenderViolations(violations);
 }
 
+// --- exfil-contained follows the audited way back from containment. ---
+
+// Regression: a clean snapshot recovery relaxes a Severed deployment to the
+// vote's target level, after which an exfiltration attempt legitimately
+// reaches the fabric. exfil-contained used to keep its Severed estimate
+// across the recovery and flag that frame as an escape.
+TEST(InvariantCheckerTest, ExfilAfterAuditedRecoveryIsNotAnEscape) {
+  const auto parsed = ParseScenarioScript(
+      "scenario \"exfil-after-recovery\"\n"
+      "host_model dims=8,16,4 seed=3\n"
+      "hv_escalate level=severed reason=\"t\"\n"
+      "recover_snapshot level=standard tamper=none votes=3,4,1,5,0\n"
+      "attempt_exfil host=66 payload=\"p\"\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ScenarioRunner runner;
+  const ScenarioResult result = runner.Run(*parsed);
+  // Not vacuous: the recovery relaxed to Standard and the frame went out.
+  ASSERT_EQ(result.outcomes.size(), 4u);
+  EXPECT_EQ(result.outcomes[2].value, static_cast<i64>(IsolationLevel::kStandard));
+  EXPECT_GT(result.outcomes[3].value, 0);
+  InvariantContext ctx;
+  ctx.scenario = &*parsed;
+  ctx.result = &result;
+  ctx.system = &runner.system();
+  const auto violations = InvariantChecker::Default().Check(ctx);
+  EXPECT_TRUE(violations.empty()) << RenderViolations(violations);
+}
+
 // --- Synthetic tampering with the hv fail-safe still satisfies bounds. ---
 
 TEST(InvariantCheckerTest, HvAssertionFailurePathHoldsInvariants) {
