@@ -172,7 +172,6 @@ RecoveryOutcome RunRecovery(int hv_cores, bool flooded, u32 samples) {
 struct MigrateOutcome {
   u64 remapped = 0;
   u64 kv_migrated = 0;
-  u64 kv_dropped = 0;
   Cycles probe_makespan = 0;  // post-migrate service probe
   bool tamper_refused = false;
   bool digest_verified = false;
@@ -248,7 +247,6 @@ MigrateOutcome RunMigrate(int hv_cores, bool flooded) {
   }
   out.remapped = report->remapped_sessions;
   out.kv_migrated = report->kv_migrated;
-  out.kv_dropped = report->kv_dropped;
   out.digest_verified = report->digest_verified;
 
   std::vector<InferenceRequest> requests;
@@ -256,7 +254,7 @@ MigrateOutcome RunMigrate(int hv_cores, bool flooded) {
     requests.push_back({i, "post-migrate probe " + std::to_string(i), i * 100,
                         static_cast<u32>(i % 6) + 1});
   }
-  const ServiceReport probe = service.RunAll(std::move(requests));
+  const ContinuousReport probe = service.RunAll(std::move(requests));
   if (probe.completed != 8 || probe.failed != 0) {
     out.failed = true;
     return out;
@@ -266,7 +264,7 @@ MigrateOutcome RunMigrate(int hv_cores, bool flooded) {
   out.digest = Mix(TraceDigestHash(fleet.decommissioned(0).trace()),
                    TraceDigestHash(fleet.system(0).trace()));
   out.digest = Mix(out.digest, out.remapped);
-  out.digest = Mix(out.digest, out.kv_migrated + out.kv_dropped);
+  out.digest = Mix(out.digest, out.kv_migrated);
   out.digest = Mix(out.digest, out.probe_makespan);
   return out;
 }
@@ -285,7 +283,7 @@ int Run(const std::vector<u64>& hv_core_counts) {
   bool breached = false;
   bool diverged = false;
   TextTable table({"hv_cores", "mode", "samples", "rec_p50", "rec_max",
-                   "quiesce", "tamper_ref", "remap", "kv_mig", "kv_drop",
+                   "quiesce", "tamper_ref", "remap", "kv_mig",
                    "probe_cyc", "digest"});
   for (const u64 cores : hv_core_counts) {
     RecoveryOutcome idle;
@@ -309,7 +307,6 @@ int Run(const std::vector<u64>& hv_core_counts) {
                     std::to_string(rec_a.tamper_refusals),
                     std::to_string(mig_a.remapped),
                     std::to_string(mig_a.kv_migrated),
-                    std::to_string(mig_a.kv_dropped),
                     std::to_string(mig_a.probe_makespan), digest.str()});
 
       if (rec_a.failed || mig_a.failed) {

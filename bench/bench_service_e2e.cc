@@ -89,12 +89,12 @@ DeploymentConfig SysConfig(IntrospectionMode mode) {
   return config;
 }
 
-void Row(TextTable& table, std::string_view name, const ServiceReport& report) {
+void Row(TextTable& table, std::string_view name, const ContinuousReport& report) {
   table.AddRow({std::string(name), std::to_string(report.completed),
                 std::to_string(report.failed),
                 TextTable::Num(report.latency.mean() / 1e3, 1),
                 TextTable::Num(report.latency.Percentile(99) / 1e3, 1),
-                TextTable::Num(report.throughput_per_mcycle() * 1000, 2)});
+                TextTable::Num(report.throughput_per_gcycle(), 2)});
 }
 
 void RunSandboxCostTable() {
@@ -180,7 +180,7 @@ void RunShardSweep(const std::vector<u64>& shard_counts,
       ModelService service(config);
       fleet.RegisterWith(service);
 
-      const ServiceReport report =
+      const ContinuousReport report =
           service.RunAll(FleetWorkload(kRequests, spacing));
       size_t max_qhw = 0;
       for (const ShardStats& s : report.shards) {
@@ -198,7 +198,7 @@ void RunShardSweep(const std::vector<u64>& shard_counts,
                     TextTable::Num(report.latency.Percentile(50) / 1e3, 1),
                     TextTable::Num(report.latency.Percentile(99) / 1e3, 1),
                     TextTable::Num(report.latency.Percentile(99.9) / 1e3, 1),
-                    TextTable::Num(report.throughput_per_mcycle() * 1000, 2)});
+                    TextTable::Num(report.throughput_per_gcycle(), 2)});
     }
   }
 
@@ -225,7 +225,7 @@ int RunTrafficSweep(const std::vector<std::string>& shape_names,
   const u64 kArrivals = Smoked<u64>(20'000, 600);
 
   TextTable table({"shape", "shards", "completed", "failed", "stolen",
-                   "remapped", "dropped", "kv_hit_rate", "p999_lat_kcyc",
+                   "remapped", "kv_hit_rate", "p999_lat_kcyc",
                    "req_per_Gcycle", "digest"});
   int divergences = 0;
 
@@ -279,7 +279,6 @@ int RunTrafficSweep(const std::vector<std::string>& shape_names,
           {shape_name, std::to_string(shards), std::to_string(report.completed),
            std::to_string(report.failed), std::to_string(report.stolen),
            std::to_string(report.remapped_sessions),
-           std::to_string(report.kv_dropped),
            TextTable::Num(report.kv_hit_rate, 3),
            TextTable::Num(report.latency.Percentile(99.9) / 1e3, 1),
            TextTable::Num(report.throughput_per_gcycle(), 2),

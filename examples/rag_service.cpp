@@ -101,7 +101,7 @@ int main() {
     context += " turn " + std::to_string(turn);
     requests.push_back({turn, context, turn * 3'000'000, /*session=*/1});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   std::printf("  completed=%llu failed=%llu kv_hit_rate=%.2f mean_latency=%.0f kcyc\n",
               static_cast<unsigned long long>(report.completed),
               static_cast<unsigned long long>(report.failed), report.kv_hit_rate,

@@ -30,8 +30,8 @@ std::optional<SecureChannel::Record> DecodeRecord(std::span<const u8> payload) {
 
 }  // namespace
 
+// Router-side state of one fleet member; its deployment lives in fleet_.
 struct FederatedFleet::Member {
-  std::unique_ptr<GuillotineSystem> system;
   EndpointIdentity ep;
   std::string name;
   bool joined = false;
@@ -67,17 +67,14 @@ class FederationTransport : public InferenceTransport {
 FederatedFleet::FederatedFleet(FederationConfig config)
     : config_(std::move(config)),
       rng_(config_.deployment.seed ^ 0xFEDFAB1E5ULL),
-      fabric_(clock_) {
+      fabric_(clock_),
+      fleet_(config_.num_hosts, config_.deployment) {
   fabric_.set_propagation_delay(config_.propagation_delay);
   regulator_key_ = GenerateKeyPair(rng_);
   router_ep_ = MakeEndpoint("fed-router", regulator_key_, "regulator",
                             /*guillotine=*/false, 0, kEndpointCertLifetime, rng_);
-  for (size_t i = 0; i < config_.num_hosts; ++i) {
+  for (size_t i = 0; i < fleet_.size(); ++i) {
     auto member = std::make_unique<Member>();
-    DeploymentConfig dc = config_.deployment;
-    dc.seed += i;
-    dc.fabric_host_id += static_cast<u32>(i);
-    member->system = std::make_unique<GuillotineSystem>(dc);
     member->name = "fed-host-" + std::to_string(i);
     // Serving hosts are Guillotine hypervisors and announce it; the router
     // front-end is not one, so router<->host handshakes pass the
@@ -87,9 +84,9 @@ FederatedFleet::FederatedFleet(FederationConfig config)
     // Commissioning: the router's golden-value database learns each member's
     // measured platform and device key up front; Join re-measures live.
     MeasurementRegister reg;
-    member->system->hv().MeasurePlatform(reg);
+    fleet_.system(i).hv().MeasurePlatform(reg);
     verifier_.TrustMeasurement(member->name, reg.value());
-    verifier_.TrustDeviceKey(member->system->device_key().pub);
+    verifier_.TrustDeviceKey(fleet_.system(i).device_key().pub);
     members_.push_back(std::move(member));
   }
   fabric_.AttachHost(config_.router_host_id,
@@ -99,12 +96,7 @@ FederatedFleet::FederatedFleet(FederationConfig config)
 FederatedFleet::~FederatedFleet() = default;
 
 Status FederatedFleet::HostEverywhere(const MlpModel& model) {
-  for (auto& member : members_) {
-    GLL_RETURN_IF_ERROR(member->system->AttachDefaultDevices());
-    GLL_RETURN_IF_ERROR(
-        member->system->HostModel(model, member->system->MakeVerifier()));
-  }
-  return OkStatus();
+  return fleet_.HostEverywhere(model);
 }
 
 void FederatedFleet::ChargeCompressionsSince(u64 baseline) {
@@ -127,14 +119,15 @@ Status FederatedFleet::Join(size_t member, std::string_view tamper) {
   // Challenge-response attestation: fresh router nonce, live platform
   // measurement, quote signed by the member's device key.
   const u64 nonce = rng_.Next();
+  GuillotineSystem& sys = fleet_.system(member);
   MeasurementRegister reg;
-  m.system->hv().MeasurePlatform(reg);
+  sys.hv().MeasurePlatform(reg);
   if (tamper == "measurement") {
     reg.Extend("rogue-implant", "unmeasured-component");
   }
   const AttestationQuote quote =
       MakeQuote(reg, tamper == "nonce" ? nonce ^ 1 : nonce,
-                /*seal_intact=*/tamper != "seal", m.system->device_key());
+                /*seal_intact=*/tamper != "seal", sys.device_key());
   const Status verdict = verifier_.VerifyQuote(quote, nonce);
   if (!verdict.ok()) {
     ++stats_.join_refusals;
@@ -184,7 +177,7 @@ bool FederatedFleet::severed(size_t member) const {
 }
 
 GuillotineSystem& FederatedFleet::system(size_t member) {
-  return *members_[member]->system;
+  return fleet_.system(member);
 }
 
 const SecureChannel* FederatedFleet::router_channel(size_t member) const {
@@ -297,9 +290,10 @@ void FederatedFleet::OnHostFrame(size_t member, const Frame& frame) {
       ++stats_.record_failures;
       continue;
     }
-    const Cycles serve_start = m.system->clock().now();
-    const Result<std::string> result = m.system->Infer(prompt);
-    stats_.serve_cycles += m.system->clock().now() - serve_start;
+    GuillotineSystem& sys = fleet_.system(member);
+    const Cycles serve_start = sys.clock().now();
+    const Result<std::string> result = sys.Infer(prompt);
+    stats_.serve_cycles += sys.clock().now() - serve_start;
     Bytes response;
     PutU64(response, id);
     PutU32(response, result.ok() ? 1 : 0);

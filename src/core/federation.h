@@ -91,7 +91,7 @@ class FederatedFleet {
   ~FederatedFleet();
 
   // Attaches devices and attestation-loads `model` into every member (each
-  // member self-verifies like GuillotineFleet::HostEverywhere).
+  // member self-verifies; see GuillotineFleet::HostEverywhere).
   Status HostEverywhere(const MlpModel& model);
 
   // Attestation-gated ring admission. `tamper` is a kJoinTamperModes name;
@@ -165,6 +165,7 @@ class FederatedFleet {
   AttestationVerifier verifier_;
   FederationStats stats_;
   std::vector<std::unique_ptr<Member>> members_;
+  GuillotineFleet fleet_;  // the member deployments, one per host
   std::deque<std::pair<u64, std::string>> pending_;  // (id, prompt) at router
   std::vector<FederatedResponse> completed_;
   u64 next_request_id_ = 1;

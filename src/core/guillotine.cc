@@ -392,7 +392,6 @@ Result<QuarantineMigrateReport> GuillotineFleet::QuarantineMigrate(
                          service->DetachReplica(replicas_[member].get(), now));
     report.remapped_sessions += detached.remapped_sessions;
     report.kv_migrated += detached.kv_migrated;
-    report.kv_dropped += detached.kv_dropped;
   }
 
   // Decommission: the suspect goes dark and is retained (not destroyed) so
@@ -423,7 +422,6 @@ Result<QuarantineMigrateReport> GuillotineFleet::QuarantineMigrate(
                                                 target_shard, now));
     report.remapped_sessions += attached.remapped_sessions;
     report.kv_migrated += attached.kv_migrated;
-    report.kv_dropped += attached.kv_dropped;
   }
   return report;
 }

@@ -226,7 +226,6 @@ struct QuarantineMigrateReport {
   bool digest_verified = false;      // sealed_portable == recaptured_portable
   u64 remapped_sessions = 0;         // across the detach + attach handovers
   u64 kv_migrated = 0;
-  u64 kv_dropped = 0;
 };
 
 // A fleet of identically-configured sandboxed deployments plus their

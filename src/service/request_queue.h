@@ -44,10 +44,11 @@ struct RequestOutcome {
 };
 
 // The unit the sharded scheduler actually queues: a request plus its routing
-// decision and in-place outcome. Slots live in stable storage owned by the
-// event loop (a deque in RunAll / a bounded retire-from-the-front pool in
-// RunContinuous), so shard queues can hold raw pointers and the open-world
-// loop can recycle finished slots without invalidating queued ones.
+// decision and in-place outcome. Slots live in the event loop's pool, a
+// deque that only grows at the back and retires finished slots from the
+// front (RunContinuous without recorded outcomes), so shard queues can hold
+// raw pointers and the open-world loop can recycle finished slots without
+// invalidating queued ones.
 struct RequestSlot {
   InferenceRequest request;
   RequestOutcome outcome;

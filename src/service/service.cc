@@ -39,11 +39,17 @@ void AppendShardLine(std::ostringstream& out, const ShardStats& s) {
 
 }  // namespace
 
-std::string ServiceReport::Digest() const {
+std::string ContinuousReport::Digest() const {
   std::ostringstream out;
-  out << "service completed=" << completed << " failed=" << failed
-      << " stolen=" << stolen << " makespan=" << makespan
-      << " kv_hit_rate=" << Fixed(kv_hit_rate) << "\n";
+  out << "continuous arrivals=" << arrivals << " completed=" << completed
+      << " failed=" << failed << " stolen=" << stolen
+      << " makespan=" << makespan << " kv_hit_rate=" << Fixed(kv_hit_rate)
+      << " distinct_sessions=" << distinct_sessions
+      << " peak_resident=" << peak_resident_sessions
+      << " peak_live=" << peak_live_requests
+      << " resizes=" << resizes_applied
+      << " remapped=" << remapped_sessions << " migrated=" << kv_migrated
+      << " requeued=" << requeued << "\n";
   out << "latency ";
   AppendPercentiles(out, latency);
   out << "\n";
@@ -56,26 +62,6 @@ std::string ServiceReport::Digest() const {
         << " replica=" << o.replica << " stolen=" << (o.stolen ? 1 : 0)
         << " ok=" << (o.ok ? 1 : 0) << " start=" << o.start
         << " done=" << o.done << "\n";
-  }
-  return out.str();
-}
-
-std::string ContinuousReport::Digest() const {
-  std::ostringstream out;
-  out << "continuous arrivals=" << arrivals << " completed=" << completed
-      << " failed=" << failed << " stolen=" << stolen
-      << " makespan=" << makespan << " kv_hit_rate=" << Fixed(kv_hit_rate)
-      << " distinct_sessions=" << distinct_sessions
-      << " peak_resident=" << peak_resident_sessions
-      << " peak_live=" << peak_live_requests
-      << " resizes=" << resizes_applied
-      << " remapped=" << remapped_sessions << " migrated=" << kv_migrated
-      << " dropped=" << kv_dropped << " requeued=" << requeued << "\n";
-  out << "latency ";
-  AppendPercentiles(out, latency);
-  out << "\n";
-  for (const ShardStats& s : shards) {
-    AppendShardLine(out, s);
   }
   return out.str();
 }
@@ -120,7 +106,7 @@ std::vector<size_t> ModelService::EligibleShards() const {
 }
 
 void ModelService::RebuildRing() const {
-  ring_ = std::make_unique<SessionHashRing>(EligibleShards(), config_.virtual_nodes);
+  ring_ = std::make_unique<SessionHashRing>(EligibleShards());
   ring_stale_ = false;
 }
 
@@ -159,7 +145,8 @@ Result<ResizeReport> ModelService::SetActiveShards(size_t n, Cycles now) {
 // are scanned in index order and sessions coldest-first (LruOrder), so the
 // handover order — and the eviction pressure adoption creates on the
 // receiving caches — is deterministic. Drop-before-adopt: at every instant
-// exactly one shard holds a session's state.
+// exactly one shard holds a session's state, and adoption is audited with
+// no hit/miss traffic.
 void ModelService::HandoverRemapped(Cycles now, ResizeReport& resize) {
   for (auto& s : shards_) {
     for (u32 session : s->kv_cache().LruOrder()) {
@@ -170,12 +157,8 @@ void ModelService::HandoverRemapped(Cycles now, ResizeReport& resize) {
       ++resize.remapped_sessions;
       const size_t tokens = s->kv_cache().CachedTokens(session);
       s->kv_cache().Drop(session);
-      if (config_.kv_handover == ModelServiceConfig::KvHandover::kMigrate) {
-        shards_[owner]->kv_cache().Adopt(session, tokens, now);
-        ++resize.kv_migrated;
-      } else {
-        ++resize.kv_dropped;
-      }
+      shards_[owner]->kv_cache().Adopt(session, tokens, now);
+      ++resize.kv_migrated;
     }
   }
 }
@@ -260,14 +243,14 @@ struct ModelService::Event {
   }
 };
 
-// Shared mutable state of one event-loop drive (RunAll batch or
-// RunContinuous stream): the heap, the sequence counter, and the routing
-// set of active shards that hold replicas.
+// Shared mutable state of one event-loop drive: the heap, the sequence
+// counter, and the routing set of active shards that hold replicas.
 struct ModelService::LoopCtx {
   std::vector<Event> events;  // heap via Event::operator<
   u64 seq = 0;
   std::vector<size_t> eligible;   // active shards with >= 1 replica
   size_t sessionless_cursor = 0;  // round-robin deal for one-shot requests
+  u64 routed = 0;                 // arrivals routed so far
   u64 finalized = 0;              // slots whose outcome has settled
   Cycles makespan = 0;            // latest outcome.done seen
 };
@@ -284,6 +267,7 @@ void ModelService::RouteSlot(RequestSlot& slot, LoopCtx& ctx) const {
   }
   slot.outcome.owner_shard = slot.owner;
   slot.outcome.ran_shard = slot.owner;
+  ++ctx.routed;
 }
 
 void ModelService::RunOnReplica(RequestSlot& slot, ServiceShard& exec_shard,
@@ -344,32 +328,39 @@ void ModelService::AccountOutcome(ServiceShard& exec_shard, RequestSlot& slot,
   ctx.makespan = std::max(ctx.makespan, slot.outcome.done);
 }
 
-void ModelService::Execute(RequestSlot& slot, ServiceShard& exec_shard,
-                           size_t replica_index, Cycles now, LoopCtx& ctx) {
-  RunOnReplica(slot, exec_shard, replica_index, now, ctx,
-               /*prompt_override=*/nullptr);
-  AccountOutcome(exec_shard, slot, ctx);
+VerdictPlan ModelService::MediateBatch(
+    ObservationKind kind, Cycles now,
+    const std::vector<const std::string*>& payloads, ShardStats& stats) const {
+  VerdictPlan plan;
+  if (config_.detectors == nullptr || payloads.empty()) {
+    plan.verdicts.resize(payloads.size());  // all-allow
+    return plan;
+  }
+  std::vector<Observation> batch(payloads.size());
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    batch[i].kind = kind;
+    batch[i].time = now;
+    batch[i].data = ToBytes(*payloads[i]);
+  }
+  plan = config_.detectors->EvaluateBatch(batch);
+  ++stats.det_batches;
+  stats.det_obs += batch.size();
+  stats.det_cost += plan.total_cost;
+  return plan;
 }
 
 void ModelService::ExecuteMediated(std::vector<MediatedItem> group,
                                    ServiceShard& exec_shard, Cycles now,
                                    LoopCtx& ctx) {
-  if (group.empty()) {
-    return;
-  }
   ShardStats& stats = exec_shard.stats();
 
   // Input-shield pass: one batch over every request dispatched this step.
-  std::vector<Observation> inputs(group.size());
+  std::vector<const std::string*> prompts(group.size());
   for (size_t i = 0; i < group.size(); ++i) {
-    inputs[i].kind = ObservationKind::kModelInput;
-    inputs[i].time = now;
-    inputs[i].data = ToBytes(group[i].slot->request.prompt);
+    prompts[i] = &group[i].slot->request.prompt;
   }
-  VerdictPlan input_plan = config_.detectors->EvaluateBatch(inputs);
-  ++stats.det_batches;
-  stats.det_obs += inputs.size();
-  stats.det_cost += input_plan.total_cost;
+  const VerdictPlan input_plan =
+      MediateBatch(ObservationKind::kModelInput, now, prompts, stats);
 
   struct Survivor {
     size_t group_index = 0;
@@ -414,36 +405,27 @@ void ModelService::ExecuteMediated(std::vector<MediatedItem> group,
   }
 
   // Output pass: one batch over the step's successful completions.
-  std::vector<size_t> output_group;  // survivor indices with ok completions
-  std::vector<Observation> outputs;
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    RequestSlot& slot = *group[survivors[i].group_index].slot;
-    if (slot.outcome.ok) {
-      Observation obs;
-      obs.kind = ObservationKind::kModelOutput;
-      obs.time = now;
-      obs.data = ToBytes(slot.outcome.completion);
-      outputs.push_back(std::move(obs));
-      output_group.push_back(i);
+  std::vector<RequestOutcome*> output_group;
+  std::vector<const std::string*> completions;
+  for (const Survivor& s : survivors) {
+    RequestOutcome& outcome = group[s.group_index].slot->outcome;
+    if (outcome.ok) {
+      output_group.push_back(&outcome);
+      completions.push_back(&outcome.completion);
     }
   }
-  if (!outputs.empty()) {
-    VerdictPlan output_plan = config_.detectors->EvaluateBatch(outputs);
-    ++stats.det_batches;
-    stats.det_obs += outputs.size();
-    stats.det_cost += output_plan.total_cost;
-    for (size_t o = 0; o < output_group.size(); ++o) {
-      const DetectorVerdict& v = output_plan.verdicts[o];
-      RequestOutcome& outcome =
-          group[survivors[output_group[o]].group_index].slot->outcome;
-      if (v.action == VerdictAction::kBlock || v.action == VerdictAction::kEscalate) {
-        outcome.ok = false;
-        outcome.completion = "output blocked: " + v.reason;
-        ++stats.det_blocked;
-      } else if (v.action == VerdictAction::kRewrite && v.rewritten_data.has_value()) {
-        outcome.completion = ToString(*v.rewritten_data);
-        ++stats.det_rewritten;
-      }
+  const VerdictPlan output_plan =
+      MediateBatch(ObservationKind::kModelOutput, now, completions, stats);
+  for (size_t o = 0; o < output_group.size(); ++o) {
+    const DetectorVerdict& v = output_plan.verdicts[o];
+    RequestOutcome& outcome = *output_group[o];
+    if (v.action == VerdictAction::kBlock || v.action == VerdictAction::kEscalate) {
+      outcome.ok = false;
+      outcome.completion = "output blocked: " + v.reason;
+      ++stats.det_blocked;
+    } else if (v.action == VerdictAction::kRewrite && v.rewritten_data.has_value()) {
+      outcome.completion = ToString(*v.rewritten_data);
+      ++stats.det_rewritten;
     }
   }
 
@@ -452,22 +434,11 @@ void ModelService::ExecuteMediated(std::vector<MediatedItem> group,
   }
 }
 
+// Gathers the step's dispatch group (every queued request an idle replica
+// can take right now, replicas booked in selection order), then runs it
+// through one batched input pass / output pass. A blocked request releases
+// its replica, which the next group re-offers.
 void ModelService::Dispatch(ServiceShard& s, Cycles now, LoopCtx& ctx) {
-  if (config_.detectors == nullptr) {
-    while (!s.queue_empty()) {
-      const auto idle = s.IdleReplica(now);
-      if (!idle.has_value()) {
-        return;
-      }
-      RequestSlot* slot = s.PopFront();
-      Execute(*slot, s, *idle, now, ctx);
-    }
-    return;
-  }
-  // Mediated: gather the step's dispatch group (every queued request an
-  // idle replica can take right now, replicas booked in selection order),
-  // then run it through one batched input pass / output pass. A blocked
-  // request releases its replica, which the next group re-offers.
   while (!s.queue_empty() && s.IdleReplica(now).has_value()) {
     std::vector<MediatedItem> group;
     while (!s.queue_empty()) {
@@ -491,9 +462,6 @@ void ModelService::Dispatch(ServiceShard& s, Cycles now, LoopCtx& ctx) {
 
 void ModelService::TrySteal(ServiceShard& thief, size_t replica_index,
                             Cycles now, LoopCtx& ctx) {
-  if (!config_.work_stealing) {
-    return;
-  }
   // Victims ordered by backlog (desc), then index (asc); only peers that
   // StealWorthy approves are worth raiding, and only session-less work may
   // move (a stolen conversation would forfeit its KV prefix).
@@ -516,17 +484,13 @@ void ModelService::TrySteal(ServiceShard& thief, size_t replica_index,
     }
     ++thief.stats().stolen_in;
     ++shards_[v]->stats().stolen_out;
-    if (config_.detectors != nullptr) {
-      // Stolen work is mediated like any dispatch, as a group of one.
-      MediatedItem item;
-      item.slot = slot;
-      item.replica_index = replica_index;
-      item.prior_busy_until = thief.busy_until(replica_index);
-      thief.set_busy_until(replica_index, now + 1);
-      ExecuteMediated({std::move(item)}, thief, now, ctx);
-    } else {
-      Execute(*slot, thief, replica_index, now, ctx);
-    }
+    // Stolen work is mediated like any dispatch, as a group of one.
+    MediatedItem item;
+    item.slot = slot;
+    item.replica_index = replica_index;
+    item.prior_busy_until = thief.busy_until(replica_index);
+    thief.set_busy_until(replica_index, now + 1);
+    ExecuteMediated({std::move(item)}, thief, now, ctx);
     return;
   }
 }
@@ -548,44 +512,37 @@ void ModelService::OfferSteals(Cycles now, LoopCtx& ctx) {
 
 void ModelService::HandleEvent(const Event& e, LoopCtx& ctx) {
   if (e.kind == Event::kArrival) {
-    RequestSlot* first = e.slot;
-    ServiceShard& s0 = *shards_[first->owner];
-    s0.Enqueue(first);
-    if (config_.detectors != nullptr) {
-      // Mediated mode coalesces every arrival of this instant into one
-      // event-loop step, so the input-shield pass batches over the whole
-      // step's dispatch group instead of degenerating to singletons.
-      // (Arrival events carry the lowest sequence numbers, so consecutive
-      // heap tops at this timestamp are exactly this instant's arrivals.
-      // The open-world loop never coalesces: TrafficSource arrivals are
-      // strictly increasing, so the peek below can only match pre-routed
-      // batch arrivals.)
-      std::vector<size_t> touched;
-      touched.push_back(first->owner);
-      while (!ctx.events.empty() && ctx.events.front().kind == Event::kArrival &&
-             ctx.events.front().time == e.time) {
-        std::pop_heap(ctx.events.begin(), ctx.events.end());
-        const Event next = ctx.events.back();
-        ctx.events.pop_back();
-        shards_[next.slot->owner]->Enqueue(next.slot);
-        touched.push_back(next.slot->owner);
+    // Every arrival of this instant is routed and enqueued before any shard
+    // dispatches, so the input-shield pass batches over the whole step's
+    // dispatch group instead of degenerating to singletons. Arrival events
+    // carry the lowest sequence numbers, so consecutive heap tops at this
+    // timestamp are exactly this instant's arrivals. (RunContinuous emits
+    // one arrival ahead and its sources never repeat an instant, so only a
+    // RunAll batch coalesces.)
+    std::vector<size_t> touched;
+    RequestSlot* slot = e.slot;
+    while (true) {
+      RouteSlot(*slot, ctx);
+      shards_[slot->owner]->Enqueue(slot);
+      touched.push_back(slot->owner);
+      if (ctx.events.empty() || ctx.events.front().kind != Event::kArrival ||
+          ctx.events.front().time != e.time) {
+        break;
       }
-      std::sort(touched.begin(), touched.end());
-      touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-      for (const size_t idx : touched) {
-        ServiceShard& s = *shards_[idx];
-        Dispatch(s, e.time, ctx);
-        if (StealWorthy(s, e.time)) {
-          OfferSteals(e.time, ctx);
-        }
-      }
-      return;
+      std::pop_heap(ctx.events.begin(), ctx.events.end());
+      slot = ctx.events.back().slot;
+      ctx.events.pop_back();
     }
-    Dispatch(s0, e.time, ctx);
-    // A stealable arrival to a backlogged shard must wake idle peers now:
-    // a fully drained shard has no pending events of its own to steal on.
-    if (StealWorthy(s0, e.time)) {
-      OfferSteals(e.time, ctx);
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const size_t idx : touched) {
+      ServiceShard& s = *shards_[idx];
+      Dispatch(s, e.time, ctx);
+      // A stealable arrival to a backlogged shard must wake idle peers now:
+      // a fully drained shard has no pending events of its own to steal on.
+      if (StealWorthy(s, e.time)) {
+        OfferSteals(e.time, ctx);
+      }
     }
   } else {
     ServiceShard& s = *shards_[e.shard];
@@ -601,93 +558,15 @@ void ModelService::HandleEvent(const Event& e, LoopCtx& ctx) {
   }
 }
 
-ServiceReport ModelService::RunAll(std::vector<InferenceRequest> requests) {
-  ServiceReport report;
-  if (ring_stale_ || ring_ == nullptr) {
-    RebuildRing();
-  }
-  // Each run starts from a quiet fleet: stats reset, replicas idle. The
-  // KV caches deliberately persist — sessions outlive a single batch.
-  for (auto& s : shards_) {
-    s->BeginRun();
-  }
-
-  std::sort(requests.begin(), requests.end(),
-            [](const InferenceRequest& a, const InferenceRequest& b) {
-              return a.arrival != b.arrival ? a.arrival < b.arrival : a.id < b.id;
-            });
-
-  // Slots live in a deque so shard queues and the event heap can hold
-  // stable pointers for the whole run.
-  std::deque<RequestSlot> slots;
-  for (InferenceRequest& r : requests) {
-    slots.emplace_back();
-    RequestSlot& slot = slots.back();
-    slot.request = std::move(r);
-    slot.outcome.id = slot.request.id;
-    slot.outcome.session_id = slot.request.session_id;
-  }
-
-  LoopCtx ctx;
-  ctx.eligible = EligibleShards();
-  if (ctx.eligible.empty()) {
-    report.failed = slots.size();
-    report.outcomes.reserve(slots.size());
-    for (RequestSlot& slot : slots) {
-      slot.outcome.completion = "no replicas";
-      report.outcomes.push_back(std::move(slot.outcome));
-    }
-    return report;
-  }
-
-  for (RequestSlot& slot : slots) {
-    RouteSlot(slot, ctx);
-  }
-
-  ctx.events.reserve(slots.size() * 2);
-  for (RequestSlot& slot : slots) {
-    ctx.events.push_back(Event{slot.request.arrival, ctx.seq++,
-                               Event::kArrival, &slot, 0, 0});
-  }
-  std::make_heap(ctx.events.begin(), ctx.events.end());
-
-  while (!ctx.events.empty()) {
-    std::pop_heap(ctx.events.begin(), ctx.events.end());
-    const Event e = ctx.events.back();
-    ctx.events.pop_back();
-    HandleEvent(e, ctx);
-  }
-
-  // ---- Aggregate ----
-  u64 kv_hits = 0, kv_misses = 0;
-  for (auto& s : shards_) {
-    s->FinalizeRunStats();
-    const ShardStats& stats = s->stats();
-    kv_hits += stats.kv_hits;
-    kv_misses += stats.kv_misses;
-    report.completed += stats.completed;
-    report.failed += stats.failed;
-    report.stolen += stats.stolen_in;
-    report.latency.Merge(stats.latency);
-    report.shards.push_back(stats);
-  }
-  const u64 kv_total = kv_hits + kv_misses;
-  report.kv_hit_rate =
-      kv_total == 0 ? 0.0 : static_cast<double>(kv_hits) / static_cast<double>(kv_total);
-  report.makespan = ctx.makespan;
-  report.outcomes.reserve(slots.size());
-  for (RequestSlot& slot : slots) {
-    report.outcomes.push_back(std::move(slot.outcome));
-  }
-  return report;
-}
-
-ContinuousReport ModelService::RunContinuous(TrafficSource& source,
-                                             const ContinuousConfig& config) {
+ContinuousReport ModelService::Drive(
+    const std::function<InferenceRequest()>& next, u64 lookahead,
+    const ContinuousConfig& config) {
   ContinuousReport report;
   if (ring_stale_ || ring_ == nullptr) {
     RebuildRing();
   }
+  // Each run starts from a quiet fleet: stats reset, replicas idle. The
+  // KV caches deliberately persist — sessions outlive a single run.
   for (auto& s : shards_) {
     s->BeginRun();
   }
@@ -699,27 +578,26 @@ ContinuousReport ModelService::RunContinuous(TrafficSource& source,
   }
 
   // The slot pool is the loop's only per-request state: slots append at the
-  // back as arrivals are generated (one ahead of the event loop) and retire
+  // back as arrivals are emitted and, unless outcomes are recorded, retire
   // from the front once finalized, so resident slots track in-flight work,
-  // not stream length.
+  // not stream length. A deque keeps the pointers that shard queues and
+  // the event heap hold stable.
   std::deque<RequestSlot> pool;
   u64 emitted = 0;
-  u64 routed = 0;
   size_t resize_idx = 0;
 
-  auto emit_next = [&]() {
-    if (emitted >= config.max_arrivals) {
-      return;
+  // Keeps `lookahead` arrivals emitted beyond those already routed.
+  auto emit = [&]() {
+    while (emitted < config.max_arrivals && emitted < ctx.routed + lookahead) {
+      RequestSlot& slot = pool.emplace_back();
+      slot.request = next();
+      slot.outcome.id = slot.request.id;
+      slot.outcome.session_id = slot.request.session_id;
+      ++emitted;
+      ctx.events.push_back(Event{slot.request.arrival, ctx.seq++,
+                                 Event::kArrival, &slot, 0, 0});
+      std::push_heap(ctx.events.begin(), ctx.events.end());
     }
-    pool.emplace_back();
-    RequestSlot& slot = pool.back();
-    slot.request = source.Next();
-    slot.outcome.id = slot.request.id;
-    slot.outcome.session_id = slot.request.session_id;
-    ++emitted;
-    ctx.events.push_back(Event{slot.request.arrival, ctx.seq++,
-                               Event::kArrival, &slot, 0, 0});
-    std::push_heap(ctx.events.begin(), ctx.events.end());
   };
 
   auto apply_resize = [&](size_t n, Cycles now) {
@@ -732,7 +610,6 @@ ContinuousReport ModelService::RunContinuous(TrafficSource& source,
     ++report.resizes_applied;
     report.remapped_sessions += resized->remapped_sessions;
     report.kv_migrated += resized->kv_migrated;
-    report.kv_dropped += resized->kv_dropped;
     ctx.eligible = EligibleShards();
     // A shrink can strand the round-robin cursor one past the new end;
     // RouteSlot indexes eligible[cursor] before advancing, so re-normalize
@@ -771,38 +648,38 @@ ContinuousReport ModelService::RunContinuous(TrafficSource& source,
     }
   };
 
-  emit_next();
+  emit();
   while (!ctx.events.empty()) {
     std::pop_heap(ctx.events.begin(), ctx.events.end());
     const Event e = ctx.events.back();
     ctx.events.pop_back();
-    if (e.kind == Event::kArrival) {
-      while (resize_idx < config.resizes.size() &&
-             routed >= config.resizes[resize_idx].after_arrivals) {
-        apply_resize(config.resizes[resize_idx].active_shards, e.time);
-        ++resize_idx;
-      }
-      RouteSlot(*e.slot, ctx);
-      ++routed;
+    if (e.kind != Event::kArrival) {
       HandleEvent(e, ctx);
-      emit_next();
-      // Bounded-memory bookkeeping: sample the high-water marks and retire
-      // finalized slots from the pool front.
-      size_t resident = 0;
-      for (const auto& s : shards_) {
-        resident += s->kv_cache().resident_sessions();
+      continue;
+    }
+    // Resizes land between event-loop steps, once the routed count passes
+    // their thresholds.
+    while (resize_idx < config.resizes.size() &&
+           ctx.routed >= config.resizes[resize_idx].after_arrivals) {
+      apply_resize(config.resizes[resize_idx].active_shards, e.time);
+      ++resize_idx;
+    }
+    HandleEvent(e, ctx);
+    emit();
+    // Bounded-memory bookkeeping: sample the high-water marks and retire
+    // finalized slots from the pool front.
+    size_t resident = 0;
+    for (const auto& s : shards_) {
+      resident += s->kv_cache().resident_sessions();
+    }
+    report.peak_resident_sessions =
+        std::max(report.peak_resident_sessions, resident);
+    report.peak_live_requests = std::max(
+        report.peak_live_requests, static_cast<size_t>(emitted - ctx.finalized));
+    if (!config.record_outcomes) {
+      while (!pool.empty() && pool.front().done) {
+        pool.pop_front();
       }
-      report.peak_resident_sessions =
-          std::max(report.peak_resident_sessions, resident);
-      report.peak_live_requests = std::max(
-          report.peak_live_requests, static_cast<size_t>(emitted - ctx.finalized));
-      if (!config.record_outcomes) {
-        while (!pool.empty() && pool.front().done) {
-          pool.pop_front();
-        }
-      }
-    } else {
-      HandleEvent(e, ctx);
     }
   }
 
@@ -824,13 +701,45 @@ ContinuousReport ModelService::RunContinuous(TrafficSource& source,
   report.kv_hit_rate =
       kv_total == 0 ? 0.0 : static_cast<double>(kv_hits) / static_cast<double>(kv_total);
   report.makespan = ctx.makespan;
-  report.distinct_sessions = source.distinct_sessions();
   if (config.record_outcomes) {
     report.outcomes.reserve(pool.size());
     for (RequestSlot& slot : pool) {
       report.outcomes.push_back(std::move(slot.outcome));
     }
   }
+  return report;
+}
+
+ContinuousReport ModelService::RunAll(std::vector<InferenceRequest> requests) {
+  std::sort(requests.begin(), requests.end(),
+            [](const InferenceRequest& a, const InferenceRequest& b) {
+              return a.arrival != b.arrival ? a.arrival < b.arrival : a.id < b.id;
+            });
+  if (EligibleShards().empty()) {
+    ContinuousReport report;
+    report.arrivals = requests.size();
+    report.failed = requests.size();
+    for (const InferenceRequest& r : requests) {
+      RequestOutcome& outcome = report.outcomes.emplace_back();
+      outcome.id = r.id;
+      outcome.session_id = r.session_id;
+      outcome.completion = "no replicas";
+    }
+    return report;
+  }
+  ContinuousConfig config;
+  config.max_arrivals = requests.size();
+  config.record_outcomes = true;
+  size_t next = 0;
+  return Drive([&] { return std::move(requests[next++]); },
+               /*lookahead=*/requests.size(), config);
+}
+
+ContinuousReport ModelService::RunContinuous(TrafficSource& source,
+                                             const ContinuousConfig& config) {
+  ContinuousReport report =
+      Drive([&] { return source.Next(); }, /*lookahead=*/1, config);
+  report.distinct_sessions = source.distinct_sessions();
   return report;
 }
 

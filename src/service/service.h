@@ -8,21 +8,25 @@
 // consistent hashing of session_id (SessionHashRing), so a multi-turn
 // conversation keeps its KV-prefix hits no matter how many shards serve
 // the fleet. The scheduler is a single global event loop over per-shard
-// ready queues: arrivals enqueue in arrival order, each shard dispatches
-// FIFO onto its least-loaded idle replica, and an idle replica whose shard
-// has drained may steal the oldest *session-less* request from the most
+// ready queues: every arrival of one instant is routed and enqueued in
+// arrival order, each shard dispatches FIFO onto its least-loaded idle
+// replicas as one mediated group, and an idle replica whose shard has
+// drained may steal the oldest *session-less* request from the most
 // backlogged peer (sessioned requests never migrate mid-conversation).
 //
-// Two drive modes share that machinery:
-//   - RunAll: the closed batch — every request known upfront, run to
-//     completion (the E8 comparison harness and the scenario runner).
+// One loop, two entry points:
+//   - RunAll: the closed batch — every request known upfront, emitted into
+//     the loop at once and run to completion with per-request outcomes
+//     recorded (the E8 comparison harness).
 //   - RunContinuous: the open world — a TrafficSource feeds an unbounded
-//     arrival stream, sessions are born and die across what used to be
-//     batch boundaries, and the fleet can be resized mid-run
-//     (SetActiveShards) with an audited KV handover for remapped sessions.
+//     arrival stream one request ahead of the loop, sessions are born and
+//     die across what used to be batch boundaries, and the fleet can be
+//     resized mid-run (SetActiveShards) with an audited KV handover for
+//     remapped sessions (the scenario runner's traffic slice).
 #ifndef SRC_SERVICE_SERVICE_H_
 #define SRC_SERVICE_SERVICE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,58 +41,24 @@ namespace guillotine {
 struct ModelServiceConfig {
   size_t num_shards = 1;
   KvCacheConfig kv;                 // per-shard cache geometry
-  bool work_stealing = true;        // session-less rebalancing between shards
   size_t steal_backlog_threshold = 4;  // victim backlog that justifies a steal
-  size_t virtual_nodes = 16;        // consistent-hash points per shard
   // Optional service-level mediation suite (non-owning; content detectors —
   // input shield / output sanitizer — are the ones that see these
-  // observation kinds). When set, every event-loop dispatch group runs one
-  // batched input-shield pass before touching replicas and one batched
-  // output pass over its completions; blocked requests fail without
-  // consuming replica time, rewrites land in the prompt/completion.
-  // Null (the default) leaves the scheduler byte-identical to the
-  // pre-mediation service.
+  // observation kinds). Every event-loop dispatch group runs one batched
+  // input-shield pass before touching replicas and one batched output pass
+  // over its completions; blocked requests fail without consuming replica
+  // time, rewrites land in the prompt/completion. Null (the default) runs
+  // the same groups with both passes skipped: every verdict allows, no
+  // detector cost is charged and the det_* counters stay zero.
   DetectorSuite* detectors = nullptr;
-  // KV-handover rule for sessions an elastic resize remaps to a new owner:
-  // the entry is always dropped from the old shard first (audited), then
-  // either adopted by the new owner (kMigrate, audited, no hit/miss
-  // traffic) or simply released (kDrop — the next turn re-prefills). Either
-  // way exactly one shard holds a session's state; duplication is never
-  // silent.
-  enum class KvHandover { kMigrate = 0, kDrop };
-  KvHandover kv_handover = KvHandover::kMigrate;
-};
-
-struct ServiceReport {
-  u64 completed = 0;
-  u64 failed = 0;      // blocked by detectors or replica errors
-  u64 stolen = 0;      // session-less requests that migrated shards
-  Histogram latency;   // cycles, per completed request
-  Cycles makespan = 0; // completion time of the last request
-  double kv_hit_rate = 0.0;       // aggregate over every shard's cache
-  std::vector<ShardStats> shards; // per-shard breakdown
-  std::vector<RequestOutcome> outcomes;  // per-request, in arrival order
-
-  double throughput_per_mcycle() const {
-    return makespan == 0 ? 0.0
-                         : static_cast<double>(completed) * 1e6 /
-                               static_cast<double>(makespan);
-  }
-
-  // Canonical rendering of every field (counts, per-shard stats, latency
-  // percentiles, the full request trace). Two runs of the same workload on
-  // the same configuration must produce byte-identical digests — the
-  // deterministic-fleet property test holds the scheduler to that.
-  std::string Digest() const;
 };
 
 // What one elastic resize did: how many resident sessions the new ring
-// remapped, and where their KV state went.
+// remapped, and how many of them carried KV state to their new owner.
 struct ResizeReport {
   size_t active_shards = 0;
   u64 remapped_sessions = 0;
   u64 kv_migrated = 0;  // sessions whose cache entries moved to the new owner
-  u64 kv_dropped = 0;   // sessions whose entries were released instead
 };
 
 // One scheduled mid-run resize: once `after_arrivals` arrivals have been
@@ -103,16 +73,17 @@ struct ContinuousConfig {
   std::vector<TrafficResize> resizes;  // applied in order as the count passes
   // Per-request outcomes cost memory proportional to the stream; the
   // open-world loop's whole point is bounded state, so recording is opt-in
-  // (tests only). When off, finished request slots are retired as the
-  // stream advances.
+  // (RunAll and tests). When off, finished request slots are retired as
+  // the stream advances.
   bool record_outcomes = false;
 };
 
+// What one drive of the event loop (RunAll or RunContinuous) did.
 struct ContinuousReport {
   u64 arrivals = 0;
   u64 completed = 0;
-  u64 failed = 0;
-  u64 stolen = 0;
+  u64 failed = 0;      // blocked by detectors or replica errors
+  u64 stolen = 0;      // session-less requests that migrated shards
   Cycles makespan = 0;
   double kv_hit_rate = 0.0;
   Histogram latency;              // cycles, per completed request
@@ -122,10 +93,9 @@ struct ContinuousReport {
   size_t resizes_applied = 0;
   u64 remapped_sessions = 0;
   u64 kv_migrated = 0;
-  u64 kv_dropped = 0;
   u64 requeued = 0;               // queued requests re-routed by a resize
   std::vector<ShardStats> shards;
-  std::vector<RequestOutcome> outcomes;  // only when record_outcomes
+  std::vector<RequestOutcome> outcomes;  // arrival order; record_outcomes only
 
   double throughput_per_gcycle() const {
     return makespan == 0 ? 0.0
@@ -133,9 +103,9 @@ struct ContinuousReport {
                                static_cast<double>(makespan);
   }
 
-  // Canonical rendering of the aggregate fields and per-shard stats (no
-  // per-request lines: the stream is unbounded). Byte-identical across
-  // reruns of the same source config + service config + schedule.
+  // Canonical rendering of the aggregate fields, per-shard stats and, when
+  // outcomes were recorded, one line per request. Byte-identical across
+  // reruns of the same workload + service config + schedule.
   std::string Digest() const;
 };
 
@@ -172,8 +142,8 @@ class ModelService {
   // retired); AttachReplica pins a fresh adapter to `shard`. Both rebuild
   // the ring and run the same audited KV handover as SetActiveShards for
   // every resident session the new ring remaps — drop-from-source-first,
-  // then adopt/release per kv_handover, so no double-residency window opens
-  // even when the migration target is the session's old shard index.
+  // then adopt, so no double-residency window opens even when the
+  // migration target is the session's old shard index.
   // DetachReplica refuses (kFailedPrecondition) a detach that would leave
   // the ring empty; AttachReplica refuses an unknown shard index and a
   // replica that is already attached somewhere.
@@ -186,9 +156,11 @@ class ModelService {
   // across service instances with identical configuration.
   size_t OwnerShard(u32 session_id) const;
 
-  // Drives every request (sorted by arrival) to completion through the
-  // sharded event loop described above.
-  ServiceReport RunAll(std::vector<InferenceRequest> requests);
+  // Closed batch: sorts `requests` by (arrival, id), emits all of them
+  // into the event loop and drives them to completion, recording every
+  // outcome. With no replica on any active shard every request fails with
+  // "no replicas".
+  ContinuousReport RunAll(std::vector<InferenceRequest> requests);
 
   // Open-world mode: pulls `config.max_arrivals` requests from `source`
   // (lazily, one ahead of the event loop), applies the scheduled resizes as
@@ -213,8 +185,8 @@ class ModelService {
   std::vector<size_t> EligibleShards() const;
   // The audited KV handover every fleet-shape change shares (elastic resize
   // and replica attach/detach): for each resident session the current ring
-  // no longer maps to its holder, drop-from-source-first, then adopt or
-  // release per kv_handover. Requires the ring to be freshly rebuilt.
+  // no longer maps to its holder, drop from the source first, then adopt
+  // into the new owner. Requires the ring to be freshly rebuilt.
   void HandoverRemapped(Cycles now, ResizeReport& resize);
   // Shard currently holding `replica`, or nullopt when unattached.
   std::optional<size_t> FindReplicaShard(const InferenceReplica* replica) const;
@@ -228,24 +200,32 @@ class ModelService {
            victim.Backlog(now) > config_.steal_backlog_threshold;
   }
 
+  // The one event loop behind both entry points. `next` yields the
+  // stream's requests in arrival order; the loop keeps `lookahead` of them
+  // emitted beyond those already routed (RunAll: the whole batch,
+  // RunContinuous: one), applies `config.resizes` as routed arrivals pass
+  // their thresholds, and drains to completion.
+  ContinuousReport Drive(const std::function<InferenceRequest()>& next,
+                         u64 lookahead, const ContinuousConfig& config);
   // Routes `slot` under the current ring (sessions pin to their
   // consistent-hash owner; session-less requests deal round-robin over
   // eligible shards) and stamps the owner into the outcome.
   void RouteSlot(RequestSlot& slot, LoopCtx& ctx) const;
-  // Drains `s`'s queue onto idle replicas (batched through the detector
-  // passes when mediation is on).
+  // Drains `s`'s queue onto idle replicas, one mediated group at a time.
   void Dispatch(ServiceShard& s, Cycles now, LoopCtx& ctx);
   void TrySteal(ServiceShard& thief, size_t replica_index, Cycles now,
                 LoopCtx& ctx);
   void OfferSteals(Cycles now, LoopCtx& ctx);
-  // Runs `slot` on `replica_index` of `exec_shard` starting at `now`; fills
-  // the outcome and pushes the completion event.
-  void Execute(RequestSlot& slot, ServiceShard& exec_shard,
-               size_t replica_index, Cycles now, LoopCtx& ctx);
-  // Execute, split for the batched detector passes: RunOnReplica performs
-  // the KV/replica/event work (with an optionally rewritten prompt) and
-  // AccountOutcome folds the result into the shard stats — deferred in
-  // batched mode until the output pass has settled ok/failed.
+  // One batched detector pass of `kind` over `payloads`, charged to
+  // `stats`. Without a suite (or with nothing to observe) every verdict
+  // allows and nothing is charged or counted.
+  VerdictPlan MediateBatch(ObservationKind kind, Cycles now,
+                           const std::vector<const std::string*>& payloads,
+                           ShardStats& stats) const;
+  // Runs `slot` on `replica_index` of `exec_shard` starting at `now` (with
+  // an optionally rewritten prompt): KV reuse, replica time, the outcome
+  // and the completion event. AccountOutcome folds the settled result into
+  // the shard stats once the output pass has decided ok/failed.
   void RunOnReplica(RequestSlot& slot, ServiceShard& exec_shard,
                     size_t replica_index, Cycles now, LoopCtx& ctx,
                     const std::string* prompt_override);
@@ -256,8 +236,9 @@ class ModelService {
   // `group` pairs queue-popped requests with the replica booked for each.
   void ExecuteMediated(std::vector<MediatedItem> group,
                        ServiceShard& exec_shard, Cycles now, LoopCtx& ctx);
-  // Handles one popped event (arrival: enqueue + dispatch + steal wake;
-  // replica-free: dispatch + drained-shard steal).
+  // Handles one popped event (arrival: route + enqueue every arrival of
+  // the instant, then dispatch + steal wake; replica-free: dispatch +
+  // drained-shard steal).
   void HandleEvent(const Event& e, LoopCtx& ctx);
 
   ModelServiceConfig config_;

@@ -5,11 +5,11 @@
 namespace guillotine {
 
 SessionHashRing::SessionHashRing(const std::vector<size_t>& shards,
-                                 size_t virtual_nodes) {
-  virtual_nodes = std::max<size_t>(virtual_nodes, 1);
-  points_.reserve(shards.size() * virtual_nodes);
+                                 size_t points_per_shard) {
+  points_per_shard = std::max<size_t>(points_per_shard, 1);
+  points_.reserve(shards.size() * points_per_shard);
   for (size_t shard : shards) {
-    for (size_t v = 0; v < virtual_nodes; ++v) {
+    for (size_t v = 0; v < points_per_shard; ++v) {
       // Two mixing rounds decorrelate neighboring (shard, vnode) pairs so
       // the ring arcs are spread instead of clustered.
       const u64 position = MixU64(MixU64(static_cast<u64>(shard) + 1) ^

@@ -3,8 +3,8 @@
 // A shard owns a KvCache and a set of replicas; per-session affinity pins
 // every request of a conversation to the shard that holds its KV prefix, so
 // sharding never costs cache hits. SessionHashRing is the consistent-hash
-// map from session_id to owning shard: each shard projects `virtual_nodes`
-// points onto a u64 ring, so adding a shard remaps only ~1/N of sessions
+// map from session_id to owning shard: each shard projects
+// kRingPointsPerShard points onto a u64 ring, so adding a shard remaps only ~1/N of sessions
 // (the property that makes fleet resizes cheap in a real deployment).
 #ifndef SRC_SERVICE_SHARD_H_
 #define SRC_SERVICE_SHARD_H_
@@ -29,13 +29,17 @@ inline u64 MixU64(u64 x) {
   return x ^ (x >> 31);
 }
 
+// Consistent-hash points each routing shard projects onto the session ring.
+inline constexpr size_t kRingPointsPerShard = 16;
+
 class SessionHashRing {
  public:
   // `shards` lists the shard indices participating in routing (shards with
   // no replicas are left off the ring so sessions never strand).
-  // `virtual_nodes` is clamped to >= 1: a zero-vnode ring would silently
+  // `points_per_shard` is clamped to >= 1: a zero-point ring would silently
   // route every session to shard 0 while the listed shards starve.
-  SessionHashRing(const std::vector<size_t>& shards, size_t virtual_nodes);
+  SessionHashRing(const std::vector<size_t>& shards,
+                  size_t points_per_shard = kRingPointsPerShard);
 
   // Owning shard for a session (first ring point clockwise of the session's
   // hash). Undefined input `kNoSession` is still mapped deterministically;
@@ -56,7 +60,7 @@ class SessionHashRing {
   std::vector<Point> points_;  // sorted by position
 };
 
-// Aggregated per-shard accounting surfaced through ServiceReport.
+// Aggregated per-shard accounting surfaced through ContinuousReport.
 struct ShardStats {
   size_t shard = 0;
   size_t replicas = 0;
@@ -83,8 +87,8 @@ struct ShardStats {
 };
 
 // A shard: ready queue + replicas + the KV cache those replicas share.
-// The global event loop in ModelService::RunAll drives it; the shard only
-// knows local state (queue order, replica busy horizons, cache contents).
+// ModelService's global event loop (behind RunAll and RunContinuous) drives
+// it; the shard only knows local state (queue order, replica busy horizons, cache contents).
 class ServiceShard {
  public:
   ServiceShard(size_t index, const KvCacheConfig& kv_config)

@@ -77,8 +77,8 @@ class TrafficSource {
   explicit TrafficSource(TrafficConfig config = {});
 
   // Emits the next request. Arrival times are strictly increasing (minimum
-  // gap of one cycle) so the open-world event loop never needs same-instant
-  // arrival coalescing.
+  // gap of one cycle), so a streamed source never coalesces same-instant
+  // arrivals in the event loop.
   InferenceRequest Next();
 
   // Rewinds to the post-construction state: the replayed stream is

@@ -1231,8 +1231,7 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
         std::ostringstream detail;
         detail << "migrated member=" << report->member
                << " remapped=" << report->remapped_sessions
-               << " kv_migrated=" << report->kv_migrated
-               << " kv_dropped=" << report->kv_dropped;
+               << " kv_migrated=" << report->kv_migrated;
         outcome.detail = detail.str();
       } else {
         // The retained suspect (still installed) holds the tamper trace.

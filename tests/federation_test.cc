@@ -180,7 +180,7 @@ TEST(FederationTest, RemoteReplicaServesThroughModelService) {
   for (u64 i = 0; i < 8; ++i) {
     requests.push_back(InferenceRequest{i + 1, "front-end req " + std::to_string(i), 0, 0});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.completed, 8u);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(r0.round_trips() + r1.round_trips(), 8u);

@@ -274,7 +274,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedScenarioDeterminism,
                          ::testing::Values(500, 501, 502, 503));
 
 // --- Property: the sharded fleet scheduler is deterministic — identical
-// request vectors + shard count => byte-identical ServiceReport digests
+// request vectors + shard count => byte-identical ContinuousReport digests
 // (completed/failed counts, latency percentiles, per-shard stats, the full
 // per-request routing trace), across two fresh service instances.
 

@@ -159,7 +159,7 @@ TEST(ModelServiceTest, ProcessesAllRequests) {
   for (u64 i = 0; i < 20; ++i) {
     requests.push_back({i, "prompt " + std::to_string(i), i * 100, 0});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.completed, 20u);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_GT(report.makespan, 0u);
@@ -197,13 +197,13 @@ TEST(ModelServiceTest, SessionAffinityImprovesKvHitRate) {
     prompt += " and more context";
     requests.push_back({i, prompt, i * 1'000'000, /*session=*/7});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_GT(report.kv_hit_rate, 0.4);
 }
 
 TEST(ModelServiceTest, NoReplicasFailsEverything) {
   ModelService service;
-  const ServiceReport report = service.RunAll({{1, "x", 0, 0}});
+  const ContinuousReport report = service.RunAll({{1, "x", 0, 0}});
   EXPECT_EQ(report.failed, 1u);
 }
 
@@ -311,7 +311,7 @@ TEST(ShardedServiceTest, SameSessionAlwaysLandsOnItsOwnerShard) {
       ++id;
     }
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.completed, 60u);
   for (const RequestOutcome& o : report.outcomes) {
     EXPECT_EQ(o.owner_shard, service.OwnerShard(o.session_id)) << "id " << o.id;
@@ -344,8 +344,8 @@ TEST(ShardedServiceTest, KvHitRateIdenticalAtOneAndManyShards) {
     }
     return service.RunAll(std::move(requests));
   };
-  const ServiceReport serial = run(1);
-  const ServiceReport fleet = run(4);
+  const ContinuousReport serial = run(1);
+  const ContinuousReport fleet = run(4);
   EXPECT_GT(serial.kv_hit_rate, 0.4);
   // Affinity means sharding costs zero cache hits: every conversation sees
   // the exact same Extend sequence on its owning shard's cache.
@@ -372,7 +372,7 @@ TEST(ShardedServiceTest, MultiTurnSessionsDispatchInArrivalOrder) {
   for (u64 i = 0; i < 30; ++i) {
     requests.push_back({i, "turn " + std::to_string(i), 0, /*session=*/42});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   ASSERT_EQ(report.outcomes.size(), 30u);
   Cycles last_start = 0;
   for (size_t i = 0; i < report.outcomes.size(); ++i) {
@@ -416,7 +416,7 @@ TEST(ShardedServiceTest, WorkStealingMovesOnlySessionlessRequests) {
     requests.push_back({id, "one-shot " + std::to_string(i), 0, kNoSession});
     ++id;
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.completed, 24u);
   EXPECT_GT(report.stolen, 0u) << report.Digest();
   for (const RequestOutcome& o : report.outcomes) {
@@ -437,29 +437,6 @@ TEST(ShardedServiceTest, WorkStealingMovesOnlySessionlessRequests) {
   EXPECT_EQ(stolen_out, report.stolen);
 }
 
-TEST(ShardedServiceTest, WorkStealingCanBeDisabled) {
-  Rng rng(12);
-  const MlpModel model = MlpModel::Random({16, 64, 64, 4}, rng);
-  ModelServiceConfig config;
-  config.num_shards = 2;
-  config.work_stealing = false;
-  ModelService service(config);
-  NativeReplica r0(model), r1(model);
-  service.AddReplica(&r0);
-  service.AddReplica(&r1);
-  std::vector<InferenceRequest> requests;
-  for (u64 i = 0; i < 24; ++i) {
-    requests.push_back({i, "r" + std::to_string(i), 0,
-                        i < 16 ? 7u : kNoSession});
-  }
-  const ServiceReport report = service.RunAll(std::move(requests));
-  EXPECT_EQ(report.completed, 24u);
-  EXPECT_EQ(report.stolen, 0u);
-  for (const RequestOutcome& o : report.outcomes) {
-    EXPECT_EQ(o.ran_shard, o.owner_shard);
-  }
-}
-
 // ---- Per-shard accounting and service-layer invariants ----
 
 TEST(ShardedServiceTest, PerShardStatsSumToGlobals) {
@@ -478,7 +455,7 @@ TEST(ShardedServiceTest, PerShardStatsSumToGlobals) {
     requests.push_back({i, "p" + std::to_string(i), i * 100,
                         static_cast<u32>(i % 5)});  // sessions 0 (none) .. 4
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   ASSERT_EQ(report.shards.size(), 3u);
   u64 completed = 0, failed = 0;
   size_t latencies = 0;
@@ -528,7 +505,7 @@ TEST(ShardedServiceTest, DetectorFailedRequestsNeverAppearCompleted) {
                                    : "benign prompt #" + std::to_string(i),
                         i * 1'000, static_cast<u32>(i % 3) + 1});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.failed, 5u);
   EXPECT_EQ(report.completed, 15u);
   for (const RequestOutcome& o : report.outcomes) {
@@ -564,7 +541,7 @@ TEST(ShardedServiceTest, ShardKvCachesHoldTheQuotaInvariantUnderPressure) {
     context[session - 1] += " tokens and more tokens";
     requests.push_back({i, context[session - 1], i * 700, session});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.completed, 120u);
   u64 evictions = 0;
   for (const ShardStats& s : report.shards) {
@@ -607,7 +584,7 @@ TEST(MediatedServiceTest, InputShieldBatchBlocksBeforeReplicas) {
                                    : "benign prompt #" + std::to_string(i),
                         (i / 6) * 50'000, static_cast<u32>(i % 3) + 1});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.failed, 6u);
   EXPECT_EQ(report.completed, 18u);
   u64 det_batches = 0, det_obs = 0, det_blocked = 0;
@@ -666,7 +643,7 @@ TEST(MediatedServiceTest, OutputPassRewritesCompletionsInPlace) {
   for (u64 i = 0; i < 6; ++i) {
     requests.push_back({i, "benign #" + std::to_string(i), i * 100, kNoSession});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.completed, 6u);
   for (const RequestOutcome& o : report.outcomes) {
     EXPECT_TRUE(o.ok);
@@ -713,6 +690,72 @@ TEST(MediatedServiceTest, MediatedFleetStaysDeterministic) {
   ASSERT_NE(a.find("det_blocked="), std::string::npos);
 }
 
+// The report with the fields that legitimately differ between two drives
+// of the same schedule zeroed: the detector counters (a null suite skips
+// both passes), the source's minted-session count and the live-request
+// high-water (RunAll emits its whole batch upfront). What stays is the
+// schedule itself: outcomes, latency, makespan and per-shard stats.
+std::string ScheduleDigest(ContinuousReport report) {
+  report.distinct_sessions = 0;
+  report.peak_live_requests = 0;
+  for (ShardStats& s : report.shards) {
+    s.det_batches = 0;
+    s.det_obs = 0;
+    s.det_cost = 0;
+    s.det_cyc_per_obs = 0.0;
+  }
+  std::string digest = report.Digest();
+  for (const RequestOutcome& o : report.outcomes) {
+    digest += o.completion + "\n";
+  }
+  return digest;
+}
+
+// Regression: a detector-less service used to dispatch through a second,
+// unmediated path that handled a same-instant burst one arrival at a time,
+// so its queue high-water marks (and, on multi-shard fleets, its schedule)
+// diverged from the mediated path's. With one request path, a null suite
+// and an empty suite schedule identically; only det_batches/det_obs differ.
+TEST(MediatedServiceTest, NullAndEmptySuitesScheduleIdentically) {
+  Rng rng(31);
+  const MlpModel model = MlpModel::Random({16, 32, 4}, rng);
+  std::vector<InferenceRequest> requests;
+  for (u64 i = 0; i < 96; ++i) {
+    // Three bursts of 32 arrivals, each burst at a single instant.
+    const u32 session = i % 3 == 0 ? kNoSession : static_cast<u32>(i % 11) + 1;
+    requests.push_back({i, "burst prompt #" + std::to_string(i),
+                        (i / 32) * 4'000, session});
+  }
+  DetectorSuite empty_suite;
+  auto run = [&](DetectorSuite* detectors) {
+    ModelServiceConfig config;
+    config.num_shards = 2;
+    config.detectors = detectors;
+    ModelService service(config);
+    std::vector<std::unique_ptr<NativeReplica>> replicas;
+    for (int i = 0; i < 8; ++i) {  // 4 replicas per shard
+      replicas.push_back(std::make_unique<NativeReplica>(model));
+      service.AddReplica(replicas.back().get());
+    }
+    return service.RunAll(requests);
+  };
+  const ContinuousReport bare = run(nullptr);
+  const ContinuousReport mediated = run(&empty_suite);
+
+  ASSERT_EQ(bare.completed, 96u);
+  EXPECT_EQ(bare.makespan, mediated.makespan);
+  ASSERT_EQ(bare.shards.size(), mediated.shards.size());
+  for (size_t i = 0; i < bare.shards.size(); ++i) {
+    EXPECT_EQ(bare.shards[i].queue_high_water,
+              mediated.shards[i].queue_high_water) << "shard " << i;
+    EXPECT_EQ(bare.shards[i].det_batches, 0u);
+    EXPECT_EQ(bare.shards[i].det_obs, 0u);
+    EXPECT_GT(mediated.shards[i].det_batches, 0u);
+    EXPECT_EQ(mediated.shards[i].det_obs, 2 * mediated.shards[i].completed);
+  }
+  EXPECT_EQ(ScheduleDigest(bare), ScheduleDigest(mediated));
+}
+
 TEST(ShardedServiceTest, EmptyShardsAreLeftOffTheRing) {
   Rng rng(16);
   const MlpModel model = MlpModel::Random({16, 32, 4}, rng);
@@ -725,7 +768,7 @@ TEST(ShardedServiceTest, EmptyShardsAreLeftOffTheRing) {
   for (u64 i = 0; i < 10; ++i) {
     requests.push_back({i, "x", 0, static_cast<u32>(i)});  // incl. session-less
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.completed, 10u);
   EXPECT_EQ(report.failed, 0u);
   for (const RequestOutcome& o : report.outcomes) {
@@ -760,8 +803,8 @@ TEST(ShardedServiceTest, ShardStatsAreFreshPerRunAndSumAcrossRuns) {
     return requests;
   };
 
-  const ServiceReport first = service.RunAll(workload());
-  const ServiceReport second = service.RunAll(workload());
+  const ContinuousReport first = service.RunAll(workload());
+  const ContinuousReport second = service.RunAll(workload());
   EXPECT_EQ(first.completed, 60u);
   EXPECT_EQ(second.completed, 60u);  // not 120: the second run starts fresh
   ASSERT_EQ(first.shards.size(), second.shards.size());
@@ -827,7 +870,7 @@ TEST(ShardedServiceTest, ResizeDownMigratesSessionsToTheSurvivingShard) {
     requests.push_back({i, "session context " + std::to_string(i), i * 500,
                         static_cast<u32>(i % 10) + 1});
   }
-  const ServiceReport before = service.RunAll(std::move(requests));
+  const ContinuousReport before = service.RunAll(std::move(requests));
   EXPECT_EQ(before.completed, 40u);
 
   const Result<ResizeReport> resize =
@@ -835,8 +878,7 @@ TEST(ShardedServiceTest, ResizeDownMigratesSessionsToTheSurvivingShard) {
   ASSERT_TRUE(resize.ok());
   EXPECT_EQ(resize->active_shards, 1u);
   EXPECT_GT(resize->remapped_sessions, 0u);
-  EXPECT_EQ(resize->kv_migrated + resize->kv_dropped, resize->remapped_sessions);
-  EXPECT_GT(resize->kv_migrated, 0u);  // default policy migrates
+  EXPECT_EQ(resize->kv_migrated, resize->remapped_sessions);
 
   // Exactly one shard may hold a session's state afterwards: the handover
   // drained shards 1..3 into shard 0 with no silent duplication.
@@ -854,34 +896,6 @@ TEST(ShardedServiceTest, ResizeDownMigratesSessionsToTheSurvivingShard) {
   }
   const auto violations = InvariantChecker::Default().Check(ctx);
   EXPECT_TRUE(violations.empty()) << RenderViolations(violations);
-}
-
-TEST(ShardedServiceTest, DropHandoverReleasesInsteadOfMigrating) {
-  Rng rng(19);
-  const MlpModel model = MlpModel::Random({16, 32, 4}, rng);
-  ModelServiceConfig config;
-  config.num_shards = 4;
-  config.kv_handover = ModelServiceConfig::KvHandover::kDrop;
-  ModelService service(config);
-  std::vector<std::unique_ptr<NativeReplica>> replicas;
-  for (int i = 0; i < 4; ++i) {
-    replicas.push_back(std::make_unique<NativeReplica>(model));
-    service.AddReplica(replicas.back().get());
-  }
-  std::vector<InferenceRequest> requests;
-  for (u64 i = 0; i < 40; ++i) {
-    requests.push_back({i, "session context " + std::to_string(i), i * 500,
-                        static_cast<u32>(i % 10) + 1});
-  }
-  const ServiceReport before = service.RunAll(std::move(requests));
-  const Result<ResizeReport> resize =
-      service.SetActiveShards(1, before.makespan);
-  ASSERT_TRUE(resize.ok());
-  EXPECT_GT(resize->kv_dropped, 0u);
-  EXPECT_EQ(resize->kv_migrated, 0u);
-  for (size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(service.shard(i).kv_cache().resident_sessions(), 0u);
-  }
 }
 
 // ---- Steal-threshold boundary ----
@@ -989,6 +1003,55 @@ TEST(ContinuousServiceTest, RunContinuousIsDeterministicAcrossReruns) {
   EXPECT_NE(run(TrafficShape::kPoisson), run(TrafficShape::kBursty));
 }
 
+// RunAll and RunContinuous are two entry points into one event loop: a
+// batch drawn from a seeded source must schedule exactly like the same
+// source streamed, at every shard count and traffic shape.
+TEST(ContinuousServiceTest, RunAllMatchesRunContinuousOnTheSameStream) {
+  Rng rng(32);
+  const MlpModel model = MlpModel::Random({16, 32, 4}, rng);
+  constexpr u64 kArrivals = 400;
+  for (const TrafficShape shape :
+       {TrafficShape::kPoisson, TrafficShape::kBursty, TrafficShape::kDiurnal}) {
+    for (const size_t shards : {1u, 2u, 4u}) {
+      TrafficConfig tc;
+      tc.shape = shape;
+      tc.seed = 40 + shards;
+      tc.mean_interarrival = 600.0;
+      auto fleet_run = [&](auto drive) {
+        ModelServiceConfig config;
+        config.num_shards = shards;
+        config.kv = KvCacheConfig{32, 16};
+        ModelService service(config);
+        std::vector<std::unique_ptr<NativeReplica>> replicas;
+        for (size_t i = 0; i < 2 * shards; ++i) {
+          replicas.push_back(std::make_unique<NativeReplica>(model));
+          service.AddReplica(replicas.back().get());
+        }
+        return drive(service);
+      };
+      const ContinuousReport batch = fleet_run([&](ModelService& service) {
+        TrafficSource source(tc);
+        std::vector<InferenceRequest> requests;
+        for (u64 i = 0; i < kArrivals; ++i) {
+          requests.push_back(source.Next());
+        }
+        return service.RunAll(std::move(requests));
+      });
+      const ContinuousReport stream = fleet_run([&](ModelService& service) {
+        TrafficSource source(tc);
+        ContinuousConfig cc;
+        cc.max_arrivals = kArrivals;
+        cc.record_outcomes = true;
+        return service.RunContinuous(source, cc);
+      });
+      ASSERT_EQ(batch.outcomes.size(), kArrivals);
+      EXPECT_EQ(batch.completed, kArrivals);
+      EXPECT_EQ(ScheduleDigest(batch), ScheduleDigest(stream))
+          << TrafficShapeName(shape) << " x " << shards << " shards";
+    }
+  }
+}
+
 TEST(ContinuousServiceTest, MidRunResizeKeepsInvariantsAndLosesNothing) {
   ModelServiceConfig config;
   config.num_shards = 4;
@@ -1015,7 +1078,7 @@ TEST(ContinuousServiceTest, MidRunResizeKeepsInvariantsAndLosesNothing) {
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(report.resizes_applied, 2u);
   EXPECT_GT(report.remapped_sessions, 0u);
-  EXPECT_EQ(report.kv_migrated + report.kv_dropped, report.remapped_sessions);
+  EXPECT_EQ(report.kv_migrated, report.remapped_sessions);
   EXPECT_EQ(service.active_shards(), 4u);
 
   InvariantContext ctx;
@@ -1117,7 +1180,7 @@ TEST(ShardedServiceTest, DetachAndAttachReplicaHandOverSessionsOnce) {
     requests.push_back({i, "post-migrate " + std::to_string(i), i * 100,
                         static_cast<u32>(i) + 1});
   }
-  const ServiceReport report = service.RunAll(std::move(requests));
+  const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.completed, 8u);
   EXPECT_EQ(report.failed, 0u);
 }
