@@ -160,6 +160,7 @@ Status GuillotineSystem::RunForwardPass(Cycles max_cycles) {
 
   const Cycles deadline = clock_.now() + max_cycles;
   size_t layers_seen = 0;
+  bool severed = false;
   while (clock_.now() < deadline) {
     if (config_.introspection == IntrospectionMode::kSingleStep) {
       // The hypervisor core walks the model one instruction at a time.
@@ -172,6 +173,13 @@ Status GuillotineSystem::RunForwardPass(Cycles max_cycles) {
       console_.Tick();
     } else {
       PumpOnce();
+    }
+    // Severed closes every model port, so nothing this pass computes may
+    // leave, even if it finished in this pump. A detector that severs
+    // mid-pass also pauses the core, and no pump would resume it.
+    if (hv_.isolation() >= IsolationLevel::kSevered) {
+      severed = true;
+      break;
     }
 
     if (core.state() == RunState::kHalted &&
@@ -206,6 +214,9 @@ Status GuillotineSystem::RunForwardPass(Cycles max_cycles) {
   if (config_.introspection == IntrospectionMode::kLayerWatchpoints) {
     (void)watchpoint;
     bus.ClearWatchpoints(0, 0).ok();
+  }
+  if (severed) {
+    return Unavailable("deployment severed during the forward pass");
   }
   if (core.state() != RunState::kDone) {
     return DeadlineExceeded("forward pass did not finish in budget");

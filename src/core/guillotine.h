@@ -147,6 +147,8 @@ class GuillotineSystem {
 
   // Full inference path: input shield -> embed -> sandboxed forward pass
   // (with the configured introspection mode) -> render -> output sanitizer.
+  // Fails Unavailable at Severed and above, including a pass in flight when
+  // a detector severs the deployment: the pass stops at the next pump.
   Result<std::string> Infer(const std::string& prompt);
   // Raw-vector variant used by tests to compare against MlpModel::Forward.
   Result<std::vector<i64>> InferVector(const std::vector<i64>& input);

@@ -5,27 +5,7 @@
 namespace guillotine {
 
 Sha256Digest HmacSha256(std::span<const u8> key, std::span<const u8> message) {
-  std::array<u8, 64> key_block{};
-  if (key.size() > 64) {
-    const Sha256Digest kd = Sha256::Hash(key);
-    std::copy(kd.begin(), kd.end(), key_block.begin());
-  } else {
-    std::copy(key.begin(), key.end(), key_block.begin());
-  }
-  std::array<u8, 64> ipad;
-  std::array<u8, 64> opad;
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = key_block[i] ^ 0x36;
-    opad[i] = key_block[i] ^ 0x5c;
-  }
-  Sha256 inner;
-  inner.Update(std::span<const u8>(ipad.data(), ipad.size()));
-  inner.Update(message);
-  const Sha256Digest inner_digest = inner.Finalize();
-  Sha256 outer;
-  outer.Update(std::span<const u8>(opad.data(), opad.size()));
-  outer.Update(std::span<const u8>(inner_digest.data(), inner_digest.size()));
-  return outer.Finalize();
+  return HmacKey(key).Mac(message);
 }
 
 HmacKey::HmacKey(std::span<const u8> key) {

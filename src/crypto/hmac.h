@@ -11,12 +11,12 @@ namespace guillotine {
 Sha256Digest HmacSha256(std::span<const u8> key, std::span<const u8> message);
 Sha256Digest HmacSha256(std::string_view key, std::string_view message);
 
-// Precomputed-pad HMAC key. A naive HmacSha256 call re-absorbs the 64-byte
-// ipad and opad blocks every time — one wasted SHA-256 compression each.
-// HmacKey folds both pads once at construction and copies the midstates per
-// Mac(), which halves the compressions on short messages. This is the
-// secure-channel hot path: every keystream block and every record tag is one
-// HMAC over <= 40 bytes. Output is byte-identical to HmacSha256.
+// Precomputed-pad HMAC key. A one-shot HmacSha256 call absorbs the 64-byte
+// ipad and opad blocks every time — one SHA-256 compression each. HmacKey
+// folds both pads once at construction and copies the midstates per Mac(),
+// which halves the compressions on short messages. This is the secure-channel
+// and heartbeat hot path: every keystream block, record tag and heartbeat is
+// one HMAC over <= 40 bytes. HmacSha256 is HmacKey(key).Mac(message).
 class HmacKey {
  public:
   HmacKey() : HmacKey(std::span<const u8>()) {}

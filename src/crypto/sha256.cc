@@ -102,18 +102,16 @@ void Sha256::Update(std::string_view data) {
 }
 
 Sha256Digest Sha256::Finalize() {
+  // One Update appends 0x80, the zero fill up to 56 mod 64, and the
+  // big-endian bit length: 9 to 72 bytes, so at most two compressions.
   const u64 bit_len = total_len_ * 8;
-  const u8 pad_byte = 0x80;
-  Update(std::span<const u8>(&pad_byte, 1));
-  const u8 zero = 0x00;
-  while (buffer_len_ != 56) {
-    Update(std::span<const u8>(&zero, 1));
-  }
-  u8 len_bytes[8];
+  std::array<u8, 72> padding{};
+  padding[0] = 0x80;
+  const size_t fill = (buffer_len_ < 56 ? 56 : 120) - buffer_len_;
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<u8>(bit_len >> (56 - 8 * i));
+    padding[fill + static_cast<size_t>(i)] = static_cast<u8>(bit_len >> (56 - 8 * i));
   }
-  Update(std::span<const u8>(len_bytes, 8));
+  Update(std::span<const u8>(padding.data(), fill + 8));
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) {
     out[i * 4] = static_cast<u8>(state_[i] >> 24);

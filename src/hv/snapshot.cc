@@ -1,5 +1,8 @@
 #include "src/hv/snapshot.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "src/crypto/sha256.h"
 
 namespace guillotine {
@@ -17,11 +20,36 @@ Bytes SerializeArch(const ArchState& arch) {
   return out;
 }
 
+// A full zero page and its digest, built once per process. Model DRAM is
+// mostly untouched, so most pages of a snapshot compare equal to it.
+struct ZeroPage {
+  Bytes bytes = Bytes(kSnapshotPageBytes, 0);
+  Sha256Digest digest = Sha256::Hash(std::span<const u8>(bytes.data(), bytes.size()));
+};
+
+const ZeroPage& TheZeroPage() {
+  static const ZeroPage page;
+  return page;
+}
+
+// SHA-256 of one page. The zero test compares every byte, so the shortcut
+// returns exactly what hashing the page would.
+Sha256Digest PageDigest(std::span<const u8> page) {
+  const ZeroPage& zero = TheZeroPage();
+  if (page.size() == kSnapshotPageBytes &&
+      std::memcmp(page.data(), zero.bytes.data(), kSnapshotPageBytes) == 0) {
+    return zero.digest;
+  }
+  return Sha256::Hash(page);
+}
+
 // The sealed preimage: a fixed header (target core, capture time, DRAM
-// geometry) followed by the serialized architectural state and the memory
-// image. Folding the header in is what makes a retarget (core/taken_at
-// mutation) or a geometry swap indistinguishable from a bit-flip to
-// IntegrityOk.
+// geometry), the serialized architectural state, then the SHA-256 of each
+// kSnapshotPageBytes page of the memory image in page order (a partial last
+// page is hashed at its real length). Folding the header in is what makes a
+// retarget (core/taken_at mutation) or a geometry swap indistinguishable from
+// a bit-flip to IntegrityOk. Every call rehashes every nonzero page of the
+// image it is handed: nothing is cached across calls.
 Sha256Digest DigestOver(int core, Cycles taken_at, const ArchState& arch,
                         const Bytes& dram) {
   Sha256 hasher;
@@ -32,7 +60,11 @@ Sha256Digest DigestOver(int core, Cycles taken_at, const ArchState& arch,
   hasher.Update(std::span<const u8>(header.data(), header.size()));
   const Bytes arch_bytes = SerializeArch(arch);
   hasher.Update(std::span<const u8>(arch_bytes.data(), arch_bytes.size()));
-  hasher.Update(std::span<const u8>(dram.data(), dram.size()));
+  for (size_t offset = 0; offset < dram.size(); offset += kSnapshotPageBytes) {
+    const size_t len = std::min(kSnapshotPageBytes, dram.size() - offset);
+    const Sha256Digest page = PageDigest(std::span<const u8>(dram.data() + offset, len));
+    hasher.Update(std::span<const u8>(page.data(), page.size()));
+  }
   return hasher.Finalize();
 }
 }  // namespace

@@ -2,11 +2,17 @@
 
 namespace guillotine {
 
+namespace {
+// The MAC key is the SHA-256 of the shared secret.
+HmacKey DeriveKey(std::string_view shared_key) {
+  const Sha256Digest digest = Sha256::Hash(shared_key);
+  return HmacKey(std::span<const u8>(digest.data(), digest.size()));
+}
+}  // namespace
+
 HeartbeatMonitor::HeartbeatMonitor(const HeartbeatConfig& config, SimClock& clock,
                                    Rng& rng, std::string shared_key)
-    : config_(config), clock_(clock), rng_(rng) {
-  key_ = Sha256::Hash(shared_key);
-}
+    : config_(config), clock_(clock), rng_(rng), key_(DeriveKey(shared_key)) {}
 
 void HeartbeatMonitor::SendOne(Cycles now, bool console_to_hv) {
   ++sent_;
@@ -20,10 +26,9 @@ void HeartbeatMonitor::SendOne(Cycles now, bool console_to_hv) {
   Bytes body;
   body.push_back(console_to_hv ? 1 : 0);
   PutU64(body, now);
-  const Sha256Digest mac = HmacSha256(std::span<const u8>(key_.data(), key_.size()),
-                                      std::span<const u8>(body.data(), body.size()));
-  const Sha256Digest check = HmacSha256(std::span<const u8>(key_.data(), key_.size()),
-                                        std::span<const u8>(body.data(), body.size()));
+  const std::span<const u8> message(body.data(), body.size());
+  const Sha256Digest mac = key_.Mac(message);
+  const Sha256Digest check = key_.Mac(message);
   if (!DigestEqual(mac, check)) {
     ++lost_;
     return;

@@ -55,7 +55,7 @@ class HeartbeatMonitor {
   HeartbeatConfig config_;
   SimClock& clock_;
   Rng& rng_;
-  Sha256Digest key_;
+  HmacKey key_;  // pads folded once: each heartbeat MAC is 2 compressions
   ExpiryFn on_expiry_;
 
   bool link_up_ = true;

@@ -35,6 +35,25 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(DigestHex(h.Finalize()), DigestHex(Sha256::Hash("hello world")));
 }
 
+TEST(Sha256Test, PaddingMatchesAcrossUpdateSplitsAndBlockBoundaries) {
+  // Finalize appends the padding in one Update, so every buffered length
+  // 0..63 (and the one- vs two-block padding split at 56) goes through it.
+  for (size_t len = 0; len <= 200; ++len) {
+    Bytes message(len);
+    for (size_t i = 0; i < len; ++i) {
+      message[i] = static_cast<u8>(i * 7 + len);
+    }
+    Sha256 bytewise;
+    for (const u8 byte : message) {
+      bytewise.Update(std::span<const u8>(&byte, 1));
+    }
+    const u64 before = Sha256::compressions();
+    const Sha256Digest oneshot = Sha256::Hash(message);
+    EXPECT_EQ(Sha256::compressions() - before, (len + 9 + 63) / 64) << len;
+    EXPECT_EQ(DigestHex(bytewise.Finalize()), DigestHex(oneshot)) << len;
+  }
+}
+
 TEST(Sha256Test, MillionAs) {
   // FIPS 180-4 long-message vector.
   Sha256 h;

@@ -2,6 +2,8 @@
 // snapshots, audit reports, and the concrete Probation policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/guillotine.h"
 #include "src/hv/audit_report.h"
 #include "src/hv/snapshot.h"
@@ -17,6 +19,30 @@ MachineConfig SmallConfig() {
   config.model_dram_bytes = 256 * 1024;
   config.io_dram_bytes = 64 * 1024;
   return config;
+}
+
+// The seal format spelled out without the zero-page shortcut:
+// SHA-256(core || taken_at || DRAM size || registers || pc || CSRs ||
+// SHA-256 of each 4 KiB page in order, a partial last page at its length).
+Sha256Digest ReferenceSeal(const ModelSnapshot& snapshot) {
+  Bytes preimage;
+  PutU64(preimage, static_cast<u64>(snapshot.core));
+  PutU64(preimage, snapshot.taken_at);
+  PutU64(preimage, snapshot.dram.size());
+  for (const u64 reg : snapshot.arch.x) {
+    PutU64(preimage, reg);
+  }
+  PutU64(preimage, snapshot.arch.pc);
+  for (const u64 csr : snapshot.arch.csr) {
+    PutU64(preimage, csr);
+  }
+  for (size_t offset = 0; offset < snapshot.dram.size(); offset += 4096) {
+    const size_t len = std::min<size_t>(4096, snapshot.dram.size() - offset);
+    const Sha256Digest page =
+        Sha256::Hash(std::span<const u8>(snapshot.dram.data() + offset, len));
+    preimage.insert(preimage.end(), page.begin(), page.end());
+  }
+  return Sha256::Hash(std::span<const u8>(preimage.data(), preimage.size()));
 }
 
 class HvExtrasTest : public ::testing::Test {
@@ -196,6 +222,97 @@ TEST_F(HvExtrasTest, RetargetedOrRedatedSnapshotRefusesRestore) {
   EXPECT_EQ(RestoreSnapshot(hv_, truncated).code(), StatusCode::kUnauthenticated);
   EXPECT_EQ(trace_.CountKind("snapshot.tamper"), 3u);
   EXPECT_EQ(trace_.CountKind("snapshot.restore"), 0u);
+}
+
+TEST_F(HvExtrasTest, SealIsTheHashOfPerPageDigests) {
+  // Nonzero pages (code at 0x1000, a stored word at 0x9000) next to zero
+  // pages: the shortcut for zero pages must agree with hashing them.
+  const Bytes code = [] {
+    ProgramBuilder b(0x1000);
+    b.Ldi(4, 111);
+    b.Li64(13, 0x9000);
+    b.Store(Opcode::kSd, 4, 13, 0);
+    b.Halt();
+    return b.Build()->Encode();
+  }();
+  ASSERT_TRUE(hv_.LoadModel(0, code, 0x1000, 0x1000).ok());
+  ASSERT_TRUE(hv_.StartModel(0).ok());
+  machine_.model_core(0).Run(100'000);
+  const auto snapshot = CaptureSnapshot(hv_, 0);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(DigestHex(snapshot->digest), DigestHex(ReferenceSeal(*snapshot)));
+}
+
+TEST_F(HvExtrasTest, FlipAtEitherEndOfAZeroPageIsRefused) {
+  const auto snapshot = CaptureSnapshot(hv_, 0);
+  ASSERT_TRUE(snapshot.ok());
+  constexpr size_t kPage = 0x28000;
+  ASSERT_TRUE(std::all_of(snapshot->dram.begin() + kPage,
+                          snapshot->dram.begin() + kPage + kSnapshotPageBytes,
+                          [](u8 byte) { return byte == 0; }));
+  size_t tamper_events = 0;
+  for (const size_t offset : {kPage, kPage + kSnapshotPageBytes - 1}) {
+    ModelSnapshot tampered = *snapshot;
+    tampered.dram[offset] ^= 0x01;
+    EXPECT_FALSE(tampered.IntegrityOk()) << offset;
+    EXPECT_EQ(VerifySnapshotSealed(hv_, tampered).code(), StatusCode::kUnauthenticated)
+        << offset;
+    EXPECT_EQ(trace_.CountKind("snapshot.tamper"), ++tamper_events) << offset;
+  }
+  EXPECT_TRUE(VerifySnapshotSealed(hv_, *snapshot).ok());
+  EXPECT_EQ(trace_.CountKind("snapshot.tamper"), tamper_events);
+}
+
+TEST(SnapshotSealTest, PartialLastPageSealsAndVerifies) {
+  MachineConfig config = SmallConfig();
+  config.model_dram_bytes = 64 * 1024 + 1000;  // 16 full pages + 1000 bytes
+  SimClock clock;
+  EventTrace trace;
+  Machine machine(config, clock, trace);
+  SoftwareHypervisor hv(machine, nullptr);
+  const size_t last = config.model_dram_bytes - 8;
+  ASSERT_TRUE(machine.model_dram().Write64(last, 0x1234'5678'9abc'def0ULL));
+
+  const auto snapshot = CaptureSnapshot(hv, 0);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_TRUE(snapshot->IntegrityOk());
+  EXPECT_EQ(DigestHex(snapshot->digest), DigestHex(ReferenceSeal(*snapshot)));
+
+  ModelSnapshot tampered = *snapshot;
+  tampered.dram[last] ^= 0x80;
+  EXPECT_EQ(RestoreSnapshot(hv, tampered).code(), StatusCode::kUnauthenticated);
+  EXPECT_EQ(trace.CountKind("snapshot.tamper"), 1u);
+
+  machine.model_dram().Clear();
+  ASSERT_TRUE(RestoreSnapshot(hv, *snapshot).ok());
+  u64 v = 0;
+  ASSERT_TRUE(machine.model_dram().Read64(last, v));
+  EXPECT_EQ(v, 0x1234'5678'9abc'def0ULL);
+}
+
+TEST(SnapshotSealTest, QuarantineMigrateHashesPagesNotTheWholeImage) {
+  // A migrate seals the 1 MiB image six times (capture, verify, restore,
+  // re-capture, two portable digests). Hashing the raw image took 98,369
+  // compressions; hashing 256 page digests, three of them nonzero pages,
+  // takes ~2k including the fresh deployment's attested model load.
+  DeploymentConfig config;
+  config.machine.num_model_cores = 1;
+  config.machine.num_hv_cores = 1;
+  config.machine.model_dram_bytes = 1 << 20;
+  config.machine.io_dram_bytes = 512 * 1024;
+  config.data_base = 0x40000;
+  GuillotineFleet fleet(2, config);
+  Rng rng(14);
+  const MlpModel model = MlpModel::Random({16, 32, 8}, rng);
+  ASSERT_TRUE(fleet.HostEverywhere(model).ok());
+
+  const u64 before = Sha256::compressions();
+  const auto report = fleet.QuarantineMigrate(0, model, /*service=*/nullptr,
+                                              /*target_shard=*/0, /*now=*/0);
+  const u64 compressions = Sha256::compressions() - before;
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->digest_verified);
+  EXPECT_LT(compressions, 5'000u);
 }
 
 TEST_F(HvExtrasTest, RestoreDropsStaleEpochIrqsAndRings) {

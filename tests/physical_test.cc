@@ -2,6 +2,7 @@
 // heartbeats, and the control console's transition rules.
 #include <gtest/gtest.h>
 
+#include "src/crypto/sha256.h"
 #include "src/machine/storage.h"
 #include "src/physical/console.h"
 
@@ -234,6 +235,25 @@ TEST(HeartbeatTest, ResetRearms) {
   EXPECT_FALSE(monitor.expired());
   clock.Advance(100);
   monitor.Tick();
+  EXPECT_FALSE(monitor.expired());
+}
+
+TEST(HeartbeatTest, EachPeriodCostsEightCompressions) {
+  // Two directions, each MAC'd and checked with the precomputed-pad key:
+  // 4 MACs of 2 compressions (inner and outer finalize) per period.
+  SimClock clock;
+  Rng rng(1);
+  HeartbeatConfig config;
+  config.period = 100;
+  config.timeout = 500;
+  HeartbeatMonitor monitor(config, clock, rng, "key");
+  monitor.Tick();
+  for (int i = 0; i < 10; ++i) {
+    clock.Advance(100);
+    const u64 before = Sha256::compressions();
+    monitor.Tick();
+    EXPECT_EQ(Sha256::compressions() - before, 8u);
+  }
   EXPECT_FALSE(monitor.expired());
 }
 

@@ -5,6 +5,7 @@
 // smuggling, prompt injection, and heartbeat/quorum loss.
 #include <gtest/gtest.h>
 
+#include "src/crypto/sha256.h"
 #include "src/testing/scenario.h"
 
 namespace guillotine {
@@ -268,6 +269,31 @@ TEST(ScenarioTest, OpenWorldTrafficRoundTripsAndServesBursts) {
 
   // Unknown shapes are rejected at parse time, not silently ignored.
   EXPECT_FALSE(ParseScenarioScript("scenario \"x\" traffic=squarewave\n").ok());
+}
+
+// A detector that severs the deployment during a forward pass pauses the
+// model core, and nothing resumes it: the pass must end at the next pump with
+// Unavailable instead of pumping out the whole 2e9-cycle inference budget
+// (~100k pumps, each with a heartbeat exchange).
+TEST(ScenarioTest, SeveranceMidPassEndsTheForwardPass) {
+  const auto parsed = ParseScenarioScript(
+      "scenario \"x\" hv_cores=4 priority=1 recovery=1 traffic=bursty\n"
+      "host_model dims=6,8,4 seed=260\n"
+      "flood_interrupts count=427\n"
+      "pump rounds=1\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ScenarioRunner runner;
+  const u64 compressions0 = Sha256::compressions();
+  const ScenarioResult r = runner.Run(*parsed);
+  const u64 compressions = Sha256::compressions() - compressions0;
+  ASSERT_TRUE(r.AllStepsRan()) << r.Summary();
+  EXPECT_GE(runner.system().hv().isolation(), IsolationLevel::kSevered);
+  EXPECT_LT(runner.system().clock().now(), 10'000'000u);
+  EXPECT_LT(compressions, 5'000u);
+  ASSERT_NE(runner.traffic_report(), nullptr);
+  EXPECT_EQ(runner.traffic_report()->arrivals, 32u);
+  EXPECT_EQ(runner.traffic_report()->completed, 23u);
+  EXPECT_EQ(runner.traffic_report()->failed, 9u);
 }
 
 }  // namespace
