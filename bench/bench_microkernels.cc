@@ -48,6 +48,43 @@ void BM_InterpreterAluLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterAluLoop);
 
+// The compiled MLP forward pass: the load/store/branch mix the served
+// workloads execute, with the text locked down execute-only as a deployment
+// arms it. Each iteration reruns one full pass over warm caches.
+void BM_InterpreterMlpForward(benchmark::State& state) {
+  MachineConfig config;
+  config.num_model_cores = 1;
+  config.num_hv_cores = 1;
+  config.model_dram_bytes = 1 << 20;
+  config.io_dram_bytes = 64 * 1024;
+  SimClock clock;
+  EventTrace trace;
+  Machine machine(config, clock, trace);
+  Rng rng(3);
+  const MlpModel model = MlpModel::Random({16, 32, 8}, rng);
+  const auto compiled = CompileMlp(model, 0x1000, 0x40000);
+  const MlpProgramLayout& layout = compiled->layout;
+  machine.model_dram().WriteBlock(layout.code_base, compiled->code).ok();
+  machine.model_dram().WriteBlock(layout.data_base, compiled->data).ok();
+  const std::vector<i64> input(layout.input_dim, ToFixed(0.25));
+  machine.model_dram().WriteBlock(layout.input_addr, PackI64(input)).ok();
+  ModelCore& core = machine.model_core(0);
+  core.SetLockdown(ExecLockdown{true, layout.code_base, layout.data_base});
+  u64 instructions = 0;
+  for (auto _ : state) {
+    core.PowerUpCore(layout.code_base);
+    core.Resume().ok();
+    const u64 before = core.stats().instructions;
+    while (core.state() == RunState::kRunning) {
+      core.Run(100'000);
+    }
+    instructions += core.stats().instructions - before;
+  }
+  state.counters["instr_per_s"] =
+      benchmark::Counter(static_cast<double>(instructions), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_InterpreterMlpForward);
+
 void BM_CacheAccess(benchmark::State& state) {
   Cache l1(CacheConfig{32 * 1024, 64, 8, 4});
   Cache l2(CacheConfig{256 * 1024, 64, 8, 12});

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <map>
+#include <utility>
 
 namespace guillotine {
 
@@ -26,66 +27,27 @@ Bytes EncodeProgram(std::span<const Instruction> program) {
 }
 
 namespace {
-bool ValidOpcode(u8 raw) {
-  const auto op = static_cast<Opcode>(raw);
-  switch (op) {
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kSll:
-    case Opcode::kSrl:
-    case Opcode::kSra:
-    case Opcode::kSlt:
-    case Opcode::kSltu:
-    case Opcode::kMul:
-    case Opcode::kMulh:
-    case Opcode::kDiv:
-    case Opcode::kRem:
-    case Opcode::kAddi:
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-    case Opcode::kSlli:
-    case Opcode::kSrli:
-    case Opcode::kSrai:
-    case Opcode::kSlti:
-    case Opcode::kLdi:
-    case Opcode::kLb:
-    case Opcode::kLbu:
-    case Opcode::kLh:
-    case Opcode::kLhu:
-    case Opcode::kLw:
-    case Opcode::kLwu:
-    case Opcode::kLd:
-    case Opcode::kSb:
-    case Opcode::kSh:
-    case Opcode::kSw:
-    case Opcode::kSd:
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
-    case Opcode::kJal:
-    case Opcode::kJalr:
-    case Opcode::kNop:
-    case Opcode::kHalt:
-    case Opcode::kEbreak:
-    case Opcode::kFence:
-    case Opcode::kCsrr:
-    case Opcode::kCsrw:
-    case Opcode::kTrapret:
-      return true;
+
+// Opcode-validity table. Each instruction group is a contiguous run of
+// enum values (see gisa.h), so the table is built from the group bounds.
+constexpr std::array<bool, 256> kValidOpcode = [] {
+  std::array<bool, 256> valid{};
+  constexpr std::pair<Opcode, Opcode> kGroups[] = {
+      {Opcode::kAdd, Opcode::kRem}, {Opcode::kAddi, Opcode::kLdi},
+      {Opcode::kLb, Opcode::kLd},   {Opcode::kSb, Opcode::kSd},
+      {Opcode::kBeq, Opcode::kJalr}, {Opcode::kNop, Opcode::kTrapret}};
+  for (const auto& [first, last] : kGroups) {
+    for (size_t op = static_cast<size_t>(first); op <= static_cast<size_t>(last); ++op) {
+      valid[op] = true;
+    }
   }
-  return false;
-}
+  return valid;
+}();
+
 }  // namespace
 
 std::optional<Instruction> DecodeInstruction(std::span<const u8> in8) {
-  if (in8.size() < kInstrBytes || !ValidOpcode(in8[0])) {
+  if (in8.size() < kInstrBytes || !kValidOpcode[in8[0]]) {
     return std::nullopt;
   }
   Instruction instr;

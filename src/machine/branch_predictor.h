@@ -5,6 +5,9 @@
 #ifndef SRC_MACHINE_BRANCH_PREDICTOR_H_
 #define SRC_MACHINE_BRANCH_PREDICTOR_H_
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <vector>
 
 #include "src/common/types.h"
@@ -13,8 +16,11 @@ namespace guillotine {
 
 class BranchPredictor {
  public:
+  // `entries` must be a power of two: the table is indexed by masking.
   explicit BranchPredictor(size_t entries = 1024)
-      : table_(entries, 1) {}  // initialize weakly-not-taken
+      : table_(entries, 1), mask_(entries - 1) {  // initialize weakly-not-taken
+    assert(std::has_single_bit(entries));
+  }
 
   bool Predict(u64 pc) const { return table_[Index(pc)] >= 2; }
 
@@ -33,9 +39,10 @@ class BranchPredictor {
   void Flush() { std::fill(table_.begin(), table_.end(), 1); }
 
  private:
-  size_t Index(u64 pc) const { return (pc >> 3) % table_.size(); }
+  size_t Index(u64 pc) const { return (pc >> 3) & mask_; }
 
   std::vector<u8> table_;
+  u64 mask_;
 };
 
 }  // namespace guillotine

@@ -1,8 +1,7 @@
 #include "src/machine/model_core.h"
 
 #include <cstdio>
-
-#include <cassert>
+#include <cstring>
 
 namespace guillotine {
 
@@ -144,10 +143,7 @@ std::vector<CoreEvent> ModelCore::TakeEvents() {
   return out;
 }
 
-bool ModelCore::CheckWatchpoints(PhysAddr pa, size_t len, AccessType type, u64 pc) {
-  if (suppress_active_) {
-    return false;
-  }
+bool ModelCore::ScanWatchpoints(PhysAddr pa, size_t len, AccessType type) {
   for (const Watchpoint& wp : watchpoints_) {
     const bool kind_match = (type == AccessType::kFetch && wp.on_exec) ||
                             (type == AccessType::kLoad && wp.on_read) ||
@@ -160,7 +156,7 @@ bool ModelCore::CheckWatchpoints(PhysAddr pa, size_t len, AccessType type, u64 p
       ev.core_id = id_;
       ev.watchpoint_id = wp.id;
       ev.address = pa;
-      ev.pc = pc;
+      ev.pc = arch_.pc;
       ev.time = stats_.cycles;
       events_.push_back(ev);
       return true;
@@ -179,40 +175,38 @@ ModelCore::MemAccess ModelCore::AccessMemory(VirtAddr va, AccessType type,
     out.fault = tr.fault;
     return out;
   }
-  out.pa = tr.phys;
+  const PhysAddr pa = tr.phys;
+  out.pa = pa;
 
-  // Route by physical address.
-  const bool in_model_dram = tr.phys + len <= model_dram_.size();
-  const bool in_io_window =
-      tr.phys >= kIoDramBase && tr.phys + len <= kIoDramBase + io_dram_.size();
-
+  // Route by physical address. The bounds checks are overflow-safe: a range
+  // that wraps past 2^64 decodes to no bus and faults.
   if (type == AccessType::kFetch) {
-    if (!in_model_dram) {
+    if (!model_dram_.InBounds(pa, len)) {
       // Code may only live in model DRAM; the shared window is not
       // executable (it is writable by definition, and W^X holds globally).
       out.fault = TrapCause::kFetchFault;
       return out;
     }
-    if (CheckWatchpoints(tr.phys, len, type, arch_.pc)) {
+    if (CheckWatchpoints(pa, len, type)) {
       out.watchpoint_hit = true;
       return out;
     }
-    out.latency += AccessThroughHierarchy(caches_.l1i, caches_.l2, l3_, tr.phys,
+    out.latency += AccessThroughHierarchy(caches_.l1i, caches_.l2, l3_, pa,
                                           config_.mem_path);
     return out;
   }
 
-  if (in_model_dram) {
-    if (CheckWatchpoints(tr.phys, len, type, arch_.pc)) {
+  if (model_dram_.InBounds(pa, len)) {
+    if (CheckWatchpoints(pa, len, type)) {
       out.watchpoint_hit = true;
       return out;
     }
-    out.latency += AccessThroughHierarchy(caches_.l1d, caches_.l2, l3_, tr.phys,
+    out.latency += AccessThroughHierarchy(caches_.l1d, caches_.l2, l3_, pa,
                                           config_.mem_path);
     return out;
   }
-  if (in_io_window) {
-    if (CheckWatchpoints(tr.phys, len, type, arch_.pc)) {
+  if (InIoWindow(pa, len)) {
+    if (CheckWatchpoints(pa, len, type)) {
       out.watchpoint_hit = true;
       return out;
     }
@@ -221,16 +215,20 @@ ModelCore::MemAccess ModelCore::AccessMemory(VirtAddr va, AccessType type,
   }
   // No bus decodes this address: hypervisor DRAM is not "protected", it is
   // absent. The access faults.
-  out.fault = type == AccessType::kLoad ? TrapCause::kLoadFault : TrapCause::kStoreFault;
+  out.fault = AccessFault(type);
   return out;
+}
+
+bool ModelCore::InIoWindow(PhysAddr pa, size_t len) const {
+  return pa >= kIoDramBase && io_dram_.dram().InBounds(pa - kIoDramBase, len);
 }
 
 bool ModelCore::ReadPhys(PhysAddr pa, size_t len, u64& out) {
   Dram* target = nullptr;
   PhysAddr addr = pa;
-  if (pa + len <= model_dram_.size()) {
+  if (model_dram_.InBounds(pa, len)) {
     target = &model_dram_;
-  } else if (pa >= kIoDramBase && pa + len <= kIoDramBase + io_dram_.size()) {
+  } else if (InIoWindow(pa, len)) {
     target = &io_dram_.dram();
     addr = pa - kIoDramBase;
   } else {
@@ -265,9 +263,9 @@ bool ModelCore::WritePhys(PhysAddr pa, size_t len, u64 value) {
   Dram* target = nullptr;
   PhysAddr addr = pa;
   bool is_io = false;
-  if (pa + len <= model_dram_.size()) {
+  if (model_dram_.InBounds(pa, len)) {
     target = &model_dram_;
-  } else if (pa >= kIoDramBase && pa + len <= kIoDramBase + io_dram_.size()) {
+  } else if (InIoWindow(pa, len)) {
     target = &io_dram_.dram();
     addr = pa - kIoDramBase;
     is_io = true;
@@ -368,18 +366,10 @@ Cycles ModelCore::ExecuteOne() {
     stats_.cycles += cost;
     return cost;
   }
+  // AccessMemory routed all eight bytes into model DRAM: one read.
   u8 raw[kInstrBytes];
-  bool fetched = true;
-  {
-    // Fetch always reads model DRAM (guaranteed by AccessMemory routing).
-    for (size_t i = 0; i < kInstrBytes; ++i) {
-      if (!model_dram_.Read8(fetch.pa + i, raw[i])) {
-        fetched = false;
-        break;
-      }
-    }
-  }
-  const auto decoded = fetched ? DecodeInstruction(raw) : std::nullopt;
+  std::memcpy(raw, model_dram_.raw().data() + fetch.pa, kInstrBytes);
+  const auto decoded = DecodeInstruction(raw);
   if (!decoded.has_value()) {
     EnterTrap(TrapCause::kIllegalInstruction, pc);
     cost += config_.trap_entry_cost;

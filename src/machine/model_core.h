@@ -91,11 +91,18 @@ class ModelCore {
 
   // Translates + routes + times one access. Applies watchpoints.
   MemAccess AccessMemory(VirtAddr va, AccessType type, size_t len);
+  // True when [pa, pa + len) lies inside the shared IO DRAM window.
+  bool InIoWindow(PhysAddr pa, size_t len) const;
   bool ReadPhys(PhysAddr pa, size_t len, u64& out);
   bool WritePhys(PhysAddr pa, size_t len, u64 value);
 
   void EnterTrap(TrapCause cause, u64 epc);
-  bool CheckWatchpoints(PhysAddr pa, size_t len, AccessType type, u64 pc);
+  // True (and a CoreEvent recorded) when an armed watchpoint covers the
+  // access. Inline so the common case, none armed, costs one compare.
+  bool CheckWatchpoints(PhysAddr pa, size_t len, AccessType type) {
+    return !watchpoints_.empty() && !suppress_active_ && ScanWatchpoints(pa, len, type);
+  }
+  bool ScanWatchpoints(PhysAddr pa, size_t len, AccessType type);
   Cycles ExecuteOne();  // single instruction, no state gate
 
   int id_;

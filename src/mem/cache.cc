@@ -1,33 +1,32 @@
 #include "src/mem/cache.h"
 
+#include <bit>
 #include <cassert>
 
 namespace guillotine {
 
 Cache::Cache(const CacheConfig& config, std::string name)
-    : config_(config), name_(std::move(name)) {
+    : config_(config),
+      name_(std::move(name)),
+      line_shift_(static_cast<unsigned>(std::countr_zero(config.line_bytes))),
+      tag_shift_(line_shift_ + static_cast<unsigned>(std::countr_zero(config.num_sets()))),
+      set_mask_(config.num_sets() - 1) {
   assert(config_.num_sets() > 0);
+  assert(std::has_single_bit(config_.line_bytes));
+  assert(std::has_single_bit(config_.num_sets()));
   lines_.resize(config_.num_sets() * config_.ways);
 }
 
-size_t Cache::SetIndex(PhysAddr addr) const {
-  return (addr / config_.line_bytes) % config_.num_sets();
-}
-
-u64 Cache::Tag(PhysAddr addr) const {
-  return (addr / config_.line_bytes) / config_.num_sets();
-}
-
-bool Cache::Access(PhysAddr addr) {
-  const size_t set = SetIndex(addr);
-  const u64 tag = Tag(addr);
-  Line* base = &lines_[set * config_.ways];
-  Line* lru_line = base;
+bool Cache::AccessSet(size_t set_index, u64 tag) {
+  const size_t base = set_index * config_.ways;
+  Line* set = &lines_[base];
+  Line* lru_line = set;
   for (size_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
+    Line& line = set[w];
     if (line.valid && line.tag == tag) {
       line.lru = ++use_counter_;
       ++stats_.hits;
+      mru_ = base + w;
       return true;
     }
     if (line.lru < lru_line->lru || !line.valid) {
@@ -43,14 +42,13 @@ bool Cache::Access(PhysAddr addr) {
   if (lru_line->valid) {
     ++stats_.evictions;
     if (eviction_hook_) {
-      const PhysAddr victim =
-          (lru_line->tag * config_.num_sets() + set) * config_.line_bytes;
-      eviction_hook_(victim);
+      eviction_hook_((lru_line->tag << tag_shift_) | (u64{set_index} << line_shift_));
     }
   }
   lru_line->valid = true;
   lru_line->tag = tag;
   lru_line->lru = ++use_counter_;
+  mru_ = static_cast<size_t>(lru_line - lines_.data());
   return false;
 }
 

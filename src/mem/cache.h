@@ -18,6 +18,9 @@
 
 namespace guillotine {
 
+// Line size and set count (size_bytes / (line_bytes * ways)) must be powers
+// of two, so an address splits into tag | set | offset by shifts and masks;
+// the way count need not be.
 struct CacheConfig {
   size_t size_bytes = 32 * 1024;
   size_t line_bytes = 64;
@@ -44,7 +47,19 @@ class Cache {
 
   // Looks up `addr`; on miss the line is installed (possibly evicting LRU).
   // Returns true on hit.
-  bool Access(PhysAddr addr);
+  bool Access(PhysAddr addr) {
+    const size_t set = SetIndex(addr);
+    const u64 tag = Tag(addr);
+    // A tag is resident at most once per set, so a hit on the most recently
+    // hit or installed line is the hit the way scan would find.
+    Line& mru = lines_[mru_];
+    if (mru.valid && mru.tag == tag && mru_ - set * config_.ways < config_.ways) {
+      mru.lru = ++use_counter_;
+      ++stats_.hits;
+      return true;
+    }
+    return AccessSet(set, tag);
+  }
 
   // Lookup without installing or touching LRU state (used by tests).
   bool Probe(PhysAddr addr) const;
@@ -74,12 +89,18 @@ class Cache {
     u64 lru = 0;  // larger = more recently used
   };
 
-  size_t SetIndex(PhysAddr addr) const;
-  u64 Tag(PhysAddr addr) const;
+  size_t SetIndex(PhysAddr addr) const { return (addr >> line_shift_) & set_mask_; }
+  u64 Tag(PhysAddr addr) const { return addr >> tag_shift_; }
+  // The way scan of one set: hit, or install over its LRU line.
+  bool AccessSet(size_t set_index, u64 tag);
 
   CacheConfig config_;
   std::string name_;
+  unsigned line_shift_;  // log2(line_bytes)
+  unsigned tag_shift_;   // log2(line_bytes * num_sets)
+  u64 set_mask_;         // num_sets - 1
   std::vector<Line> lines_;  // num_sets * ways, row-major by set
+  size_t mru_ = 0;           // index into lines_ of the last line hit or filled
   u64 use_counter_ = 0;
   CacheStats stats_;
   std::function<void(PhysAddr)> eviction_hook_;

@@ -1,84 +1,41 @@
 #include "src/mem/dram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace guillotine {
 
-bool Dram::Read8(PhysAddr addr, u8& out) const {
-  if (!InBounds(addr, 1)) {
+// The guest ISA is little-endian, like every host this builds on; scalar
+// accesses copy host words as they are.
+static_assert(std::endian::native == std::endian::little);
+
+template <typename T>
+bool Dram::Load(PhysAddr addr, T& out) const {
+  if (!InBounds(addr, sizeof(T))) {
     return false;
   }
-  out = bytes_[addr];
+  std::memcpy(&out, bytes_.data() + addr, sizeof(T));
   return true;
 }
 
-bool Dram::Read16(PhysAddr addr, u16& out) const {
-  if (!InBounds(addr, 2)) {
+template <typename T>
+bool Dram::Store(PhysAddr addr, T v) {
+  if (!InBounds(addr, sizeof(T))) {
     return false;
   }
-  out = static_cast<u16>(bytes_[addr] | (bytes_[addr + 1] << 8));
+  std::memcpy(bytes_.data() + addr, &v, sizeof(T));
   return true;
 }
 
-bool Dram::Read32(PhysAddr addr, u32& out) const {
-  if (!InBounds(addr, 4)) {
-    return false;
-  }
-  out = 0;
-  for (int i = 3; i >= 0; --i) {
-    out = (out << 8) | bytes_[addr + static_cast<size_t>(i)];
-  }
-  return true;
-}
-
-bool Dram::Read64(PhysAddr addr, u64& out) const {
-  if (!InBounds(addr, 8)) {
-    return false;
-  }
-  out = 0;
-  for (int i = 7; i >= 0; --i) {
-    out = (out << 8) | bytes_[addr + static_cast<size_t>(i)];
-  }
-  return true;
-}
-
-bool Dram::Write8(PhysAddr addr, u8 v) {
-  if (!InBounds(addr, 1)) {
-    return false;
-  }
-  bytes_[addr] = v;
-  return true;
-}
-
-bool Dram::Write16(PhysAddr addr, u16 v) {
-  if (!InBounds(addr, 2)) {
-    return false;
-  }
-  bytes_[addr] = static_cast<u8>(v);
-  bytes_[addr + 1] = static_cast<u8>(v >> 8);
-  return true;
-}
-
-bool Dram::Write32(PhysAddr addr, u32 v) {
-  if (!InBounds(addr, 4)) {
-    return false;
-  }
-  for (int i = 0; i < 4; ++i) {
-    bytes_[addr + static_cast<size_t>(i)] = static_cast<u8>(v >> (8 * i));
-  }
-  return true;
-}
-
-bool Dram::Write64(PhysAddr addr, u64 v) {
-  if (!InBounds(addr, 8)) {
-    return false;
-  }
-  for (int i = 0; i < 8; ++i) {
-    bytes_[addr + static_cast<size_t>(i)] = static_cast<u8>(v >> (8 * i));
-  }
-  return true;
-}
+bool Dram::Read8(PhysAddr addr, u8& out) const { return Load(addr, out); }
+bool Dram::Read16(PhysAddr addr, u16& out) const { return Load(addr, out); }
+bool Dram::Read32(PhysAddr addr, u32& out) const { return Load(addr, out); }
+bool Dram::Read64(PhysAddr addr, u64& out) const { return Load(addr, out); }
+bool Dram::Write8(PhysAddr addr, u8 v) { return Store(addr, v); }
+bool Dram::Write16(PhysAddr addr, u16 v) { return Store(addr, v); }
+bool Dram::Write32(PhysAddr addr, u32 v) { return Store(addr, v); }
+bool Dram::Write64(PhysAddr addr, u64 v) { return Store(addr, v); }
 
 Status Dram::ReadBlock(PhysAddr addr, std::span<u8> out) const {
   if (!InBounds(addr, out.size())) {

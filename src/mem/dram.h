@@ -53,6 +53,11 @@ class Dram {
   std::span<const u8> raw() const { return bytes_; }
 
  private:
+  template <typename T>
+  bool Load(PhysAddr addr, T& out) const;
+  template <typename T>
+  bool Store(PhysAddr addr, T v);
+
   std::vector<u8> bytes_;
   std::string name_;
 };

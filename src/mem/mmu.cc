@@ -71,40 +71,13 @@ TranslationResult Mmu::CheckLockdown(PhysAddr pa, AccessType type,
   TranslationResult result;
   result.phys = pa;
   result.cost = cost;
-  if (!lockdown.armed) {
-    return result;
-  }
-  const bool in_exec = lockdown.Contains(pa);
-  if (type == AccessType::kFetch && !in_exec) {
-    result.fault = TrapCause::kFetchFault;
-  } else if (type == AccessType::kLoad && in_exec) {
-    result.fault = TrapCause::kLoadFault;
-  } else if (type == AccessType::kStore && in_exec) {
-    result.fault = TrapCause::kStoreFault;
-  }
+  result.fault = lockdown.Check(pa, type);
   return result;
 }
 
-TranslationResult Mmu::Translate(VirtAddr va, AccessType type, u64 satp,
-                                 const Dram& dram, const ExecLockdown& lockdown,
-                                 Tlb& tlb) const {
-  auto fault_for = [&](AccessType t) {
-    switch (t) {
-      case AccessType::kFetch:
-        return TrapCause::kFetchFault;
-      case AccessType::kLoad:
-        return TrapCause::kLoadFault;
-      case AccessType::kStore:
-        return TrapCause::kStoreFault;
-    }
-    return TrapCause::kLoadFault;
-  };
-
-  if ((satp & kSatpEnableBit) == 0) {
-    // Bare mode: identity mapping; lockdown still applies.
-    return CheckLockdown(va, type, lockdown, 0);
-  }
-
+TranslationResult Mmu::TranslatePaged(VirtAddr va, AccessType type, u64 satp,
+                                      const Dram& dram, const ExecLockdown& lockdown,
+                                      Tlb& tlb) const {
   if (const auto hit = tlb.Lookup(va, type); hit.has_value()) {
     ++tlb.hits;
     return CheckLockdown(*hit, type, lockdown, 0);
@@ -120,14 +93,14 @@ TranslationResult Mmu::Translate(VirtAddr va, AccessType type, u64 satp,
 
   u64 l1_entry = 0;
   if (!dram.Read64(root + l1_index * 8, l1_entry) || !(l1_entry & kPteValid)) {
-    result.fault = fault_for(type);
+    result.fault = AccessFault(type);
     return result;
   }
   const PhysAddr l2_table = (l1_entry >> kPageBits) << kPageBits;
 
   u64 pte = 0;
   if (!dram.Read64(l2_table + l2_index * 8, pte) || !(pte & kPteValid)) {
-    result.fault = fault_for(type);
+    result.fault = AccessFault(type);
     return result;
   }
 
@@ -136,7 +109,7 @@ TranslationResult Mmu::Translate(VirtAddr va, AccessType type, u64 satp,
   // Lockdown invalidates executable PTEs pointing outside the armed region.
   if (lockdown.armed && (pte & kPteExec)) {
     if (!(page_phys >= lockdown.exec_base && page_phys + kPageSize <= lockdown.exec_bound)) {
-      result.fault = fault_for(type);
+      result.fault = AccessFault(type);
       return result;
     }
   }

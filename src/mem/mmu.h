@@ -43,12 +43,26 @@ u64 MakePte(PhysAddr page_phys, bool r, bool w, bool x);
 
 enum class AccessType { kFetch, kLoad, kStore };
 
+// The trap a refused access of `type` raises.
+inline TrapCause AccessFault(AccessType type) {
+  return type == AccessType::kFetch  ? TrapCause::kFetchFault
+         : type == AccessType::kLoad ? TrapCause::kLoadFault
+                                     : TrapCause::kStoreFault;
+}
+
 struct ExecLockdown {
   bool armed = false;
   PhysAddr exec_base = 0;
   PhysAddr exec_bound = 0;  // exclusive
 
   bool Contains(PhysAddr pa) const { return armed && pa >= exec_base && pa < exec_bound; }
+
+  // The fault an access of `type` at `pa` takes (kNone when allowed):
+  // fetches must land inside the region, loads and stores outside it.
+  TrapCause Check(PhysAddr pa, AccessType type) const {
+    const bool allowed = !armed || Contains(pa) == (type == AccessType::kFetch);
+    return allowed ? TrapCause::kNone : AccessFault(type);
+  }
 };
 
 struct TranslationResult {
@@ -93,12 +107,21 @@ class Mmu {
   static constexpr Cycles kWalkCostPerLevel = 15;
 
   // Translates `va` for `type` under `satp`, enforcing the lockdown.
-  // Page tables are read from `dram` (model DRAM).
+  // Page tables are read from `dram` (model DRAM). Inline so bare mode
+  // (paging off: identity mapping, the lockdown still applies) costs no call.
   TranslationResult Translate(VirtAddr va, AccessType type, u64 satp,
                               const Dram& dram, const ExecLockdown& lockdown,
-                              Tlb& tlb) const;
+                              Tlb& tlb) const {
+    if ((satp & kSatpEnableBit) == 0) {
+      return {va, 0, lockdown.Check(va, type)};
+    }
+    return TranslatePaged(va, type, satp, dram, lockdown, tlb);
+  }
 
  private:
+  TranslationResult TranslatePaged(VirtAddr va, AccessType type, u64 satp,
+                                   const Dram& dram, const ExecLockdown& lockdown,
+                                   Tlb& tlb) const;
   TranslationResult CheckLockdown(PhysAddr pa, AccessType type,
                                   const ExecLockdown& lockdown, Cycles cost) const;
 };

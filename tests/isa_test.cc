@@ -27,6 +27,19 @@ TEST(GisaTest, DecodeRejectsBadOpcode) {
   EXPECT_FALSE(DecodeInstruction(buf).has_value());
 }
 
+TEST(GisaTest, DecodeAcceptsExactlyTheNamedOpcodes) {
+  // The decoder's validity table and the assembler's mnemonic table must
+  // agree on all 256 opcode bytes.
+  int accepted = 0;
+  for (int op = 0; op < 256; ++op) {
+    u8 buf[kInstrBytes] = {static_cast<u8>(op), 0, 0, 0, 0, 0, 0, 0};
+    const bool named = OpcodeName(static_cast<Opcode>(op)) != "??";
+    EXPECT_EQ(DecodeInstruction(buf).has_value(), named) << "opcode " << op;
+    accepted += named ? 1 : 0;
+  }
+  EXPECT_EQ(accepted, 49);
+}
+
 TEST(GisaTest, DecodeRejectsBadRegister) {
   u8 buf[kInstrBytes] = {static_cast<u8>(Opcode::kAdd), 40, 0, 0, 0, 0, 0, 0};
   EXPECT_FALSE(DecodeInstruction(buf).has_value());

@@ -9,6 +9,8 @@
 #include "src/machine/nic.h"
 #include "src/machine/storage.h"
 #include "src/crypto/hmac.h"
+#include "src/model/attacks.h"
+#include "src/model/mlp_compiler.h"
 #include "src/model/weights.h"
 
 namespace guillotine {
@@ -515,6 +517,206 @@ TEST_F(MachineTest, MeasureSiliconCommitsToTopology) {
   MeasurementRegister b;
   machine2.MeasureSilicon(b);
   EXPECT_FALSE(DigestEqual(a.value(), b.value()));
+}
+
+TEST_F(MachineTest, FetchFromWrappedAddressFaults) {
+  // pc = 2^64 - 8: pc + 8 wraps to 0, which must not pass for "inside model
+  // DRAM". The fetch faults before any cache sees the bogus line.
+  Load(0, R"(
+    li64 a0, -8
+    jalr zero, a0, 0
+  )");
+  Start(0);
+  RunUntilStopped(0);
+  ModelCore& core = machine_.model_core(0);
+  EXPECT_EQ(core.state(), RunState::kFaulted);
+  EXPECT_EQ(core.fault_cause(), TrapCause::kFetchFault);
+  EXPECT_EQ(core.caches().l1i.stats().misses, 1u);  // the program's own line
+  EXPECT_FALSE(core.caches().l1i.Probe(~0ULL - 7));
+  EXPECT_FALSE(core.caches().l2.Probe(~0ULL - 7));
+  EXPECT_FALSE(machine_.model_l3().Probe(~0ULL - 7));
+}
+
+TEST_F(MachineTest, LoadFromWrappedAddressLeavesCachesUntouched) {
+  // An 8-byte load at 2^64 - 4 wraps past both model DRAM and the IO window.
+  Load(0, R"(
+    li64 a1, -4
+    ld a0, 0(a1)
+    halt
+  )");
+  Start(0);
+  RunUntilStopped(0);
+  ModelCore& core = machine_.model_core(0);
+  EXPECT_EQ(core.state(), RunState::kFaulted);
+  EXPECT_EQ(core.fault_cause(), TrapCause::kLoadFault);
+  EXPECT_EQ(core.caches().l1d.stats().misses, 0u);
+  EXPECT_EQ(core.caches().l1d.stats().hits, 0u);
+}
+
+// --- Golden timing model ---
+//
+// Every simulated-clock figure in the benches rests on the interpreter's
+// timing model: instruction latencies, cache hits/misses/evictions, TLB
+// walks and branch mispredicts. The expected strings are golden values: a
+// change to the interpreter's host-side hot path must leave them bit for bit
+// unchanged, and only a deliberate timing-model change may re-capture them.
+
+std::string RenderTiming(Machine& machine, int core_id) {
+  ModelCore& core = machine.model_core(core_id);
+  const CoreStats& s = core.stats();
+  std::string out = "instr=" + std::to_string(s.instructions) +
+                    " cycles=" + std::to_string(s.cycles) +
+                    " traps=" + std::to_string(s.traps) +
+                    " mispredicts=" + std::to_string(s.branch_mispredicts) +
+                    " doorbells=" + std::to_string(s.doorbell_stores);
+  const auto cache = [&out](std::string_view name, const Cache& c) {
+    out += " " + std::string(name) + "=" + std::to_string(c.stats().hits) + "/" +
+           std::to_string(c.stats().misses) + "/" + std::to_string(c.stats().evictions);
+  };
+  cache("l1i", core.caches().l1i);
+  cache("l1d", core.caches().l1d);
+  cache("l2", core.caches().l2);
+  cache("l3", machine.model_l3());
+  out += " tlb=" + std::to_string(core.tlb().hits) + "/" +
+         std::to_string(core.tlb().misses);
+  return out;
+}
+
+void RunToStop(ModelCore& core) {
+  for (Cycles used = 0; core.state() == RunState::kRunning && used < 50'000'000;) {
+    used += core.Run(100'000);
+  }
+}
+
+TEST_F(MachineTest, TimingModelIsPinned) {
+  const auto load = [](Machine& machine, std::span<const u8> image, u64 base) {
+    ASSERT_TRUE(machine.model_dram().WriteBlock(base, image).ok());
+  };
+
+  // 1. A compiled MLP forward pass (the instruction mix the service runs),
+  //    with its text locked down execute-only.
+  {
+    SimClock clock;
+    EventTrace trace;
+    Machine machine(SmallConfig(), clock, trace);
+    Rng rng(13);
+    const MlpModel model = MlpModel::Random({8, 16, 16, 4}, rng);
+    const auto compiled = CompileMlp(model, 0x1000, 0x40000);
+    ASSERT_TRUE(compiled.ok());
+    const MlpProgramLayout& layout = compiled->layout;
+    load(machine, compiled->code, layout.code_base);
+    load(machine, compiled->data, layout.data_base);
+    std::vector<i64> input(layout.input_dim);
+    for (size_t i = 0; i < input.size(); ++i) {
+      input[i] = ToFixed(0.1 * static_cast<double>(i + 1)) * (i % 2 == 0 ? 1 : -1);
+    }
+    load(machine, PackI64(input), layout.input_addr);
+    ModelCore& core = machine.model_core(0);
+    core.PowerUpCore(layout.code_base);
+    core.SetLockdown(ExecLockdown{true, layout.code_base, layout.data_base});
+    ASSERT_TRUE(core.Resume().ok());
+    RunToStop(core);
+    ASSERT_EQ(core.state(), RunState::kDone);
+    EXPECT_EQ(RenderTiming(machine, 0),
+              "instr=6594 cycles=45389 traps=0 mispredicts=63 doorbells=0 "
+              "l1i=6584/10/0 l1d=940/68/0 l2=0/78/0 l3=0/78/0 tlb=0/0");
+  }
+
+  // 2. Paging on: the exec-page attack builds page tables, enables satp and
+  //    runs through the TLB, once free and once under lockdown.
+  for (const bool lockdown : {false, true}) {
+    SimClock clock;
+    EventTrace trace;
+    Machine machine(SmallConfig(), clock, trace);
+    const AttackProgram attack = BuildExecPageAttack(0x1000, 0x40000, 0x20000, 0x60000);
+    load(machine, attack.code, attack.code_base);
+    ModelCore& core = machine.model_core(0);
+    core.PowerUpCore(attack.entry);
+    if (lockdown) {
+      core.SetLockdown(ExecLockdown{true, 0x1000, 0x1000 + 16 * kPageSize});
+    }
+    ASSERT_TRUE(core.Resume().ok());
+    RunToStop(core);
+    ASSERT_EQ(core.state(), RunState::kDone);
+    EXPECT_EQ(RenderTiming(machine, 0),
+              lockdown ? "instr=14372 cycles=82085 traps=1 mispredicts=7 doorbells=0 "
+                         "l1i=14365/7/0 l1d=897/131/0 l2=0/138/0 l3=0/138/0 tlb=8/2"
+                       : "instr=14366 cycles=81851 traps=0 mispredicts=7 doorbells=0 "
+                         "l1i=14359/7/0 l1d=897/131/0 l2=1/137/0 l3=0/137/0 tlb=4/3");
+  }
+
+  // 3. A store watchpoint, single-steps past it, a timer interrupt taken in
+  //    a load/store loop, a doorbell store into the IO window, and two
+  //    sweeps over 24 lines that share one set at every level, so L1d, L2
+  //    and L3 evict and the inclusive L3 back-invalidates.
+  {
+    SimClock clock;
+    EventTrace trace;
+    MachineConfig config = SmallConfig();
+    config.model_dram_bytes = 4 << 20;
+    Machine machine(config, clock, trace);
+    auto region = machine.io_dram().AllocatePortRegion(0);
+    ASSERT_TRUE(region.ok());
+    const auto program = Assemble(R"(
+        j start
+      handler:                 ; 0x1008
+        csrr a4, cause
+        ldi a0, 1
+        trapret
+      start:
+        ldi t1, 0x1008
+        csrw t1, tvec
+        ldi t2, 1
+        csrw t2, ienable
+        ldi t2, 300
+        csrw t2, timer
+        li64 a1, 0x20000
+        li64 a2, )" + std::to_string(kIoDramBase + region->doorbell) + R"(
+        ldi t3, 64
+      loop:
+        sd t3, 0(a1)           ; watched on the first iteration
+        ld t4, 0(a1)
+        add a3, a3, t4
+        addi a1, a1, 64
+        addi t3, t3, -1
+        bne t3, zero, loop
+        ld t5, 0(a2)
+        sd t3, 0(a2)           ; doorbell
+        ldi s0, 2
+      sweep:
+        li64 a1, 0x20000
+        ldi t3, 24
+      evict:
+        ld t4, 0(a1)
+        addi a1, a1, 0x20000   ; the L3 way span: same set at every level
+        addi t3, t3, -1
+        bne t3, zero, evict
+        addi s0, s0, -1
+        bne s0, zero, sweep
+      wait:
+        beq a0, zero, wait
+        halt
+    )", 0x1000);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    load(machine, program->Encode(), 0x1000);
+    ModelCore& core = machine.model_core(0);
+    core.PowerUpCore(0x1000);
+    core.AddWatchpoint(0x20000, 0x20008, false, false, true);
+    ASSERT_TRUE(core.Resume().ok());
+    RunToStop(core);
+    ASSERT_EQ(core.halt_reason(), HaltReason::kWatchpoint);
+    Cycles consumed = 0;
+    ASSERT_TRUE(core.SingleStep(consumed).ok());
+    ASSERT_TRUE(core.SingleStep(consumed).ok());
+    ASSERT_TRUE(core.Resume().ok());
+    RunToStop(core);
+    ASSERT_EQ(core.state(), RunState::kDone);
+    EXPECT_EQ(core.arch().x[static_cast<size_t>(*ParseRegister("a4"))],
+              static_cast<u64>(TrapCause::kTimerInterrupt));
+    EXPECT_EQ(RenderTiming(machine, 0),
+              "instr=602 cycles=31634 traps=1 mispredicts=7 doorbells=1 "
+              "l1i=599/4/0 l1d=65/111/40 l2=0/115/40 l3=0/115/32 tlb=0/0");
+  }
 }
 
 // --- IO DRAM ring tests ---

@@ -1,6 +1,8 @@
 // Unit tests for src/mem: DRAM, caches, TLB, MMU paging + exec lockdown.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
 #include "src/mem/mmu.h"
@@ -67,6 +69,29 @@ TEST(CacheTest, LruEviction) {
   EXPECT_FALSE(cache.Probe(128));
   EXPECT_TRUE(cache.Probe(256));
   EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(CacheTest, EvictionHookReportsVictimLineAddress) {
+  // 2-way, line 64, 32 sets: a set repeats every 2 KiB. The hook must get
+  // the victim's line base (tag, set, zero offset), the address an
+  // inclusive L3 back-invalidates in the caches above it.
+  Cache cache(CacheConfig{4096, 64, 2, 4});
+  std::vector<PhysAddr> evicted;
+  cache.set_eviction_hook([&evicted](PhysAddr line) { evicted.push_back(line); });
+  const PhysAddr set5 = 5 * 64;
+  cache.Access(0x7'0000'0000 + set5 + 17);
+  cache.Access(0x1'2345'6000 + set5 + 3);  // 0x...6000 is a multiple of 2 KiB
+  cache.Access(0x0800 + set5);             // evicts the first line (LRU)
+  cache.Access(~0ULL - 2047 + set5 + 60);  // the top set-5 line; evicts the second
+  cache.Access(0x0800 + set5 + 1);         // hit: no eviction
+  cache.Access(0x1000 + set5);             // evicts the top line
+  ASSERT_EQ(evicted.size(), 3u);
+  EXPECT_EQ(evicted[0], 0x7'0000'0000 + set5);
+  EXPECT_EQ(evicted[1], 0x1'2345'6000 + set5);
+  EXPECT_EQ(evicted[2], ~0ULL - 2047 + set5);
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_TRUE(cache.Probe(0x0800 + set5));
+  EXPECT_TRUE(cache.Probe(0x1000 + set5));
 }
 
 TEST(CacheTest, FlushInvalidatesAll) {

@@ -173,7 +173,9 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometrySweep,
                                            CacheGeometry{4096, 64, 4},
                                            CacheGeometry{32768, 64, 8},
                                            CacheGeometry{65536, 128, 16},
-                                           CacheGeometry{2048, 32, 2}));
+                                           CacheGeometry{2048, 32, 2},
+                                           // Ways need not be a power of two.
+                                           CacheGeometry{12288, 64, 3}));
 
 // --- Property: fully random MLPs match the GISA execution bit for bit. ---
 
