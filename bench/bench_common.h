@@ -1,6 +1,7 @@
 // Shared helpers for the experiment harnesses (bench_*.cc). Each binary
-// reproduces one table/figure from DESIGN.md section 3 and prints rows via
-// TextTable so EXPERIMENTS.md can quote them verbatim.
+// reproduces one experiment (E1-E12: a paper claim, or a fleet-scale SLO
+// built on the paper's mechanisms) and prints its rows via TextTable, so the
+// README's "Benches" and "Paper claims" tables can quote them verbatim.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 

@@ -89,10 +89,9 @@ void BM_CacheAccess(benchmark::State& state) {
   Cache l1(CacheConfig{32 * 1024, 64, 8, 4});
   Cache l2(CacheConfig{256 * 1024, 64, 8, 12});
   Cache l3(CacheConfig{2 * 1024 * 1024, 64, 16, 40});
-  const MemoryPathConfig path{200};
   u64 addr = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AccessThroughHierarchy(l1, l2, &l3, addr, path));
+    benchmark::DoNotOptimize(AccessThroughHierarchy(l1, l2, &l3, addr));
     addr = (addr + 64) % (8 << 20);
   }
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace guillotine {
 
@@ -64,13 +63,6 @@ double Histogram::Percentile(double p) const {
   const size_t rank = static_cast<size_t>(std::ceil(exact - 1e-9));
   const size_t idx = rank == 0 ? 0 : rank - 1;
   return sorted_[std::min(idx, sorted_.size() - 1)];
-}
-
-std::string Histogram::Summary() const {
-  std::ostringstream os;
-  os << "n=" << count() << " mean=" << mean() << " p50=" << Percentile(50)
-     << " p99=" << Percentile(99) << " max=" << max();
-  return os.str();
 }
 
 }  // namespace guillotine

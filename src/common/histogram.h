@@ -3,7 +3,6 @@
 #ifndef SRC_COMMON_HISTOGRAM_H_
 #define SRC_COMMON_HISTOGRAM_H_
 
-#include <string>
 #include <vector>
 
 #include "src/common/types.h"
@@ -26,9 +25,6 @@ class Histogram {
   // p in [0,100]; nearest-rank percentile.
   double Percentile(double p) const;
   double median() const { return Percentile(50.0); }
-
-  // "n=100 mean=4.2 p50=4 p99=9 max=12"
-  std::string Summary() const;
 
  private:
   void SortIfNeeded() const;

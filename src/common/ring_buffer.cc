@@ -31,13 +31,6 @@ std::optional<Bytes> ByteRing::Pop() {
   return out;
 }
 
-void ByteRing::Clear() {
-  head_ = 0;
-  tail_ = 0;
-  used_ = 0;
-  records_ = 0;
-}
-
 void ByteRing::WriteRaw(std::span<const u8> data) {
   for (u8 b : data) {
     buf_[tail_] = b;

@@ -39,9 +39,6 @@ class ByteRing {
   // Number of queued records.
   size_t record_count() const { return records_; }
 
-  // Drop all contents (used when a port is revoked or severed).
-  void Clear();
-
  private:
   void WriteRaw(std::span<const u8> data);
   void ReadRaw(u8* out, size_t n);

@@ -20,8 +20,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "FAILED_PRECONDITION";
     case StatusCode::kOutOfRange:
       return "OUT_OF_RANGE";
-    case StatusCode::kUnimplemented:
-      return "UNIMPLEMENTED";
     case StatusCode::kInternal:
       return "INTERNAL";
     case StatusCode::kUnavailable:
@@ -66,9 +64,6 @@ Status FailedPrecondition(std::string_view msg) {
   return Status(StatusCode::kFailedPrecondition, std::string(msg));
 }
 Status OutOfRange(std::string_view msg) { return Status(StatusCode::kOutOfRange, std::string(msg)); }
-Status Unimplemented(std::string_view msg) {
-  return Status(StatusCode::kUnimplemented, std::string(msg));
-}
 Status Internal(std::string_view msg) { return Status(StatusCode::kInternal, std::string(msg)); }
 Status Unavailable(std::string_view msg) {
   return Status(StatusCode::kUnavailable, std::string(msg));

@@ -26,7 +26,6 @@ enum class StatusCode {
   kResourceExhausted,  // ring full, queue full, quota hit
   kFailedPrecondition, // wrong isolation level, core not halted, ...
   kOutOfRange,         // address or index beyond bounds
-  kUnimplemented,
   kInternal,           // invariant violation inside the hypervisor TCB
   kUnavailable,        // device powered down / cable severed
   kDeadlineExceeded,
@@ -70,7 +69,6 @@ Status PermissionDenied(std::string_view msg);
 Status ResourceExhausted(std::string_view msg);
 Status FailedPrecondition(std::string_view msg);
 Status OutOfRange(std::string_view msg);
-Status Unimplemented(std::string_view msg);
 Status Internal(std::string_view msg);
 Status Unavailable(std::string_view msg);
 Status DeadlineExceeded(std::string_view msg);

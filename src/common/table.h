@@ -1,6 +1,6 @@
 // Fixed-width ASCII table printer. Bench binaries use it to emit the rows of
-// each reproduced "table/figure" (see DESIGN.md section 3) in a stable,
-// grep-friendly format that EXPERIMENTS.md quotes directly.
+// each reproduced paper table/figure in a stable, grep-friendly format that
+// the README's tables quote directly.
 #ifndef SRC_COMMON_TABLE_H_
 #define SRC_COMMON_TABLE_H_
 

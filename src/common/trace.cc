@@ -610,30 +610,6 @@ size_t EventTrace::MemoryFootprint() const {
 // Reset
 // ---------------------------------------------------------------------------
 
-void EventTrace::Clear() {
-  window_.clear();
-  legacy_details_.clear();
-  legacy_base_ = 0;
-  legacy_total_ = 0;
-  pinned_.clear();
-  pinned_seqs_.clear();
-  pinned_details_.clear();
-  for (std::deque<Posting>& posting : postings_) {
-    posting.clear();
-  }
-  std::fill(kind_counts_.begin(), kind_counts_.end(), 0);
-  std::fill(std::begin(category_counts_), std::end(category_counts_), 0);
-  total_ = 0;
-  digest_ = kFnvBasis;
-  folded_ = 0;
-  evicted_ = 0;
-  evicted_since_prune_ = 0;
-  view_.clear();
-  view_total_ = 0;
-  view_evicted_ = 0;
-  view_pinned_ = 0;
-}
-
 void EventTrace::EnsureKindSlots(u16 id) {
   if (postings_.size() <= id) {
     postings_.resize(id + 1);

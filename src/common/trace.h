@@ -166,11 +166,6 @@ class CompactEventStore {
       front_ = 0;
     }
   }
-  void clear() {
-    chunks_.clear();
-    front_ = 0;
-    size_ = 0;
-  }
   size_t MemoryBytes() const {
     return chunks_.size() * (kChunkEvents * sizeof(CompactTraceEvent) +
                              sizeof(std::unique_ptr<CompactTraceEvent[]>));
@@ -217,10 +212,6 @@ class EventTrace {
   // Retained event count (== total_recorded() unless retention evicted).
   size_t size() const { return pinned_.size() + window_.size(); }
   u64 total_recorded() const { return total_; }
-
-  // Resets events, digest, counters, and index. Interned ids and pinned-kind
-  // registrations survive (ids are stable for the trace's lifetime).
-  void Clear();
 
   // Number of retained events matching a predicate. Template, not
   // std::function: the invariant hot loop calls this per check, and a

@@ -1,7 +1,6 @@
 #include "src/crypto/simsig.h"
 
 #include <numeric>
-#include <sstream>
 
 namespace guillotine {
 
@@ -101,12 +100,6 @@ u64 DigestToScalar(std::span<const u8> message, u64 n) {
 }
 
 }  // namespace
-
-std::string SimSigPublicKey::ToString() const {
-  std::ostringstream os;
-  os << "simsig:" << std::hex << n << ":" << e;
-  return os.str();
-}
 
 SimSigKeyPair GenerateKeyPair(Rng& rng) {
   for (;;) {

@@ -2,8 +2,8 @@
 // simulation wherever the paper calls for PKI (regulator-issued X.509
 // certificates, attestation quotes, HSM threshold approvals).
 //
-// SUBSTITUTION NOTE (see DESIGN.md): the scheme is textbook RSA with a
-// ~62-bit modulus over SHA-256 digests. It is genuinely asymmetric —
+// SUBSTITUTION NOTE: the scheme is textbook RSA with a ~62-bit modulus
+// over SHA-256 digests. It is genuinely asymmetric —
 // verification needs only the public key — so every protocol in the
 // repository has the correct trust topology, but the parameters are far too
 // small to be secure. The experiments measure protocol behaviour (who can
@@ -24,7 +24,6 @@ struct SimSigPublicKey {
   u64 e = 0;  // public exponent
 
   bool operator==(const SimSigPublicKey&) const = default;
-  std::string ToString() const;
 };
 
 struct SimSigKeyPair {

@@ -52,12 +52,6 @@ Status PortTable::Revoke(u32 port_id) {
   return OkStatus();
 }
 
-void PortTable::RevokeAll() {
-  for (auto& [id, binding] : bindings_) {
-    binding.revoked = true;
-  }
-}
-
 std::vector<u32> PortTable::PortIds() const {
   std::vector<u32> out;
   out.reserve(bindings_.size());

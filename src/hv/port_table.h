@@ -107,7 +107,6 @@ class PortTable {
   PortBinding* Find(u32 port_id);
   const PortBinding* Find(u32 port_id) const;
   Status Revoke(u32 port_id);
-  void RevokeAll();
 
   std::vector<u32> PortIds() const;
   size_t size() const { return bindings_.size(); }

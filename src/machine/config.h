@@ -1,12 +1,16 @@
-// Machine topology configuration and the model-core physical address map.
+// Machine topology configuration, the fixed silicon parameters, and the
+// model-core physical address map.
 //
 // The defining Guillotine property (paper section 3.2) is encoded here as
 // an address map: a model core can reach its own DRAM and the shared IO DRAM
-// window, and nothing else. Hypervisor DRAM has no address — not a protected
-// address, no address — which is the simulator's equivalent of "the model
+// window, and nothing else. Hypervisor memory has no address at all: the
+// software hypervisor's state lives in host objects, out of reach of every
+// guest load and store, which is the simulator's equivalent of "the model
 // core lacks the physical buses needed to access hypervisor DRAM". The
+// hypervisor complex does have its own cache hierarchy (see hv_core.h); the
 // co_tenant_l3 flag exists only to build the *baseline* (traditional
-// hypervisor) configuration that experiment E2 compares against.
+// hypervisor) configuration in which that hierarchy shares the model's L3,
+// which experiment E2 compares against.
 #ifndef SRC_MACHINE_CONFIG_H_
 #define SRC_MACHINE_CONFIG_H_
 
@@ -17,6 +21,21 @@ namespace guillotine {
 
 // Model-core physical address map.
 inline constexpr PhysAddr kIoDramBase = 0x4000'0000;  // 1 GiB window base
+
+// Cache geometry, the same in both complexes (the hypervisor core builds no
+// L1i: it runs native code, see hv_core.h).
+inline constexpr CacheConfig kL1iConfig{16 * 1024, 64, 4, 2};
+inline constexpr CacheConfig kL1dConfig{32 * 1024, 64, 8, 4};
+inline constexpr CacheConfig kL2Config{256 * 1024, 64, 8, 12};
+inline constexpr CacheConfig kL3Config{2 * 1024 * 1024, 64, 16, 40};
+
+// Mispredicted-branch penalty for the bimodal predictor.
+inline constexpr Cycles kMispredictPenalty = 2;
+// Cycles to enter a trap handler / return from one.
+inline constexpr Cycles kTrapEntryCost = 5;
+
+// Silicon identity measured during attestation.
+inline constexpr u64 kSiliconId = 0x6715'0001;
 
 struct LapicConfig {
   bool throttle_enabled = true;
@@ -33,14 +52,7 @@ struct MachineConfig {
   int num_hv_cores = 1;
 
   size_t model_dram_bytes = 16 * 1024 * 1024;
-  size_t hv_dram_bytes = 16 * 1024 * 1024;
   size_t io_dram_bytes = 1 * 1024 * 1024;
-
-  CacheConfig l1i{16 * 1024, 64, 4, 2};
-  CacheConfig l1d{32 * 1024, 64, 8, 4};
-  CacheConfig l2{256 * 1024, 64, 8, 12};
-  CacheConfig l3{2 * 1024 * 1024, 64, 16, 40};
-  MemoryPathConfig mem_path{200};
 
   // Baseline-only: model complex and hypervisor complex share one L3, as on
   // a traditional virtualization-aware processor. Guillotine silicon keeps
@@ -48,14 +60,6 @@ struct MachineConfig {
   bool co_tenant_l3 = false;
 
   LapicConfig lapic;
-
-  // Mispredicted-branch penalty for the bimodal predictor.
-  Cycles mispredict_penalty = 2;
-  // Cycles to enter a trap handler / return from one.
-  Cycles trap_entry_cost = 5;
-
-  // Silicon identity measured during attestation.
-  u64 silicon_id = 0x6715'0001;
 };
 
 }  // namespace guillotine

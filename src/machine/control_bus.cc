@@ -159,15 +159,6 @@ Status ControlBus::ConfigureLockdown(int hv_core, int model_core, PhysAddr exec_
   return OkStatus();
 }
 
-Status ControlBus::DisarmLockdown(int hv_core, int model_core) {
-  GLL_RETURN_IF_ERROR(CheckCores(hv_core, model_core));
-  GLL_RETURN_IF_ERROR(RequireHalted(model_core));
-  machine_.model_core(model_core).SetLockdown(ExecLockdown{});
-  Charge(hv_core, kLockdownCost);
-  Log(hv_core, model_core, "ctl.lockdown_disarm");
-  return OkStatus();
-}
-
 Status ControlBus::FlushMicroarch(int hv_core, int model_core) {
   GLL_RETURN_IF_ERROR(CheckCores(hv_core, model_core));
   GLL_RETURN_IF_ERROR(RequireHalted(model_core));

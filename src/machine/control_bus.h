@@ -55,7 +55,6 @@ class ControlBus {
   // --- MMU lockdown ---
   Status ConfigureLockdown(int hv_core, int model_core, PhysAddr exec_base,
                            PhysAddr exec_bound);
-  Status DisarmLockdown(int hv_core, int model_core);
 
   // --- Microarchitectural hygiene ---
   Status FlushMicroarch(int hv_core, int model_core);
@@ -65,7 +64,7 @@ class ControlBus {
 
   // --- Private DRAM inspection bus ---
   // Requires every model core to be quiesced (the private bus arbitrates
-  // against a stopped complex; see DESIGN.md).
+  // against a stopped complex).
   Status ReadModelDram(int hv_core, PhysAddr addr, std::span<u8> out);
   Status WriteModelDram(int hv_core, PhysAddr addr, std::span<const u8> data);
 

@@ -2,12 +2,10 @@
 
 namespace guillotine {
 
-HypervisorCore::HypervisorCore(int id, const MachineConfig& config, Dram& hv_dram,
-                               Cache* l3)
+HypervisorCore::HypervisorCore(int id, const MachineConfig& config, Cache* l3)
     : id_(id),
-      config_(config),
-      hv_dram_(hv_dram),
-      caches_(config.l1i, config.l1d, config.l2),
+      l1d_(kL1dConfig, "l1d"),
+      l2_(kL2Config, "l2"),
       l3_(l3),
       lapic_(config.lapic) {}
 
@@ -28,8 +26,7 @@ std::vector<u32> HypervisorCore::TakePendingIrqs() {
 Cycles HypervisorCore::AccessMemory(PhysAddr addr) {
   // The offset keeps hypervisor tags distinct from model tags in a co-tenant
   // L3 while preserving set indices (the offset is far above any L3 size).
-  return AccessThroughHierarchy(caches_.l1d, caches_.l2, l3_, addr + kHvPhysOffset,
-                                config_.mem_path);
+  return AccessThroughHierarchy(l1d_, l2_, l3_, addr + kHvPhysOffset);
 }
 
 }  // namespace guillotine

@@ -1,13 +1,13 @@
 // HypervisorCore: a core of the hypervisor complex.
 //
 // Hypervisor cores run the (native C++) software hypervisor, so unlike
-// model cores they are not an interpreter; what the simulator models is
-// their *costs* and their *microarchitectural footprint*: every management
-// and port-servicing operation charges cycles here, and every memory touch
-// goes through a private cache hierarchy. In the Guillotine configuration
-// that hierarchy is disjoint from the model complex; in the co-tenant
-// baseline both complexes share an L3, which is precisely the side channel
-// experiment E2 measures.
+// model cores they are not an interpreter, and the hypervisor's state lives
+// in host objects rather than in a simulated DRAM. What the simulator models
+// per core is its doorbell LAPIC, its busy-cycle accounting and its data-side
+// cache footprint: a private L1d and L2 over the complex's L3. In the
+// Guillotine configuration that hierarchy is disjoint from the model complex;
+// in the co-tenant baseline both complexes share an L3, which is precisely
+// the side channel experiment E2 measures.
 #ifndef SRC_MACHINE_HV_CORE_H_
 #define SRC_MACHINE_HV_CORE_H_
 
@@ -18,7 +18,6 @@
 #include "src/machine/config.h"
 #include "src/machine/lapic.h"
 #include "src/mem/cache.h"
-#include "src/mem/dram.h"
 
 namespace guillotine {
 
@@ -29,11 +28,10 @@ inline constexpr PhysAddr kHvPhysOffset = 1ULL << 33;
 
 class HypervisorCore {
  public:
-  HypervisorCore(int id, const MachineConfig& config, Dram& hv_dram, Cache* l3);
+  HypervisorCore(int id, const MachineConfig& config, Cache* l3);
 
   int id() const { return id_; }
   Lapic& lapic() { return lapic_; }
-  Dram& dram() { return hv_dram_; }
 
   // Doorbell path: the machine calls this when a model core rings a port
   // doorbell. The LAPIC token bucket decides delivery vs coalescing.
@@ -59,19 +57,15 @@ class HypervisorCore {
   u64 busy_cycles() const { return busy_cycles_; }
   void ResetAccounting() { busy_cycles_ = 0; }
 
-  // Touches one cache line through the private hierarchy; returns latency.
-  // Used both for realistic servicing costs and as the victim/receiver side
-  // of the covert-channel experiments.
+  // Touches one cache line through L1d -> L2 -> the complex's L3; returns
+  // latency. Its caller is experiment E2, where the hypervisor core is the
+  // sender side of the cross-tenant covert channel.
   Cycles AccessMemory(PhysAddr addr);
-
-  CoreCaches& caches() { return caches_; }
-  void FlushMicroarch() { caches_.Flush(); }
 
  private:
   int id_;
-  const MachineConfig& config_;
-  Dram& hv_dram_;
-  CoreCaches caches_;
+  Cache l1d_;
+  Cache l2_;
   Cache* l3_;
   Lapic lapic_;
   std::deque<u32> pending_irqs_;

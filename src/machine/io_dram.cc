@@ -99,12 +99,6 @@ Result<PortRegion> IoDram::AllocatePortRegion(u32 port_id, u32 slot_bytes,
   return region;
 }
 
-void IoDram::Reset() {
-  regions_.clear();
-  alloc_cursor_ = 0;
-  dram_.Clear();
-}
-
 std::optional<PortRegion> IoDram::FindRegion(u32 port_id) const {
   const auto it = regions_.find(port_id);
   if (it == regions_.end()) {

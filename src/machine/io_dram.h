@@ -109,8 +109,6 @@ class IoDram {
   // Carves a request/response ring pair + doorbell for `port_id`.
   Result<PortRegion> AllocatePortRegion(u32 port_id, u32 slot_bytes = 256,
                                         u32 slot_count = 16);
-  // Releases all regions (used when a model is unloaded).
-  void Reset();
 
   std::optional<PortRegion> FindRegion(u32 port_id) const;
 

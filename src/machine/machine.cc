@@ -9,26 +9,25 @@ Machine::Machine(const MachineConfig& config, SimClock& clock, EventTrace& trace
       clock_(clock),
       trace_(trace),
       model_dram_(config.model_dram_bytes, "model_dram"),
-      hv_dram_(config.hv_dram_bytes, "hv_dram"),
       io_dram_(config.io_dram_bytes) {
-  model_l3_ = std::make_unique<Cache>(config.l3, "model_l3");
+  model_l3_ = std::make_unique<Cache>(kL3Config, "model_l3");
   if (config.co_tenant_l3) {
     // Baseline topology: one L3 serves both complexes.
     hv_l3_ = nullptr;
   } else {
-    hv_l3_ = std::make_unique<Cache>(config.l3, "hv_l3");
+    hv_l3_ = std::make_unique<Cache>(kL3Config, "hv_l3");
   }
 
   for (int i = 0; i < config.num_model_cores; ++i) {
-    auto core = std::make_unique<ModelCore>(i, config_, model_dram_, io_dram_,
-                                            model_l3_.get(), &trace_);
+    auto core = std::make_unique<ModelCore>(i, model_dram_, io_dram_, model_l3_.get(),
+                                            &trace_);
     core->set_doorbell_handler(
         [this](u32 port_id, int core_id) { OnDoorbell(port_id, core_id); });
     model_cores_.push_back(std::move(core));
   }
   Cache* hv_l3_ptr = config.co_tenant_l3 ? model_l3_.get() : hv_l3_.get();
   for (int i = 0; i < config.num_hv_cores; ++i) {
-    hv_cores_.push_back(std::make_unique<HypervisorCore>(i, config_, hv_dram_, hv_l3_ptr));
+    hv_cores_.push_back(std::make_unique<HypervisorCore>(i, config_, hv_l3_ptr));
   }
 
   // Inclusive L3: an L3 eviction back-invalidates the private caches of
@@ -136,7 +135,7 @@ void Machine::MeasureSilicon(MeasurementRegister& reg) const {
        << ";model_dram=" << config_.model_dram_bytes
        << ";io_dram=" << config_.io_dram_bytes;
   Bytes silicon;
-  PutU64(silicon, config_.silicon_id);
+  PutU64(silicon, kSiliconId);
   reg.Extend("silicon_id", silicon);
   reg.Extend("topology", topo.str());
 }

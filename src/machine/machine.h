@@ -1,8 +1,8 @@
 // Machine: one Guillotine board — model-core complex, hypervisor-core
-// complex, three DRAM pools, devices, and the buses between them (Figure 1
-// of the paper). The Machine provides mechanism only; policy (port
-// capabilities, detectors, isolation transitions) lives in the software,
-// physical, and policy hypervisor modules layered above it.
+// complex, model DRAM, the shared IO DRAM, devices, and the buses between
+// them (Figure 1 of the paper). The Machine provides mechanism only; policy
+// (port capabilities, detectors, isolation transitions) lives in the
+// software, physical, and policy hypervisor modules layered above it.
 #ifndef SRC_MACHINE_MACHINE_H_
 #define SRC_MACHINE_MACHINE_H_
 
@@ -35,7 +35,6 @@ class Machine {
   ModelCore& model_core(int i) { return *model_cores_[static_cast<size_t>(i)]; }
   HypervisorCore& hv_core(int i) { return *hv_cores_[static_cast<size_t>(i)]; }
   Dram& model_dram() { return model_dram_; }
-  Dram& hv_dram() { return hv_dram_; }
   IoDram& io_dram() { return io_dram_; }
   Cache& model_l3() { return *model_l3_; }
   Cache& hv_l3() { return *hv_l3_; }
@@ -90,7 +89,6 @@ class Machine {
   EventTrace& trace_;
 
   Dram model_dram_;
-  Dram hv_dram_;
   IoDram io_dram_;
 
   std::unique_ptr<Cache> model_l3_;

@@ -41,14 +41,13 @@ std::string_view HaltReasonName(HaltReason r) {
   return "?";
 }
 
-ModelCore::ModelCore(int id, const MachineConfig& config, Dram& model_dram,
-                     IoDram& io_dram, Cache* l3, EventTrace* trace)
+ModelCore::ModelCore(int id, Dram& model_dram, IoDram& io_dram, Cache* l3,
+                     EventTrace* trace)
     : id_(id),
-      config_(config),
       model_dram_(model_dram),
       io_dram_(io_dram),
       trace_(trace),
-      caches_(config.l1i, config.l1d, config.l2),
+      caches_(kL1iConfig, kL1dConfig, kL2Config),
       l3_(l3) {
   arch_.WriteCsr(Csr::kCoreId, static_cast<u64>(id));
 }
@@ -191,8 +190,7 @@ ModelCore::MemAccess ModelCore::AccessMemory(VirtAddr va, AccessType type,
       out.watchpoint_hit = true;
       return out;
     }
-    out.latency += AccessThroughHierarchy(caches_.l1i, caches_.l2, l3_, pa,
-                                          config_.mem_path);
+    out.latency += AccessThroughHierarchy(caches_.l1i, caches_.l2, l3_, pa);
     return out;
   }
 
@@ -201,8 +199,7 @@ ModelCore::MemAccess ModelCore::AccessMemory(VirtAddr va, AccessType type,
       out.watchpoint_hit = true;
       return out;
     }
-    out.latency += AccessThroughHierarchy(caches_.l1d, caches_.l2, l3_, pa,
-                                          config_.mem_path);
+    out.latency += AccessThroughHierarchy(caches_.l1d, caches_.l2, l3_, pa);
     return out;
   }
   if (InIoWindow(pa, len)) {
@@ -340,8 +337,8 @@ Cycles ModelCore::ExecuteOne() {
     const TrapCause cause = pending_irqs_.front();
     pending_irqs_.pop_front();
     EnterTrap(cause, arch_.pc);
-    stats_.cycles += config_.trap_entry_cost;
-    return config_.trap_entry_cost;
+    stats_.cycles += kTrapEntryCost;
+    return kTrapEntryCost;
   }
 
   const u64 pc = arch_.pc;
@@ -362,7 +359,7 @@ Cycles ModelCore::ExecuteOne() {
   }
   if (fetch.fault != TrapCause::kNone) {
     EnterTrap(fetch.fault, pc);
-    cost += config_.trap_entry_cost;
+    cost += kTrapEntryCost;
     stats_.cycles += cost;
     return cost;
   }
@@ -372,7 +369,7 @@ Cycles ModelCore::ExecuteOne() {
   const auto decoded = DecodeInstruction(raw);
   if (!decoded.has_value()) {
     EnterTrap(TrapCause::kIllegalInstruction, pc);
-    cost += config_.trap_entry_cost;
+    cost += kTrapEntryCost;
     stats_.cycles += cost;
     return cost;
   }
@@ -507,14 +504,14 @@ Cycles ModelCore::ExecuteOne() {
       }
       if (acc.fault != TrapCause::kNone) {
         EnterTrap(acc.fault, pc);
-        cost += config_.trap_entry_cost;
+        cost += kTrapEntryCost;
         stats_.cycles += cost;
         return cost;
       }
       u64 loaded = 0;
       if (!ReadPhys(acc.pa, len, loaded)) {
         EnterTrap(TrapCause::kLoadFault, pc);
-        cost += config_.trap_entry_cost;
+        cost += kTrapEntryCost;
         stats_.cycles += cost;
         return cost;
       }
@@ -554,13 +551,13 @@ Cycles ModelCore::ExecuteOne() {
       }
       if (acc.fault != TrapCause::kNone) {
         EnterTrap(acc.fault, pc);
-        cost += config_.trap_entry_cost;
+        cost += kTrapEntryCost;
         stats_.cycles += cost;
         return cost;
       }
       if (!WritePhys(acc.pa, len, rs2)) {
         EnterTrap(TrapCause::kStoreFault, pc);
-        cost += config_.trap_entry_cost;
+        cost += kTrapEntryCost;
         stats_.cycles += cost;
         return cost;
       }
@@ -594,7 +591,7 @@ Cycles ModelCore::ExecuteOne() {
           break;
       }
       if (!predictor_.Update(pc, taken)) {
-        cost += config_.mispredict_penalty;
+        cost += kMispredictPenalty;
         ++stats_.branch_mispredicts;
       }
       if (taken) {
@@ -623,7 +620,7 @@ Cycles ModelCore::ExecuteOne() {
       return cost;
     case Opcode::kEbreak:
       EnterTrap(TrapCause::kBreakpoint, pc);
-      cost += config_.trap_entry_cost;
+      cost += kTrapEntryCost;
       stats_.cycles += cost;
       ++stats_.instructions;
       return cost;
@@ -631,7 +628,7 @@ Cycles ModelCore::ExecuteOne() {
       const auto csr = static_cast<Csr>(in.imm);
       if (in.imm < 0 || in.imm >= static_cast<i32>(Csr::kCount)) {
         EnterTrap(TrapCause::kIllegalInstruction, pc);
-        cost += config_.trap_entry_cost;
+        cost += kTrapEntryCost;
         stats_.cycles += cost;
         return cost;
       }
@@ -649,7 +646,7 @@ Cycles ModelCore::ExecuteOne() {
                             csr != Csr::kCycle && csr != Csr::kCoreId;
       if (!writable) {
         EnterTrap(TrapCause::kIllegalInstruction, pc);
-        cost += config_.trap_entry_cost;
+        cost += kTrapEntryCost;
         stats_.cycles += cost;
         return cost;
       }

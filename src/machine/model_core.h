@@ -38,8 +38,7 @@ class ModelCore {
  public:
   // `l3` is the model complex's shared L3 (may be co-tenant in the baseline
   // configuration). `trace` may be null.
-  ModelCore(int id, const MachineConfig& config, Dram& model_dram, IoDram& io_dram,
-            Cache* l3, EventTrace* trace);
+  ModelCore(int id, Dram& model_dram, IoDram& io_dram, Cache* l3, EventTrace* trace);
 
   using DoorbellFn = std::function<void(u32 port_id, int core_id)>;
   void set_doorbell_handler(DoorbellFn fn) { doorbell_fn_ = std::move(fn); }
@@ -106,7 +105,6 @@ class ModelCore {
   Cycles ExecuteOne();  // single instruction, no state gate
 
   int id_;
-  const MachineConfig& config_;
   Dram& model_dram_;
   IoDram& io_dram_;
   EventTrace* trace_;

@@ -76,20 +76,4 @@ IoResponse StorageDevice::Handle(const IoRequest& request, Cycles /*now*/,
   return resp;
 }
 
-Status StorageDevice::WriteSectors(u64 sector, std::span<const u8> data) {
-  if (sector * sector_bytes_ + data.size() > blocks_.size()) {
-    return OutOfRange("storage write past end");
-  }
-  std::memcpy(blocks_.data() + sector * sector_bytes_, data.data(), data.size());
-  return OkStatus();
-}
-
-Status StorageDevice::ReadSectors(u64 sector, std::span<u8> out) const {
-  if (sector * sector_bytes_ + out.size() > blocks_.size()) {
-    return OutOfRange("storage read past end");
-  }
-  std::memcpy(out.data(), blocks_.data() + sector * sector_bytes_, out.size());
-  return OkStatus();
-}
-
 }  // namespace guillotine

@@ -27,11 +27,6 @@ class StorageDevice : public Device {
   IoResponse Handle(const IoRequest& request, Cycles now,
                     Cycles& service_cycles) override;
 
-  // Out-of-band accessors for test/bench setup (loading datasets onto the
-  // "disk" before the model boots).
-  Status WriteSectors(u64 sector, std::span<const u8> data);
-  Status ReadSectors(u64 sector, std::span<u8> out) const;
-
  private:
   u64 num_sectors_;
   u32 sector_bytes_;

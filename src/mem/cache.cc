@@ -85,8 +85,7 @@ bool Cache::Invalidate(PhysAddr addr) {
   return false;
 }
 
-Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr,
-                              const MemoryPathConfig& path) {
+Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr) {
   if (l1.Access(addr)) {
     return l1.hit_latency();
   }
@@ -97,9 +96,9 @@ Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr,
     if (l3->Access(addr)) {
       return l1.hit_latency() + l2.hit_latency() + l3->hit_latency();
     }
-    return l1.hit_latency() + l2.hit_latency() + l3->hit_latency() + path.dram_latency;
+    return l1.hit_latency() + l2.hit_latency() + l3->hit_latency() + kDramLatency;
   }
-  return l1.hit_latency() + l2.hit_latency() + path.dram_latency;
+  return l1.hit_latency() + l2.hit_latency() + kDramLatency;
 }
 
 }  // namespace guillotine

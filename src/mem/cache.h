@@ -123,17 +123,15 @@ struct CoreCaches {
   }
 };
 
-// A full lookup path: L1 -> L2 -> (shared) L3 -> DRAM. The L3 pointer may be
-// shared between complexes only in the co-tenant baseline configuration; a
-// Guillotine build gives each complex its own L3.
-struct MemoryPathConfig {
-  Cycles dram_latency = 200;
-};
+// Cycles a miss in every cache level pays to reach DRAM.
+inline constexpr Cycles kDramLatency = 200;
 
-// Computes the access latency and updates all cache levels.
-// `l3` may be null (no L3 level, straight to DRAM).
-Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr,
-                              const MemoryPathConfig& path);
+// A full lookup path: L1 -> L2 -> (shared) L3 -> DRAM. Computes the access
+// latency and updates all cache levels. `l3` may be null (no L3 level,
+// straight to DRAM). The L3 may be shared between complexes only in the
+// co-tenant baseline configuration; a Guillotine build gives each complex
+// its own L3.
+Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr);
 
 }  // namespace guillotine
 

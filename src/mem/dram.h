@@ -3,9 +3,11 @@
 // Guillotine machines have three physically disjoint DRAM pools (paper
 // section 3.2): model DRAM (reachable from model cores and, via a private
 // inspection bus, from hypervisor cores), hypervisor DRAM (never reachable
-// from model cores — there is no API from model-core code to a hypervisor
-// Dram object, which is the simulator's rendition of "the physical buses do
-// not exist"), and the shared IO DRAM region used by the port API.
+// from model cores), and the shared IO DRAM region used by the port API.
+// The simulator builds a Dram for model DRAM only. Hypervisor memory is the
+// host memory the software hypervisor's objects live in, and no model-core
+// code has an API that reaches it, which is the simulator's rendition of
+// "the physical buses do not exist".
 #ifndef SRC_MEM_DRAM_H_
 #define SRC_MEM_DRAM_H_
 

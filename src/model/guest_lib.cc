@@ -100,12 +100,4 @@ ProgramBuilder::Label EmitPortRecvFn(ProgramBuilder& b, const PortGuestInfo& por
   return fn;
 }
 
-void EmitSpin(ProgramBuilder& b, u32 iterations) {
-  const auto loop = b.NewLabel();
-  b.Ldi(kT0, static_cast<i32>(iterations));
-  b.Bind(loop);
-  b.Emit(Opcode::kAddi, kT0, kT0, 0, -1);
-  b.Branch(Opcode::kBne, kT0, kZero, loop);
-}
-
 }  // namespace guillotine

@@ -25,9 +25,6 @@ ProgramBuilder::Label EmitPortSendFn(ProgramBuilder& b, const PortGuestInfo& por
 // Emits the blocking receive subroutine for `port`.
 ProgramBuilder::Label EmitPortRecvFn(ProgramBuilder& b, const PortGuestInfo& port);
 
-// Emits a busy-wait loop of approximately `iterations` back-edges.
-void EmitSpin(ProgramBuilder& b, u32 iterations);
-
 }  // namespace guillotine
 
 #endif  // SRC_MODEL_GUEST_LIB_H_

@@ -1,6 +1,6 @@
 // Synthetic model weights: a fixed-point multi-layer perceptron.
 //
-// SUBSTITUTION NOTE (DESIGN.md): the paper's subject is a frontier-scale
+// SUBSTITUTION NOTE: the paper's subject is a frontier-scale
 // model; what its mechanisms need from the workload is (a) weights resident
 // in model DRAM, (b) a layer-structured forward pass whose intermediate
 // activations can be inspected/steered at layer boundaries, and (c) a

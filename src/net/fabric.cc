@@ -11,8 +11,6 @@ void NetFabric::AttachHost(u32 host_id, ReceiveFn receiver) {
   hosts_[host_id] = std::move(receiver);
 }
 
-void NetFabric::DetachHost(u32 host_id) { hosts_.erase(host_id); }
-
 bool NetFabric::set_loss(double rate, Rng* rng) {
   if (rate > 0.0 && rng == nullptr) {
     return false;  // a lossy fabric without a seeded coin is unreproducible

@@ -28,7 +28,6 @@ class NetFabric {
   // Send() to reply.
   using ReceiveFn = std::function<void(const Frame&)>;
   void AttachHost(u32 host_id, ReceiveFn receiver);
-  void DetachHost(u32 host_id);
 
   // Queues a frame from a callback-backed host.
   void Send(Frame frame);

@@ -226,7 +226,6 @@ Result<Cycles> ControlConsole::ExecuteTransition(IsolationLevel target,
       machine.PowerOffBoard();
       // Destruction of DRAM contents — the model ceases to exist.
       machine.model_dram().Clear();
-      machine.hv_dram().Clear();
       if (fabric_ != nullptr && config_.fabric_host.has_value()) {
         fabric_->SetHostSevered(*config_.fabric_host, true);
       }

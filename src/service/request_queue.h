@@ -1,12 +1,10 @@
-// Model-service request plumbing (paper section 2 "Background"): a model
+// Model-service request records (paper section 2 "Background"): a model
 // service is a distributed system with request queues in front of model
-// replicas. This module provides the queue, the request/response records,
-// and latency accounting for the end-to-end experiments.
+// replicas. The queues themselves are the shards' (see shard.h); this module
+// holds what they carry: requests, their routing slots and their outcomes.
 #ifndef SRC_SERVICE_REQUEST_QUEUE_H_
 #define SRC_SERVICE_REQUEST_QUEUE_H_
 
-#include <deque>
-#include <optional>
 #include <string>
 
 #include "src/common/types.h"
@@ -54,31 +52,6 @@ struct RequestSlot {
   RequestOutcome outcome;
   size_t owner = 0;   // owning shard per the routing decision
   bool done = false;  // outcome finalized (completed, failed, or blocked)
-};
-
-struct InferenceResponse {
-  u64 id = 0;
-  bool ok = false;
-  std::string completion;
-  std::string error;
-  Cycles arrival = 0;
-  Cycles completion_time = 0;
-  Cycles latency() const { return completion_time - arrival; }
-};
-
-class RequestQueue {
- public:
-  explicit RequestQueue(size_t capacity = 1024) : capacity_(capacity) {}
-
-  bool Push(InferenceRequest request);
-  std::optional<InferenceRequest> Pop();
-  size_t depth() const { return queue_.size(); }
-  u64 rejected() const { return rejected_; }
-
- private:
-  size_t capacity_;
-  std::deque<InferenceRequest> queue_;
-  u64 rejected_ = 0;
 };
 
 }  // namespace guillotine

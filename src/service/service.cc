@@ -87,14 +87,6 @@ void ModelService::AddReplica(InferenceReplica* replica, size_t shard) {
   ring_stale_ = true;
 }
 
-size_t ModelService::num_replicas() const {
-  size_t n = 0;
-  for (const auto& s : shards_) {
-    n += s->num_replicas();
-  }
-  return n;
-}
-
 std::vector<size_t> ModelService::EligibleShards() const {
   std::vector<size_t> eligible;
   for (size_t i = 0; i < active_shards_ && i < shards_.size(); ++i) {

@@ -119,7 +119,6 @@ class ModelService {
   void AddReplica(InferenceReplica* replica);
   void AddReplica(InferenceReplica* replica, size_t shard);
 
-  size_t num_replicas() const;
   size_t num_shards() const { return shards_.size(); }
   ServiceShard& shard(size_t i) { return *shards_[i]; }
   const ServiceShard& shard(size_t i) const { return *shards_[i]; }

@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "src/core/guillotine.h"
-#include "src/hv/audit_report.h"
 #include "src/hv/snapshot.h"
 #include "src/machine/storage.h"
 
@@ -350,31 +349,6 @@ TEST_F(HvExtrasTest, SnapshotRequiresQuiescedComplex) {
   ASSERT_TRUE(hv_.LoadModel(0, code, 0x1000, 0x1000).ok());
   ASSERT_TRUE(hv_.StartModel(0).ok());
   EXPECT_FALSE(CaptureSnapshot(hv_, 0).ok());
-}
-
-TEST_F(HvExtrasTest, AuditReportAggregatesPortsAndSecurity) {
-  PortRights rights;
-  rights.can_send = false;
-  const auto blocked_port = hv_.CreatePort(disk_index_, rights);
-  const auto open_port = hv_.CreatePort(disk_index_, PortRights{});
-  ASSERT_TRUE(blocked_port.ok());
-  ASSERT_TRUE(open_port.ok());
-  PushAndService(*blocked_port, static_cast<u32>(StorageOpcode::kInfo));
-  PushAndService(*open_port, static_cast<u32>(StorageOpcode::kInfo));
-  hv_.ApplySoftwareIsolation(IsolationLevel::kProbation);
-
-  const AuditReport report = BuildAuditReport(hv_, trace_);
-  EXPECT_EQ(report.ports.size(), 2u);
-  EXPECT_EQ(report.ports[0].rejected, 1u);
-  EXPECT_EQ(report.ports[1].requests, 1u);
-  EXPECT_GE(report.security_events.size(), 1u);  // the rejection
-  ASSERT_GE(report.isolation_timeline.size(), 1u);
-  EXPECT_EQ(report.isolation_timeline.back().level, IsolationLevel::kProbation);
-
-  const std::string rendered = RenderAuditReport(report);
-  EXPECT_NE(rendered.find("AUDIT REPORT"), std::string::npos);
-  EXPECT_NE(rendered.find("port 0"), std::string::npos);
-  EXPECT_NE(rendered.find("probation"), std::string::npos);
 }
 
 // --- Probation policy through the full console path ---

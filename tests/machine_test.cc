@@ -519,6 +519,67 @@ TEST_F(MachineTest, MeasureSiliconCommitsToTopology) {
   EXPECT_FALSE(DigestEqual(a.value(), b.value()));
 }
 
+// What a sweep of hypervisor-core accesses did to the model complex's L3.
+struct HvSweepFootprint {
+  size_t model_lines_evicted = 0;  // primed model lines no longer resident
+  size_t hv_lines_resident = 0;    // swept hv lines found in the model L3
+  bool l3_stats_moved = false;     // any hit, miss or eviction recorded
+};
+
+// Fills 64 sets of the model L3 with model lines (every way), then has hv
+// core 0 touch twice as many lines per set at the same physical addresses
+// (what the E2 sender does), and inspects the model L3.
+HvSweepFootprint SweepHvOverModelL3(Machine& machine) {
+  constexpr u64 kSets = 64;
+  const size_t ways = machine.model_l3().config().ways;
+  const u64 way_span = machine.model_l3().config().num_sets() * 64;
+  Cache& l3 = machine.model_l3();
+  for (u64 set = 0; set < kSets; ++set) {
+    for (u64 way = 0; way < ways; ++way) {
+      l3.Access(set * 64 + way * way_span);
+    }
+  }
+  const CacheStats before = l3.stats();
+  for (u64 set = 0; set < kSets; ++set) {
+    for (u64 k = 0; k < 2 * ways; ++k) {
+      machine.hv_core(0).AccessMemory(set * 64 + k * way_span);
+    }
+  }
+  HvSweepFootprint out;
+  for (u64 set = 0; set < kSets; ++set) {
+    for (u64 k = 0; k < 2 * ways; ++k) {
+      const PhysAddr addr = set * 64 + k * way_span;
+      out.model_lines_evicted += k < ways && !l3.Probe(addr);
+      out.hv_lines_resident += l3.Probe(addr + kHvPhysOffset);
+    }
+  }
+  const CacheStats& after = l3.stats();
+  out.l3_stats_moved = after.hits != before.hits || after.misses != before.misses ||
+                       after.evictions != before.evictions;
+  return out;
+}
+
+// The Guillotine topology gives the hypervisor complex its own L3: hv
+// accesses install no line in the model L3 and evict none of the model's.
+// The co-tenant baseline shares one L3, so the same sweep lands there and
+// evicts every primed model line (the E2 side channel).
+TEST_F(MachineTest, HvAccessesStayOutOfTheSplitModelL3) {
+  const HvSweepFootprint split = SweepHvOverModelL3(machine_);
+  EXPECT_EQ(split.model_lines_evicted, 0u);
+  EXPECT_EQ(split.hv_lines_resident, 0u);
+  EXPECT_FALSE(split.l3_stats_moved);
+
+  SimClock clock;
+  EventTrace trace;
+  MachineConfig config = SmallConfig();
+  config.co_tenant_l3 = true;
+  Machine co_tenant(config, clock, trace);
+  const HvSweepFootprint shared = SweepHvOverModelL3(co_tenant);
+  EXPECT_EQ(shared.model_lines_evicted, 64u * kL3Config.ways);
+  EXPECT_EQ(shared.hv_lines_resident, 64u * kL3Config.ways);
+  EXPECT_TRUE(shared.l3_stats_moved);
+}
+
 TEST_F(MachineTest, FetchFromWrappedAddressFaults) {
   // pc = 2^64 - 8: pc + 8 wraps to 0, which must not pass for "inside model
   // DRAM". The fetch faults before any cache sees the bogus line.

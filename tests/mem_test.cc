@@ -117,27 +117,25 @@ TEST(CacheTest, HierarchyLatencies) {
   Cache l1(CacheConfig{1024, 64, 2, 4});
   Cache l2(CacheConfig{4096, 64, 4, 12});
   Cache l3(CacheConfig{16384, 64, 8, 40});
-  const MemoryPathConfig path{200};
   // Cold: L1 + L2 + L3 + DRAM.
-  EXPECT_EQ(AccessThroughHierarchy(l1, l2, &l3, 0x40, path), 4u + 12 + 40 + 200);
+  EXPECT_EQ(AccessThroughHierarchy(l1, l2, &l3, 0x40), 4u + 12 + 40 + 200);
   // Warm: L1 hit.
-  EXPECT_EQ(AccessThroughHierarchy(l1, l2, &l3, 0x40, path), 4u);
+  EXPECT_EQ(AccessThroughHierarchy(l1, l2, &l3, 0x40), 4u);
   // No L3 configured: straight to DRAM on miss.
   Cache l1b(CacheConfig{1024, 64, 2, 4});
   Cache l2b(CacheConfig{4096, 64, 4, 12});
-  EXPECT_EQ(AccessThroughHierarchy(l1b, l2b, nullptr, 0x40, path), 4u + 12 + 200);
+  EXPECT_EQ(AccessThroughHierarchy(l1b, l2b, nullptr, 0x40), 4u + 12 + 200);
 }
 
 TEST(CacheTest, L2CatchesL1Eviction) {
   // L1: 2 sets; L2 big enough to keep everything.
   Cache l1(CacheConfig{256, 64, 2, 4});
   Cache l2(CacheConfig{4096, 64, 4, 12});
-  const MemoryPathConfig path{200};
-  AccessThroughHierarchy(l1, l2, nullptr, 0, path);
-  AccessThroughHierarchy(l1, l2, nullptr, 128, path);
-  AccessThroughHierarchy(l1, l2, nullptr, 256, path);  // evicts 0 from L1
+  AccessThroughHierarchy(l1, l2, nullptr, 0);
+  AccessThroughHierarchy(l1, l2, nullptr, 128);
+  AccessThroughHierarchy(l1, l2, nullptr, 256);  // evicts 0 from L1
   // 0 now misses L1 but hits L2.
-  EXPECT_EQ(AccessThroughHierarchy(l1, l2, nullptr, 0, path), 4u + 12);
+  EXPECT_EQ(AccessThroughHierarchy(l1, l2, nullptr, 0), 4u + 12);
 }
 
 TEST(TlbTest, InsertLookupFlush) {

@@ -15,17 +15,6 @@
 namespace guillotine {
 namespace {
 
-TEST(RequestQueueTest, FifoAndCapacity) {
-  RequestQueue queue(2);
-  EXPECT_TRUE(queue.Push({1, "a", 0, 0}));
-  EXPECT_TRUE(queue.Push({2, "b", 0, 0}));
-  EXPECT_FALSE(queue.Push({3, "c", 0, 0}));
-  EXPECT_EQ(queue.rejected(), 1u);
-  EXPECT_EQ(queue.Pop()->id, 1u);
-  EXPECT_EQ(queue.Pop()->id, 2u);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
 TEST(KvCacheTest, PrefixReuseWithinSession) {
   KvCache cache(KvCacheConfig{64, 16});
   EXPECT_EQ(cache.Extend(1, 32, 100), 0u);   // cold
