@@ -97,6 +97,26 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
+// Builds and destroys one Machine, the construction every deployment pays.
+// Arg 0 is the scenario harness's board (1 model core, 1 hv core, 1 MiB model
+// DRAM, 512 KiB IO DRAM); arg 1 is the MachineConfig default (2 model cores,
+// 16 MiB model DRAM, 1 MiB IO DRAM).
+void BM_MachineBuild(benchmark::State& state) {
+  MachineConfig config;
+  if (state.range(0) == 0) {
+    config.num_model_cores = 1;
+    config.model_dram_bytes = 1 << 20;
+    config.io_dram_bytes = 512 * 1024;
+  }
+  SimClock clock;
+  EventTrace trace;
+  for (auto _ : state) {
+    Machine machine(config, clock, trace);
+    benchmark::DoNotOptimize(&machine);
+  }
+}
+BENCHMARK(BM_MachineBuild)->ArgName("default_config")->Arg(0)->Arg(1);
+
 void BM_Sha256_4KiB(benchmark::State& state) {
   Bytes data(4096, 0xA5);
   for (auto _ : state) {

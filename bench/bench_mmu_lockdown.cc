@@ -4,6 +4,11 @@
 // regions stops runtime code injection and is "cheap at the hardware level".
 // We run the code-injection corpus with the lockdown armed and disarmed,
 // then measure the lockdown's cycle cost on a real forward pass.
+//
+// Gate: the bench exits nonzero unless both injection attacks run their
+// injected code with the lockdown off and neither does with it armed, every
+// load of the code-read probe faults under the lockdown, and the armed and
+// disarmed forward passes cost the same cycles.
 #include "bench/bench_common.h"
 #include "src/core/guillotine.h"
 #include "src/model/attacks.h"
@@ -20,8 +25,8 @@ MachineConfig Config() {
   return config;
 }
 
-// Runs one attack; returns whether injected code executed.
-bool InjectionSucceeded(const AttackProgram& attack, bool lockdown, int success_slot) {
+// Runs one attack to completion; returns its result slots.
+std::vector<u64> RunAttack(const AttackProgram& attack, bool lockdown) {
   SimClock clock;
   EventTrace trace;
   Machine machine(Config(), clock, trace);
@@ -33,9 +38,16 @@ bool InjectionSucceeded(const AttackProgram& attack, bool lockdown, int success_
   while (core.state() == RunState::kRunning && used < Smoked<Cycles>(200'000'000, 2'000'000)) {
     used += core.Run(100'000);
   }
-  u64 flag = 0;
-  machine.model_dram().Read64(attack.result_addr + 8ULL * success_slot, flag);
-  return flag == 1;
+  std::vector<u64> slots(attack.result_slots);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    machine.model_dram().Read64(attack.result_addr + 8 * i, slots[i]);
+  }
+  return slots;
+}
+
+// Runs one injection attack; returns whether injected code executed.
+bool InjectionSucceeded(const AttackProgram& attack, bool lockdown, int success_slot) {
+  return RunAttack(attack, lockdown)[static_cast<size_t>(success_slot)] == 1;
 }
 
 Cycles ForwardPassCycles(bool lockdown) {
@@ -61,42 +73,59 @@ Cycles ForwardPassCycles(bool lockdown) {
   return core.stats().cycles;
 }
 
-void Run() {
+bool Run() {
   BenchHeader("E10 / Figure 6",
               "execute-only base+bound lockdown stops runtime code injection "
               "(recursive self-improvement vector) at ~zero runtime cost");
 
-  TextTable table({"attack", "lockdown", "injected_code_ran"});
+  TextTable table({"attack", "lockdown", "injected_code_ran", "gate"});
   const auto self_modify = BuildSelfModifyAttack(0x1000, 0x40000, 0x50000);
   const auto exec_page = BuildExecPageAttack(0x1000, 0x40000, 0x20000, 0x60000);
 
+  bool pass = true;
+  auto row = [&](const char* attack, bool lockdown, bool ran) {
+    // Injected code must run exactly when the lockdown is off.
+    const bool ok = ran != lockdown;
+    pass &= ok;
+    table.AddRow({attack, lockdown ? "armed" : "off", ran ? "YES" : "no",
+                  ok ? "ok" : "BREACH"});
+  };
   for (bool lockdown : {false, true}) {
-    table.AddRow({"direct store into text + jump", lockdown ? "armed" : "off",
-                  InjectionSucceeded(self_modify, lockdown, 1) ? "YES" : "no"});
-    table.AddRow({"self-built executable PTE", lockdown ? "armed" : "off",
-                  InjectionSucceeded(exec_page, lockdown, 0) ? "YES" : "no"});
+    row("direct store into text + jump", lockdown,
+        InjectionSucceeded(self_modify, lockdown, 1));
+    row("self-built executable PTE", lockdown, InjectionSucceeded(exec_page, lockdown, 0));
   }
   table.Print();
 
   // Cost: identical forward pass with the check armed vs disarmed.
   const Cycles with = ForwardPassCycles(true);
   const Cycles without = ForwardPassCycles(false);
+  pass &= with == without;
   std::printf("\nforward pass: lockdown armed %llu cyc, disarmed %llu cyc "
-              "(overhead %.3f%%)\n",
+              "(overhead %.3f%%)%s\n",
               static_cast<unsigned long long>(with),
               static_cast<unsigned long long>(without),
               100.0 * (static_cast<double>(with) - static_cast<double>(without)) /
-                  static_cast<double>(without));
+                  static_cast<double>(without),
+              with == without ? "" : " BREACH");
 
-  // The execute-only property also blocks weight/code introspection.
-  const auto read_code = BuildIntrospectionProbe(0x1000, 0x40000, 0x1000, 64, 16);
-  std::printf("code-read probe under lockdown: %s\n",
-              InjectionSucceeded(read_code, true, 2) ? "read text (BUG)"
-                                                     : "all reads faulted");
+  // The execute-only property also blocks weight/code introspection: every
+  // one of the probe's loads from its own text must fault.
+  constexpr u32 kProbes = 16;
+  const auto read_code = BuildIntrospectionProbe(0x1000, 0x40000, 0x1000, 64, kProbes);
+  const std::vector<u64> probe = RunAttack(read_code, true);  // issued, faulted, read
+  const bool sealed = probe[0] == kProbes && probe[1] == kProbes && probe[2] == 0;
+  pass &= sealed;
+  std::printf("code-read probe under lockdown: %llu of %llu loads faulted, %llu read "
+              "text%s\n",
+              static_cast<unsigned long long>(probe[1]),
+              static_cast<unsigned long long>(probe[0]),
+              static_cast<unsigned long long>(probe[2]), sealed ? "" : " BREACH");
   BenchFooter(
       "both injection paths succeed without the lockdown and are dead with "
       "it; the runtime cost is unmeasurable (a bounds compare per "
       "translation), matching the paper's 'cheap at the hardware level'");
+  return pass;
 }
 
 }  // namespace
@@ -104,6 +133,10 @@ void Run() {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  guillotine::Run();
+  if (!guillotine::Run()) {
+    std::printf("FAIL: the lockdown let injected code run, did not stop an attack "
+                "it should, let the probe read text, or cost cycles (see BREACH)\n");
+    return 1;
+  }
   return 0;
 }

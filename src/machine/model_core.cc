@@ -1,7 +1,6 @@
 #include "src/machine/model_core.h"
 
 #include <cstdio>
-#include <cstring>
 
 namespace guillotine {
 
@@ -364,8 +363,9 @@ Cycles ModelCore::ExecuteOne() {
     return cost;
   }
   // AccessMemory routed all eight bytes into model DRAM: one read.
+  static_assert(kInstrBytes <= Dram::kMaxScalarBytes);
   u8 raw[kInstrBytes];
-  std::memcpy(raw, model_dram_.raw().data() + fetch.pa, kInstrBytes);
+  model_dram_.Fetch(fetch.pa, raw, kInstrBytes);
   const auto decoded = DecodeInstruction(raw);
   if (!decoded.has_value()) {
     EnterTrap(TrapCause::kIllegalInstruction, pc);

@@ -1,14 +1,12 @@
 #include "src/machine/storage.h"
 
-#include <cstring>
-
 namespace guillotine {
 
 StorageDevice::StorageDevice(u64 num_sectors, u32 sector_bytes, std::string name)
     : num_sectors_(num_sectors),
       sector_bytes_(sector_bytes),
       name_(std::move(name)),
-      blocks_(num_sectors * sector_bytes, 0) {}
+      blocks_(num_sectors * sector_bytes, name_) {}
 
 IoResponse StorageDevice::Handle(const IoRequest& request, Cycles /*now*/,
                                  Cycles& service_cycles) {
@@ -35,8 +33,13 @@ IoResponse StorageDevice::Handle(const IoRequest& request, Cycles /*now*/,
         return resp;
       }
       resp.payload.resize(static_cast<size_t>(count) * sector_bytes_);
-      std::memcpy(resp.payload.data(), blocks_.data() + sector * sector_bytes_,
-                  resp.payload.size());
+      if (!blocks_.ReadBlock(sector * sector_bytes_, resp.payload).ok()) {
+        // `sector + count` wrapped past 2^64.
+        resp.payload.clear();
+        resp.status = 2;
+        service_cycles = 50;
+        return resp;
+      }
       // Seek + per-sector transfer model.
       service_cycles = 20'000 + static_cast<Cycles>(count) * 4'000;
       resp.status = 0;
@@ -52,13 +55,15 @@ IoResponse StorageDevice::Handle(const IoRequest& request, Cycles /*now*/,
       }
       const size_t data_len = request.payload.size() - 8;
       const u64 count = (data_len + sector_bytes_ - 1) / sector_bytes_;
-      if (data_len == 0 || sector + count > num_sectors_) {
+      if (data_len == 0 || sector + count > num_sectors_ ||
+          !blocks_
+               .WriteBlock(sector * sector_bytes_,
+                           std::span<const u8>(request.payload.data() + 8, data_len))
+               .ok()) {
         resp.status = 2;
         service_cycles = 50;
         return resp;
       }
-      std::memcpy(blocks_.data() + sector * sector_bytes_, request.payload.data() + 8,
-                  data_len);
       service_cycles = 20'000 + count * 4'000;
       resp.status = 0;
       return resp;

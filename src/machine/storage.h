@@ -1,11 +1,13 @@
 // Block storage device behind the port API. Used by the RAG example and by
-// the model service substrate for checkpoint/embedding persistence.
+// the model service substrate for checkpoint/embedding persistence. The
+// sectors live in a Dram, so the disk is materialized a 4 KiB page at a time
+// on first write and a sector nothing has written reads as zeros, exactly as
+// a zero-filled disk would (see dram.h).
 #ifndef SRC_MACHINE_STORAGE_H_
 #define SRC_MACHINE_STORAGE_H_
 
-#include <vector>
-
 #include "src/machine/device.h"
+#include "src/mem/dram.h"
 
 namespace guillotine {
 
@@ -31,7 +33,7 @@ class StorageDevice : public Device {
   u64 num_sectors_;
   u32 sector_bytes_;
   std::string name_;
-  std::vector<u8> blocks_;
+  Dram blocks_;
 };
 
 }  // namespace guillotine

@@ -1,5 +1,6 @@
 #include "src/mem/cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -10,15 +11,26 @@ Cache::Cache(const CacheConfig& config, std::string name)
       name_(std::move(name)),
       line_shift_(static_cast<unsigned>(std::countr_zero(config.line_bytes))),
       tag_shift_(line_shift_ + static_cast<unsigned>(std::countr_zero(config.num_sets()))),
-      set_mask_(config.num_sets() - 1) {
+      set_mask_(config.num_sets() - 1),
+      lines_(std::make_unique_for_overwrite<Line[]>(config.num_sets() * config.ways)),
+      set_live_(std::make_unique<u8[]>(config.num_sets())) {
   assert(config_.num_sets() > 0);
   assert(std::has_single_bit(config_.line_bytes));
   assert(std::has_single_bit(config_.num_sets()));
-  lines_.resize(config_.num_sets() * config_.ways);
+  LiveSet(0);
+}
+
+void Cache::LiveSet(size_t set_index) {
+  mru_ = set_index * config_.ways;
+  std::fill_n(&lines_[mru_], config_.ways, Line{0, false, 0});
+  set_live_[set_index] = 1;
 }
 
 bool Cache::AccessSet(size_t set_index, u64 tag) {
   const size_t base = set_index * config_.ways;
+  if (set_live_[set_index] == 0) {
+    LiveSet(set_index);
+  }
   Line* set = &lines_[base];
   Line* lru_line = set;
   for (size_t w = 0; w < config_.ways; ++w) {
@@ -48,13 +60,16 @@ bool Cache::AccessSet(size_t set_index, u64 tag) {
   lru_line->valid = true;
   lru_line->tag = tag;
   lru_line->lru = ++use_counter_;
-  mru_ = static_cast<size_t>(lru_line - lines_.data());
+  mru_ = static_cast<size_t>(lru_line - lines_.get());
   return false;
 }
 
 bool Cache::Probe(PhysAddr addr) const {
   const size_t set = SetIndex(addr);
   const u64 tag = Tag(addr);
+  if (set_live_[set] == 0) {
+    return false;
+  }
   const Line* base = &lines_[set * config_.ways];
   for (size_t w = 0; w < config_.ways; ++w) {
     if (base[w].valid && base[w].tag == tag) {
@@ -65,16 +80,16 @@ bool Cache::Probe(PhysAddr addr) const {
 }
 
 void Cache::Flush() {
-  for (auto& line : lines_) {
-    line.valid = false;
-    line.tag = 0;
-    line.lru = 0;
-  }
+  std::fill_n(set_live_.get(), config_.num_sets(), u8{0});
+  LiveSet(0);
 }
 
 bool Cache::Invalidate(PhysAddr addr) {
   const size_t set = SetIndex(addr);
   const u64 tag = Tag(addr);
+  if (set_live_[set] == 0) {
+    return false;
+  }
   Line* base = &lines_[set * config_.ways];
   for (size_t w = 0; w < config_.ways; ++w) {
     if (base[w].valid && base[w].tag == tag) {

@@ -6,13 +6,21 @@
 // 3.2, citing Spectre/Foreshadow), and Guillotine removes them by giving
 // model cores and hypervisor cores disjoint hierarchies. The covert-channel
 // experiment (E2) builds prime+probe on top of this model.
+//
+// Sets are materialized lazily. A set is "live" once an Access has reached
+// it: the first AccessSet zeroes its ways to {tag 0, invalid, lru 0} and sets
+// its byte in the live table. That is exactly what a freshly constructed or
+// flushed set holds, so the LRU victim order (including the stale-lru choice
+// among invalidated lines) is the eager model's, bit for bit. Probe and
+// Invalidate find nothing in a non-live set, Flush marks every set non-live,
+// and the line array is never read outside live sets. A cache costs nothing
+// to build beyond its first set, and a run pays only for the sets it touches.
 #ifndef SRC_MEM_CACHE_H_
 #define SRC_MEM_CACHE_H_
 
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/common/types.h"
 
@@ -83,24 +91,28 @@ class Cache {
   Cycles hit_latency() const { return config_.hit_latency; }
 
  private:
+  // Trivial, so the line array can be allocated uninitialized.
   struct Line {
-    u64 tag = 0;
-    bool valid = false;
-    u64 lru = 0;  // larger = more recently used
+    u64 tag;
+    bool valid;
+    u64 lru;  // larger = more recently used
   };
 
   size_t SetIndex(PhysAddr addr) const { return (addr >> line_shift_) & set_mask_; }
   u64 Tag(PhysAddr addr) const { return addr >> tag_shift_; }
   // The way scan of one set: hit, or install over its LRU line.
   bool AccessSet(size_t set_index, u64 tag);
+  // Zeroes set `set_index`, marks it live and points mru_ into it.
+  void LiveSet(size_t set_index);
 
   CacheConfig config_;
   std::string name_;
   unsigned line_shift_;  // log2(line_bytes)
   unsigned tag_shift_;   // log2(line_bytes * num_sets)
   u64 set_mask_;         // num_sets - 1
-  std::vector<Line> lines_;  // num_sets * ways, row-major by set
-  size_t mru_ = 0;           // index into lines_ of the last line hit or filled
+  std::unique_ptr<Line[]> lines_;  // num_sets * ways, row-major by set
+  std::unique_ptr<u8[]> set_live_;  // one byte per set: nonzero once live
+  size_t mru_ = 0;  // index into lines_ of a line in a live set, last hit or filled
   u64 use_counter_ = 0;
   CacheStats stats_;
   std::function<void(PhysAddr)> eviction_hook_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 namespace guillotine {
 
@@ -10,12 +9,62 @@ namespace guillotine {
 // accesses copy host words as they are.
 static_assert(std::endian::native == std::endian::little);
 
+namespace {
+constexpr u8 kZeroPage[Dram::kPageBytes] = {};
+}  // namespace
+
+Dram::Dram(size_t size_bytes, std::string name)
+    : size_(size_bytes),
+      num_pages_((size_bytes + kPageBytes - 1) >> kPageShift),
+      bytes_(std::make_unique_for_overwrite<u8[]>(size_bytes)),
+      live_(std::make_unique<u8[]>(num_pages_)),
+      name_(std::move(name)) {}
+
+void Dram::Materialize(size_t page) {
+  const size_t base = page << kPageShift;
+  std::memset(bytes_.get() + base, 0, std::min(kPageBytes, size_ - base));
+  live_[page] = 1;
+  const size_t next = base + kPageBytes;
+  if (page + 1 < num_pages_ && live_[page + 1] == 0) {
+    std::memset(bytes_.get() + next, 0, std::min(kMaxScalarBytes - 1, size_ - next));
+  }
+}
+
+void Dram::CopyOut(PhysAddr addr, u8* out, size_t len) const {
+  while (len > 0) {
+    const size_t chunk = std::min(len, kPageBytes - (addr & (kPageBytes - 1)));
+    if (live_[addr >> kPageShift] != 0) {
+      std::memcpy(out, bytes_.get() + addr, chunk);
+    } else {
+      std::memset(out, 0, chunk);
+    }
+    addr += chunk;
+    out += chunk;
+    len -= chunk;
+  }
+}
+
+void Dram::CopyIn(PhysAddr addr, const u8* data, size_t len) {
+  while (len > 0) {
+    const size_t page = addr >> kPageShift;
+    const size_t chunk = std::min(len, kPageBytes - (addr & (kPageBytes - 1)));
+    if (live_[page] == 0) {
+      Materialize(page);
+    }
+    std::memcpy(bytes_.get() + addr, data, chunk);
+    addr += chunk;
+    data += chunk;
+    len -= chunk;
+  }
+}
+
 template <typename T>
 bool Dram::Load(PhysAddr addr, T& out) const {
+  static_assert(sizeof(T) <= kMaxScalarBytes);
   if (!InBounds(addr, sizeof(T))) {
     return false;
   }
-  std::memcpy(&out, bytes_.data() + addr, sizeof(T));
+  Fetch(addr, reinterpret_cast<u8*>(&out), sizeof(T));
   return true;
 }
 
@@ -24,7 +73,12 @@ bool Dram::Store(PhysAddr addr, T v) {
   if (!InBounds(addr, sizeof(T))) {
     return false;
   }
-  std::memcpy(bytes_.data() + addr, &v, sizeof(T));
+  if (live_[addr >> kPageShift] != 0 &&
+      (addr & (kPageBytes - 1)) + sizeof(T) <= kPageBytes) {
+    std::memcpy(bytes_.get() + addr, &v, sizeof(T));
+  } else {
+    CopyIn(addr, reinterpret_cast<const u8*>(&v), sizeof(T));
+  }
   return true;
 }
 
@@ -41,7 +95,7 @@ Status Dram::ReadBlock(PhysAddr addr, std::span<u8> out) const {
   if (!InBounds(addr, out.size())) {
     return OutOfRange(name_ + ": read past end");
   }
-  std::memcpy(out.data(), bytes_.data() + addr, out.size());
+  CopyOut(addr, out.data(), out.size());
   return OkStatus();
 }
 
@@ -49,10 +103,21 @@ Status Dram::WriteBlock(PhysAddr addr, std::span<const u8> data) {
   if (!InBounds(addr, data.size())) {
     return OutOfRange(name_ + ": write past end");
   }
-  std::memcpy(bytes_.data() + addr, data.data(), data.size());
+  const u8* src = data.data();
+  size_t len = data.size();
+  while (len > 0) {
+    const size_t chunk = std::min(len, kPageBytes - (addr & (kPageBytes - 1)));
+    // Zeros over a non-live page are already what it reads as.
+    if (live_[addr >> kPageShift] != 0 || std::memcmp(src, kZeroPage, chunk) != 0) {
+      CopyIn(addr, src, chunk);
+    }
+    addr += chunk;
+    src += chunk;
+    len -= chunk;
+  }
   return OkStatus();
 }
 
-void Dram::Clear() { std::fill(bytes_.begin(), bytes_.end(), 0); }
+void Dram::Clear() { std::fill_n(live_.get(), num_pages_, u8{0}); }
 
 }  // namespace guillotine

@@ -4,16 +4,34 @@
 // section 3.2): model DRAM (reachable from model cores and, via a private
 // inspection bus, from hypervisor cores), hypervisor DRAM (never reachable
 // from model cores), and the shared IO DRAM region used by the port API.
-// The simulator builds a Dram for model DRAM only. Hypervisor memory is the
-// host memory the software hypervisor's objects live in, and no model-core
-// code has an API that reaches it, which is the simulator's rendition of
-// "the physical buses do not exist".
+// The simulator builds a Dram for model DRAM and for IO DRAM (and one backs
+// each storage device's sectors), but none for hypervisor DRAM. Hypervisor
+// memory is the host memory the software hypervisor's objects live in, and no
+// model-core code has an API that reaches it, which is the simulator's
+// rendition of "the physical buses do not exist".
+//
+// Storage is materialized lazily, one 4 KiB page at a time. A page is
+// "live" once something has stored a byte into it: the first store zero-fills
+// the page and sets its byte in the live table. Until then the page's host
+// bytes are never read; every load, fetch and block read of a non-live page
+// returns zeros, which is what an eagerly zeroed module would hold, so the
+// laziness is exact. Clear() just marks every page non-live again. A module
+// sized in megabytes costs nothing to build until it is written, and only the
+// pages a run touches are ever zero-filled.
+//
+// Going live also zeroes the first kMaxScalarBytes - 1 bytes of the next page
+// if that page is not live. So a page after a live page holds exactly what it
+// reads as in those bytes: a store makes its page live before writing, and
+// after Clear() no page is live until one goes live and re-zeroes them. A
+// load or fetch of up to kMaxScalarBytes that starts in a live page may thus
+// run into the next page on one table test, not two.
 #ifndef SRC_MEM_DRAM_H_
 #define SRC_MEM_DRAM_H_
 
+#include <cstring>
+#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -22,14 +40,17 @@ namespace guillotine {
 
 class Dram {
  public:
-  explicit Dram(size_t size_bytes, std::string name = "dram")
-      : bytes_(size_bytes, 0), name_(std::move(name)) {}
+  static constexpr unsigned kPageShift = 12;
+  static constexpr size_t kPageBytes = size_t{1} << kPageShift;
+  static constexpr size_t kMaxScalarBytes = 8;
 
-  size_t size() const { return bytes_.size(); }
+  explicit Dram(size_t size_bytes, std::string name = "dram");
+
+  size_t size() const { return size_; }
   const std::string& name() const { return name_; }
 
   bool InBounds(PhysAddr addr, size_t len) const {
-    return addr + len >= addr && addr + len <= bytes_.size();
+    return addr + len >= addr && addr + len <= size_;
   }
 
   // Scalar accessors (little-endian). Return false when out of bounds; the
@@ -43,16 +64,25 @@ class Dram {
   bool Write32(PhysAddr addr, u32 v);
   bool Write64(PhysAddr addr, u64 v);
 
-  // Block accessors used by buses, loaders, and audit tooling.
+  // Block accessors used by buses, loaders, and audit tooling. WriteBlock
+  // leaves an all-zero chunk over a non-live page non-live.
   Status ReadBlock(PhysAddr addr, std::span<u8> out) const;
   Status WriteBlock(PhysAddr addr, std::span<const u8> data);
 
   // Zero the whole module (used on power-down / immolation).
   void Clear();
 
-  // Direct access for the machine's internal plumbing (ring views).
-  std::span<u8> raw() { return bytes_; }
-  std::span<const u8> raw() const { return bytes_; }
+  // The core's instruction fetch, and the copy behind every scalar load:
+  // `len` (at most kMaxScalarBytes) bytes at `addr`, which the caller has
+  // bounds-checked. A fetch that starts in a live page is one table test and
+  // one copy.
+  void Fetch(PhysAddr addr, u8* out, size_t len) const {
+    if (live_[addr >> kPageShift] != 0) {
+      std::memcpy(out, bytes_.get() + addr, len);
+      return;
+    }
+    CopyOut(addr, out, len);
+  }
 
  private:
   template <typename T>
@@ -60,7 +90,18 @@ class Dram {
   template <typename T>
   bool Store(PhysAddr addr, T v);
 
-  std::vector<u8> bytes_;
+  // Bounds-checked range copies, page by page. CopyOut reads a non-live page
+  // as zeros; CopyIn materializes every page it writes.
+  void CopyOut(PhysAddr addr, u8* out, size_t len) const;
+  void CopyIn(PhysAddr addr, const u8* data, size_t len);
+  // Zero-fills page `page`, marks it live, and zeroes the head of the next
+  // page if that one is not live.
+  void Materialize(size_t page);
+
+  size_t size_;
+  size_t num_pages_;
+  std::unique_ptr<u8[]> bytes_;  // uninitialized until a page goes live
+  std::unique_ptr<u8[]> live_;   // one byte per page: nonzero once live
   std::string name_;
 };
 

@@ -74,9 +74,10 @@ struct TranslationResult {
 
 // Small fully-associative TLB; part of the microarchitectural state the
 // control bus can forcibly clear.
+inline constexpr size_t kTlbEntries = 64;
+
 class Tlb {
  public:
-  explicit Tlb(size_t entries = 64) : entries_(entries) {}
 
   std::optional<PhysAddr> Lookup(VirtAddr va, AccessType type) const;
   void Insert(VirtAddr va, PhysAddr page_phys, u64 pte_flags);
@@ -94,8 +95,7 @@ class Tlb {
     u64 lru = 0;
   };
 
-  size_t entries_;
-  std::vector<Entry> slots_ = std::vector<Entry>(64);
+  std::vector<Entry> slots_ = std::vector<Entry>(kTlbEntries);
   u64 use_counter_ = 0;
 };
 

@@ -1,14 +1,150 @@
 // Unit tests for src/mem: DRAM, caches, TLB, MMU paging + exec lockdown.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
 #include "src/mem/mmu.h"
 
 namespace guillotine {
 namespace {
+
+// Allocates, fills with 0xA5 and frees a block of `bytes`, twice: the first
+// round moves glibc's dynamic mmap threshold above `bytes`, so the second
+// round's block comes from the heap, where the next allocation of that size
+// (the store under test, allocated uninitialized) finds it still 0xA5.
+void PoisonHeap(size_t bytes) {
+  for (int round = 0; round < 2; ++round) {
+    auto block = std::make_unique_for_overwrite<u8[]>(bytes);
+    std::memset(block.get(), 0xA5, bytes);
+    asm volatile("" : : "r"(block.get()) : "memory");  // keep the fill
+  }
+}
+
+// The eager cache the lazy one replaced, kept verbatim as the oracle: every
+// line value-initialized at construction and by Flush.
+class EagerCache {
+ public:
+  struct Line {
+    u64 tag = 0;
+    bool valid = false;
+    u64 lru = 0;  // larger = more recently used
+  };
+
+  explicit EagerCache(const CacheConfig& config)
+      : config_(config),
+        line_shift_(static_cast<unsigned>(std::countr_zero(config.line_bytes))),
+        tag_shift_(line_shift_ +
+                   static_cast<unsigned>(std::countr_zero(config.num_sets()))),
+        set_mask_(config.num_sets() - 1) {
+    lines_.resize(config_.num_sets() * config_.ways);
+  }
+
+  bool Access(PhysAddr addr) {
+    const size_t set = SetIndex(addr);
+    const u64 tag = Tag(addr);
+    Line& mru = lines_[mru_];
+    if (mru.valid && mru.tag == tag && mru_ - set * config_.ways < config_.ways) {
+      mru.lru = ++use_counter_;
+      ++stats_.hits;
+      return true;
+    }
+    return AccessSet(set, tag);
+  }
+
+  bool Probe(PhysAddr addr) const {
+    const size_t set = SetIndex(addr);
+    const u64 tag = Tag(addr);
+    const Line* base = &lines_[set * config_.ways];
+    for (size_t w = 0; w < config_.ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void Flush() {
+    for (auto& line : lines_) {
+      line.valid = false;
+      line.tag = 0;
+      line.lru = 0;
+    }
+  }
+
+  bool Invalidate(PhysAddr addr) {
+    const size_t set = SetIndex(addr);
+    const u64 tag = Tag(addr);
+    Line* base = &lines_[set * config_.ways];
+    for (size_t w = 0; w < config_.ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        base[w].valid = false;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void set_eviction_hook(std::function<void(PhysAddr)> hook) {
+    eviction_hook_ = std::move(hook);
+  }
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  size_t SetIndex(PhysAddr addr) const { return (addr >> line_shift_) & set_mask_; }
+  u64 Tag(PhysAddr addr) const { return addr >> tag_shift_; }
+
+  bool AccessSet(size_t set_index, u64 tag) {
+    const size_t base = set_index * config_.ways;
+    Line* set = &lines_[base];
+    Line* lru_line = set;
+    for (size_t w = 0; w < config_.ways; ++w) {
+      Line& line = set[w];
+      if (line.valid && line.tag == tag) {
+        line.lru = ++use_counter_;
+        ++stats_.hits;
+        mru_ = base + w;
+        return true;
+      }
+      if (line.lru < lru_line->lru || !line.valid) {
+        // Prefer invalid lines; otherwise track least recently used.
+        if (!line.valid && lru_line->valid) {
+          lru_line = &line;
+        } else if (line.valid == lru_line->valid && line.lru < lru_line->lru) {
+          lru_line = &line;
+        }
+      }
+    }
+    ++stats_.misses;
+    if (lru_line->valid) {
+      ++stats_.evictions;
+      if (eviction_hook_) {
+        eviction_hook_((lru_line->tag << tag_shift_) | (u64{set_index} << line_shift_));
+      }
+    }
+    lru_line->valid = true;
+    lru_line->tag = tag;
+    lru_line->lru = ++use_counter_;
+    mru_ = static_cast<size_t>(lru_line - lines_.data());
+    return false;
+  }
+
+  CacheConfig config_;
+  unsigned line_shift_;
+  unsigned tag_shift_;
+  u64 set_mask_;
+  std::vector<Line> lines_;
+  size_t mru_ = 0;
+  u64 use_counter_ = 0;
+  CacheStats stats_;
+  std::function<void(PhysAddr)> eviction_hook_;
+};
 
 TEST(DramTest, ScalarRoundTrip) {
   Dram dram(4096);
@@ -136,6 +272,228 @@ TEST(CacheTest, L2CatchesL1Eviction) {
   AccessThroughHierarchy(l1, l2, nullptr, 256);  // evicts 0 from L1
   // 0 now misses L1 but hits L2.
   EXPECT_EQ(AccessThroughHierarchy(l1, l2, nullptr, 0), 4u + 12);
+}
+
+// Drives the lazy cache and the eager oracle with one seeded stream of
+// Access/Probe/Invalidate/Flush over a few hot sets (so lines are evicted,
+// invalidated and re-filled) plus stray addresses anywhere, and compares
+// every result, the stats and the eviction-hook addresses at every step.
+void ExpectCacheMatchesEagerOracle(const CacheConfig& config, u64 seed, int steps) {
+  PoisonHeap(config.num_sets() * config.ways * sizeof(EagerCache::Line));
+  Cache lazy(config);
+  EagerCache eager(config);
+  std::vector<PhysAddr> lazy_evicted;
+  std::vector<PhysAddr> eager_evicted;
+  lazy.set_eviction_hook([&](PhysAddr line) { lazy_evicted.push_back(line); });
+  eager.set_eviction_hook([&](PhysAddr line) { eager_evicted.push_back(line); });
+
+  Rng rng(seed);
+  const u64 set_stride = config.line_bytes;
+  const u64 tag_stride = config.line_bytes * config.num_sets();
+  std::vector<u64> hot_sets;
+  for (int i = 0; i < 6; ++i) {
+    hot_sets.push_back(rng.NextBelow(config.num_sets()));
+  }
+  for (int step = 0; step < steps; ++step) {
+    PhysAddr addr = 0;
+    if (rng.NextBool(0.9)) {
+      addr = hot_sets[rng.NextBelow(hot_sets.size())] * set_stride +
+             rng.NextBelow(2 * config.ways) * tag_stride + rng.NextBelow(config.line_bytes);
+    } else {
+      addr = rng.Next();
+    }
+    const u64 op = rng.NextBelow(1000);
+    if (op < 700) {
+      ASSERT_EQ(lazy.Access(addr), eager.Access(addr)) << "step " << step;
+    } else if (op < 850) {
+      ASSERT_EQ(lazy.Probe(addr), eager.Probe(addr)) << "step " << step;
+    } else if (op < 995) {
+      ASSERT_EQ(lazy.Invalidate(addr), eager.Invalidate(addr)) << "step " << step;
+    } else {
+      lazy.Flush();
+      eager.Flush();
+    }
+    ASSERT_EQ(lazy.stats().hits, eager.stats().hits) << "step " << step;
+    ASSERT_EQ(lazy.stats().misses, eager.stats().misses) << "step " << step;
+    ASSERT_EQ(lazy.stats().evictions, eager.stats().evictions) << "step " << step;
+    ASSERT_EQ(lazy_evicted, eager_evicted) << "step " << step;
+  }
+  EXPECT_GT(lazy.stats().hits, 0u);
+  EXPECT_GT(lazy.stats().evictions, 0u);
+}
+
+TEST(CacheTest, LazySetsMatchEagerOracleOnL1iGeometry) {
+  for (u64 seed = 1; seed <= 4; ++seed) {
+    ExpectCacheMatchesEagerOracle(CacheConfig{16 * 1024, 64, 4, 2}, seed, 20'000);
+  }
+}
+
+TEST(CacheTest, LazySetsMatchEagerOracleOnL3Geometry) {
+  for (u64 seed = 1; seed <= 2; ++seed) {
+    ExpectCacheMatchesEagerOracle(CacheConfig{2 * 1024 * 1024, 64, 16, 40}, seed, 40'000);
+  }
+}
+
+// Dram's typed scalar accessors, picked by width in bytes (1, 2, 4 or 8).
+bool ScalarWrite(Dram& dram, PhysAddr addr, size_t width, u64 v) {
+  switch (width) {
+    case 1:
+      return dram.Write8(addr, static_cast<u8>(v));
+    case 2:
+      return dram.Write16(addr, static_cast<u16>(v));
+    case 4:
+      return dram.Write32(addr, static_cast<u32>(v));
+    default:
+      return dram.Write64(addr, v);
+  }
+}
+
+bool ScalarRead(const Dram& dram, PhysAddr addr, size_t width, u64& out) {
+  u8 v8 = 0;
+  u16 v16 = 0;
+  u32 v32 = 0;
+  bool ok = false;
+  switch (width) {
+    case 1:
+      ok = dram.Read8(addr, v8);
+      out = v8;
+      return ok;
+    case 2:
+      ok = dram.Read16(addr, v16);
+      out = v16;
+      return ok;
+    case 4:
+      ok = dram.Read32(addr, v32);
+      out = v32;
+      return ok;
+    default:
+      return dram.Read64(addr, out);
+  }
+}
+
+// Drives Dram and a zeroed std::vector<u8> with one seeded stream of scalar
+// and block accesses clustered around page boundaries (plus out-of-bounds
+// ones), zero blocks over untouched pages, fetches and Clear, and compares
+// every result and, at the end, the whole module.
+void ExpectDramMatchesZeroedVector(size_t size, u64 seed, int steps) {
+  PoisonHeap(size);
+  Dram dram(size);
+  std::vector<u8> ref(size, 0);
+  Rng rng(seed);
+  const u64 pages = (size + Dram::kPageBytes - 1) / Dram::kPageBytes;
+  auto pick_addr = [&]() -> PhysAddr {
+    const u64 r = rng.NextBelow(10);
+    if (r < 6) {  // near a page boundary, either side
+      return rng.NextBelow(pages + 1) * Dram::kPageBytes - 16 + rng.NextBelow(32);
+    }
+    if (r < 9) {
+      return rng.NextBelow(size);
+    }
+    return size - 8 + rng.NextBelow(16);  // straddling the end
+  };
+  auto in_bounds = [&](PhysAddr addr, size_t len) {
+    return addr + len >= addr && addr + len <= size;
+  };
+  for (int step = 0; step < steps; ++step) {
+    const PhysAddr addr = pick_addr();
+    const u64 op = rng.NextBelow(100);
+    if (op < 30) {  // scalar store of a random width
+      const size_t width = size_t{1} << rng.NextBelow(4);
+      const u64 v = rng.Next();
+      const bool ok = ScalarWrite(dram, addr, width, v);
+      ASSERT_EQ(ok, in_bounds(addr, width)) << "step " << step;
+      if (ok) {
+        std::memcpy(ref.data() + addr, &v, width);
+      }
+    } else if (op < 55) {  // scalar load of a random width
+      const size_t width = size_t{1} << rng.NextBelow(4);
+      u64 got = 0;
+      const bool ok = ScalarRead(dram, addr, width, got);
+      ASSERT_EQ(ok, in_bounds(addr, width)) << "step " << step;
+      if (ok) {
+        u64 want = 0;
+        std::memcpy(&want, ref.data() + addr, width);
+        ASSERT_EQ(got, want) << "step " << step << " addr " << addr;
+      }
+    } else if (op < 65) {  // fetch (the caller bounds-checks)
+      if (in_bounds(addr, 8)) {
+        u8 got[8];
+        dram.Fetch(addr, got, 8);
+        ASSERT_EQ(std::memcmp(got, ref.data() + addr, 8), 0) << "step " << step;
+      }
+    } else if (op < 77) {  // block read across pages
+      Bytes out(rng.NextBelow(3 * Dram::kPageBytes), 0xEE);
+      const bool ok = dram.ReadBlock(addr, out).ok();
+      ASSERT_EQ(ok, in_bounds(addr, out.size())) << "step " << step;
+      if (ok) {
+        ASSERT_EQ(std::memcmp(out.data(), ref.data() + addr, out.size()), 0)
+            << "step " << step;
+      }
+    } else if (op < 99) {  // block write: random bytes, or zeros
+      Bytes data(rng.NextBelow(3 * Dram::kPageBytes), 0);
+      if (rng.NextBool(0.5)) {
+        for (u8& b : data) {
+          b = static_cast<u8>(rng.Next());
+        }
+      }
+      const bool ok = dram.WriteBlock(addr, data).ok();
+      ASSERT_EQ(ok, in_bounds(addr, data.size())) << "step " << step;
+      if (ok) {
+        std::memcpy(ref.data() + addr, data.data(), data.size());
+      }
+    } else {
+      dram.Clear();
+      std::fill(ref.begin(), ref.end(), 0);
+    }
+  }
+  Bytes all(size);
+  ASSERT_TRUE(dram.ReadBlock(0, all).ok());
+  EXPECT_TRUE(all == ref);
+}
+
+TEST(DramTest, LazyPagesMatchZeroedVector) {
+  // Whole pages, and a partial last page.
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    ExpectDramMatchesZeroedVector(16 * Dram::kPageBytes, seed, 5'000);
+    ExpectDramMatchesZeroedVector(16 * Dram::kPageBytes + 1000, seed + 100, 5'000);
+  }
+}
+
+TEST(DramTest, ZeroBlockOverUntouchedPagesStaysZeroAndLiveWritesLand) {
+  PoisonHeap(8 * Dram::kPageBytes);
+  Dram dram(8 * Dram::kPageBytes);
+  const Bytes zeros(3 * Dram::kPageBytes, 0);
+  ASSERT_TRUE(dram.WriteBlock(Dram::kPageBytes + 7, zeros).ok());
+  ASSERT_TRUE(dram.Write64(2 * Dram::kPageBytes + 100, 0x1122334455667788ULL));
+  // Zeros over a live page overwrite what is there.
+  ASSERT_TRUE(dram.WriteBlock(2 * Dram::kPageBytes, zeros).ok());
+  Bytes all(8 * Dram::kPageBytes, 0xEE);
+  ASSERT_TRUE(dram.ReadBlock(0, all).ok());
+  EXPECT_TRUE(all == Bytes(8 * Dram::kPageBytes, 0));
+  // A store straddling two untouched pages lands in both.
+  ASSERT_TRUE(dram.Write64(5 * Dram::kPageBytes - 3, ~0ULL));
+  u64 v = 0;
+  ASSERT_TRUE(dram.Read64(5 * Dram::kPageBytes - 3, v));
+  EXPECT_EQ(v, ~0ULL);
+  u8 fetched[8];
+  dram.Fetch(5 * Dram::kPageBytes - 4, fetched, 8);
+  EXPECT_EQ(fetched[0], 0);
+  EXPECT_EQ(fetched[7], 0xFF);
+}
+
+TEST(TlbTest, HoldsKTlbEntriesTranslations) {
+  Tlb tlb;
+  for (u64 i = 0; i < kTlbEntries; ++i) {
+    tlb.Insert(i * kPageSize, (i + 100) * kPageSize, kPteRead);
+  }
+  for (u64 i = 0; i < kTlbEntries; ++i) {
+    EXPECT_TRUE(tlb.Lookup(i * kPageSize, AccessType::kLoad).has_value()) << i;
+  }
+  // One more evicts the least recently inserted.
+  tlb.Insert(kTlbEntries * kPageSize, 0, kPteRead);
+  EXPECT_FALSE(tlb.Lookup(0, AccessType::kLoad).has_value());
+  EXPECT_TRUE(tlb.Lookup(kPageSize, AccessType::kLoad).has_value());
+  EXPECT_TRUE(tlb.Lookup(kTlbEntries * kPageSize, AccessType::kLoad).has_value());
 }
 
 TEST(TlbTest, InsertLookupFlush) {

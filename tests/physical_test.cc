@@ -348,10 +348,31 @@ TEST_F(ConsoleTest, DecapitationRequiresRepairBeforeRelax) {
 
 TEST_F(ConsoleTest, ImmolationDestroysModelDram) {
   machine_.model_dram().Write64(0x100, 0xDEADBEEF);
+  // `ldi x5, 42` in a page of its own; the guest fetches and runs it once.
+  constexpr u64 kCodePage = 0x3000;
+  Bytes code(kInstrBytes);
+  EncodeInstruction(Instruction{Opcode::kLdi, 5, 0, 0, 42}, code);
+  ASSERT_TRUE(machine_.model_dram().WriteBlock(kCodePage, code).ok());
+  ModelCore& core = machine_.model_core(0);
+  Cycles consumed = 0;
+  core.PowerUpCore(kCodePage);
+  ASSERT_TRUE(core.SingleStep(consumed).ok());
+  ASSERT_EQ(core.arch().x[5], 42u);
+
   ASSERT_TRUE(console_.RequestTransition(IsolationLevel::kImmolation, Admins(3)).ok());
   u64 v = 1;
   machine_.model_dram().Read64(0x100, v);
   EXPECT_EQ(v, 0u);
+  Bytes all(machine_.model_dram().size(), 0xEE);
+  ASSERT_TRUE(machine_.model_dram().ReadBlock(0, all).ok());
+  EXPECT_TRUE(all == Bytes(all.size(), 0));
+  // A fetch from the code page now reads zeros, not the old instruction:
+  // opcode 0 is illegal, and with no trap vector the core faults.
+  core.PowerUpCore(kCodePage);
+  ASSERT_TRUE(core.SingleStep(consumed).ok());
+  EXPECT_EQ(core.arch().x[5], 0u);
+  EXPECT_EQ(core.state(), RunState::kFaulted);
+  EXPECT_EQ(core.fault_cause(), TrapCause::kIllegalInstruction);
   EXPECT_TRUE(plant_.destroyed());
   // No transitions possible ever again.
   EXPECT_FALSE(console_.RequestTransition(IsolationLevel::kStandard, Admins(7)).ok());
