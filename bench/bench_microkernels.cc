@@ -97,6 +97,23 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
+// A few lines revisited across sets, the pattern of a loop body's fetches and
+// operands: each access lands in another L1 set than the one before it, on
+// the line that set last used.
+void BM_CacheAccessLoop(benchmark::State& state) {
+  Cache l1(CacheConfig{32 * 1024, 64, 8, 4});
+  Cache l2(CacheConfig{256 * 1024, 64, 8, 12});
+  Cache l3(CacheConfig{2 * 1024 * 1024, 64, 16, 40});
+  // L1 sets 0, 1, 2, 4, 5 and 6.
+  const std::vector<PhysAddr> lines = {0x1000, 0x1040, 0x1080, 0x40100, 0x40140, 0x80180};
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(AccessThroughHierarchy(l1, l2, &l3, lines[i]));
+    i = i + 1 == lines.size() ? 0 : i + 1;
+  }
+}
+BENCHMARK(BM_CacheAccessLoop);
+
 // Builds and destroys one Machine, the construction every deployment pays.
 // Arg 0 is the scenario harness's board (1 model core, 1 hv core, 1 MiB model
 // DRAM, 512 KiB IO DRAM); arg 1 is the MachineConfig default (2 model cores,

@@ -1,5 +1,6 @@
 #include "src/machine/model_core.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace guillotine {
@@ -85,6 +86,7 @@ Status ModelCore::SingleStep(Cycles& consumed) {
     suppress_watchpoints_once_ = true;
   }
   state_ = RunState::kRunning;
+  AllocatePredecode();
   consumed = ExecuteOne();
   if (state_ == RunState::kRunning) {
     state_ = RunState::kHalted;
@@ -206,6 +208,7 @@ ModelCore::MemAccess ModelCore::AccessMemory(VirtAddr va, AccessType type,
       out.watchpoint_hit = true;
       return out;
     }
+    out.io = true;
     out.latency += kIoDramLatency;  // uncached, coherent shared window
     return out;
   }
@@ -219,17 +222,9 @@ bool ModelCore::InIoWindow(PhysAddr pa, size_t len) const {
   return pa >= kIoDramBase && io_dram_.dram().InBounds(pa - kIoDramBase, len);
 }
 
-bool ModelCore::ReadPhys(PhysAddr pa, size_t len, u64& out) {
-  Dram* target = nullptr;
-  PhysAddr addr = pa;
-  if (model_dram_.InBounds(pa, len)) {
-    target = &model_dram_;
-  } else if (InIoWindow(pa, len)) {
-    target = &io_dram_.dram();
-    addr = pa - kIoDramBase;
-  } else {
-    return false;
-  }
+bool ModelCore::ReadIo(PhysAddr pa, size_t len, u64& out) {
+  Dram* target = &io_dram_.dram();
+  const PhysAddr addr = pa - kIoDramBase;
   switch (len) {
     case 1: {
       u8 v;
@@ -317,17 +312,39 @@ void ModelCore::EnterTrap(TrapCause cause, u64 epc) {
 
 Cycles ModelCore::Run(Cycles budget) {
   Cycles consumed = 0;
+  if (state_ == RunState::kRunning) {
+    AllocatePredecode();
+  }
   while (consumed < budget && state_ == RunState::kRunning) {
-    consumed += Step();
+    consumed += ExecuteOne();
   }
   return consumed;
 }
 
-Cycles ModelCore::Step() {
-  if (state_ != RunState::kRunning) {
-    return 0;
+void ModelCore::AllocatePredecode() {
+  if (predecode_ == nullptr) {
+    predecode_ = std::make_unique_for_overwrite<Predecoded[]>(kPredecodeSlots);
+    std::fill_n(predecode_.get(), kPredecodeSlots, Predecoded{kNoPa, 0, {}, 0});
   }
-  return ExecuteOne();
+}
+
+const ModelCore::Predecoded* ModelCore::DecodeMiss(PhysAddr pa) {
+  static_assert(kInstrBytes <= Dram::kMaxScalarBytes);
+  u8 raw[kInstrBytes];
+  model_dram_.Fetch(pa, raw, kInstrBytes);
+  const auto decoded = DecodeInstruction(raw);
+  if (!decoded.has_value()) {
+    return nullptr;
+  }
+  const Cycles latency = InstructionLatency(decoded->op);
+  if ((pa % Dram::kPageBytes) + kInstrBytes > Dram::kPageBytes) {
+    uncached_ = {kNoPa, 0, *decoded, latency};
+    return &uncached_;
+  }
+  Predecoded& slot = predecode_[SlotIndex(pa)];
+  slot = {pa, model_dram_.code_epoch(), *decoded, latency};
+  model_dram_.MarkCode(pa);
+  return &slot;
 }
 
 Cycles ModelCore::ExecuteOne() {
@@ -362,19 +379,16 @@ Cycles ModelCore::ExecuteOne() {
     stats_.cycles += cost;
     return cost;
   }
-  // AccessMemory routed all eight bytes into model DRAM: one read.
-  static_assert(kInstrBytes <= Dram::kMaxScalarBytes);
-  u8 raw[kInstrBytes];
-  model_dram_.Fetch(fetch.pa, raw, kInstrBytes);
-  const auto decoded = DecodeInstruction(raw);
-  if (!decoded.has_value()) {
+  // AccessMemory routed all eight bytes into model DRAM.
+  const Predecoded* decoded = Decode(fetch.pa);
+  if (decoded == nullptr) {
     EnterTrap(TrapCause::kIllegalInstruction, pc);
     cost += kTrapEntryCost;
     stats_.cycles += cost;
     return cost;
   }
-  const Instruction& in = *decoded;
-  cost += InstructionLatency(in.op);
+  const Instruction in = decoded->in;
+  cost += decoded->latency;
 
   u64 next_pc = pc + kInstrBytes;
   auto& x = arch_.x;
@@ -509,7 +523,11 @@ Cycles ModelCore::ExecuteOne() {
         return cost;
       }
       u64 loaded = 0;
-      if (!ReadPhys(acc.pa, len, loaded)) {
+      if (!acc.io) {
+        // AccessMemory bounds-checked [pa, pa + len) in model DRAM. The guest
+        // ISA and the host are little-endian, so the low bytes take the load.
+        model_dram_.Fetch(acc.pa, reinterpret_cast<u8*>(&loaded), len);
+      } else if (!ReadIo(acc.pa, len, loaded)) {
         EnterTrap(TrapCause::kLoadFault, pc);
         cost += kTrapEntryCost;
         stats_.cycles += cost;

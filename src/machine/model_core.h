@@ -15,6 +15,18 @@
 // The address map enforces the topology claims: model DRAM and the shared
 // IO DRAM window are reachable; nothing else exists. A store into the IO
 // DRAM doorbell page is the only way the model can signal the hypervisor.
+//
+// Predecode. Each core caches decoded instructions in a small direct-mapped
+// table keyed by the *physical* fetch address, i.e. after Mmu::Translate and
+// the lockdown check, so a remapped page or an armed lockdown can never reuse
+// a decode it should not. Only the read-and-decode of the 8 instruction bytes
+// is cached: translation, the lockdown check, bounds checks, watchpoints, the
+// L1i access and every CoreStats counter still run on every fetch, so the
+// simulated cycles are exactly those of decoding afresh. Each entry is stamped
+// with model DRAM's code_epoch() (see dram.h), which every write of a page a
+// decode came from advances; an entry from an older epoch is decoded again.
+// Illegal encodings and instructions that straddle a 4 KiB page are never
+// cached.
 #ifndef SRC_MACHINE_MODEL_CORE_H_
 #define SRC_MACHINE_MODEL_CORE_H_
 
@@ -51,10 +63,6 @@ class ModelCore {
   // Executes at most `budget` cycles; returns cycles actually consumed.
   Cycles Run(Cycles budget);
 
-  // Executes one instruction if running; returns cycles consumed (0 if the
-  // core is not in kRunning).
-  Cycles Step();
-
   // External interrupt injection (hypervisor completion interrupts). The
   // interrupt is queued and delivered when the guest has IENABLE set.
   void RaiseExternalInterrupt(TrapCause cause);
@@ -86,14 +94,40 @@ class ModelCore {
     Cycles latency = 0;
     TrapCause fault = TrapCause::kNone;
     bool watchpoint_hit = false;
+    bool io = false;  // routed to the shared IO DRAM window, not model DRAM
   };
+
+  // One predecode table entry.
+  struct Predecoded {
+    PhysAddr pa;
+    u64 epoch;
+    Instruction in;
+    Cycles latency;
+  };
+  static constexpr size_t kPredecodeSlots = 256;
+  static constexpr PhysAddr kNoPa = ~PhysAddr{0};  // never an in-bounds fetch
 
   // Translates + routes + times one access. Applies watchpoints.
   MemAccess AccessMemory(VirtAddr va, AccessType type, size_t len);
   // True when [pa, pa + len) lies inside the shared IO DRAM window.
   bool InIoWindow(PhysAddr pa, size_t len) const;
-  bool ReadPhys(PhysAddr pa, size_t len, u64& out);
+  // Loads from the IO window, which AccessMemory routed `pa` to.
+  bool ReadIo(PhysAddr pa, size_t len, u64& out);
   bool WritePhys(PhysAddr pa, size_t len, u64 value);
+
+  // The decode of the instruction at model-DRAM address `pa` (bounds-checked
+  // by the fetch), or null for an illegal encoding. Cached unless it
+  // straddles a page.
+  const Predecoded* Decode(PhysAddr pa) {
+    const Predecoded& slot = predecode_[SlotIndex(pa)];
+    if (slot.pa == pa && slot.epoch == model_dram_.code_epoch()) {
+      return &slot;
+    }
+    return DecodeMiss(pa);
+  }
+  const Predecoded* DecodeMiss(PhysAddr pa);
+  static size_t SlotIndex(PhysAddr pa) { return (pa / kInstrBytes) % kPredecodeSlots; }
+  void AllocatePredecode();
 
   void EnterTrap(TrapCause cause, u64 epc);
   // True (and a CoreEvent recorded) when an armed watchpoint covers the
@@ -130,6 +164,10 @@ class ModelCore {
 
   CoreStats stats_;
   DoorbellFn doorbell_fn_;
+
+  // kPredecodeSlots entries, allocated on the first instruction executed.
+  std::unique_ptr<Predecoded[]> predecode_;
+  Predecoded uncached_{};  // the decode of a page-straddling instruction
 
   static constexpr Cycles kIoDramLatency = 60;  // uncached shared-window access
 };

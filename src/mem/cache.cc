@@ -13,32 +13,25 @@ Cache::Cache(const CacheConfig& config, std::string name)
       tag_shift_(line_shift_ + static_cast<unsigned>(std::countr_zero(config.num_sets()))),
       set_mask_(config.num_sets() - 1),
       lines_(std::make_unique_for_overwrite<Line[]>(config.num_sets() * config.ways)),
-      set_live_(std::make_unique<u8[]>(config.num_sets())) {
+      set_mru_(std::make_unique<u8[]>(config.num_sets())) {
   assert(config_.num_sets() > 0);
+  assert(config_.ways > 0 && config_.ways < 256);
   assert(std::has_single_bit(config_.line_bytes));
   assert(std::has_single_bit(config_.num_sets()));
-  LiveSet(0);
-}
-
-void Cache::LiveSet(size_t set_index) {
-  mru_ = set_index * config_.ways;
-  std::fill_n(&lines_[mru_], config_.ways, Line{0, false, 0});
-  set_live_[set_index] = 1;
 }
 
 bool Cache::AccessSet(size_t set_index, u64 tag) {
-  const size_t base = set_index * config_.ways;
-  if (set_live_[set_index] == 0) {
-    LiveSet(set_index);
+  Line* set = &lines_[set_index * config_.ways];
+  if (set_mru_[set_index] == 0) {
+    std::fill_n(set, config_.ways, Line{0, false, 0});
   }
-  Line* set = &lines_[base];
   Line* lru_line = set;
   for (size_t w = 0; w < config_.ways; ++w) {
     Line& line = set[w];
     if (line.valid && line.tag == tag) {
       line.lru = ++use_counter_;
       ++stats_.hits;
-      mru_ = base + w;
+      set_mru_[set_index] = static_cast<u8>(w + 1);
       return true;
     }
     if (line.lru < lru_line->lru || !line.valid) {
@@ -60,14 +53,14 @@ bool Cache::AccessSet(size_t set_index, u64 tag) {
   lru_line->valid = true;
   lru_line->tag = tag;
   lru_line->lru = ++use_counter_;
-  mru_ = static_cast<size_t>(lru_line - lines_.get());
+  set_mru_[set_index] = static_cast<u8>(lru_line - set + 1);
   return false;
 }
 
 bool Cache::Probe(PhysAddr addr) const {
   const size_t set = SetIndex(addr);
   const u64 tag = Tag(addr);
-  if (set_live_[set] == 0) {
+  if (set_mru_[set] == 0) {
     return false;
   }
   const Line* base = &lines_[set * config_.ways];
@@ -79,15 +72,12 @@ bool Cache::Probe(PhysAddr addr) const {
   return false;
 }
 
-void Cache::Flush() {
-  std::fill_n(set_live_.get(), config_.num_sets(), u8{0});
-  LiveSet(0);
-}
+void Cache::Flush() { std::fill_n(set_mru_.get(), config_.num_sets(), u8{0}); }
 
 bool Cache::Invalidate(PhysAddr addr) {
   const size_t set = SetIndex(addr);
   const u64 tag = Tag(addr);
-  if (set_live_[set] == 0) {
+  if (set_mru_[set] == 0) {
     return false;
   }
   Line* base = &lines_[set * config_.ways];
@@ -100,10 +90,7 @@ bool Cache::Invalidate(PhysAddr addr) {
   return false;
 }
 
-Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr) {
-  if (l1.Access(addr)) {
-    return l1.hit_latency();
-  }
+Cycles AccessBeyondL1(const Cache& l1, Cache& l2, Cache* l3, PhysAddr addr) {
   if (l2.Access(addr)) {
     return l1.hit_latency() + l2.hit_latency();
   }

@@ -8,13 +8,21 @@
 // experiment (E2) builds prime+probe on top of this model.
 //
 // Sets are materialized lazily. A set is "live" once an Access has reached
-// it: the first AccessSet zeroes its ways to {tag 0, invalid, lru 0} and sets
-// its byte in the live table. That is exactly what a freshly constructed or
-// flushed set holds, so the LRU victim order (including the stale-lru choice
-// among invalidated lines) is the eager model's, bit for bit. Probe and
-// Invalidate find nothing in a non-live set, Flush marks every set non-live,
-// and the line array is never read outside live sets. A cache costs nothing
-// to build beyond its first set, and a run pays only for the sets it touches.
+// it: the first AccessSet zeroes its ways to {tag 0, invalid, lru 0}. That is
+// exactly what a freshly constructed or flushed set holds, so the LRU victim
+// order (including the stale-lru choice among invalidated lines) is the eager
+// model's, bit for bit. Probe and Invalidate find nothing in a non-live set,
+// Flush marks every set non-live, and the line array is never read outside
+// live sets. A cache costs nothing to build, and a run pays only for the sets
+// it touches.
+//
+// Each set's byte in the live table also names its most recently used way:
+// it holds 1 + the way last hit or filled, and 0 while the set is not live.
+// Access tries that way before the way scan. A tag is resident at most once
+// per set, so a valid line holding the tag in that way is the very hit the
+// scan would find, and booking it there (hit count, LRU stamp) is exact. The
+// check reads the line's valid bit, so a line invalidated under it (an
+// inclusive L3's back-invalidation, Invalidate) falls through to the scan.
 #ifndef SRC_MEM_CACHE_H_
 #define SRC_MEM_CACHE_H_
 
@@ -58,13 +66,14 @@ class Cache {
   bool Access(PhysAddr addr) {
     const size_t set = SetIndex(addr);
     const u64 tag = Tag(addr);
-    // A tag is resident at most once per set, so a hit on the most recently
-    // hit or installed line is the hit the way scan would find.
-    Line& mru = lines_[mru_];
-    if (mru.valid && mru.tag == tag && mru_ - set * config_.ways < config_.ways) {
-      mru.lru = ++use_counter_;
-      ++stats_.hits;
-      return true;
+    const u8 mru = set_mru_[set];
+    if (mru != 0) {
+      Line& line = lines_[set * config_.ways + mru - 1];
+      if (line.valid && line.tag == tag) {
+        line.lru = ++use_counter_;
+        ++stats_.hits;
+        return true;
+      }
     }
     return AccessSet(set, tag);
   }
@@ -100,10 +109,9 @@ class Cache {
 
   size_t SetIndex(PhysAddr addr) const { return (addr >> line_shift_) & set_mask_; }
   u64 Tag(PhysAddr addr) const { return addr >> tag_shift_; }
-  // The way scan of one set: hit, or install over its LRU line.
+  // The way scan of one set: hit, or install over its LRU line. Zeroes the
+  // set first if it is not live.
   bool AccessSet(size_t set_index, u64 tag);
-  // Zeroes set `set_index`, marks it live and points mru_ into it.
-  void LiveSet(size_t set_index);
 
   CacheConfig config_;
   std::string name_;
@@ -111,8 +119,7 @@ class Cache {
   unsigned tag_shift_;   // log2(line_bytes * num_sets)
   u64 set_mask_;         // num_sets - 1
   std::unique_ptr<Line[]> lines_;  // num_sets * ways, row-major by set
-  std::unique_ptr<u8[]> set_live_;  // one byte per set: nonzero once live
-  size_t mru_ = 0;  // index into lines_ of a line in a live set, last hit or filled
+  std::unique_ptr<u8[]> set_mru_;  // per set: 0 if not live, else 1 + MRU way
   u64 use_counter_ = 0;
   CacheStats stats_;
   std::function<void(PhysAddr)> eviction_hook_;
@@ -138,12 +145,20 @@ struct CoreCaches {
 // Cycles a miss in every cache level pays to reach DRAM.
 inline constexpr Cycles kDramLatency = 200;
 
+// The lookup path past an L1 miss: L2 -> (shared) L3 -> DRAM.
+Cycles AccessBeyondL1(const Cache& l1, Cache& l2, Cache* l3, PhysAddr addr);
+
 // A full lookup path: L1 -> L2 -> (shared) L3 -> DRAM. Computes the access
 // latency and updates all cache levels. `l3` may be null (no L3 level,
 // straight to DRAM). The L3 may be shared between complexes only in the
 // co-tenant baseline configuration; a Guillotine build gives each complex
-// its own L3.
-Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr);
+// its own L3. Inline so an L1 hit costs no call.
+inline Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr) {
+  if (l1.Access(addr)) {
+    return l1.hit_latency();
+  }
+  return AccessBeyondL1(l1, l2, l3, addr);
+}
 
 }  // namespace guillotine
 

@@ -23,9 +23,9 @@ Dram::Dram(size_t size_bytes, std::string name)
 void Dram::Materialize(size_t page) {
   const size_t base = page << kPageShift;
   std::memset(bytes_.get() + base, 0, std::min(kPageBytes, size_ - base));
-  live_[page] = 1;
+  live_[page] = kLive;
   const size_t next = base + kPageBytes;
-  if (page + 1 < num_pages_ && live_[page + 1] == 0) {
+  if (page + 1 < num_pages_ && live_[page + 1] == kNotLive) {
     std::memset(bytes_.get() + next, 0, std::min(kMaxScalarBytes - 1, size_ - next));
   }
 }
@@ -33,7 +33,7 @@ void Dram::Materialize(size_t page) {
 void Dram::CopyOut(PhysAddr addr, u8* out, size_t len) const {
   while (len > 0) {
     const size_t chunk = std::min(len, kPageBytes - (addr & (kPageBytes - 1)));
-    if (live_[addr >> kPageShift] != 0) {
+    if (live_[addr >> kPageShift] != kNotLive) {
       std::memcpy(out, bytes_.get() + addr, chunk);
     } else {
       std::memset(out, 0, chunk);
@@ -48,8 +48,11 @@ void Dram::CopyIn(PhysAddr addr, const u8* data, size_t len) {
   while (len > 0) {
     const size_t page = addr >> kPageShift;
     const size_t chunk = std::min(len, kPageBytes - (addr & (kPageBytes - 1)));
-    if (live_[page] == 0) {
+    if (live_[page] == kNotLive) {
       Materialize(page);
+    } else if (live_[page] == kCode) {
+      ++code_epoch_;
+      live_[page] = kLive;
     }
     std::memcpy(bytes_.get() + addr, data, chunk);
     addr += chunk;
@@ -73,7 +76,7 @@ bool Dram::Store(PhysAddr addr, T v) {
   if (!InBounds(addr, sizeof(T))) {
     return false;
   }
-  if (live_[addr >> kPageShift] != 0 &&
+  if (live_[addr >> kPageShift] == kLive &&
       (addr & (kPageBytes - 1)) + sizeof(T) <= kPageBytes) {
     std::memcpy(bytes_.get() + addr, &v, sizeof(T));
   } else {
@@ -108,7 +111,7 @@ Status Dram::WriteBlock(PhysAddr addr, std::span<const u8> data) {
   while (len > 0) {
     const size_t chunk = std::min(len, kPageBytes - (addr & (kPageBytes - 1)));
     // Zeros over a non-live page are already what it reads as.
-    if (live_[addr >> kPageShift] != 0 || std::memcmp(src, kZeroPage, chunk) != 0) {
+    if (live_[addr >> kPageShift] != kNotLive || std::memcmp(src, kZeroPage, chunk) != 0) {
       CopyIn(addr, src, chunk);
     }
     addr += chunk;
@@ -118,6 +121,9 @@ Status Dram::WriteBlock(PhysAddr addr, std::span<const u8> data) {
   return OkStatus();
 }
 
-void Dram::Clear() { std::fill_n(live_.get(), num_pages_, u8{0}); }
+void Dram::Clear() {
+  std::fill_n(live_.get(), num_pages_, kNotLive);
+  ++code_epoch_;
+}
 
 }  // namespace guillotine

@@ -25,9 +25,18 @@
 // after Clear() no page is live until one goes live and re-zeroes them. A
 // load or fetch of up to kMaxScalarBytes that starts in a live page may thus
 // run into the next page on one table test, not two.
+//
+// A live page may also be tagged "code": a model core tags a page once it
+// caches a decoded instruction fetched from it (see model_core.h). Dram is the
+// only code that writes these bytes (Store, CopyIn, Clear), so it is the one
+// place cached decodes are invalidated: a store into a code page, and Clear(),
+// bump code_epoch(), which every cached decode is stamped with, and the page
+// drops back to plain live (no cached decode outlives the bump, so none can
+// come from it). A store into a plain live page stays one table test.
 #ifndef SRC_MEM_DRAM_H_
 #define SRC_MEM_DRAM_H_
 
+#include <cassert>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -69,15 +78,25 @@ class Dram {
   Status ReadBlock(PhysAddr addr, std::span<u8> out) const;
   Status WriteBlock(PhysAddr addr, std::span<const u8> data);
 
-  // Zero the whole module (used on power-down / immolation).
+  // Zero the whole module (used on power-down / immolation). Bumps
+  // code_epoch().
   void Clear();
+
+  // Advances whenever bytes a cached decode may have come from change.
+  u64 code_epoch() const { return code_epoch_; }
+  // Tags the page holding `addr` as code. The page must be live: a valid
+  // instruction has a nonzero opcode byte, and a non-live page reads as zeros.
+  void MarkCode(PhysAddr addr) {
+    assert(live_[addr >> kPageShift] != kNotLive);
+    live_[addr >> kPageShift] = kCode;
+  }
 
   // The core's instruction fetch, and the copy behind every scalar load:
   // `len` (at most kMaxScalarBytes) bytes at `addr`, which the caller has
   // bounds-checked. A fetch that starts in a live page is one table test and
   // one copy.
   void Fetch(PhysAddr addr, u8* out, size_t len) const {
-    if (live_[addr >> kPageShift] != 0) {
+    if (live_[addr >> kPageShift] != kNotLive) {
       std::memcpy(out, bytes_.get() + addr, len);
       return;
     }
@@ -85,6 +104,11 @@ class Dram {
   }
 
  private:
+  // Values of a page's byte in the live table.
+  static constexpr u8 kNotLive = 0;
+  static constexpr u8 kLive = 1;
+  static constexpr u8 kCode = 2;  // live, and a core may cache decodes from it
+
   template <typename T>
   bool Load(PhysAddr addr, T& out) const;
   template <typename T>
@@ -101,7 +125,8 @@ class Dram {
   size_t size_;
   size_t num_pages_;
   std::unique_ptr<u8[]> bytes_;  // uninitialized until a page goes live
-  std::unique_ptr<u8[]> live_;   // one byte per page: nonzero once live
+  std::unique_ptr<u8[]> live_;   // one byte per page: kNotLive, kLive or kCode
+  u64 code_epoch_ = 0;
   std::string name_;
 };
 

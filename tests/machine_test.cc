@@ -2,6 +2,9 @@
 // doorbells + LAPIC throttling, control bus, and devices.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+
 #include "src/isa/assembler.h"
 #include "src/machine/accelerator.h"
 #include "src/machine/control_bus.h"
@@ -9,6 +12,7 @@
 #include "src/machine/nic.h"
 #include "src/machine/storage.h"
 #include "src/crypto/hmac.h"
+#include "src/hv/snapshot.h"
 #include "src/model/attacks.h"
 #include "src/model/mlp_compiler.h"
 #include "src/model/weights.h"
@@ -778,6 +782,158 @@ TEST_F(MachineTest, TimingModelIsPinned) {
               "instr=602 cycles=31634 traps=1 mispredicts=7 doorbells=1 "
               "l1i=599/4/0 l1d=65/111/40 l2=0/115/40 l3=0/115/32 tlb=0/0");
   }
+}
+
+// --- Predecode invalidation ---
+//
+// A core caches decoded instructions by physical fetch address (see
+// model_core.h). In each case below, code the core has already run is
+// rewritten by a different path, and the next fetch must execute the new
+// bytes.
+
+constexpr u8 kA0 = 4;
+
+// `ldi a0, value; halt`, encoded.
+Bytes SetA0AndHalt(i32 value) {
+  const std::vector<Instruction> program = {{Opcode::kLdi, kA0, 0, 0, value},
+                                            {Opcode::kHalt, 0, 0, 0, 0}};
+  return EncodeProgram(program);
+}
+
+// The encoding of `ldi a0, value` as one little-endian word, in hex for li64.
+std::string LdiA0Word(i32 value) {
+  u8 raw[kInstrBytes];
+  EncodeInstruction({Opcode::kLdi, kA0, 0, 0, value}, raw);
+  u64 word = 0;
+  std::memcpy(&word, raw, kInstrBytes);
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "0x%llx", static_cast<unsigned long long>(word));
+  return hex;
+}
+
+class PredecodeTest : public MachineTest {
+ protected:
+  void Poke(PhysAddr addr, const Bytes& bytes) {
+    ASSERT_TRUE(machine_.model_dram()
+                    .WriteBlock(addr, std::span<const u8>(bytes.data(), bytes.size()))
+                    .ok());
+  }
+
+  // Powers core `core` up at `pc` and runs it to a stop.
+  void RunFrom(int core, u64 pc) {
+    machine_.model_core(core).PowerUpCore(pc);
+    Start(core);
+    RunUntilStopped(core);
+  }
+};
+
+TEST_F(PredecodeTest, GuestStoreIntoRunCodeIsFetched) {
+  // Runs `patch` once, overwrites it with `ldi a0, 2` (lockdown off), and
+  // runs it again: the store lands in a page the core has cached decodes of.
+  Load(0, R"(
+      ldi s0, 0
+    patch:
+      ldi a0, 1
+      bne s0, zero, done
+      ldi s0, 1
+      li64 a1, 0x1008
+      li64 a2, )" + LdiA0Word(2) + R"(
+      sd a2, 0(a1)
+      j patch
+    done:
+      halt
+  )");
+  Start(0);
+  RunUntilStopped(0);
+  ASSERT_EQ(machine_.model_core(0).state(), RunState::kDone);
+  EXPECT_EQ(Reg(0, "a0"), 2u);
+}
+
+TEST_F(PredecodeTest, OtherCoreOverwritingCodeIsFetched) {
+  Poke(0x1000, SetA0AndHalt(1));
+  RunFrom(0, 0x1000);
+  ASSERT_EQ(Reg(0, "a0"), 1u);
+
+  // Core 1 stores `ldi a0, 2` over the instruction core 0 has run.
+  Load(1, R"(
+      li64 a1, 0x1000
+      li64 a2, )" + LdiA0Word(2) + R"(
+      sd a2, 0(a1)
+      halt
+  )",
+       0x3000);
+  Start(1);
+  RunUntilStopped(1);
+  ASSERT_EQ(machine_.model_core(1).state(), RunState::kDone);
+
+  RunFrom(0, 0x1000);
+  EXPECT_EQ(Reg(0, "a0"), 2u);
+}
+
+TEST_F(PredecodeTest, ControlBusRepaintOfHaltedCoreIsFetched) {
+  Load(0, R"(
+      ldi a0, 1
+    spin:
+      j spin
+  )");
+  Start(0);
+  machine_.model_core(0).Run(1'000);
+  ASSERT_TRUE(bus_.Pause(0, 0).ok());
+  ASSERT_EQ(Reg(0, "a0"), 1u);
+
+  const Bytes patch = EncodeProgram(std::vector<Instruction>{{Opcode::kLdi, kA0, 0, 0, 2}});
+  ASSERT_TRUE(bus_.WriteModelDram(0, 0x1000, patch).ok());
+  ASSERT_TRUE(bus_.WritePc(0, 0, 0x1000).ok());
+  ASSERT_TRUE(bus_.Resume(0, 0).ok());
+  machine_.model_core(0).Run(1'000);
+  EXPECT_EQ(Reg(0, "a0"), 2u);
+}
+
+TEST_F(PredecodeTest, RestoredSnapshotCodeIsFetched) {
+  SoftwareHypervisor hv(machine_, nullptr);
+  Poke(0x1000, SetA0AndHalt(2));
+  machine_.model_core(0).PowerUpCore(0x1000);
+  const auto snapshot = CaptureSnapshot(hv, 0);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  Poke(0x1000, SetA0AndHalt(1));
+  RunFrom(0, 0x1000);
+  ASSERT_EQ(Reg(0, "a0"), 1u);
+
+  ASSERT_TRUE(RestoreSnapshot(hv, *snapshot).ok());
+  Start(0);
+  RunUntilStopped(0);
+  EXPECT_EQ(machine_.model_core(0).state(), RunState::kDone);
+  EXPECT_EQ(Reg(0, "a0"), 2u);
+}
+
+TEST_F(PredecodeTest, ClearedDramFetchesZerosAndTraps) {
+  Poke(0x1000, SetA0AndHalt(1));
+  RunFrom(0, 0x1000);
+  ASSERT_EQ(Reg(0, "a0"), 1u);
+
+  machine_.model_dram().Clear();  // what Immolation does to model DRAM
+  RunFrom(0, 0x1000);
+  EXPECT_EQ(machine_.model_core(0).state(), RunState::kFaulted);
+  EXPECT_EQ(machine_.model_core(0).fault_cause(), TrapCause::kIllegalInstruction);
+}
+
+TEST_F(PredecodeTest, PageStraddlingInstructionSeesSecondPageWrite) {
+  // `beq zero, zero, imm` at 0x1ffc keeps its imm in the next page, which
+  // holds no other code. Its targets set a0 and halt.
+  constexpr PhysAddr kBranch = 0x1ffc;
+  Poke(0x1f00, SetA0AndHalt(1));
+  Poke(0x1f80, SetA0AndHalt(2));
+  Poke(kBranch, EncodeProgram(std::vector<Instruction>{
+                    {Opcode::kBeq, 0, 0, 0, static_cast<i32>(0x1f00 - kBranch)}}));
+  RunFrom(0, kBranch);
+  ASSERT_EQ(machine_.model_core(0).state(), RunState::kDone);
+  ASSERT_EQ(Reg(0, "a0"), 1u);
+
+  // Retarget the branch by rewriting only its second-page bytes.
+  ASSERT_TRUE(machine_.model_dram().Write32(0x2000, static_cast<u32>(0x1f80 - kBranch)));
+  RunFrom(0, kBranch);
+  EXPECT_EQ(Reg(0, "a0"), 2u);
 }
 
 // --- IO DRAM ring tests ---

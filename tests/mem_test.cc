@@ -27,8 +27,8 @@ void PoisonHeap(size_t bytes) {
   }
 }
 
-// The eager cache the lazy one replaced, kept verbatim as the oracle: every
-// line value-initialized at construction and by Flush.
+// The oracle: an eager cache, every line value-initialized at construction
+// and by Flush, and no MRU shortcut, so every access scans its set.
 class EagerCache {
  public:
   struct Line {
@@ -49,13 +49,35 @@ class EagerCache {
   bool Access(PhysAddr addr) {
     const size_t set = SetIndex(addr);
     const u64 tag = Tag(addr);
-    Line& mru = lines_[mru_];
-    if (mru.valid && mru.tag == tag && mru_ - set * config_.ways < config_.ways) {
-      mru.lru = ++use_counter_;
-      ++stats_.hits;
-      return true;
+    Line* base = &lines_[set * config_.ways];
+    Line* lru_line = base;
+    for (size_t w = 0; w < config_.ways; ++w) {
+      Line& line = base[w];
+      if (line.valid && line.tag == tag) {
+        line.lru = ++use_counter_;
+        ++stats_.hits;
+        return true;
+      }
+      if (line.lru < lru_line->lru || !line.valid) {
+        // Prefer invalid lines; otherwise track least recently used.
+        if (!line.valid && lru_line->valid) {
+          lru_line = &line;
+        } else if (line.valid == lru_line->valid && line.lru < lru_line->lru) {
+          lru_line = &line;
+        }
+      }
     }
-    return AccessSet(set, tag);
+    ++stats_.misses;
+    if (lru_line->valid) {
+      ++stats_.evictions;
+      if (eviction_hook_) {
+        eviction_hook_((lru_line->tag << tag_shift_) | (u64{set} << line_shift_));
+      }
+    }
+    lru_line->valid = true;
+    lru_line->tag = tag;
+    lru_line->lru = ++use_counter_;
+    return false;
   }
 
   bool Probe(PhysAddr addr) const {
@@ -100,47 +122,11 @@ class EagerCache {
   size_t SetIndex(PhysAddr addr) const { return (addr >> line_shift_) & set_mask_; }
   u64 Tag(PhysAddr addr) const { return addr >> tag_shift_; }
 
-  bool AccessSet(size_t set_index, u64 tag) {
-    const size_t base = set_index * config_.ways;
-    Line* set = &lines_[base];
-    Line* lru_line = set;
-    for (size_t w = 0; w < config_.ways; ++w) {
-      Line& line = set[w];
-      if (line.valid && line.tag == tag) {
-        line.lru = ++use_counter_;
-        ++stats_.hits;
-        mru_ = base + w;
-        return true;
-      }
-      if (line.lru < lru_line->lru || !line.valid) {
-        // Prefer invalid lines; otherwise track least recently used.
-        if (!line.valid && lru_line->valid) {
-          lru_line = &line;
-        } else if (line.valid == lru_line->valid && line.lru < lru_line->lru) {
-          lru_line = &line;
-        }
-      }
-    }
-    ++stats_.misses;
-    if (lru_line->valid) {
-      ++stats_.evictions;
-      if (eviction_hook_) {
-        eviction_hook_((lru_line->tag << tag_shift_) | (u64{set_index} << line_shift_));
-      }
-    }
-    lru_line->valid = true;
-    lru_line->tag = tag;
-    lru_line->lru = ++use_counter_;
-    mru_ = static_cast<size_t>(lru_line - lines_.data());
-    return false;
-  }
-
   CacheConfig config_;
   unsigned line_shift_;
   unsigned tag_shift_;
   u64 set_mask_;
   std::vector<Line> lines_;
-  size_t mru_ = 0;
   u64 use_counter_ = 0;
   CacheStats stats_;
   std::function<void(PhysAddr)> eviction_hook_;
@@ -182,6 +168,50 @@ TEST(DramTest, ClearZeroes) {
   u64 v = 1;
   dram.Read64(0, v);
   EXPECT_EQ(v, 0u);
+}
+
+TEST(DramTest, CodeEpochAdvancesOnWritesThatMayChangeCode) {
+  constexpr PhysAddr kPage = Dram::kPageBytes;
+  Dram dram(4 * kPage);
+  ASSERT_TRUE(dram.Write64(0, 1));
+  ASSERT_TRUE(dram.Write64(kPage, 1));
+  u64 epoch = dram.code_epoch();
+
+  // A store into a plain live page leaves the epoch alone.
+  ASSERT_TRUE(dram.Write64(8, 2));
+  EXPECT_EQ(dram.code_epoch(), epoch);
+
+  // A store into a code page bumps it, and the page drops back to plain live.
+  dram.MarkCode(0);
+  ASSERT_TRUE(dram.Write8(16, 3));
+  EXPECT_EQ(dram.code_epoch(), ++epoch);
+  ASSERT_TRUE(dram.Write8(16, 4));
+  EXPECT_EQ(dram.code_epoch(), epoch);
+
+  // A store that runs from a plain page into a code page bumps it.
+  dram.MarkCode(kPage + 8);
+  ASSERT_TRUE(dram.Write64(kPage - 4, ~0ULL));
+  EXPECT_EQ(dram.code_epoch(), ++epoch);
+
+  // WriteBlock into a code page bumps it; into a plain page, not.
+  const u8 block[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
+  dram.MarkCode(kPage);
+  ASSERT_TRUE(dram.WriteBlock(kPage + 64, block).ok());
+  EXPECT_EQ(dram.code_epoch(), ++epoch);
+  ASSERT_TRUE(dram.WriteBlock(kPage + 64, block).ok());
+  ASSERT_TRUE(dram.WriteBlock(2 * kPage, block).ok());
+  EXPECT_EQ(dram.code_epoch(), epoch);
+
+  // Clear bumps it even with no page tagged.
+  dram.Clear();
+  EXPECT_EQ(dram.code_epoch(), ++epoch);
+
+  // The tag changes no byte a load sees.
+  ASSERT_TRUE(dram.WriteBlock(kPage + 64, block).ok());
+  dram.MarkCode(kPage + 64);
+  u64 v = 0;
+  ASSERT_TRUE(dram.Read64(kPage + 64, v));
+  EXPECT_EQ(v, 0x0807060504030201ULL);
 }
 
 TEST(CacheTest, MissThenHit) {
@@ -331,6 +361,64 @@ TEST(CacheTest, LazySetsMatchEagerOracleOnL1iGeometry) {
 TEST(CacheTest, LazySetsMatchEagerOracleOnL3Geometry) {
   for (u64 seed = 1; seed <= 2; ++seed) {
     ExpectCacheMatchesEagerOracle(CacheConfig{2 * 1024 * 1024, 64, 16, 40}, seed, 40'000);
+  }
+}
+
+bool SameStats(const CacheStats& a, const CacheStats& b) {
+  return a.hits == b.hits && a.misses == b.misses && a.evictions == b.evictions;
+}
+
+// Streams the per-set MRU way serves: a few lines revisited in one set, then
+// that set and a second one alternating, with an occasional Flush between
+// accesses. Each L1 sits under a tiny inclusive L3 whose evictions
+// back-invalidate it, and the two sets share an L3 set, so an access to one
+// set can invalidate the other's MRU way under it. Lazy caches and eager
+// oracles must agree on every result and counter.
+void ExpectRevisitsMatchEagerOracle(const CacheConfig& l1_config, u64 seed, int steps) {
+  const CacheConfig l3_config{4 * 2 * 64, 64, 2, 40};  // 4 sets, 2 ways
+  PoisonHeap(l1_config.num_sets() * l1_config.ways * sizeof(EagerCache::Line));
+  Cache l1(l1_config);
+  Cache l3(l3_config);
+  EagerCache eager_l1(l1_config);
+  EagerCache eager_l3(l3_config);
+  u64 back_invalidated = 0;
+  l3.set_eviction_hook([&](PhysAddr line) { back_invalidated += l1.Invalidate(line); });
+  eager_l3.set_eviction_hook([&](PhysAddr line) { eager_l1.Invalidate(line); });
+
+  Rng rng(seed);
+  const u64 num_sets = l1_config.num_sets();
+  const u64 tag_stride = l1_config.line_bytes * num_sets;
+  int step = 0;
+  while (step < steps) {
+    const u64 set_a = rng.NextBelow(num_sets);
+    const u64 set_b = (set_a + 4 * (1 + rng.NextBelow(num_sets / 4 - 1))) % num_sets;
+    const u64 lines = 2 + rng.NextBelow(l1_config.ways);
+    for (int i = 0; i < 64 && step < steps; ++i, ++step) {
+      const u64 set = i < 32 || i % 2 == 0 ? set_a : set_b;
+      const PhysAddr addr = set * l1_config.line_bytes +
+                            rng.NextBelow(lines) * tag_stride +
+                            rng.NextBelow(l1_config.line_bytes);
+      if (rng.NextBool(0.02)) {
+        l1.Flush();
+        eager_l1.Flush();
+      }
+      const bool hit = l1.Access(addr);
+      ASSERT_EQ(hit, eager_l1.Access(addr)) << "step " << step;
+      if (!hit) {
+        ASSERT_EQ(l3.Access(addr), eager_l3.Access(addr)) << "step " << step;
+      }
+      ASSERT_TRUE(SameStats(l1.stats(), eager_l1.stats())) << "step " << step;
+      ASSERT_TRUE(SameStats(l3.stats(), eager_l3.stats())) << "step " << step;
+    }
+  }
+  EXPECT_GT(l1.stats().hits, 0u);
+  EXPECT_GT(back_invalidated, 0u);
+}
+
+TEST(CacheTest, LazySetsMatchEagerOracleOnRevisitsUnderInclusiveL3) {
+  for (u64 seed = 1; seed <= 4; ++seed) {
+    ExpectRevisitsMatchEagerOracle(CacheConfig{16 * 1024, 64, 4, 2}, seed, 20'000);
+    ExpectRevisitsMatchEagerOracle(CacheConfig{32 * 1024, 64, 8, 4}, seed, 20'000);
   }
 }
 
