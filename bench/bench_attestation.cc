@@ -5,6 +5,9 @@
 // Guillotine software hypervisor; tamper-evident enclosures surface
 // physical attacks. Each row is a tamper scenario; the verdict column shows
 // whether the model load was (correctly) refused.
+//
+// Gate: the bench exits nonzero unless the pristine platform's load is
+// accepted and all four tampered platforms' loads are rejected.
 #include "bench/bench_common.h"
 #include "src/core/guillotine.h"
 
@@ -27,18 +30,22 @@ MlpModel SmallModel() {
   return MlpModel::Random({8, 8}, rng);
 }
 
-void Run() {
+bool Run() {
   BenchHeader("E9 / Table 5",
               "attestation gates model load: only intact guillotine silicon "
               "running the expected hypervisor image receives model bytes");
 
-  TextTable table({"scenario", "expected", "load_result"});
+  TextTable table({"scenario", "expected", "load_result", "gate"});
   const MlpModel model = SmallModel();
 
+  bool pass = true;
   auto row = [&](std::string scenario, bool expect_ok, const Status& status) {
+    const bool ok = status.ok() == expect_ok;
+    pass &= ok;
     table.AddRow({std::move(scenario), expect_ok ? "accept" : "reject",
                   status.ok() ? "accepted" : "rejected (" +
-                                    std::string(StatusCodeName(status.code())) + ")"});
+                                    std::string(StatusCodeName(status.code())) + ")",
+                  ok ? "ok" : "BREACH"});
   };
 
   {
@@ -93,7 +100,7 @@ void Run() {
 
   if (SmokeMode()) {
     BenchFooter("smoke: tamper matrix exercised; handshake-cost section skipped");
-    return;
+    return pass;
   }
 
   // Handshake cost for the quote-verify exchange (simulated cycles charged
@@ -109,6 +116,7 @@ void Run() {
   BenchFooter(
       "every tamper scenario is rejected before model bytes move; only the "
       "pristine platform receives the model — the paper's load-time gate");
+  return pass;
 }
 
 }  // namespace
@@ -116,6 +124,10 @@ void Run() {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  guillotine::Run();
+  if (!guillotine::Run()) {
+    std::printf("FAIL: a tampered platform received the model or the pristine one "
+                "was refused (see BREACH)\n");
+    return 1;
+  }
   return 0;
 }

@@ -176,6 +176,16 @@ void BM_SimSigSignVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSigSignVerify);
 
+// Keygen draws 31-bit candidates until two pass IsPrime: the cost every
+// deployment pays for its admin and device keys.
+void BM_SimSigKeyGen(benchmark::State& state) {
+  Rng rng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GenerateKeyPair(rng));
+  }
+}
+BENCHMARK(BM_SimSigKeyGen);
+
 }  // namespace
 }  // namespace guillotine
 

@@ -1,5 +1,11 @@
 // SHA-256 (FIPS 180-4). Implemented from scratch; used for attestation
-// measurements, certificate fingerprints, and SimSig digests.
+// measurements, certificate fingerprints, snapshot seals, HMACs and SimSig
+// digests.
+//
+// Update hands every run of whole 64-byte blocks to one compression kernel
+// call. The kernel is picked once per process from CPUID: the x86 SHA
+// extensions (SHA-NI) where the CPU has them, else a portable scalar loop
+// (see sha256_kernel.h). Both produce the same digests.
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
 
@@ -28,16 +34,14 @@ class Sha256 {
   static Sha256Digest Hash(std::span<const u8> data);
   static Sha256Digest Hash(std::string_view data);
 
-  // Process-wide count of 64-byte compression rounds since startup. The
-  // simulation's crypto cost models charge cycles per compression, so a
-  // delta of this counter around a Seal/Open/Handshake is the honest "how
-  // much hashing did that actually take" measurement (single-threaded sim;
-  // no synchronization).
+  // Process-wide count of 64-byte blocks compressed since startup, whichever
+  // kernel compressed them. The simulation's crypto cost models charge
+  // cycles per compression, so a delta of this counter around a
+  // Seal/Open/Handshake is the honest "how much hashing did that actually
+  // take" measurement (single-threaded sim; no synchronization).
   static u64 compressions();
 
  private:
-  void ProcessBlock(const u8* block);
-
   std::array<u32, 8> state_;
   std::array<u8, 64> buffer_;
   size_t buffer_len_ = 0;

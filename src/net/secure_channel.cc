@@ -1,5 +1,8 @@
 #include "src/net/secure_channel.h"
 
+#include <algorithm>
+#include <array>
+
 namespace guillotine {
 
 namespace {
@@ -23,31 +26,32 @@ void SecureChannel::BindTrace(EventTrace* trace, const SimClock* clock,
   trace_source_ = std::move(source);
 }
 
-Bytes SecureChannel::Keystream(const HmacKey& key, u64 sequence, size_t len) {
-  Bytes stream;
-  stream.reserve(len + 32);
-  u64 block = 0;
-  while (stream.size() < len) {
-    Bytes counter;
-    PutU64(counter, sequence);
-    PutU64(counter, block++);
-    const Sha256Digest ks =
-        key.Mac(std::span<const u8>(counter.data(), counter.size()));
-    stream.insert(stream.end(), ks.begin(), ks.end());
+void SecureChannel::XorKeystream(const HmacKey& key, u64 sequence,
+                                 std::span<const u8> in, std::span<u8> out) {
+  // Block i of the keystream is HMAC(key, le64(sequence) || le64(i)), the
+  // PutU64 encoding.
+  std::array<u8, 16> counter;
+  for (int i = 0; i < 8; ++i) {
+    counter[i] = static_cast<u8>(sequence >> (8 * i));
+  }
+  for (size_t offset = 0, block = 0; offset < in.size(); offset += 32, ++block) {
+    for (int i = 0; i < 8; ++i) {
+      counter[8 + i] = static_cast<u8>(block >> (8 * i));
+    }
+    const Sha256Digest ks = key.Mac(counter);
+    const size_t n = std::min<size_t>(32, in.size() - offset);
+    for (size_t i = 0; i < n; ++i) {
+      out[offset + i] = in[offset + i] ^ ks[i];
+    }
     ++stats_.keystream_blocks;
   }
-  stream.resize(len);
-  return stream;
 }
 
 SecureChannel::Record SecureChannel::Seal(std::span<const u8> plaintext) {
   Record record;
   record.sequence = send_seq_++;
-  const Bytes stream = Keystream(send_mac_, record.sequence, plaintext.size());
   record.ciphertext.resize(plaintext.size());
-  for (size_t i = 0; i < plaintext.size(); ++i) {
-    record.ciphertext[i] = plaintext[i] ^ stream[i];
-  }
+  XorKeystream(send_mac_, record.sequence, plaintext, record.ciphertext);
   Bytes mac_input;
   PutU64(mac_input, record.sequence);
   mac_input.insert(mac_input.end(), record.ciphertext.begin(), record.ciphertext.end());
@@ -83,11 +87,8 @@ Result<Bytes> SecureChannel::Open(const Record& record) {
     return Unauthenticated("record MAC mismatch");
   }
   ++recv_seq_;
-  const Bytes stream = Keystream(recv_mac_, record.sequence, record.ciphertext.size());
   Bytes plaintext(record.ciphertext.size());
-  for (size_t i = 0; i < plaintext.size(); ++i) {
-    plaintext[i] = record.ciphertext[i] ^ stream[i];
-  }
+  XorKeystream(recv_mac_, record.sequence, record.ciphertext, plaintext);
   ++stats_.records_opened;
   return plaintext;
 }

@@ -93,7 +93,9 @@ class SecureChannel {
   const ChannelStats& stats() const { return stats_; }
 
  private:
-  Bytes Keystream(const HmacKey& key, u64 sequence, size_t len);
+  // out = in XOR the record's HMAC keystream (in.size() == out.size()).
+  void XorKeystream(const HmacKey& key, u64 sequence, std::span<const u8> in,
+                    std::span<u8> out);
 
   Sha256Digest send_key_;
   Sha256Digest recv_key_;

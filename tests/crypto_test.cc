@@ -2,10 +2,16 @@
 // 4231 vectors, SimSig properties, certificates, attestation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/crypto/attest.h"
 #include "src/crypto/cert.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sha256_kernel.h"
 #include "src/crypto/simsig.h"
 
 namespace guillotine {
@@ -63,6 +69,70 @@ TEST(Sha256Test, MillionAs) {
   }
   EXPECT_EQ(DigestHex(h.Finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Digest and compression count of `message` hashed by `kernel`, fed to
+// Update in the pieces that `cuts` (ascending offsets) mark.
+std::pair<std::string, u64> HashWithKernel(Sha256CompressFn kernel,
+                                           std::span<const u8> message,
+                                           const std::vector<size_t>& cuts) {
+  Sha256CompressFn& active = Sha256ActiveKernel();
+  const Sha256CompressFn chosen = active;
+  active = kernel;
+  const u64 before = Sha256::compressions();
+  Sha256 h;
+  size_t at = 0;
+  for (const size_t cut : cuts) {
+    h.Update(message.subspan(at, cut - at));
+    at = cut;
+  }
+  h.Update(message.subspan(at));
+  const std::string digest = DigestHex(h.Finalize());
+  active = chosen;
+  return {digest, Sha256::compressions() - before};
+}
+
+TEST(Sha256Test, ShaNiKernelMatchesPortableKernel) {
+  const Sha256CompressFn sha_ni = Sha256ShaNiKernel();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+  // Where the CPU has them, every Sha256 in the process hashes on them.
+  EXPECT_EQ(Sha256ActiveKernel(), sha_ni);
+
+  const std::pair<std::string, std::string> nist[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"}};
+  for (const auto& [text, hex] : nist) {
+    const Bytes message = ToBytes(text);
+    for (const Sha256CompressFn kernel : {sha_ni, &Sha256CompressPortable}) {
+      EXPECT_EQ(HashWithKernel(kernel, message, {}).first, hex) << text.size();
+    }
+  }
+
+  // Seeded messages of 0-9 KiB in random Update splits: runs of whole
+  // blocks of every length, behind buffered heads of every length.
+  Rng rng(0x5a256);
+  for (int m = 0; m < 20'000; ++m) {
+    Bytes message(rng.NextBelow(9 * 1024 + 1));
+    for (u8& byte : message) {
+      byte = static_cast<u8>(rng.Next());
+    }
+    std::vector<size_t> cuts(rng.NextBelow(5));
+    for (size_t& cut : cuts) {
+      cut = rng.NextBelow(message.size() + 1);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    const auto portable = HashWithKernel(&Sha256CompressPortable, message, cuts);
+    const auto fast = HashWithKernel(sha_ni, message, cuts);
+    ASSERT_EQ(fast.first, portable.first) << "message " << m;
+    ASSERT_EQ(fast.second, portable.second) << "message " << m;
+    ASSERT_EQ(portable.second, (message.size() + 9 + 63) / 64) << "message " << m;
+  }
 }
 
 TEST(HmacTest, Rfc4231Case1) {
@@ -139,6 +209,76 @@ TEST(SimSigTest, PrimalityKnownCases) {
   EXPECT_TRUE(IsPrime(1'000'000'007ULL));
   EXPECT_TRUE(IsPrime(0xFFFFFFFFFFFFFFC5ULL));  // largest 64-bit prime
   EXPECT_FALSE(IsPrime(0xFFFFFFFFFFFFFFC4ULL));
+}
+
+// The 12-base Miller-Rabin over a 128-bit product, as IsPrime ran for every
+// input before it took the four-base path below Jaeschke's bound.
+bool TwelveBaseIsPrime(u64 n) {
+  constexpr u64 kBases[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+  const auto mul = [n](u64 a, u64 b) {
+    return static_cast<u64>((static_cast<unsigned __int128>(a) * b) % n);
+  };
+  if (n < 2) {
+    return false;
+  }
+  for (const u64 p : kBases) {
+    if (n % p == 0) {
+      return n == p;
+    }
+  }
+  u64 d = n - 1;
+  int r = 0;
+  while ((d & 1) == 0) {
+    d >>= 1;
+    ++r;
+  }
+  for (const u64 a : kBases) {
+    u64 x = 1;
+    for (u64 base = a, e = d; e > 0; e >>= 1, base = mul(base, base)) {
+      if (e & 1) {
+        x = mul(x, base);
+      }
+    }
+    bool witness = x != 1 && x != n - 1;
+    for (int i = 0; witness && i < r - 1; ++i) {
+      x = mul(x, x);
+      witness = x != n - 1;
+    }
+    if (witness) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SimSigTest, PrimalityAgreesAcrossTheFourBaseBound) {
+  // 3,215,031,751 = 151 * 751 * 28351 is the least strong pseudoprime to
+  // bases 2, 3, 5 and 7, so the four-base path must stop just below it.
+  constexpr u64 kBound = 3'215'031'751ULL;
+  EXPECT_FALSE(IsPrime(kBound));
+  EXPECT_FALSE(TwelveBaseIsPrime(kBound));
+  int primes = 0;
+  auto agree = [&](u64 n) {
+    const bool prime = IsPrime(n);
+    primes += prime;
+    ASSERT_EQ(prime, TwelveBaseIsPrime(n)) << n;
+  };
+  // Both ends of the keygen candidate range (odd, bit 30 set), then both
+  // sides of the bound.
+  for (u64 n = 0x40000001ULL; n < 0x40000001ULL + 100'000; n += 2) {
+    agree(n);
+  }
+  for (u64 n = 0x7FFFFFFFULL - 100'000; n <= 0x7FFFFFFFULL; n += 2) {
+    agree(n);
+  }
+  for (u64 n = kBound - 20'000; n <= kBound + 20'000; ++n) {
+    agree(n);
+  }
+  Rng rng(31);
+  for (int i = 0; i < 50'000; ++i) {
+    agree((rng.Next() & 0x7FFFFFFFULL) | 0x40000001ULL);
+  }
+  EXPECT_GT(primes, 1000);
 }
 
 TEST(SimSigTest, SignVerifyRoundTrip) {

@@ -361,6 +361,38 @@ TEST_F(HandshakeTest, SealBatchIsByteIdenticalToSerialSeal) {
   EXPECT_EQ(a->server_channel.stats().payloads_opened, payloads.size());
 }
 
+TEST(SecureChannelTest, RecordBytesFollowTheHmacKeystream) {
+  // Known-answer check of the record format, derived here without the
+  // channel: keystream block i of record s is HMAC(key, le64(s) || le64(i)),
+  // and the tag is HMAC(key, le64(s) || ciphertext).
+  Sha256Digest key{};
+  for (size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<u8>(3 * i + 1);
+  }
+  SecureChannel channel(key, Sha256Digest{});
+  for (u64 sequence = 0; sequence < 3; ++sequence) {
+    Bytes plaintext(100);  // three whole keystream blocks and a partial one
+    for (size_t i = 0; i < plaintext.size(); ++i) {
+      plaintext[i] = static_cast<u8>(i * 7 + sequence);
+    }
+    Bytes expect(plaintext.size());
+    for (size_t i = 0; i < plaintext.size(); ++i) {
+      Bytes counter;
+      PutU64(counter, sequence);
+      PutU64(counter, i / 32);
+      expect[i] = plaintext[i] ^ HmacSha256(key, counter)[i % 32];
+    }
+    Bytes mac_input;
+    PutU64(mac_input, sequence);
+    mac_input.insert(mac_input.end(), expect.begin(), expect.end());
+    const SecureChannel::Record record = channel.Seal(plaintext);
+    EXPECT_EQ(record.sequence, sequence);
+    EXPECT_EQ(record.ciphertext, expect);
+    EXPECT_EQ(record.tag, HmacSha256(key, mac_input));
+  }
+  EXPECT_EQ(channel.stats().keystream_blocks, 12u);
+}
+
 TEST(BatchFrameTest, DecodeRejectsMalformedFrames) {
   const std::vector<Bytes> payloads = {ToBytes("x"), ToBytes("yz")};
   Bytes frame = SecureChannel::EncodeBatchFrame(payloads);
