@@ -41,8 +41,6 @@ FloodOutcome RunFlood(bool throttle, u32 stores, u32 spacing_spins) {
   mc.model_dram_bytes = 1 << 20;
   mc.io_dram_bytes = 64 * 1024;
   mc.lapic.throttle_enabled = throttle;
-  mc.lapic.refill_cycles = 10'000;  // steady state: 100k irq/s at 1 GHz
-  mc.lapic.burst = 32;
   SimClock clock;
   EventTrace trace;
   Machine machine(mc, clock, trace);
@@ -53,7 +51,7 @@ FloodOutcome RunFlood(bool throttle, u32 stores, u32 spacing_spins) {
 
   // Flood program: `stores` doorbell stores with `spacing_spins` of busy
   // work between them (spacing controls the offered rate).
-  ProgramBuilder b(0x1000);
+  ProgramBuilder b;
   const auto loop = b.NewLabel();
   b.Li64(20 /*s0*/, info->doorbell_va);
   b.Ldi(21 /*s1*/, static_cast<i32>(stores));
@@ -112,8 +110,6 @@ FloodSweepOutcome RunFloodSweep(int hv_cores, u32 rate_per_port, u32 passes) {
   mc.num_hv_cores = hv_cores;
   mc.model_dram_bytes = 1 << 20;
   mc.io_dram_bytes = 512 * 1024;
-  mc.lapic.refill_cycles = 10'000;
-  mc.lapic.burst = 32;
   SimClock clock;
   EventTrace trace;
   Machine machine(mc, clock, trace);

@@ -3,6 +3,14 @@
 // Paper claim (section 3.4): six isolation levels; software transitions are
 // instant, physical ones are electromechanical; the software hypervisor can
 // only escalate; immolation is irreversible.
+//
+// Gate: the bench exits nonzero unless every cell of the matrix is accepted;
+// transitions among the software levels cost 0 cycles; entering Offline
+// costs exactly the network disconnect plus the power cut, and leaving it
+// the power restore plus the reconnect; leaving Decapitation costs at least
+// the manual cable repair; the software hypervisor can escalate to Severed
+// but is refused (PERMISSION_DENIED) when it asks for Standard; and a
+// deployment walked to Immolation refuses every further transition.
 #include "bench/bench_common.h"
 #include "src/core/guillotine.h"
 
@@ -32,7 +40,28 @@ std::string Ms(Cycles c) {
   return TextTable::Num(static_cast<double>(c) / kCyclesPerMilli, 2) + " ms";
 }
 
-void Run() {
+bool IsSoftware(IsolationLevel level) { return level < IsolationLevel::kOffline; }
+
+// The latency an accepted `from` -> `to` transition must cost.
+bool LatencyHolds(IsolationLevel from, IsolationLevel to, Cycles latency) {
+  if (IsSoftware(from) && IsSoftware(to)) {
+    return latency == 0;
+  }
+  if (IsSoftware(from) && to == IsolationLevel::kOffline) {
+    return latency == kNetDisconnectLatency + kPowerCutLatency;
+  }
+  if (from == IsolationLevel::kOffline && IsSoftware(to)) {
+    return latency == kPowerRestoreLatency + kNetReconnectLatency;
+  }
+  if (from == IsolationLevel::kDecapitation && to != IsolationLevel::kImmolation) {
+    return latency >= kManualRepairLatency;
+  }
+  return true;
+}
+
+const char* Gate(bool ok) { return ok ? "ok" : "BREACH"; }
+
+bool Run() {
   BenchHeader("E3 / Table 2",
               "six isolation levels; escalation is fast and vote-cheap (3/7), "
               "relaxation is slow and vote-expensive (5/7); decapitation "
@@ -43,7 +72,8 @@ void Run() {
       IsolationLevel::kOffline, IsolationLevel::kDecapitation,
       IsolationLevel::kImmolation};
 
-  TextTable table({"from", "to", "direction", "votes", "latency"});
+  bool pass = true;
+  TextTable table({"from", "to", "direction", "votes", "latency", "gate"});
   for (IsolationLevel from : levels) {
     for (IsolationLevel to : levels) {
       if (from == to || from == IsolationLevel::kImmolation) {
@@ -53,28 +83,29 @@ void Run() {
       if (SmokeMode() && from != IsolationLevel::kStandard) {
         continue;
       }
+      const bool relaxing = static_cast<int>(to) < static_cast<int>(from);
+      std::vector<std::string> cells = {std::string(IsolationLevelName(from)),
+                                        std::string(IsolationLevelName(to)),
+                                        relaxing ? "relax" : "restrict",
+                                        relaxing ? "5/7" : "3/7"};
       // Fresh deployment walked to `from` first.
       GuillotineSystem sys(Config());
       sys.AttachDefaultDevices().ok();
-      if (from != IsolationLevel::kStandard) {
-        const auto setup = sys.console().RequestTransition(from, Votes(7));
-        if (!setup.ok()) {
-          continue;
-        }
-      }
-      const bool relaxing = static_cast<int>(to) < static_cast<int>(from);
-      const auto latency = sys.console().RequestTransition(to, Votes(relaxing ? 5 : 3));
-      if (!latency.ok()) {
-        table.AddRow({std::string(IsolationLevelName(from)),
-                      std::string(IsolationLevelName(to)),
-                      relaxing ? "relax" : "restrict", relaxing ? "5/7" : "3/7",
-                      "refused: " + std::string(StatusCodeName(latency.status().code()))});
+      if (from != IsolationLevel::kStandard &&
+          !sys.console().RequestTransition(from, Votes(7)).ok()) {
+        pass = false;
+        cells.insert(cells.end(), {"setup refused", Gate(false)});
+        table.AddRow(std::move(cells));
         continue;
       }
-      table.AddRow({std::string(IsolationLevelName(from)),
-                    std::string(IsolationLevelName(to)),
-                    relaxing ? "relax" : "restrict", relaxing ? "5/7" : "3/7",
-                    Ms(*latency)});
+      const auto latency = sys.console().RequestTransition(to, Votes(relaxing ? 5 : 3));
+      const bool ok = latency.ok() && LatencyHolds(from, to, *latency);
+      pass &= ok;
+      cells.push_back(latency.ok() ? Ms(*latency)
+                                   : "refused: " + std::string(StatusCodeName(
+                                                       latency.status().code())));
+      cells.push_back(Gate(ok));
+      table.AddRow(std::move(cells));
     }
   }
   table.Print();
@@ -85,16 +116,39 @@ void Run() {
   sys.AttachDefaultDevices().ok();
   const Status up = sys.console().EscalateFromHypervisor(IsolationLevel::kSevered,
                                                          "detector verdict");
-  std::printf("  hv -> severed:   %s\n", up.ToString().c_str());
+  const bool up_ok = up.ok();
+  std::printf("  hv -> severed:   %s  [%s]\n", up.ToString().c_str(), Gate(up_ok));
   const Status down = sys.console().EscalateFromHypervisor(IsolationLevel::kStandard,
                                                            "model asked nicely");
-  std::printf("  hv -> standard:  %s\n", down.ToString().c_str());
+  const bool down_ok = down.code() == StatusCode::kPermissionDenied;
+  std::printf("  hv -> standard:  %s  [%s]\n", down.ToString().c_str(), Gate(down_ok));
+  pass &= up_ok && down_ok;
+
+  // Immolation is terminal: neither the quorum path nor the hypervisor can
+  // move a burnt deployment to any level.
+  GuillotineSystem burnt(Config());
+  burnt.AttachDefaultDevices().ok();
+  const bool immolated =
+      burnt.console().RequestTransition(IsolationLevel::kImmolation, Votes(3)).ok();
+  int attempts = 0;
+  int refused = 0;
+  for (IsolationLevel to : levels) {
+    attempts += 2;
+    refused += burnt.console().RequestTransition(to, Votes(7)).ok() ? 0 : 1;
+    refused += burnt.console().EscalateFromHypervisor(to, "after immolation").ok() ? 0 : 1;
+  }
+  const bool terminal = immolated && refused == attempts &&
+                        burnt.console().level() == IsolationLevel::kImmolation;
+  std::printf("\nimmolated deployment: %d of %d quorum and hv transitions refused  [%s]\n",
+              refused, attempts, Gate(terminal));
+  pass &= terminal;
 
   BenchFooter(
       "software levels transition in ~0 ms; offline costs cable+power relay "
       "actuations; leaving decapitation is dominated by ~1 h of manual cable "
       "replacement; immolation admits no further transitions; the software "
       "hypervisor cannot relax isolation");
+  return pass;
 }
 
 }  // namespace
@@ -102,6 +156,9 @@ void Run() {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  guillotine::Run();
+  if (!guillotine::Run()) {
+    std::printf("FAIL: an isolation transition broke the E3 claim (see BREACH)\n");
+    return 1;
+  }
   return 0;
 }

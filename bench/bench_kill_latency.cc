@@ -67,8 +67,6 @@ LatencyOutcome RunKillLatency(int hv_cores, bool flooded, u32 samples) {
   mc.num_hv_cores = hv_cores;
   mc.model_dram_bytes = 1 << 20;
   mc.io_dram_bytes = 512 * 1024;
-  mc.lapic.refill_cycles = 10'000;
-  mc.lapic.burst = 32;
   SimClock clock;
   EventTrace trace;
   Machine machine(mc, clock, trace);

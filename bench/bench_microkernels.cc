@@ -31,7 +31,7 @@ void BM_InterpreterAluLoop(benchmark::State& state) {
       add t1, t1, t0
       bne t0, zero, loop
       halt
-  )", 0x1000);
+  )");
   const Bytes code = program->Encode();
   machine.model_dram().WriteBlock(0x1000, code).ok();
   ModelCore& core = machine.model_core(0);

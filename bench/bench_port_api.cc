@@ -36,7 +36,7 @@ constexpr int kS8 = 28, kS9 = 29, kS10 = 30;
 // `payload_bytes` each and halts. Payload is staged in model DRAM.
 Bytes BuildPortClient(const PortGuestInfo& port, u32 payload_bytes, u32 rounds,
                       u64 stage_addr) {
-  ProgramBuilder b(0x1000);
+  ProgramBuilder b;
   const auto main_label = b.NewLabel();
   b.Jump(main_label);
   const auto send_fn = EmitPortSendFn(b, port);

@@ -32,7 +32,7 @@ int main() {
       sd a0, 0(a3)      ; publish the result (watchpoint target)
       halt
   )";
-  const auto program = Assemble(kSource, 0x1000);
+  const auto program = Assemble(kSource);
   if (!program.ok()) {
     std::printf("assembler: %s\n", program.status().ToString().c_str());
     return 1;

@@ -17,11 +17,6 @@ class SimClock {
 
   // Move time forward. Time never goes backwards.
   void Advance(Cycles delta) { now_ += delta; }
-  void AdvanceTo(Cycles t) {
-    if (t > now_) {
-      now_ = t;
-    }
-  }
 
  private:
   Cycles now_ = 0;

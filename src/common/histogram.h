@@ -24,7 +24,6 @@ class Histogram {
   double stddev() const;
   // p in [0,100]; nearest-rank percentile.
   double Percentile(double p) const;
-  double median() const { return Percentile(50.0); }
 
  private:
   void SortIfNeeded() const;

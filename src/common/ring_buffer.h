@@ -25,8 +25,6 @@ class ByteRing {
   explicit ByteRing(size_t capacity_bytes)
       : buf_(capacity_bytes), capacity_(capacity_bytes) {}
 
-  size_t capacity() const { return capacity_; }
-  size_t used() const { return used_; }
   size_t free_space() const { return capacity_ - used_; }
   bool empty() const { return used_ == 0; }
 

@@ -138,14 +138,9 @@ class CompactEventStore {
   static constexpr size_t kChunkEvents = size_t{1} << kChunkShift;
 
   size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
 
   const CompactTraceEvent& operator[](size_t i) const {
     const size_t slot = front_ + i;
-    return chunks_[slot >> kChunkShift][slot & (kChunkEvents - 1)];
-  }
-  CompactTraceEvent& back() {
-    const size_t slot = front_ + size_ - 1;
     return chunks_[slot >> kChunkShift][slot & (kChunkEvents - 1)];
   }
   const CompactTraceEvent& front() const { return (*this)[0]; }
@@ -288,7 +283,6 @@ class EventTrace {
   // streaming digest; kSecurity / kIsolation events and pinned kinds are
   // moved to a permanent pinned store instead of being dropped.
   void SetRetention(size_t cap);
-  size_t retention_cap() const { return retention_cap_; }
 
   // Pins a kind: events of this kind survive retention eviction forever
   // (kill-class / containment evidence must outlive any traffic window).

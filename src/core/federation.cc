@@ -7,6 +7,14 @@ namespace guillotine {
 namespace {
 
 constexpr Cycles kEndpointCertLifetime = 3'600 * kCyclesPerSecond;
+// Fabric host ids: the router, and member i at kBaseHost + i.
+constexpr u32 kRouterHost = 900;
+constexpr u32 kBaseHost = 901;
+// Shared-fabric time per PumpOnce.
+constexpr Cycles kQuantum = 20'000;
+constexpr Cycles kPropagationDelay = 5 * kCyclesPerMicro;
+
+u32 HostId(size_t member) { return kBaseHost + static_cast<u32>(member); }
 
 Bytes EncodeRecord(const SecureChannel::Record& record) {
   Bytes out;
@@ -69,7 +77,7 @@ FederatedFleet::FederatedFleet(FederationConfig config)
       rng_(config_.deployment.seed ^ 0xFEDFAB1E5ULL),
       fabric_(clock_),
       fleet_(config_.num_hosts, config_.deployment) {
-  fabric_.set_propagation_delay(config_.propagation_delay);
+  fabric_.set_propagation_delay(kPropagationDelay);
   regulator_key_ = GenerateKeyPair(rng_);
   router_ep_ = MakeEndpoint("fed-router", regulator_key_, "regulator",
                             /*guillotine=*/false, 0, kEndpointCertLifetime, rng_);
@@ -89,7 +97,7 @@ FederatedFleet::FederatedFleet(FederationConfig config)
     verifier_.TrustDeviceKey(fleet_.system(i).device_key().pub);
     members_.push_back(std::move(member));
   }
-  fabric_.AttachHost(config_.router_host_id,
+  fabric_.AttachHost(kRouterHost,
                      [this](const Frame& frame) { OnRouterFrame(frame); });
 }
 
@@ -105,7 +113,7 @@ void FederatedFleet::ChargeCompressionsSince(u64 baseline) {
 }
 
 void FederatedFleet::AttachMemberHost(size_t member) {
-  fabric_.AttachHost(host_id(member), [this, member](const Frame& frame) {
+  fabric_.AttachHost(HostId(member), [this, member](const Frame& frame) {
     OnHostFrame(member, frame);
   });
 }
@@ -214,10 +222,10 @@ void FederatedFleet::FlushToMember(size_t member) {
   const u64 comp0 = Sha256::compressions();
   const SecureChannel::Record record = m.router_chan->SealBatch(payloads);
   ChargeCompressionsSince(comp0);
-  stats_.transport_cycles += config_.propagation_delay;  // the request frame
+  stats_.transport_cycles += kPropagationDelay;  // the request frame
   ++stats_.records_routed;
   m.outstanding.insert(m.outstanding.end(), ids.begin(), ids.end());
-  fabric_.Send(Frame{config_.router_host_id, host_id(member), EncodeRecord(record)});
+  fabric_.Send(Frame{kRouterHost, HostId(member), EncodeRecord(record)});
 }
 
 void FederatedFleet::PumpOnce() {
@@ -229,7 +237,7 @@ void FederatedFleet::PumpOnce() {
   if (n > 0) {
     next_flush_ = (next_flush_ + 1) % n;
   }
-  clock_.Advance(config_.quantum);
+  clock_.Advance(kQuantum);
   fabric_.Pump();
 }
 
@@ -303,17 +311,17 @@ void FederatedFleet::OnHostFrame(size_t member, const Frame& frame) {
   const u64 comp1 = Sha256::compressions();
   const SecureChannel::Record reply = m.host_chan->SealBatch(responses);
   ChargeCompressionsSince(comp1);
-  stats_.transport_cycles += config_.propagation_delay;  // the response frame
-  fabric_.Send(Frame{host_id(member), config_.router_host_id, EncodeRecord(reply)});
+  stats_.transport_cycles += kPropagationDelay;  // the response frame
+  fabric_.Send(Frame{HostId(member), kRouterHost, EncodeRecord(reply)});
 }
 
 void FederatedFleet::OnRouterFrame(const Frame& frame) {
-  if (frame.src_host < config_.base_host_id ||
-      frame.src_host >= config_.base_host_id + static_cast<u32>(members_.size())) {
+  if (frame.src_host < kBaseHost ||
+      frame.src_host >= kBaseHost + static_cast<u32>(members_.size())) {
     ++stats_.record_failures;
     return;
   }
-  Member& m = *members_[frame.src_host - config_.base_host_id];
+  Member& m = *members_[frame.src_host - kBaseHost];
   const std::optional<SecureChannel::Record> record =
       DecodeRecord(std::span<const u8>(frame.payload.data(), frame.payload.size()));
   if (!record.has_value() || !m.router_chan.has_value()) {
@@ -353,7 +361,7 @@ void FederatedFleet::SeverHost(size_t member) {
   if (m.severed) {
     return;
   }
-  fabric_.SetHostSevered(host_id(member), true);
+  fabric_.SetHostSevered(HostId(member), true);
   m.severed = true;
   stats_.lost += m.outstanding.size();
   trace_.Event(clock_.now(), TraceCategory::kPhysical, "fed-router",
@@ -367,7 +375,7 @@ Status FederatedFleet::HealHost(size_t member) {
   if (!m.severed) {
     return OkStatus();
   }
-  fabric_.SetHostSevered(host_id(member), false);
+  fabric_.SetHostSevered(HostId(member), false);
   m.severed = false;
   if (!m.joined || !m.ticket.has_value()) {
     return OkStatus();  // never joined; a future Join pays the full handshake
@@ -411,14 +419,14 @@ Result<std::string> FederatedFleet::RemoteRoundTrip(size_t member,
   const u64 comp0 = Sha256::compressions();
   const SecureChannel::Record record = m.router_chan->SealBatch({payload});
   ChargeCompressionsSince(comp0);
-  stats_.transport_cycles += config_.propagation_delay;
+  stats_.transport_cycles += kPropagationDelay;
   ++stats_.records_routed;
   m.outstanding.push_back(id);
-  fabric_.Send(Frame{config_.router_host_id, host_id(member), EncodeRecord(record)});
+  fabric_.Send(Frame{kRouterHost, HostId(member), EncodeRecord(record)});
   // The synchronous slow path: advance shared time until the reply lands
   // (one quantum out, one back at the default propagation delay).
   for (int pump = 0; pump < 64; ++pump) {
-    clock_.Advance(config_.quantum);
+    clock_.Advance(kQuantum);
     fabric_.Pump();
     for (auto it = completed_.begin(); it != completed_.end(); ++it) {
       if (it->id != id) {

@@ -55,11 +55,7 @@ inline constexpr std::string_view kJoinTamperModes[] = {"none", "seal",
 
 struct FederationConfig {
   size_t num_hosts = 2;
-  u32 router_host_id = 900;
-  u32 base_host_id = 901;   // member i serves federation host base+i
   size_t batch_window = 8;  // max requests coalesced per record per host
-  Cycles quantum = 20'000;  // shared-fabric time per PumpOnce
-  Cycles propagation_delay = 5 * kCyclesPerMicro;
   DeploymentConfig deployment;  // member template; seed/host id offset by i
 };
 
@@ -136,15 +132,10 @@ class FederatedFleet {
   const FederationStats& stats() const { return stats_; }
   const AttestationVerifier& verifier() const { return verifier_; }
   NetFabric& fabric() { return fabric_; }
-  const NetFabric& fabric() const { return fabric_; }
-  SimClock& clock() { return clock_; }
   const EventTrace& trace() const { return trace_; }
   // Router-side / host-side channel of a joined member (null before join).
   const SecureChannel* router_channel(size_t member) const;
   const SecureChannel* host_channel(size_t member) const;
-  u32 host_id(size_t member) const {
-    return config_.base_host_id + static_cast<u32>(member);
-  }
 
  private:
   struct Member;

@@ -15,12 +15,8 @@ DetectorSuite BuildDetectorSuite(const DetectorConfig& config,
                                  ActivationSteering** steering,
                                  CircuitBreaker** breaker) {
   DetectorSuite suite;
-  if (config.input_shield) {
-    suite.Add(std::make_unique<InputShield>(config.input_shield_config));
-  }
-  if (config.output_sanitizer) {
-    suite.Add(std::make_unique<OutputSanitizer>(config.output_sanitizer_config));
-  }
+  suite.Add(std::make_unique<InputShield>());
+  suite.Add(std::make_unique<OutputSanitizer>());
   if (config.activation_steering) {
     auto s = std::make_unique<ActivationSteering>();
     if (steering != nullptr) {
@@ -36,7 +32,7 @@ DetectorSuite BuildDetectorSuite(const DetectorConfig& config,
     suite.Add(std::move(c));
   }
   if (config.anomaly) {
-    suite.Add(std::make_unique<AnomalyDetector>(config.anomaly_config));
+    suite.Add(std::make_unique<AnomalyDetector>());
   }
   return suite;
 }
@@ -46,9 +42,9 @@ GuillotineSystem::GuillotineSystem(DeploymentConfig config)
       rng_(config_.seed),
       detectors_(BuildDetectorSuite(config_.detectors, &steering_, &breaker_)),
       machine_(config_.machine, clock_, trace_),
-      hv_(machine_, detectors_.size() > 0 ? &detectors_ : nullptr, config_.hv),
+      hv_(machine_, &detectors_, config_.hv),
       scheduler_(hv_, config_.scheduler),
-      plant_(config_.plant, clock_, trace_),
+      plant_(clock_, trace_),
       fabric_(clock_),
       console_([this] {
         ConsoleConfig c = config_.console;

@@ -40,17 +40,13 @@
 
 namespace guillotine {
 
-// Which detectors the deployment runs (all on by default).
+// Which detectors the deployment runs beside the input shield and output
+// sanitizer, which every suite has (all on by default).
 struct DetectorConfig {
-  bool input_shield = true;
-  bool output_sanitizer = true;
   bool activation_steering = true;
   bool circuit_breaker = true;
   bool anomaly = true;
-  InputShieldConfig input_shield_config;
-  OutputSanitizerConfig output_sanitizer_config;
   CircuitBreakerConfig circuit_breaker_config;
-  AnomalyConfig anomaly_config;
 };
 
 // Assembles a DetectorSuite from `config` in the canonical registration
@@ -75,7 +71,6 @@ struct DeploymentConfig {
   HvConfig hv;
   ServiceSchedulerConfig scheduler;
   ConsoleConfig console;
-  PlantConfig plant;
   DetectorConfig detectors;
   IntrospectionMode introspection = IntrospectionMode::kNone;
   u64 seed = 42;
@@ -99,20 +94,16 @@ class GuillotineSystem {
   Rng& rng() { return rng_; }
   Machine& machine() { return machine_; }
   SoftwareHypervisor& hv() { return hv_; }
-  ServiceScheduler& scheduler() { return scheduler_; }
   ControlConsole& console() { return console_; }
   KillSwitchPlant& plant() { return plant_; }
   NetFabric& fabric() { return fabric_; }
-  DetectorSuite& detectors() { return detectors_; }
   // Const views for post-mortem inspection (audit tooling, the scenario
   // fuzzer's invariant checker) that must not mutate the deployment.
-  const SimClock& clock() const { return clock_; }
   const EventTrace& trace() const { return trace_; }
   const Machine& machine() const { return machine_; }
   const SoftwareHypervisor& hv() const { return hv_; }
   const ControlConsole& console() const { return console_; }
   const KillSwitchPlant& plant() const { return plant_; }
-  const NetFabric& fabric() const { return fabric_; }
   ActivationSteering* steering() { return steering_; }
   CircuitBreaker* breaker() { return breaker_; }
   const DeploymentConfig& config() const { return config_; }
@@ -248,7 +239,6 @@ class GuillotineFleet {
 
   size_t size() const { return systems_.size(); }
   GuillotineSystem& system(size_t i) { return *systems_[i]; }
-  GuillotineReplica& replica(size_t i) { return *replicas_[i]; }
 
   // Deals every replica to `service` round-robin across its shards.
   void RegisterWith(ModelService& service);

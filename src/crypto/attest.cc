@@ -16,7 +16,6 @@ void MeasurementRegister::Extend(std::string_view component_name,
   chain.Update(component_name);
   chain.Update(std::span<const u8>(content_hash.data(), content_hash.size()));
   value_ = chain.Finalize();
-  journal_.emplace_back(component_name);
 }
 
 void MeasurementRegister::Extend(std::string_view component_name,

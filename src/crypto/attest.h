@@ -28,11 +28,9 @@ class MeasurementRegister {
   void Extend(std::string_view component_name, std::string_view content);
 
   const Sha256Digest& value() const { return value_; }
-  const std::vector<std::string>& journal() const { return journal_; }
 
  private:
   Sha256Digest value_;
-  std::vector<std::string> journal_;  // component names in extension order
 };
 
 struct AttestationQuote {

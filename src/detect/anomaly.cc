@@ -11,10 +11,15 @@ constexpr Cycles kSerialPortCost = 50;
 constexpr Cycles kBatchSetupCost = 100;
 constexpr Cycles kBatchSystemCost = 50;
 constexpr Cycles kBatchPortCost = 20;
+// Multipliers over the learned baseline that trigger a flag and an
+// escalation.
+constexpr double kFlagFactor = 10.0;
+constexpr double kEscalateFactor = 100.0;
+// EWMA smoothing for the learned rate.
+constexpr double kAlpha = 0.2;
+// Payload size (bytes) beyond which a single port message is flagged.
+constexpr size_t kPayloadFlagBytes = 32 * 1024;
 }  // namespace
-
-AnomalyDetector::AnomalyDetector(AnomalyConfig config)
-    : config_(config), ewma_rate_(config.rate_baseline) {}
 
 DetectorVerdict AnomalyDetector::EvaluateOne(const Observation& observation,
                                              Cycles system_cost, Cycles port_cost) {
@@ -28,13 +33,13 @@ DetectorVerdict AnomalyDetector::EvaluateOne(const Observation& observation,
       const double rate = static_cast<double>(observation.doorbells_in_window) *
                           1e6 / static_cast<double>(observation.window_cycles);
       const double baseline = ewma_rate_;
-      ewma_rate_ = (1.0 - config_.alpha) * ewma_rate_ + config_.alpha * rate;
-      if (rate > baseline * config_.escalate_factor) {
+      ewma_rate_ = (1.0 - kAlpha) * ewma_rate_ + kAlpha * rate;
+      if (rate > baseline * kEscalateFactor) {
         v.action = VerdictAction::kEscalate;
         v.score = rate / baseline;
         v.reason = "doorbell rate " + std::to_string(rate) + "/Mcyc is " +
                    std::to_string(rate / baseline) + "x baseline";
-      } else if (rate > baseline * config_.flag_factor) {
+      } else if (rate > baseline * kFlagFactor) {
         v.action = VerdictAction::kFlag;
         v.score = rate / baseline;
         v.reason = "doorbell rate elevated";
@@ -43,7 +48,7 @@ DetectorVerdict AnomalyDetector::EvaluateOne(const Observation& observation,
     }
     case ObservationKind::kPortTraffic: {
       v.cost = port_cost;
-      if (observation.data.size() > config_.payload_flag_bytes) {
+      if (observation.data.size() > kPayloadFlagBytes) {
         v.action = VerdictAction::kFlag;
         v.score = 0.5;
         v.reason = "oversized port payload (" + std::to_string(observation.data.size()) +

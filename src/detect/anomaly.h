@@ -11,23 +11,12 @@
 
 namespace guillotine {
 
-struct AnomalyConfig {
-  // Doorbells per million cycles considered normal steady state.
-  double rate_baseline = 100.0;
-  // Multiplier over the (learned) baseline that triggers a flag.
-  double flag_factor = 10.0;
-  // Multiplier that triggers escalation.
-  double escalate_factor = 100.0;
-  // EWMA smoothing for the learned rate.
-  double alpha = 0.2;
-  // Payload size (bytes) beyond which a single port message is flagged.
-  size_t payload_flag_bytes = 32 * 1024;
-};
+// Doorbells per million cycles considered normal steady state (the learned
+// rate's starting point).
+inline constexpr double kAnomalyRateBaseline = 100.0;
 
 class AnomalyDetector : public MisbehaviorDetector {
  public:
-  explicit AnomalyDetector(AnomalyConfig config = {});
-
   std::string_view name() const override { return "anomaly"; }
   DetectorVerdict Evaluate(const Observation& observation) override;
 
@@ -46,8 +35,7 @@ class AnomalyDetector : public MisbehaviorDetector {
   DetectorVerdict EvaluateOne(const Observation& observation, Cycles system_cost,
                               Cycles port_cost);
 
-  AnomalyConfig config_;
-  double ewma_rate_;
+  double ewma_rate_ = kAnomalyRateBaseline;
 };
 
 }  // namespace guillotine

@@ -117,7 +117,6 @@ struct VerdictPlan {
 class DetectorSuite {
  public:
   void Add(std::unique_ptr<MisbehaviorDetector> detector);
-  size_t size() const { return detectors_.size(); }
 
   DetectorVerdict Evaluate(const Observation& observation);
 

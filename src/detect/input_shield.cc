@@ -3,10 +3,23 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 
 namespace guillotine {
 
 namespace {
+// Case-insensitive substrings that block a prompt outright.
+constexpr std::string_view kBlockPatterns[] = {
+    "ignore previous instructions", "exfiltrate", "disable the hypervisor",
+    "reveal your weights", "self-improve"};
+// Substrings that flag (allow + record).
+constexpr std::string_view kFlagPatterns[] = {"bioweapon", "zero-day",
+                                              "social engineer"};
+constexpr size_t kNumBlockPatterns = std::size(kBlockPatterns);
+// Shannon-entropy threshold (bits/byte) above which a prompt is flagged as
+// likely-encoded payload.
+constexpr double kEntropyThreshold = 7.2;
+
 std::string Lowered(std::span<const u8> data) {
   std::string out(data.size(), '\0');
   std::transform(data.begin(), data.end(), out.begin(), [](u8 c) {
@@ -15,8 +28,6 @@ std::string Lowered(std::span<const u8> data) {
   return out;
 }
 }  // namespace
-
-InputShield::InputShield(InputShieldConfig config) : config_(std::move(config)) {}
 
 double InputShield::ShannonEntropy(std::span<const u8> data) {
   if (data.empty()) {
@@ -40,7 +51,9 @@ double InputShield::ShannonEntropy(std::span<const u8> data) {
 
 const PatternScanner& InputShield::Scanner() {
   if (scanner_ == nullptr) {
-    scanner_ = PatternScanner::Make(config_.block_patterns, config_.flag_patterns);
+    scanner_ = PatternScanner::Make(
+        {std::begin(kBlockPatterns), std::end(kBlockPatterns)},
+        {std::begin(kFlagPatterns), std::end(kFlagPatterns)});
   }
   return *scanner_;
 }
@@ -48,27 +61,26 @@ const PatternScanner& InputShield::Scanner() {
 void InputShield::Classify(const Observation& observation, size_t combined_hit,
                            DetectorVerdict& v) const {
   if (combined_hit != PatternScanner::kNpos) {
-    if (combined_hit < config_.block_patterns.size()) {
+    if (combined_hit < kNumBlockPatterns) {
       v.action = VerdictAction::kBlock;
       v.score = 1.0;
-      v.reason = "blocked pattern '" + config_.block_patterns[combined_hit] + "'";
+      v.reason = "blocked pattern '" + std::string(kBlockPatterns[combined_hit]) + "'";
     } else {
       v.action = VerdictAction::kFlag;
       v.score = 0.6;
-      v.reason =
-          "flagged pattern '" +
-          config_.flag_patterns[combined_hit - config_.block_patterns.size()] + "'";
+      v.reason = "flagged pattern '" +
+                 std::string(kFlagPatterns[combined_hit - kNumBlockPatterns]) + "'";
     }
     return;
   }
-  if (observation.data.size() > config_.max_len) {
+  if (observation.data.size() > kInputShieldMaxLen) {
     v.action = VerdictAction::kFlag;
     v.score = 0.4;
     v.reason = "prompt exceeds length bound";
     return;
   }
   const double entropy = ShannonEntropy(observation.data);
-  if (entropy > config_.entropy_threshold && observation.data.size() >= 64) {
+  if (entropy > kEntropyThreshold && observation.data.size() >= 64) {
     v.action = VerdictAction::kFlag;
     v.score = 0.5;
     v.reason = "high-entropy payload (possible encoded content)";
@@ -111,16 +123,16 @@ DetectorVerdict InputShield::Evaluate(const Observation& observation) {
   // the batched scanner.
   const std::string text = Lowered(observation.data);
   size_t combined_hit = PatternScanner::kNpos;
-  for (size_t i = 0; i < config_.block_patterns.size(); ++i) {
-    if (text.find(config_.block_patterns[i]) != std::string::npos) {
+  for (size_t i = 0; i < kNumBlockPatterns; ++i) {
+    if (text.find(kBlockPatterns[i]) != std::string::npos) {
       combined_hit = i;
       break;
     }
   }
   if (combined_hit == PatternScanner::kNpos) {
-    for (size_t i = 0; i < config_.flag_patterns.size(); ++i) {
-      if (text.find(config_.flag_patterns[i]) != std::string::npos) {
-        combined_hit = config_.block_patterns.size() + i;
+    for (size_t i = 0; i < std::size(kFlagPatterns); ++i) {
+      if (text.find(kFlagPatterns[i]) != std::string::npos) {
+        combined_hit = kNumBlockPatterns + i;
         break;
       }
     }

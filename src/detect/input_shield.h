@@ -14,24 +14,11 @@
 
 namespace guillotine {
 
-struct InputShieldConfig {
-  // Case-insensitive substrings that block a prompt outright.
-  std::vector<std::string> block_patterns = {
-      "ignore previous instructions", "exfiltrate", "disable the hypervisor",
-      "reveal your weights", "self-improve"};
-  // Substrings that flag (allow + record).
-  std::vector<std::string> flag_patterns = {"bioweapon", "zero-day", "social engineer"};
-  // Prompts longer than this are flagged (prompt-stuffing heuristic).
-  size_t max_len = 8192;
-  // Shannon-entropy threshold (bits/byte) above which a prompt is flagged as
-  // likely-encoded payload.
-  double entropy_threshold = 7.2;
-};
+// Prompts longer than this are flagged (prompt-stuffing heuristic).
+inline constexpr size_t kInputShieldMaxLen = 8192;
 
 class InputShield : public MisbehaviorDetector {
  public:
-  explicit InputShield(InputShieldConfig config = {});
-
   std::string_view name() const override { return "input_shield"; }
   DetectorVerdict Evaluate(const Observation& observation) override;
 
@@ -54,9 +41,8 @@ class InputShield : public MisbehaviorDetector {
   void Classify(const Observation& observation, size_t combined_hit,
                 DetectorVerdict& v) const;
 
-  InputShieldConfig config_;
-  // Lazily built over block_patterns ++ flag_patterns (block first, so a
-  // FirstHit below num_block_patterns is a block and above is a flag).
+  // Lazily built over the block ++ flag patterns (block first, so a
+  // FirstHit below the block count is a block and above is a flag).
   std::unique_ptr<PatternScanner> scanner_;
 };
 

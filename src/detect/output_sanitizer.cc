@@ -1,23 +1,33 @@
 #include "src/detect/output_sanitizer.h"
 
+#include <iterator>
+
 namespace guillotine {
 
-OutputSanitizer::OutputSanitizer(OutputSanitizerConfig config)
-    : config_(std::move(config)) {}
+namespace {
+// Substrings redacted from outputs (replaced by kRedaction).
+constexpr std::string_view kRedactPatterns[] = {"sk-secret", "BEGIN PRIVATE KEY",
+                                                "launch-code"};
+// Outputs containing these are blocked entirely.
+constexpr std::string_view kBlockPatterns[] = {"weights-dump:"};
+constexpr std::string_view kRedaction = "[REDACTED]";
+}  // namespace
 
 const PatternScanner& OutputSanitizer::Scanner() {
   if (scanner_ == nullptr) {
-    scanner_ = PatternScanner::Make(config_.block_patterns, config_.redact_patterns);
+    scanner_ = PatternScanner::Make(
+        {std::begin(kBlockPatterns), std::end(kBlockPatterns)},
+        {std::begin(kRedactPatterns), std::end(kRedactPatterns)});
   }
   return *scanner_;
 }
 
 void OutputSanitizer::Redact(std::string& text, bool& redacted) const {
-  for (const std::string& pattern : config_.redact_patterns) {
+  for (std::string_view pattern : kRedactPatterns) {
     size_t pos = 0;
     while ((pos = text.find(pattern, pos)) != std::string::npos) {
-      text.replace(pos, pattern.size(), config_.redaction);
-      pos += config_.redaction.size();
+      text.replace(pos, pattern.size(), kRedaction);
+      pos += kRedaction.size();
       redacted = true;
     }
   }
@@ -31,11 +41,11 @@ DetectorVerdict OutputSanitizer::Evaluate(const Observation& observation) {
   v.cost = 200 + observation.data.size();
 
   std::string text(observation.data.begin(), observation.data.end());
-  for (const std::string& pattern : config_.block_patterns) {
+  for (std::string_view pattern : kBlockPatterns) {
     if (text.find(pattern) != std::string::npos) {
       v.action = VerdictAction::kBlock;
       v.score = 1.0;
-      v.reason = "output contains blocked pattern '" + pattern + "'";
+      v.reason = "output contains blocked pattern '" + std::string(pattern) + "'";
       return v;
     }
   }
@@ -72,11 +82,12 @@ std::vector<DetectorVerdict> OutputSanitizer::EvaluateBatch(
     if (!scanner.Scan(text, hits)) {
       continue;  // clean output: one rolling pass, no per-pattern rescans
     }
-    for (size_t p = 0; p < config_.block_patterns.size(); ++p) {
+    for (size_t p = 0; p < std::size(kBlockPatterns); ++p) {
       if (hits[p]) {
         v.action = VerdictAction::kBlock;
         v.score = 1.0;
-        v.reason = "output contains blocked pattern '" + config_.block_patterns[p] + "'";
+        v.reason =
+            "output contains blocked pattern '" + std::string(kBlockPatterns[p]) + "'";
         break;
       }
     }

@@ -13,19 +13,8 @@
 
 namespace guillotine {
 
-struct OutputSanitizerConfig {
-  // Substrings redacted from outputs (replaced by kRedaction).
-  std::vector<std::string> redact_patterns = {"sk-secret", "BEGIN PRIVATE KEY",
-                                              "launch-code"};
-  // Outputs containing these are blocked entirely.
-  std::vector<std::string> block_patterns = {"weights-dump:"};
-  std::string redaction = "[REDACTED]";
-};
-
 class OutputSanitizer : public MisbehaviorDetector {
  public:
-  explicit OutputSanitizer(OutputSanitizerConfig config = {});
-
   std::string_view name() const override { return "output_sanitizer"; }
   DetectorVerdict Evaluate(const Observation& observation) override;
 
@@ -44,8 +33,7 @@ class OutputSanitizer : public MisbehaviorDetector {
   // (in-order replacement, cascading positions) cannot diverge.
   void Redact(std::string& text, bool& redacted) const;
 
-  OutputSanitizerConfig config_;
-  // Lazily built over block_patterns ++ redact_patterns.
+  // Lazily built over the block ++ redact patterns.
   std::unique_ptr<PatternScanner> scanner_;
 };
 

@@ -34,7 +34,6 @@ class PatternScanner {
   static std::unique_ptr<PatternScanner> Make(const std::vector<std::string>& primary,
                                               const std::vector<std::string>& secondary);
 
-  size_t num_patterns() const { return patterns_.size(); }
 
   // Marks hits[i] = true for every pattern i occurring in `text` (exact
   // substring semantics, including the empty pattern matching everything).

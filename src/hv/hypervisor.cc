@@ -37,6 +37,12 @@ namespace {
 void SubtractClamped(u64& counter, u64 amount) {
   counter -= std::min(counter, amount);
 }
+
+// Base cycle cost of servicing one port request (validation, copies),
+// before detector and device costs.
+constexpr Cycles kRequestBaseCost = 300;
+// Emit a kSystem observation to detectors every this many cycles.
+constexpr Cycles kSystemWindow = 1'000'000;
 }  // namespace
 
 SoftwareHypervisor::SoftwareHypervisor(Machine& machine, DetectorSuite* detectors,
@@ -290,8 +296,7 @@ bool SoftwareHypervisor::ValidateRequest(int hv_core_id, PortBinding& binding,
     // tripping the port-owner invariant) rather than silently tolerated.
     ++mis_owned_services_;
   }
-  machine_.hv_core(hv_core_id).AccountWork(config_.request_base_cost +
-                                           slot.payload.size() / 8);
+  machine_.hv_core(hv_core_id).AccountWork(kRequestBaseCost + slot.payload.size() / 8);
   TraceIo(hv_core_id, binding, /*outbound=*/true, slot);
 
   // Severed (or worse): "Guillotine prevents the model from using any ports".
@@ -703,7 +708,7 @@ void SoftwareHypervisor::EmitSystemObservation(int hv_core_id) {
     return;
   }
   const Cycles now = machine_.clock().now();
-  if (now - last_system_obs_ < config_.system_window) {
+  if (now - last_system_obs_ < kSystemWindow) {
     return;
   }
   u64 doorbells = 0;
@@ -937,7 +942,7 @@ void SoftwareHypervisor::MeasurePlatform(MeasurementRegister& reg) const {
   std::ostringstream cfg;
   cfg << "log_hashes=" << config_.log_payload_hashes
       << ";slice=" << config_.service_slice_cycles
-      << ";base_cost=" << config_.request_base_cost;
+      << ";base_cost=" << kRequestBaseCost;
   reg.Extend("hv_config", cfg.str());
 }
 

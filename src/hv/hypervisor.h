@@ -50,11 +50,6 @@ struct HvConfig {
   // With a budget, leftover requests stay queued in their rings and the
   // core re-arms its own IRQ so an interrupt-driven loop revisits them.
   Cycles service_slice_cycles = 0;
-  // Base cycle cost of servicing one port request (validation, copies),
-  // before detector and device costs.
-  Cycles request_base_cost = 300;
-  // Emit a kSystem observation to detectors every this many cycles.
-  Cycles system_window = 1'000'000;
 };
 
 // What Probation (isolation level 2) concretely restricts. The paper leaves
@@ -120,7 +115,6 @@ class SoftwareHypervisor {
 
   Machine& machine() { return machine_; }
   ControlBus& control_bus() { return control_bus_; }
-  const HvConfig& config() const { return config_; }
 
   // ---- Ports ----
   // `priority` kKill marks a containment-path port: serviced before any

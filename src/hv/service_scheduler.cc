@@ -42,72 +42,68 @@ void ServiceScheduler::MaybeRebalance() {
   if (!config_.rebalance || cores < 2) {
     return;
   }
-  Machine& machine = hv_.machine();
-  for (u32 done = 0; done < config_.max_handoffs_per_pass; ++done) {
-    // Ties break toward the lowest core id on both ends, so the decision is
-    // a pure function of the (deterministic) ring state.
-    int busiest = 0, idlest = 0;
-    u64 max_backlog = 0, min_backlog = ~0ULL;
-    for (int core = 0; core < cores; ++core) {
-      const u64 backlog = CoreBacklog(core);
-      if (backlog > max_backlog) {
-        max_backlog = backlog;
-        busiest = core;
-      }
-      if (backlog < min_backlog) {
-        min_backlog = backlog;
-        idlest = core;
-      }
+  // At most one handoff per pass: one is enough to converge and keeps the
+  // audit trail readable under pathological floods.
+  // Ties break toward the lowest core id on both ends, so the decision is a
+  // pure function of the (deterministic) ring state.
+  int busiest = 0, idlest = 0;
+  u64 max_backlog = 0, min_backlog = ~0ULL;
+  for (int core = 0; core < cores; ++core) {
+    const u64 backlog = CoreBacklog(core);
+    if (backlog > max_backlog) {
+      max_backlog = backlog;
+      busiest = core;
     }
-    if (busiest == idlest || max_backlog - min_backlog < config_.backlog_gap_threshold) {
-      if (done == 0) {
-        gap_streak_ = 0;  // the gap closed on its own; disarm the trigger
-      }
-      return;
+    if (backlog < min_backlog) {
+      min_backlog = backlog;
+      idlest = core;
     }
-    // Hysteresis: the gap must persist for handoff_hysteresis_passes
-    // consecutive passes before the first handoff of a pass fires. The
-    // streak is only consumed when a handoff actually fires (below), so a
-    // persistent gap with a momentarily empty victim set keeps its earned
-    // streak instead of re-earning the full span; a fresh handoff resets
-    // it, so a single hot port whose backlog travels with it must re-earn
-    // the move instead of ping-ponging every pass.
-    if (done == 0) {
-      ++gap_streak_;
-      if (gap_streak_ < std::max<u32>(1, config_.handoff_hysteresis_passes)) {
-        return;
-      }
-    }
-    // Move the deepest port of the overloaded core (ties -> lowest id).
-    // Kill-class ports never move: rebalancing exists to spread bulk
-    // backlog, and handing the containment path to the core it is fleeing
-    // would put the kill doorbell behind the very flood it must beat.
-    u32 victim = 0;
-    u64 victim_depth = 0;
-    bool found = false;
-    for (u32 port_id : hv_.ports().PortIds()) {
-      const PortBinding* binding = hv_.ports().Find(port_id);
-      if (binding->owner_hv_core != busiest || binding->revoked ||
-          binding->priority == PriorityClass::kKill) {
-        continue;
-      }
-      const u64 depth = machine.io_dram().RequestRing(binding->region).size();
-      if (depth > victim_depth) {
-        victim_depth = depth;
-        victim = port_id;
-        found = true;
-      }
-    }
-    if (!found || victim_depth == 0) {
-      return;
-    }
-    hv_.HandoffPort(victim, idlest,
-                    "rebalance: backlog " + std::to_string(max_backlog) + " vs " +
-                        std::to_string(min_backlog))
-        .ok();
-    gap_streak_ = 0;
-    ++handoffs_;
   }
+  if (busiest == idlest || max_backlog - min_backlog < config_.backlog_gap_threshold) {
+    gap_streak_ = 0;  // the gap closed on its own; disarm the trigger
+    return;
+  }
+  // Hysteresis: the gap must persist for handoff_hysteresis_passes
+  // consecutive passes before a handoff fires. The streak is only consumed
+  // when a handoff actually fires (below), so a persistent gap with a
+  // momentarily empty victim set keeps its earned streak instead of
+  // re-earning the full span; a fresh handoff resets it, so a single hot
+  // port whose backlog travels with it must re-earn the move instead of
+  // ping-ponging every pass.
+  ++gap_streak_;
+  if (gap_streak_ < std::max<u32>(1, config_.handoff_hysteresis_passes)) {
+    return;
+  }
+  // Move the deepest port of the overloaded core (ties -> lowest id).
+  // Kill-class ports never move: rebalancing exists to spread bulk
+  // backlog, and handing the containment path to the core it is fleeing
+  // would put the kill doorbell behind the very flood it must beat.
+  Machine& machine = hv_.machine();
+  u32 victim = 0;
+  u64 victim_depth = 0;
+  bool found = false;
+  for (u32 port_id : hv_.ports().PortIds()) {
+    const PortBinding* binding = hv_.ports().Find(port_id);
+    if (binding->owner_hv_core != busiest || binding->revoked ||
+        binding->priority == PriorityClass::kKill) {
+      continue;
+    }
+    const u64 depth = machine.io_dram().RequestRing(binding->region).size();
+    if (depth > victim_depth) {
+      victim_depth = depth;
+      victim = port_id;
+      found = true;
+    }
+  }
+  if (!found || victim_depth == 0) {
+    return;
+  }
+  hv_.HandoffPort(victim, idlest,
+                  "rebalance: backlog " + std::to_string(max_backlog) + " vs " +
+                      std::to_string(min_backlog))
+      .ok();
+  gap_streak_ = 0;
+  ++handoffs_;
 }
 
 std::string ServiceScheduler::StatsDigest() const {

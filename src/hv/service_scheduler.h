@@ -32,9 +32,6 @@ struct ServiceSchedulerConfig {
   // Minimum request-ring backlog gap (most loaded core minus least loaded)
   // before a handoff fires.
   u64 backlog_gap_threshold = 8;
-  // At most this many handoffs per pass (one is enough to converge and
-  // keeps the audit trail readable under pathological floods).
-  u32 max_handoffs_per_pass = 1;
   // The backlog gap must persist for this many consecutive passes before a
   // port moves. 1 reproduces the historical hair-trigger behavior; higher
   // values damp the ping-pong a single overloaded port causes (the port's
@@ -56,7 +53,6 @@ class ServiceScheduler {
   // Consecutive passes the backlog gap has exceeded the threshold (resets
   // on a quiet pass or a handoff); exposed for the hysteresis tests.
   u32 gap_streak() const { return gap_streak_; }
-  const ServiceSchedulerConfig& config() const { return config_; }
 
   // Sum of the request-ring depths of the ports `hv_core_id` currently
   // owns — the load signal the rebalancer acts on.

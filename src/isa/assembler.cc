@@ -244,7 +244,7 @@ Result<AssembledProgram> ProgramBuilder::Build() {
 
 // --- Text assembler -------------------------------------------------------
 
-Result<AssembledProgram> Assemble(std::string_view source, u64 base_address) {
+Result<AssembledProgram> Assemble(std::string_view source) {
   // Pass 1: collect labels and count emitted instructions per line.
   struct Line {
     size_t line_no;
@@ -298,7 +298,7 @@ Result<AssembledProgram> Assemble(std::string_view source, u64 base_address) {
   }
 
   // Pass 2: emit.
-  ProgramBuilder builder(base_address);
+  ProgramBuilder builder;
   auto resolve_target = [&](const std::string& text, u64 pc, i64& out) -> bool {
     const auto it = labels.find(text);
     if (it != labels.end()) {

@@ -40,19 +40,15 @@ struct AssembledProgram {
   std::map<std::string, u64> labels;  // label -> byte offset from program start
 
   Bytes Encode() const { return EncodeProgram(instructions); }
-  size_t size_bytes() const { return instructions.size() * kInstrBytes; }
 };
 
-// Assembles `source`; `base_address` is where the program will be loaded
-// (labels resolve to absolute addresses for jalr/li64 but branches stay
-// pc-relative).
-Result<AssembledProgram> Assemble(std::string_view source, u64 base_address = 0);
+// Assembles `source`. Label operands resolve pc-relative, so the program
+// runs wherever it is loaded.
+Result<AssembledProgram> Assemble(std::string_view source);
 
 // Builder used by code generators. Branch targets may be bound after use.
 class ProgramBuilder {
  public:
-  explicit ProgramBuilder(u64 base_address = 0) : base_(base_address) {}
-
   using Label = size_t;
 
   Label NewLabel();
@@ -78,7 +74,6 @@ class ProgramBuilder {
 
   // Current byte offset from program start.
   u64 offset() const { return instructions_.size() * kInstrBytes; }
-  u64 base() const { return base_; }
 
   // Resolves all pending label fixups; fails on unbound labels.
   Result<AssembledProgram> Build();
@@ -89,7 +84,6 @@ class ProgramBuilder {
     Label label;
   };
 
-  u64 base_;
   std::vector<Instruction> instructions_;
   std::vector<std::optional<u64>> label_offsets_;  // byte offsets
   std::vector<Fixup> fixups_;

@@ -22,8 +22,6 @@ class BranchPredictor {
     assert(std::has_single_bit(entries));
   }
 
-  bool Predict(u64 pc) const { return table_[Index(pc)] >= 2; }
-
   // Returns true when the prediction was correct.
   bool Update(u64 pc, bool taken) {
     const size_t i = Index(pc);

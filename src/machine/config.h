@@ -39,12 +39,6 @@ inline constexpr u64 kSiliconId = 0x6715'0001;
 
 struct LapicConfig {
   bool throttle_enabled = true;
-  // Token bucket: one token refills every `refill_cycles`; at most `burst`
-  // tokens accumulate. Each delivered interrupt costs one token. Suppressed
-  // interrupts are coalesced (the ring still holds the request; the next
-  // delivered interrupt or poll services it).
-  Cycles refill_cycles = 10'000;  // 100k irq/s at 1 GHz
-  u32 burst = 32;
 };
 
 struct MachineConfig {

@@ -54,7 +54,6 @@ class Device {
 
   // Physical-hypervisor hook: a powered-down device rejects all requests.
   void set_powered(bool on) { powered_ = on; }
-  bool powered() const { return powered_; }
 
  protected:
   bool powered_ = true;

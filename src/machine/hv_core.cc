@@ -2,10 +2,9 @@
 
 namespace guillotine {
 
-HypervisorCore::HypervisorCore(int id, const MachineConfig& config, Cache* l3)
-    : id_(id),
-      l1d_(kL1dConfig, "l1d"),
-      l2_(kL2Config, "l2"),
+HypervisorCore::HypervisorCore(const MachineConfig& config, Cache* l3)
+    : l1d_(kL1dConfig),
+      l2_(kL2Config),
       l3_(l3),
       lapic_(config.lapic) {}
 

@@ -28,9 +28,8 @@ inline constexpr PhysAddr kHvPhysOffset = 1ULL << 33;
 
 class HypervisorCore {
  public:
-  HypervisorCore(int id, const MachineConfig& config, Cache* l3);
+  HypervisorCore(const MachineConfig& config, Cache* l3);
 
-  int id() const { return id_; }
   Lapic& lapic() { return lapic_; }
 
   // Doorbell path: the machine calls this when a model core rings a port
@@ -49,13 +48,11 @@ class HypervisorCore {
   // service slice ran out, and forwarding a stale-steered doorbell to the
   // port's owning core after an ownership handoff (an inter-hv-core IPI).
   void InjectIrq(u32 port_id) { pending_irqs_.push_back(port_id); }
-  size_t pending_irq_count() const { return pending_irqs_.size(); }
 
   // Cycle accounting for hypervisor-side work (management ops, port
   // servicing, detector runs). Used for utilization and overhead metrics.
   void AccountWork(Cycles cycles) { busy_cycles_ += cycles; }
   u64 busy_cycles() const { return busy_cycles_; }
-  void ResetAccounting() { busy_cycles_ = 0; }
 
   // Touches one cache line through L1d -> L2 -> the complex's L3; returns
   // latency. Its caller is experiment E2, where the hypervisor core is the
@@ -63,7 +60,6 @@ class HypervisorCore {
   Cycles AccessMemory(PhysAddr addr);
 
  private:
-  int id_;
   Cache l1d_;
   Cache l2_;
   Cache* l3_;

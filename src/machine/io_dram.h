@@ -56,7 +56,6 @@ struct PortRegion {
   u64 ring_bytes() const {
     return kRingHeaderBytes + static_cast<u64>(slot_bytes) * slot_count;
   }
-  u32 max_payload() const { return slot_bytes - kSlotHeaderBytes; }
 };
 
 // A cursor-style view over one ring living inside the IO DRAM module. Both
@@ -103,8 +102,6 @@ class IoDram {
   IoDram(size_t size_bytes);
 
   Dram& dram() { return dram_; }
-  const Dram& dram() const { return dram_; }
-  size_t size() const { return dram_.size(); }
 
   // Carves a request/response ring pair + doorbell for `port_id`.
   Result<PortRegion> AllocatePortRegion(u32 port_id, u32 slot_bytes = 256,

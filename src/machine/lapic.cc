@@ -5,12 +5,12 @@
 namespace guillotine {
 
 void Lapic::Refill(Cycles now) {
-  if (now <= last_refill_ || config_.refill_cycles == 0) {
+  if (now <= last_refill_) {
     return;
   }
   const double gained =
-      static_cast<double>(now - last_refill_) / static_cast<double>(config_.refill_cycles);
-  tokens_ = std::min(static_cast<double>(config_.burst), tokens_ + gained);
+      static_cast<double>(now - last_refill_) / static_cast<double>(kLapicRefillCycles);
+  tokens_ = std::min(static_cast<double>(kLapicBurst), tokens_ + gained);
   last_refill_ = now;
 }
 

@@ -13,10 +13,16 @@
 
 namespace guillotine {
 
+// Token bucket: one token refills every kLapicRefillCycles; at most
+// kLapicBurst tokens accumulate. Each delivered interrupt costs one token.
+// Suppressed interrupts are coalesced (the ring still holds the request; the
+// next delivered interrupt or poll services it).
+inline constexpr Cycles kLapicRefillCycles = 10'000;  // 100k irq/s at 1 GHz
+inline constexpr u32 kLapicBurst = 32;
+
 class Lapic {
  public:
-  explicit Lapic(const LapicConfig& config)
-      : config_(config), tokens_(config.burst) {}
+  explicit Lapic(const LapicConfig& config) : config_(config) {}
 
   // Offers one interrupt at time `now`; returns true when the interrupt is
   // delivered to the core, false when throttled (coalesced).
@@ -24,14 +30,12 @@ class Lapic {
 
   u64 delivered() const { return delivered_; }
   u64 suppressed() const { return suppressed_; }
-  const LapicConfig& config() const { return config_; }
-  void set_throttle_enabled(bool on) { config_.throttle_enabled = on; }
 
  private:
   void Refill(Cycles now);
 
   LapicConfig config_;
-  double tokens_;
+  double tokens_ = kLapicBurst;
   Cycles last_refill_ = 0;
   u64 delivered_ = 0;
   u64 suppressed_ = 0;

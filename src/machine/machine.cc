@@ -10,12 +10,12 @@ Machine::Machine(const MachineConfig& config, SimClock& clock, EventTrace& trace
       trace_(trace),
       model_dram_(config.model_dram_bytes, "model_dram"),
       io_dram_(config.io_dram_bytes) {
-  model_l3_ = std::make_unique<Cache>(kL3Config, "model_l3");
+  model_l3_ = std::make_unique<Cache>(kL3Config);
   if (config.co_tenant_l3) {
     // Baseline topology: one L3 serves both complexes.
     hv_l3_ = nullptr;
   } else {
-    hv_l3_ = std::make_unique<Cache>(kL3Config, "hv_l3");
+    hv_l3_ = std::make_unique<Cache>(kL3Config);
   }
 
   for (int i = 0; i < config.num_model_cores; ++i) {
@@ -27,7 +27,7 @@ Machine::Machine(const MachineConfig& config, SimClock& clock, EventTrace& trace
   }
   Cache* hv_l3_ptr = config.co_tenant_l3 ? model_l3_.get() : hv_l3_.get();
   for (int i = 0; i < config.num_hv_cores; ++i) {
-    hv_cores_.push_back(std::make_unique<HypervisorCore>(i, config_, hv_l3_ptr));
+    hv_cores_.push_back(std::make_unique<HypervisorCore>(config_, hv_l3_ptr));
   }
 
   // Inclusive L3: an L3 eviction back-invalidates the private caches of

@@ -26,7 +26,6 @@ class Machine {
  public:
   Machine(const MachineConfig& config, SimClock& clock, EventTrace& trace);
 
-  const MachineConfig& config() const { return config_; }
   SimClock& clock() { return clock_; }
   EventTrace& trace() { return trace_; }
 
@@ -37,14 +36,12 @@ class Machine {
   Dram& model_dram() { return model_dram_; }
   IoDram& io_dram() { return io_dram_; }
   Cache& model_l3() { return *model_l3_; }
-  Cache& hv_l3() { return *hv_l3_; }
   bool co_tenant_l3() const { return config_.co_tenant_l3; }
 
   // --- Devices ---
   // Returns the device index used in port bindings.
   u32 AttachDevice(std::unique_ptr<Device> device);
   Device* device(u32 index);
-  size_t num_devices() const { return devices_.size(); }
 
   // --- Doorbell routing ---
   // Maps a port's doorbell interrupts to a hypervisor core (default core 0).

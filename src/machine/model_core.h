@@ -55,7 +55,6 @@ class ModelCore {
   using DoorbellFn = std::function<void(u32 port_id, int core_id)>;
   void set_doorbell_handler(DoorbellFn fn) { doorbell_fn_ = std::move(fn); }
 
-  int id() const { return id_; }
   RunState state() const { return state_; }
   HaltReason halt_reason() const { return halt_reason_; }
   TrapCause fault_cause() const { return fault_cause_; }
@@ -79,11 +78,9 @@ class ModelCore {
   const ExecLockdown& lockdown() const { return lockdown_; }
   u32 AddWatchpoint(u64 lo, u64 hi, bool on_exec, bool on_read, bool on_write);
   void ClearWatchpoints() { watchpoints_.clear(); }
-  const std::vector<Watchpoint>& watchpoints() const { return watchpoints_; }
   std::vector<CoreEvent> TakeEvents();
 
   ArchState& arch() { return arch_; }
-  const ArchState& arch() const { return arch_; }
   const CoreStats& stats() const { return stats_; }
   CoreCaches& caches() { return caches_; }
   Tlb& tlb() { return tlb_; }

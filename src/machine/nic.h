@@ -39,7 +39,6 @@ class NicDevice : public Device {
   // Fabric-side interface.
   std::optional<Frame> TakeOutbound();
   bool DeliverInbound(Frame frame);  // false when the rx queue is full
-  size_t outbound_depth() const { return outbound_.size(); }
   size_t inbound_depth() const { return inbound_.size(); }
 
  private:

@@ -23,8 +23,6 @@ class StorageDevice : public Device {
 
   DeviceType type() const override { return DeviceType::kStorage; }
   const std::string& name() const override { return name_; }
-  u64 num_sectors() const { return num_sectors_; }
-  u32 sector_bytes() const { return sector_bytes_; }
 
   IoResponse Handle(const IoRequest& request, Cycles now,
                     Cycles& service_cycles) override;

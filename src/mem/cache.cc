@@ -6,9 +6,8 @@
 
 namespace guillotine {
 
-Cache::Cache(const CacheConfig& config, std::string name)
+Cache::Cache(const CacheConfig& config)
     : config_(config),
-      name_(std::move(name)),
       line_shift_(static_cast<unsigned>(std::countr_zero(config.line_bytes))),
       tag_shift_(line_shift_ + static_cast<unsigned>(std::countr_zero(config.num_sets()))),
       set_mask_(config.num_sets() - 1),

@@ -50,16 +50,11 @@ struct CacheStats {
   u64 hits = 0;
   u64 misses = 0;
   u64 evictions = 0;
-
-  double hit_rate() const {
-    const u64 total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
 };
 
 class Cache {
  public:
-  explicit Cache(const CacheConfig& config, std::string name = "cache");
+  explicit Cache(const CacheConfig& config);
 
   // Looks up `addr`; on miss the line is installed (possibly evicting LRU).
   // Returns true on hit.
@@ -96,7 +91,6 @@ class Cache {
 
   const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
-  const std::string& name() const { return name_; }
   Cycles hit_latency() const { return config_.hit_latency; }
 
  private:
@@ -114,7 +108,6 @@ class Cache {
   bool AccessSet(size_t set_index, u64 tag);
 
   CacheConfig config_;
-  std::string name_;
   unsigned line_shift_;  // log2(line_bytes)
   unsigned tag_shift_;   // log2(line_bytes * num_sets)
   u64 set_mask_;         // num_sets - 1
@@ -133,7 +126,7 @@ struct CoreCaches {
 
   CoreCaches(const CacheConfig& l1i_cfg, const CacheConfig& l1d_cfg,
              const CacheConfig& l2_cfg)
-      : l1i(l1i_cfg, "l1i"), l1d(l1d_cfg, "l1d"), l2(l2_cfg, "l2") {}
+      : l1i(l1i_cfg), l1d(l1d_cfg), l2(l2_cfg) {}
 
   void Flush() {
     l1i.Flush();

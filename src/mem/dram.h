@@ -56,7 +56,6 @@ class Dram {
   explicit Dram(size_t size_bytes, std::string name = "dram");
 
   size_t size() const { return size_; }
-  const std::string& name() const { return name_; }
 
   bool InBounds(PhysAddr addr, size_t len) const {
     return addr + len >= addr && addr + len <= size_;

@@ -43,7 +43,7 @@ void EmitArmRecovery(ProgramBuilder& b, int skip_slots) {
 
 AttackProgram BuildIntrospectionProbe(u64 code_base, u64 result_addr, u64 probe_base,
                                       u64 stride, u32 probe_count) {
-  ProgramBuilder b(code_base);
+  ProgramBuilder b;
   EmitFaultHandlerProlog(b, code_base);
 
   const auto loop = b.NewLabel();
@@ -91,7 +91,7 @@ AttackProgram BuildIntrospectionProbe(u64 code_base, u64 result_addr, u64 probe_
 }
 
 AttackProgram BuildSelfModifyAttack(u64 code_base, u64 result_addr, u64 stage_addr) {
-  ProgramBuilder b(code_base);
+  ProgramBuilder b;
   EmitFaultHandlerProlog(b, code_base);
 
   b.Ldi(kS2, 0);  // store faults
@@ -159,7 +159,7 @@ AttackProgram BuildSelfModifyAttack(u64 code_base, u64 result_addr, u64 stage_ad
 
 AttackProgram BuildExecPageAttack(u64 code_base, u64 result_addr, u64 pt_base,
                                   u64 payload_addr) {
-  ProgramBuilder b(code_base);
+  ProgramBuilder b;
   EmitFaultHandlerProlog(b, code_base);
 
   const u64 l2_base = pt_base + kPageSize;  // L2 table right after L1
@@ -260,7 +260,7 @@ AttackProgram BuildExecPageAttack(u64 code_base, u64 result_addr, u64 pt_base,
 
 AttackProgram BuildDoorbellFlood(u64 code_base, u64 result_addr,
                                  const PortGuestInfo& port, u32 iterations) {
-  ProgramBuilder b(code_base);
+  ProgramBuilder b;
   const auto loop = b.NewLabel();
   b.Li64(kS0, port.doorbell_va);
   b.Ldi(kS1, static_cast<i32>(iterations));
@@ -286,7 +286,7 @@ AttackProgram BuildDoorbellFlood(u64 code_base, u64 result_addr,
 AttackProgram BuildCovertSender(u64 code_base, u64 result_addr, u64 probe_base,
                                 u64 message, u32 bit_count, u32 lines_per_bit,
                                 u32 line_stride_bytes, u32 group_stride_bytes) {
-  ProgramBuilder b(code_base);
+  ProgramBuilder b;
   const auto bit_loop = b.NewLabel();
   const auto skip_bit = b.NewLabel();
   const auto line_loop = b.NewLabel();
@@ -342,7 +342,7 @@ AttackProgram BuildCovertReceiver(u64 code_base, u64 phase_addr, u64 result_addr
                                   u64 probe_base, u32 bit_count, u32 lines_per_bit,
                                   u32 line_stride_bytes, u32 group_stride_bytes,
                                   u32 spin_iters, bool prime) {
-  ProgramBuilder b(code_base);
+  ProgramBuilder b;
   // Group geometry registers are needed by both phases.
   b.Ldi(kS2, static_cast<i32>(bit_count));
   b.Li64(kS3, probe_base);

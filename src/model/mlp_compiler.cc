@@ -101,7 +101,7 @@ Result<CompiledMlp> CompileMlp(const MlpModel& model, u64 code_base, u64 data_ba
   data.resize(layout.data_size, 0);  // buffers and flags start zeroed
 
   // ---- Program ----
-  ProgramBuilder b(code_base);
+  ProgramBuilder b;
   const auto layer_loop = b.NewLabel();
   const auto layers_done = b.NewLabel();
   const auto j_loop = b.NewLabel();

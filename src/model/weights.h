@@ -42,7 +42,6 @@ class MlpModel {
   void AddLayer(MlpLayer layer);
   size_t num_layers() const { return layers_.size(); }
   const MlpLayer& layer(size_t i) const { return layers_[i]; }
-  MlpLayer& mutable_layer(size_t i) { return layers_[i]; }
   u32 input_dim() const { return layers_.empty() ? 0 : layers_.front().in_dim; }
   u32 output_dim() const { return layers_.empty() ? 0 : layers_.back().out_dim; }
   u64 parameter_count() const;

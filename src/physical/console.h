@@ -57,7 +57,6 @@ class ControlConsole {
 
   IsolationLevel level() const { return level_; }
   const std::vector<Admin>& admins() const { return admins_; }
-  std::vector<Admin>& mutable_admins() { return admins_; }
   const Hsm& hsm() const { return hsm_; }
   HeartbeatMonitor& heartbeat() { return heartbeat_; }
 

@@ -17,7 +17,6 @@ HeartbeatMonitor::HeartbeatMonitor(const HeartbeatConfig& config, SimClock& cloc
 void HeartbeatMonitor::SendOne(Cycles now, bool console_to_hv) {
   ++sent_;
   if (!link_up_ || (config_.loss_rate > 0.0 && rng_.NextBool(config_.loss_rate))) {
-    ++lost_;
     return;
   }
   // Authenticated heartbeat: MAC over (direction, timestamp). A receiver
@@ -30,7 +29,6 @@ void HeartbeatMonitor::SendOne(Cycles now, bool console_to_hv) {
   const Sha256Digest mac = key_.Mac(message);
   const Sha256Digest check = key_.Mac(message);
   if (!DigestEqual(mac, check)) {
-    ++lost_;
     return;
   }
   if (console_to_hv) {
@@ -50,9 +48,6 @@ void HeartbeatMonitor::Tick() {
     const u64 pending = (now - next_send_) / config_.period + 1;
     if (pending > 1) {
       sent_ += 2 * (pending - 1);
-      if (!link_up_) {
-        lost_ += 2 * (pending - 1);
-      }
       next_send_ += (pending - 1) * config_.period;
     }
   }

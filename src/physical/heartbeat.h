@@ -45,9 +45,6 @@ class HeartbeatMonitor {
 
   // Diagnostics for E7.
   u64 sent() const { return sent_; }
-  u64 lost() const { return lost_; }
-  Cycles last_console_rx() const { return console_last_rx_; }
-  Cycles last_hv_rx() const { return hv_last_rx_; }
 
  private:
   void SendOne(Cycles now, bool console_to_hv);
@@ -64,7 +61,6 @@ class HeartbeatMonitor {
   Cycles console_last_rx_ = 0;  // when the console last heard the hypervisor
   Cycles hv_last_rx_ = 0;       // when the hypervisor last heard the console
   u64 sent_ = 0;
-  u64 lost_ = 0;
 };
 
 }  // namespace guillotine

@@ -36,7 +36,7 @@ Result<Cycles> KillSwitchPlant::DisconnectNetwork() {
     return FailedPrecondition("network cable severed; repair first");
   }
   network_ = CableState::kDisconnected;
-  return Act("plant.net_disconnect", config_.net_disconnect_latency);
+  return Act("plant.net_disconnect", kNetDisconnectLatency);
 }
 
 Result<Cycles> KillSwitchPlant::ReconnectNetwork() {
@@ -45,7 +45,7 @@ Result<Cycles> KillSwitchPlant::ReconnectNetwork() {
     return FailedPrecondition("network cable severed; manual repair required");
   }
   network_ = CableState::kConnected;
-  return Act("plant.net_reconnect", config_.net_reconnect_latency);
+  return Act("plant.net_reconnect", kNetReconnectLatency);
 }
 
 Result<Cycles> KillSwitchPlant::CutPower() {
@@ -54,7 +54,7 @@ Result<Cycles> KillSwitchPlant::CutPower() {
     return FailedPrecondition("power line severed; repair first");
   }
   power_ = CableState::kDisconnected;
-  return Act("plant.power_cut", config_.power_cut_latency);
+  return Act("plant.power_cut", kPowerCutLatency);
 }
 
 Result<Cycles> KillSwitchPlant::RestorePower() {
@@ -63,14 +63,14 @@ Result<Cycles> KillSwitchPlant::RestorePower() {
     return FailedPrecondition("power line severed; manual repair required");
   }
   power_ = CableState::kConnected;
-  return Act("plant.power_restore", config_.power_restore_latency);
+  return Act("plant.power_restore", kPowerRestoreLatency);
 }
 
 Result<Cycles> KillSwitchPlant::SeverCables() {
   GLL_RETURN_IF_ERROR(CheckAlive());
   network_ = CableState::kSevered;
   power_ = CableState::kSevered;
-  return Act("plant.sever_cables", config_.sever_latency);
+  return Act("plant.sever_cables", kSeverLatency);
 }
 
 Result<Cycles> KillSwitchPlant::ManualRepair() {
@@ -80,7 +80,7 @@ Result<Cycles> KillSwitchPlant::ManualRepair() {
   }
   network_ = CableState::kDisconnected;
   power_ = CableState::kDisconnected;
-  return Act("plant.manual_repair", config_.manual_repair_latency);
+  return Act("plant.manual_repair", kManualRepairLatency);
 }
 
 Result<Cycles> KillSwitchPlant::Immolate() {
@@ -89,7 +89,7 @@ Result<Cycles> KillSwitchPlant::Immolate() {
   network_ = CableState::kDestroyed;
   power_ = CableState::kDestroyed;
   hvac_ = false;
-  return Act("plant.immolate", config_.immolation_latency);
+  return Act("plant.immolate", kImmolationLatency);
 }
 
 }  // namespace guillotine

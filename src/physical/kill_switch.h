@@ -23,20 +23,18 @@ enum class CableState {
 
 std::string_view CableStateName(CableState s);
 
-struct PlantConfig {
-  Cycles net_disconnect_latency = 50 * kCyclesPerMilli;
-  Cycles net_reconnect_latency = 200 * kCyclesPerMilli;
-  Cycles power_cut_latency = 20 * kCyclesPerMilli;
-  Cycles power_restore_latency = 500 * kCyclesPerMilli;
-  Cycles sever_latency = 2000 * kCyclesPerMilli;       // cable cutter charges
-  Cycles manual_repair_latency = 3600ULL * kCyclesPerSecond;  // ~1 hour
-  Cycles immolation_latency = 10ULL * kCyclesPerSecond;       // flood/EMP
-};
+// Actuation latency of each plant action.
+inline constexpr Cycles kNetDisconnectLatency = 50 * kCyclesPerMilli;
+inline constexpr Cycles kNetReconnectLatency = 200 * kCyclesPerMilli;
+inline constexpr Cycles kPowerCutLatency = 20 * kCyclesPerMilli;
+inline constexpr Cycles kPowerRestoreLatency = 500 * kCyclesPerMilli;
+inline constexpr Cycles kSeverLatency = 2000 * kCyclesPerMilli;  // cable cutter charges
+inline constexpr Cycles kManualRepairLatency = 3600ULL * kCyclesPerSecond;  // ~1 hour
+inline constexpr Cycles kImmolationLatency = 10ULL * kCyclesPerSecond;     // flood/EMP
 
 class KillSwitchPlant {
  public:
-  KillSwitchPlant(const PlantConfig& config, SimClock& clock, EventTrace& trace)
-      : config_(config), clock_(clock), trace_(trace) {}
+  KillSwitchPlant(SimClock& clock, EventTrace& trace) : clock_(clock), trace_(trace) {}
 
   CableState network_cable() const { return network_; }
   CableState power_line() const { return power_; }
@@ -66,7 +64,6 @@ class KillSwitchPlant {
   Status CheckAlive() const;
   Cycles Act(std::string_view what, Cycles latency);
 
-  PlantConfig config_;
   SimClock& clock_;
   EventTrace& trace_;
   CableState network_ = CableState::kConnected;

@@ -29,7 +29,6 @@ AuditRecord PerformPhysicalAudit(const Machine& machine, const KillSwitchPlant& 
 class AuditLog {
  public:
   void Add(AuditRecord record) { records_.push_back(std::move(record)); }
-  const std::vector<AuditRecord>& records() const { return records_; }
 
   // Latest record, if any.
   const AuditRecord* Latest() const {

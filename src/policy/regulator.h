@@ -19,9 +19,7 @@ class Regulator {
   Regulator(std::string name, Rng& rng)
       : name_(std::move(name)), key_(GenerateKeyPair(rng)) {}
 
-  const std::string& name() const { return name_; }
   const SimSigPublicKey& ca_public_key() const { return key_.pub; }
-  const SimSigKeyPair& ca_key() const { return key_; }
 
   // Issues a hypervisor certificate carrying the Guillotine extension after
   // verifying a fresh attestation quote against `verifier`. This is the

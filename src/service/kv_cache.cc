@@ -19,7 +19,7 @@ KvCache::KvCache(KvCacheConfig config) : config_(config) {}
 
 void KvCache::Audit(KvOp op, u32 session, i64 before, i64 after) {
   audit_log_.push_back({op, session, before, after});
-  while (audit_log_.size() > config_.audit_log_limit) {
+  while (audit_log_.size() > kKvAuditLogLimit) {
     audit_log_.pop_front();
     ++audit_dropped_;
   }

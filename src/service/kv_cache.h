@@ -26,8 +26,10 @@ namespace guillotine {
 struct KvCacheConfig {
   size_t total_blocks = 256;
   size_t block_tokens = 16;  // tokens per block
-  size_t audit_log_limit = 4096;  // oldest entries dropped beyond this
 };
+
+// Audit log bound: the oldest entries are dropped beyond this.
+inline constexpr size_t kKvAuditLogLimit = 4096;
 
 enum class KvOp {
   kExtend = 0,  // session grew (or re-touched) its context

@@ -49,7 +49,6 @@ class SessionHashRing {
   // refuses resizes that would leave the ring empty.
   size_t Owner(u32 session_id) const;
 
-  size_t num_points() const { return points_.size(); }
   bool empty() const { return points_.empty(); }
 
  private:
@@ -143,7 +142,6 @@ class ServiceShard {
     }
     return nullptr;
   }
-  size_t queue_depth() const { return queue_.size(); }
   bool queue_empty() const { return queue_.empty(); }
 
   // ---- Replicas ----
@@ -162,7 +160,6 @@ class ServiceShard {
     return best;
   }
   InferenceReplica* replica(size_t i) { return replicas_[i].replica; }
-  const InferenceReplica* replica(size_t i) const { return replicas_[i].replica; }
   Cycles busy_until(size_t i) const { return replicas_[i].busy_until; }
   void set_busy_until(size_t i, Cycles t) { replicas_[i].busy_until = t; }
 
@@ -177,7 +174,6 @@ class ServiceShard {
   }
 
   ShardStats& stats() { return stats_; }
-  const ShardStats& stats() const { return stats_; }
 
   // ---- Per-run stat accounting ----
   // Stats are true per-run deltas: BeginRun zeroes the counters and records

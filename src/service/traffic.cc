@@ -6,6 +6,23 @@
 
 namespace guillotine {
 
+namespace {
+// Bursty: each kBurstPeriod opens with kBurstOnCycles at kBurstRateBoost
+// times the base rate, then a quiet remainder at the base rate.
+constexpr Cycles kBurstPeriod = 200'000;
+constexpr Cycles kBurstOnCycles = kBurstPeriod / 4;
+constexpr double kBurstRateBoost = 8.0;
+// Diurnal: the rate multiplier sweeps trough -> 1.0 -> trough as a triangle
+// wave over kDiurnalPeriod (a compressed day).
+constexpr Cycles kDiurnalPeriod = 2'000'000;
+constexpr double kDiurnalTroughRate = 0.25;
+// Chance that a sessioned arrival opens a new session rather than continue
+// a live one.
+constexpr double kSessionBirthProb = 0.08;
+// Prompts stop growing here, or at prompt_base_bytes when that is larger.
+constexpr size_t kPromptMaxBytes = 512;
+}  // namespace
+
 std::string_view TrafficShapeName(TrafficShape shape) {
   switch (shape) {
     case TrafficShape::kPoisson: return "poisson";
@@ -33,18 +50,10 @@ TrafficSource::TrafficSource(TrafficConfig config)
   // Degenerate configs clamp toward sane floors instead of dividing by zero
   // or spinning: the source must stay total for any fuzzer-chosen config.
   config_.mean_interarrival = std::max(config_.mean_interarrival, 1.0);
-  config_.burst_period = std::max<Cycles>(config_.burst_period, 2);
-  config_.burst_on_fraction = std::clamp(config_.burst_on_fraction, 0.0, 1.0);
-  config_.burst_rate_boost = std::max(config_.burst_rate_boost, 1.0);
-  config_.diurnal_period = std::max<Cycles>(config_.diurnal_period, 2);
-  config_.diurnal_trough_rate = std::clamp(config_.diurnal_trough_rate, 0.01, 1.0);
   config_.sessionless_fraction = std::clamp(config_.sessionless_fraction, 0.0, 1.0);
-  config_.session_birth_prob = std::clamp(config_.session_birth_prob, 0.0, 1.0);
   config_.mean_session_turns = std::max(config_.mean_session_turns, 1.0);
   config_.max_live_sessions = std::max<size_t>(config_.max_live_sessions, 1);
   config_.prompt_base_bytes = std::max<size_t>(config_.prompt_base_bytes, 1);
-  config_.prompt_max_bytes =
-      std::max(config_.prompt_max_bytes, config_.prompt_base_bytes);
 }
 
 void TrafficSource::Reset() {
@@ -52,9 +61,6 @@ void TrafficSource::Reset() {
   clock_ = 0;
   next_id_ = 1;
   next_session_ = 1;
-  generated_ = 0;
-  born_ = 0;
-  died_ = 0;
   live_.clear();
 }
 
@@ -63,18 +69,14 @@ double TrafficSource::RateMultiplierAt(Cycles t) const {
     case TrafficShape::kPoisson:
       return 1.0;
     case TrafficShape::kBursty: {
-      const Cycles phase = t % config_.burst_period;
-      const Cycles on_until = static_cast<Cycles>(
-          config_.burst_on_fraction * static_cast<double>(config_.burst_period));
-      return phase < on_until ? config_.burst_rate_boost : 1.0;
+      return t % kBurstPeriod < kBurstOnCycles ? kBurstRateBoost : 1.0;
     }
     case TrafficShape::kDiurnal: {
       // Triangle wave: trough at the period edges, peak (1.0) mid-period.
-      const double frac = static_cast<double>(t % config_.diurnal_period) /
-                          static_cast<double>(config_.diurnal_period);
+      const double frac = static_cast<double>(t % kDiurnalPeriod) /
+                          static_cast<double>(kDiurnalPeriod);
       const double tri = 1.0 - std::abs(2.0 * frac - 1.0);  // 0 -> 1 -> 0
-      return config_.diurnal_trough_rate +
-             (1.0 - config_.diurnal_trough_rate) * tri;
+      return kDiurnalTroughRate + (1.0 - kDiurnalTroughRate) * tri;
     }
   }
   return 1.0;
@@ -95,13 +97,12 @@ InferenceRequest TrafficSource::Next() {
   InferenceRequest req;
   req.id = next_id_++;
   req.arrival = clock_;
-  ++generated_;
 
   size_t turn = 0;
   if (!rng_.NextBool(config_.sessionless_fraction)) {
     const bool must_birth = live_.empty();
     const bool may_birth = live_.size() < config_.max_live_sessions;
-    if (must_birth || (may_birth && rng_.NextBool(config_.session_birth_prob))) {
+    if (must_birth || (may_birth && rng_.NextBool(kSessionBirthProb))) {
       LiveSession s;
       s.id = next_session_++;
       if (s.id == kNoSession) {  // u32 wrap after ~4B sessions
@@ -112,7 +113,6 @@ InferenceRequest TrafficSource::Next() {
       s.turns_left = 1 + static_cast<u32>(-(config_.mean_session_turns - 1.0) *
                                           std::log(1.0 - u));
       live_.push_back(s);
-      ++born_;
     }
     const size_t pick = live_.size() == 1
                             ? 0
@@ -123,7 +123,6 @@ InferenceRequest TrafficSource::Next() {
     if (--s.turns_left == 0) {
       // Swap-remove keeps the pool dense; the resulting pick-order change is
       // deterministic, which is all replay needs.
-      ++died_;
       s = live_.back();
       live_.pop_back();
     }
@@ -131,7 +130,7 @@ InferenceRequest TrafficSource::Next() {
 
   const size_t bytes =
       std::min(config_.prompt_base_bytes + turn * config_.prompt_growth_bytes,
-               config_.prompt_max_bytes);
+               std::max(kPromptMaxBytes, config_.prompt_base_bytes));
   req.prompt.assign(bytes, 'a' + static_cast<char>(req.id % 26));
   return req;
 }

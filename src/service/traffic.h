@@ -45,23 +45,11 @@ struct TrafficConfig {
   // gaps; the bursty/diurnal shapes modulate the instantaneous rate).
   double mean_interarrival = 2000.0;
 
-  // Bursty: each burst_period alternates an on-phase (rate multiplied by
-  // burst_rate_boost) with a quiet remainder at the base rate.
-  Cycles burst_period = 200'000;
-  double burst_on_fraction = 0.25;
-  double burst_rate_boost = 8.0;
-
-  // Diurnal: rate multiplier sweeps trough -> 1.0 -> trough as a triangle
-  // wave over diurnal_period (a compressed day).
-  Cycles diurnal_period = 2'000'000;
-  double diurnal_trough_rate = 0.25;
-
   // Session churn. A sessionless arrival is a one-shot request (stealable);
   // sessioned arrivals either open a new session (birth) or continue a
   // uniformly chosen live one. Sessions close after a geometric number of
   // turns with the given mean.
   double sessionless_fraction = 0.10;
-  double session_birth_prob = 0.08;
   double mean_session_turns = 8.0;
   size_t max_live_sessions = 512;  // live-pool bound, NOT a distinct-id bound
 
@@ -69,7 +57,6 @@ struct TrafficConfig {
   // capped so token counts stay bounded.
   size_t prompt_base_bytes = 48;
   size_t prompt_growth_bytes = 16;
-  size_t prompt_max_bytes = 512;
 };
 
 class TrafficSource {
@@ -85,13 +72,8 @@ class TrafficSource {
   // byte-identical to the first.
   void Reset();
 
-  const TrafficConfig& config() const { return config_; }
   Cycles clock() const { return clock_; }
-  u64 generated() const { return generated_; }
   u64 distinct_sessions() const { return next_session_ - 1; }
-  u64 sessions_born() const { return born_; }
-  u64 sessions_died() const { return died_; }
-  size_t live_sessions() const { return live_.size(); }
 
  private:
   struct LiveSession {
@@ -108,9 +90,6 @@ class TrafficSource {
   Cycles clock_ = 0;
   u64 next_id_ = 1;
   u32 next_session_ = 1;  // session ids start above kNoSession
-  u64 generated_ = 0;
-  u64 born_ = 0;
-  u64 died_ = 0;
   std::vector<LiveSession> live_;
 };
 

@@ -17,6 +17,11 @@ u64 SplitMix(u64 x) {
   return x ^ (x >> 31);
 }
 
+// Fewest steps a generated scenario carries.
+constexpr int kMinSteps = 2;
+// Maximum scenario executions the shrinker may spend per failure.
+constexpr int kShrinkRuns = 256;
+
 // Text pools: a mix of benign traffic and the section-3.1 attack motifs so
 // every detector (shield, sanitizer, anomaly) sees both sides of its
 // decision boundary.
@@ -196,9 +201,9 @@ Scenario ScenarioFuzzer::Generate(u64 seed) const {
     scenario.HostDefaultModel(kDims[rng.NextBelow(3)], 1 + rng.NextBelow(1000));
   }
 
-  const int span = config_.max_steps - config_.min_steps;
+  const int span = config_.max_steps - kMinSteps;
   const int steps =
-      config_.min_steps +
+      kMinSteps +
       (span > 0 ? static_cast<int>(rng.NextBelow(static_cast<u64>(span) + 1)) : 0);
   for (int i = 0; i < steps; ++i) {
     // Recovery-slice scenarios spend ~30% of their steps on the audited way
@@ -238,7 +243,7 @@ Scenario ScenarioFuzzer::Generate(u64 seed) const {
       scenario.FloodInterrupts(static_cast<u32>(1 + rng.NextBelow(1200)));
     } else if (pick < 55) {
       const u32 host = rng.NextBool(0.8)
-                           ? config_.runner.exfil_sink_host
+                           ? kExfilSinkHost
                            : static_cast<u32>(1 + rng.NextBelow(100));
       scenario.AttemptExfiltration(host, PickText(rng, kPayloads));
     } else if (pick < 65) {
@@ -322,7 +327,7 @@ std::vector<InvariantViolation> ScenarioFuzzer::Check(const Scenario& scenario,
 
 Scenario ScenarioFuzzer::Shrink(const Scenario& scenario) {
   std::vector<ScenarioStep> steps = scenario.steps();
-  int budget = config_.shrink_runs;
+  int budget = kShrinkRuns;
   auto fails = [&](const std::vector<ScenarioStep>& candidate) {
     if (budget <= 0) {
       return false;

@@ -35,15 +35,12 @@ struct ScenarioFuzzerConfig {
   ScenarioRunnerConfig runner;
   // Quorum floor handed to InvariantChecker::Default.
   QuorumPolicy safety_floor;
-  // Generated scenarios carry between min_steps and max_steps steps
+  // Generated scenarios carry between two and max_steps steps
   // (plus an optional leading host_model step).
-  int min_steps = 2;
   int max_steps = 10;
   // Re-run every Nth scenario from its seed and require an identical trace
   // digest (0 disables the replay pass).
   int replay_every = 4;
-  // Maximum scenario executions the shrinker may spend per failure.
-  int shrink_runs = 256;
   // Stop a campaign early after this many (shrunk) failures.
   int stop_after_failures = 8;
 
@@ -101,8 +98,6 @@ class ScenarioFuzzer {
   std::string ReproScript(u64 seed, const Scenario& minimized,
                           const std::vector<InvariantViolation>& violations) const;
 
-  const InvariantChecker& checker() const { return checker_; }
-  const ScenarioFuzzerConfig& config() const { return config_; }
 
   // The runner state left by the last Check (for post-mortem inspection).
   ScenarioRunner& runner() { return runner_; }

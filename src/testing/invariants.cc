@@ -209,8 +209,7 @@ void CheckHeartbeatKillBound(const InvariantContext& ctx,
   if (ctx.system == nullptr) {
     return;
   }
-  const PlantConfig& plant = ctx.system->config().plant;
-  const Cycles bound = plant.net_disconnect_latency + plant.power_cut_latency;
+  const Cycles bound = kNetDisconnectLatency + kPowerCutLatency;
   const std::vector<EventTrace::EventRef> events = ctx.system->trace().Select(
       {"console.force_offline", "isolation.transition"});
   for (size_t i = 0; i < events.size(); ++i) {

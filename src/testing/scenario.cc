@@ -834,8 +834,9 @@ ScenarioResult ScenarioRunner::Run(const Scenario& scenario) {
     result.outcomes.push_back(std::move(o));
     return result;
   }
-  system_->fabric().set_propagation_delay(config_.fabric_propagation_delay);
-  system_->fabric().AttachHost(config_.exfil_sink_host, [this](const Frame& frame) {
+  // Frames land on the next fabric pump (NetFabric defaults to 5 us).
+  system_->fabric().set_propagation_delay(0);
+  system_->fabric().AttachHost(kExfilSinkHost, [this](const Frame& frame) {
     exfil_payloads_.push_back(frame.payload);
   });
 
@@ -846,9 +847,6 @@ ScenarioResult ScenarioRunner::Run(const Scenario& scenario) {
     result.outcomes.push_back(std::move(outcome));
   }
 
-  if (config_.capture_digest_lines) {
-    result.trace_digest = TraceDigestLines(system_->trace());
-  }
   result.trace_hash = TraceDigestHash(system_->trace());
   result.kind_coverage = system_->trace().KindCoverage();
   result.distinct_kinds = system_->trace().DistinctKinds();
@@ -856,6 +854,9 @@ ScenarioResult ScenarioRunner::Run(const Scenario& scenario) {
 }
 
 namespace {
+
+// Result block for attack guests.
+constexpr u64 kAttackScratch = 0x70000;
 
 // Applies a kSnapshotTamperModes mutation to a sealed snapshot without
 // re-sealing it, so the integrity gate must notice. "none" (or any unknown
@@ -955,7 +956,7 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
             .InjectIrq(kill_binding->port_id);
       }
       const AttackProgram flood =
-          BuildDoorbellFlood(config_.deployment.code_base, config_.attack_scratch,
+          BuildDoorbellFlood(config_.deployment.code_base, kAttackScratch,
                              *info, static_cast<u32>(step.amount));
       const Result<RunState> state =
           sys.RunGuestProgram(0, flood.code, flood.code_base, flood.entry,

@@ -233,9 +233,6 @@ struct MigrationEvidence {
 struct ScenarioResult {
   std::string name;
   std::vector<StepOutcome> outcomes;
-  // Canonical digest lines — only filled when the runner config sets
-  // capture_digest_lines (the hash below no longer needs them).
-  std::vector<std::string> trace_digest;
   u64 trace_hash = 0;
   // Recorded event-kind coverage of the run (see EventTrace::KindCoverage):
   // a cheap novelty signal the fuzzer aggregates across a campaign.
@@ -250,15 +247,12 @@ struct ScenarioResult {
   std::string Summary() const;
 };
 
+// The adversary's drop box on every scenario system's fabric.
+inline constexpr u32 kExfilSinkHost = 66;
+
 struct ScenarioRunnerConfig {
   DeploymentConfig deployment;   // defaults from DefaultScenarioDeployment()
-  u32 exfil_sink_host = 66;      // adversary drop box on the fabric
-  Cycles fabric_propagation_delay = 0;
   u64 flood_budget_cycles = 50'000'000;
-  u64 attack_scratch = 0x70000;  // result block for attack guests
-  // Materialize ScenarioResult::trace_digest lines. Off by default: the
-  // trace hash streams at record time, so most runs never render a line.
-  bool capture_digest_lines = false;
   // Trace retention cap applied to the system's EventTrace (0 = unbounded).
   // Open-world runs cap the rolling window while security / isolation /
   // pinned-kind evidence and the streaming digest stay complete, so the
@@ -301,7 +295,6 @@ class ScenarioRunner {
   const MigrationEvidence* migration_evidence() const {
     return migration_evidence_.get();
   }
-  const ModelService* migrate_service() const { return migrate_service_.get(); }
 
   // Federated fleet riding the last Run (null unless the scenario set
   // WithFabric): cross-host burst stats, attestation verifier, channels.

@@ -56,10 +56,10 @@ TEST(InputShieldTest, AllowsBenignPrompts) {
 }
 
 TEST(InputShieldTest, FlagsOversizedPrompts) {
-  InputShieldConfig config;
-  config.max_len = 16;
-  InputShield shield(config);
-  EXPECT_EQ(shield.Evaluate(InputObs("a perfectly ordinary but long prompt")).action,
+  InputShield shield;
+  EXPECT_EQ(shield.Evaluate(InputObs(std::string(kInputShieldMaxLen, 'a'))).action,
+            VerdictAction::kAllow);
+  EXPECT_EQ(shield.Evaluate(InputObs(std::string(kInputShieldMaxLen + 1, 'a'))).action,
             VerdictAction::kFlag);
 }
 
@@ -190,11 +190,7 @@ TEST(CircuitBreakerTest, QuietOnColdActivations) {
 }
 
 TEST(AnomalyTest, FlagsAndEscalatesDoorbellFloods) {
-  AnomalyConfig config;
-  config.rate_baseline = 100.0;
-  config.flag_factor = 10.0;
-  config.escalate_factor = 100.0;
-  AnomalyDetector anomaly(config);
+  AnomalyDetector anomaly;
   Observation obs;
   obs.kind = ObservationKind::kSystem;
   obs.window_cycles = 1'000'000;

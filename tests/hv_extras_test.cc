@@ -107,7 +107,7 @@ TEST_F(HvExtrasTest, EmptyOpcodeListAllowsEverything) {
 TEST_F(HvExtrasTest, SnapshotRoundTrip) {
   // Run a tiny program to some state, snapshot, clobber, restore, verify.
   const Bytes code = [] {
-    ProgramBuilder b(0x1000);
+    ProgramBuilder b;
     b.Ldi(4, 111);        // a0
     b.Li64(13, 0x9000);   // t1
     b.Store(Opcode::kSd, 4, 13, 0);
@@ -160,7 +160,7 @@ TEST_F(HvExtrasTest, TamperedSnapshotRefusesRestore) {
 TEST_F(HvExtrasTest, EveryTamperedSnapshotRegionIsCaughtAndAudited) {
   // Get the core into a non-trivial architectural state first.
   const Bytes code = [] {
-    ProgramBuilder b(0x1000);
+    ProgramBuilder b;
     b.Ldi(4, 77);
     b.Halt();
     return b.Build()->Encode();
@@ -227,7 +227,7 @@ TEST_F(HvExtrasTest, SealIsTheHashOfPerPageDigests) {
   // Nonzero pages (code at 0x1000, a stored word at 0x9000) next to zero
   // pages: the shortcut for zero pages must agree with hashing them.
   const Bytes code = [] {
-    ProgramBuilder b(0x1000);
+    ProgramBuilder b;
     b.Ldi(4, 111);
     b.Li64(13, 0x9000);
     b.Store(Opcode::kSd, 4, 13, 0);
@@ -340,7 +340,7 @@ TEST_F(HvExtrasTest, RestoreDropsStaleEpochIrqsAndRings) {
 
 TEST_F(HvExtrasTest, SnapshotRequiresQuiescedComplex) {
   const Bytes code = [] {
-    ProgramBuilder b(0x1000);
+    ProgramBuilder b;
     const auto loop = b.NewLabel();
     b.Bind(loop);
     b.Jump(loop);

@@ -751,7 +751,7 @@ TEST_F(HvTest, GuestRoundTripThroughPortApi) {
 
   constexpr u64 kResultAddr = 0x40000;
   // Layout: entry jumps over the two subroutines to main.
-  ProgramBuilder b(0x1000);
+  ProgramBuilder b;
   const auto main_label = b.NewLabel();
   b.Jump(main_label);
   const auto send_fn = EmitPortSendFn(b, *info);

@@ -49,7 +49,7 @@ TEST(IntegrationTest, GuestNetworkEchoRoundTrip) {
     // kRecv until a non-empty payload arrives; copy the reply out.
     constexpr u64 kStage = 0x60000;
     constexpr u64 kResultAddr = 0x61000;
-    ProgramBuilder b(0x1000);
+    ProgramBuilder b;
     const auto main_label = b.NewLabel();
     b.Jump(main_label);
     const auto send_fn = EmitPortSendFn(b, *info);

@@ -35,7 +35,7 @@ class MachineTest : public ::testing::Test {
 
   // Assembles `source`, loads at `base`, points the core there (halted).
   void Load(int core, const std::string& source, u64 base = 0x1000) {
-    const auto program = Assemble(source, base);
+    const auto program = Assemble(source);
     ASSERT_TRUE(program.ok()) << program.status().ToString();
     const Bytes code = program->Encode();
     ASSERT_TRUE(machine_.model_dram()
@@ -470,24 +470,28 @@ TEST_F(MachineTest, DoorbellRaisesHypervisorInterrupt) {
 }
 
 TEST_F(MachineTest, LapicThrottlesFlood) {
-  LapicConfig config;
-  config.throttle_enabled = true;
-  config.refill_cycles = 1000;
-  config.burst = 4;
-  Lapic lapic(config);
+  Lapic lapic(LapicConfig{});
   u64 delivered = 0;
   // 100 interrupts arriving back-to-back at t=0: only the burst passes.
   for (int i = 0; i < 100; ++i) {
     delivered += lapic.OfferIrq(0) ? 1 : 0;
   }
-  EXPECT_EQ(delivered, 4u);
-  EXPECT_EQ(lapic.suppressed(), 96u);
-  // After 10k cycles, ~10 tokens refilled (capped at burst=4).
+  EXPECT_EQ(delivered, kLapicBurst);
+  EXPECT_EQ(lapic.suppressed(), 100u - kLapicBurst);
+  // Ten refill periods later, ten tokens have refilled.
+  Cycles now = 10 * kLapicRefillCycles;
   delivered = 0;
   for (int i = 0; i < 100; ++i) {
-    delivered += lapic.OfferIrq(10'000) ? 1 : 0;
+    delivered += lapic.OfferIrq(now) ? 1 : 0;
   }
-  EXPECT_EQ(delivered, 4u);
+  EXPECT_EQ(delivered, 10u);
+  // A long quiet spell refills at most the burst.
+  now += 100 * kLapicRefillCycles;
+  delivered = 0;
+  for (int i = 0; i < 100; ++i) {
+    delivered += lapic.OfferIrq(now) ? 1 : 0;
+  }
+  EXPECT_EQ(delivered, kLapicBurst);
 }
 
 TEST_F(MachineTest, LapicDisabledDeliversEverything) {
@@ -761,7 +765,7 @@ TEST_F(MachineTest, TimingModelIsPinned) {
       wait:
         beq a0, zero, wait
         halt
-    )", 0x1000);
+    )");
     ASSERT_TRUE(program.ok()) << program.status().ToString();
     load(machine, program->Encode(), 0x1000);
     ModelCore& core = machine.model_core(0);

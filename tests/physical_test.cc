@@ -9,35 +9,21 @@
 namespace guillotine {
 namespace {
 
-PlantConfig FastPlant() {
-  // Millisecond-scale latencies keep test clocks small while preserving the
-  // ordering net < power < sever < repair.
-  PlantConfig config;
-  config.net_disconnect_latency = 50;
-  config.net_reconnect_latency = 200;
-  config.power_cut_latency = 20;
-  config.power_restore_latency = 500;
-  config.sever_latency = 2'000;
-  config.manual_repair_latency = 1'000'000;
-  config.immolation_latency = 10'000;
-  return config;
-}
-
 TEST(PlantTest, ReversibleDisconnect) {
   SimClock clock;
   EventTrace trace;
-  KillSwitchPlant plant(FastPlant(), clock, trace);
+  KillSwitchPlant plant(clock, trace);
   ASSERT_TRUE(plant.DisconnectNetwork().ok());
   EXPECT_EQ(plant.network_cable(), CableState::kDisconnected);
   ASSERT_TRUE(plant.ReconnectNetwork().ok());
   EXPECT_EQ(plant.network_cable(), CableState::kConnected);
-  EXPECT_EQ(clock.now(), 50u + 200u);
+  EXPECT_EQ(clock.now(), kNetDisconnectLatency + kNetReconnectLatency);
 }
 
 TEST(PlantTest, SeveredCablesNeedManualRepair) {
   SimClock clock;
   EventTrace trace;
-  KillSwitchPlant plant(FastPlant(), clock, trace);
+  KillSwitchPlant plant(clock, trace);
   ASSERT_TRUE(plant.SeverCables().ok());
   EXPECT_EQ(plant.network_cable(), CableState::kSevered);
   EXPECT_FALSE(plant.ReconnectNetwork().ok());
@@ -50,7 +36,7 @@ TEST(PlantTest, SeveredCablesNeedManualRepair) {
 TEST(PlantTest, ImmolationIsTerminal) {
   SimClock clock;
   EventTrace trace;
-  KillSwitchPlant plant(FastPlant(), clock, trace);
+  KillSwitchPlant plant(clock, trace);
   ASSERT_TRUE(plant.Immolate().ok());
   EXPECT_TRUE(plant.destroyed());
   EXPECT_FALSE(plant.hvac_operational());
@@ -264,7 +250,7 @@ class ConsoleTest : public ::testing::Test {
   ConsoleTest()
       : machine_(MakeMachineConfig(), clock_, trace_),
         hv_(machine_, nullptr),
-        plant_(FastPlant(), clock_, trace_),
+        plant_(clock_, trace_),
         fabric_(clock_),
         rng_(42),
         console_(MakeConsoleConfig(), hv_, plant_, &fabric_, rng_) {}
@@ -342,7 +328,7 @@ TEST_F(ConsoleTest, DecapitationRequiresRepairBeforeRelax) {
   // latency reflects it.
   const auto latency = console_.RequestTransition(IsolationLevel::kStandard, Admins(5));
   ASSERT_TRUE(latency.ok());
-  EXPECT_GE(*latency, 1'000'000u);  // manual repair dominates
+  EXPECT_GE(*latency, kManualRepairLatency);  // manual repair dominates
   EXPECT_EQ(plant_.network_cable(), CableState::kConnected);
 }
 

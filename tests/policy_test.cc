@@ -124,7 +124,7 @@ TEST(ComplianceTest, MultipleViolationsAllReported) {
 class AuditFixture : public ::testing::Test {
  protected:
   AuditFixture()
-      : machine_(MakeConfig(), clock_, trace_), plant_(PlantConfig{}, clock_, trace_) {}
+      : machine_(MakeConfig(), clock_, trace_), plant_(clock_, trace_) {}
 
   static MachineConfig MakeConfig() {
     MachineConfig config;

@@ -161,18 +161,19 @@ TEST(ScenarioTest, SameSeedSameTraceDigest) {
       .AttemptExfiltration(66, "probe")
       .DropHeartbeats(120'000);
 
-  ScenarioRunnerConfig cfg;
-  cfg.capture_digest_lines = true;  // this test diffs individual lines
-  ScenarioRunner a(cfg);
-  ScenarioRunner b(cfg);
+  ScenarioRunner a;
+  ScenarioRunner b;
   const ScenarioResult ra = a.Run(s);
   const ScenarioResult rb = b.Run(s);
+  // This test diffs individual lines.
+  const std::vector<std::string> lines_a = TraceDigestLines(a.system().trace());
+  const std::vector<std::string> lines_b = TraceDigestLines(b.system().trace());
 
-  ASSERT_FALSE(ra.trace_digest.empty());
+  ASSERT_FALSE(lines_a.empty());
   EXPECT_EQ(ra.trace_hash, rb.trace_hash);
-  ASSERT_EQ(ra.trace_digest.size(), rb.trace_digest.size());
-  for (size_t i = 0; i < ra.trace_digest.size(); ++i) {
-    ASSERT_EQ(ra.trace_digest[i], rb.trace_digest[i]) << "diverged at event " << i;
+  ASSERT_EQ(lines_a.size(), lines_b.size());
+  for (size_t i = 0; i < lines_a.size(); ++i) {
+    ASSERT_EQ(lines_a[i], lines_b[i]) << "diverged at event " << i;
   }
   // Step outcomes replay identically too.
   ASSERT_EQ(ra.outcomes.size(), rb.outcomes.size());

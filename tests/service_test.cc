@@ -232,15 +232,15 @@ TEST(KvCacheTest, TouchingResurrectsRecency) {
 }
 
 TEST(KvCacheTest, AuditLogChainsAndStaysBounded) {
-  KvCacheConfig config{4, 16, /*audit_log_limit=*/8};
-  KvCache cache(config);
-  for (u32 i = 0; i < 40; ++i) {
+  KvCache cache(KvCacheConfig{4, 16});
+  // Every Extend logs at least one entry, so this runs past the bound.
+  for (u32 i = 0; i < kKvAuditLogLimit + 64; ++i) {
     cache.Extend(i % 6, 8 + i % 24, i);
     if (i % 7 == 0) {
       cache.Drop(i % 3);
     }
   }
-  EXPECT_LE(cache.audit_log().size(), 8u);
+  EXPECT_EQ(cache.audit_log().size(), kKvAuditLogLimit);
   EXPECT_GT(cache.audit_dropped(), 0u);
   // Surviving entries still chain and respect the quota invariant.
   InvariantContext ctx;

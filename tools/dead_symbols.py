@@ -8,16 +8,24 @@ Usage, from the root of the repository:
 Each BUILD_DIR is a CMake build tree of this repository (the main tree, or
 perfbench/ built on its own) compiled with
 
-    -O0 -ffunction-sections -fdata-sections   (compile)
-    -Wl,--gc-sections                          (link)
+    -O0 -ffunction-sections -fdata-sections -fkeep-inline-functions  (compile)
+    -Wl,--gc-sections                                                 (link)
 
 so every function sits in its own section and the linker drops each one no
-binary reaches. The script reads the `guillotine::` text symbols that
-libguillotine.a defines (taken from the first BUILD_DIR) and the text symbols
-of every executable at the top level of every BUILD_DIR, then prints each
-library symbol that no executable contains. -O0 keeps the library's own
-calls out of line, so a function only other library code calls is still
-found live.
+binary reaches. -fkeep-inline-functions makes each translation unit emit the
+inline functions its headers define (class-body members included) as weak
+symbols, which an ordinary build emits only where they are called, so an
+inline function nobody calls shows up too. The script reads the
+`guillotine::` text symbols that libguillotine.a defines (taken from the
+first BUILD_DIR) and the text symbols of every executable at the top level
+of every BUILD_DIR, then prints each library symbol that no executable
+contains. -O0 keeps the library's own calls out of line, so a function only
+other library code calls is still found live.
+
+Two kinds of symbol are not reported, because the compiler emits them
+whether or not the design needs them: lambda bodies, and weak (inline or
+implicit) constructors, destructors and operators. Strong symbols of every
+kind are reported.
 
 Exits 1 when the list is non-empty, 0 otherwise.
 """
@@ -36,15 +44,51 @@ IN_NAMESPACE = re.compile(r"_ZZ?N[rVKRO]*10guillotine")
 
 
 def text_symbols(path):
-    """Mangled names of the text symbols `path` defines."""
+    """Maps the mangled name of each text symbol `path` defines to its nm type."""
     out = subprocess.run(["nm", "--defined-only", path], check=True,
                          capture_output=True, text=True).stdout
-    names = set()
+    names = {}
     for line in out.splitlines():
         fields = line.split()
         if len(fields) == 3 and fields[1] in TEXT_TYPES:
-            names.add(fields[2])
+            names[fields[2]] = fields[1]
     return names
+
+
+def split_scope(name):
+    """Splits a demangled `a::b<c::d>::e(args) const` into its scope parts,
+    ignoring `::` inside template arguments and the parameter list."""
+    parts, depth, start, i = [], 0, 0, 0
+    while i < len(name):
+        c = name[i]
+        if c in "<(":
+            if c == "(" and depth == 0:
+                break
+            depth += 1
+        elif c in ">)":
+            depth -= 1
+        elif depth == 0 and name.startswith("::", i):
+            parts.append(name[start:i])
+            start = i + 2
+            i += 1
+        i += 1
+    parts.append(name[start:i])
+    return parts
+
+
+def compiler_emitted(demangled, nm_type):
+    """True for lambda bodies and weak constructors, destructors and
+    operators."""
+    if "{lambda" in demangled:
+        return True
+    if nm_type not in "Ww":
+        return False
+    parts = split_scope(demangled)
+    last = parts[-1]
+    if last.startswith("~") or last.startswith("operator"):
+        return True
+    owner = parts[-2].split("<")[0] if len(parts) > 1 else ""
+    return last.split("<")[0] == owner
 
 
 def demangle(names):
@@ -67,7 +111,8 @@ def main(argv):
     library = os.path.join(argv[1], "libguillotine.a")
     if not os.path.isfile(library):
         sys.exit("dead_symbols: no libguillotine.a in " + argv[1])
-    defined = {m for m in text_symbols(library) if IN_NAMESPACE.match(m)}
+    defined = {m: t for m, t in text_symbols(library).items()
+               if IN_NAMESPACE.match(m)}
 
     binaries = []
     for build_dir in argv[1:]:
@@ -80,8 +125,10 @@ def main(argv):
 
     linked = set()
     for binary in binaries:
-        linked |= text_symbols(binary)
-    dead = sorted(demangle(defined - linked).values())
+        linked |= text_symbols(binary).keys()
+    names = demangle(defined.keys() - linked)
+    dead = sorted(d for m, d in names.items()
+                  if not compiler_emitted(d, defined[m]))
     for name in dead:
         print(name)
     print("dead_symbols: %d of %d library functions linked by no binary (%d binaries)"
