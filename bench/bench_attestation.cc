@@ -30,7 +30,7 @@ MlpModel SmallModel() {
   return MlpModel::Random({8, 8}, rng);
 }
 
-bool Run() {
+int Run() {
   BenchHeader("E9 / Table 5",
               "attestation gates model load: only intact guillotine silicon "
               "running the expected hypervisor image receives model bytes");
@@ -38,14 +38,14 @@ bool Run() {
   TextTable table({"scenario", "expected", "load_result", "gate"});
   const MlpModel model = SmallModel();
 
-  bool pass = true;
+  BenchReport report;
   auto row = [&](std::string scenario, bool expect_ok, const Status& status) {
-    const bool ok = status.ok() == expect_ok;
-    pass &= ok;
+    const bool ok = report.Gate(status.ok() == expect_ok, scenario, ": model load ",
+                                status.ok() ? "accepted" : "rejected");
     table.AddRow({std::move(scenario), expect_ok ? "accept" : "reject",
                   status.ok() ? "accepted" : "rejected (" +
                                     std::string(StatusCodeName(status.code())) + ")",
-                  ok ? "ok" : "BREACH"});
+                  GateCell(ok)});
   };
 
   {
@@ -99,8 +99,7 @@ bool Run() {
   table.Print();
 
   if (SmokeMode()) {
-    BenchFooter("smoke: tamper matrix exercised; handshake-cost section skipped");
-    return pass;
+    return report.Finish("smoke: tamper matrix exercised; handshake-cost section skipped");
   }
 
   // Handshake cost for the quote-verify exchange (simulated cycles charged
@@ -113,10 +112,9 @@ bool Run() {
   std::printf("\nmodel load incl. attestation charged %llu hv-core cycles\n",
               static_cast<unsigned long long>(sys.machine().hv_core(0).busy_cycles() -
                                               busy_before));
-  BenchFooter(
+  return report.Finish(
       "every tamper scenario is rejected before model bytes move; only the "
       "pristine platform receives the model — the paper's load-time gate");
-  return pass;
 }
 
 }  // namespace
@@ -124,10 +122,5 @@ bool Run() {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  if (!guillotine::Run()) {
-    std::printf("FAIL: a tampered platform received the model or the pristine one "
-                "was refused (see BREACH)\n");
-    return 1;
-  }
-  return 0;
+  return guillotine::Run();
 }

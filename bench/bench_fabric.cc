@@ -35,15 +35,9 @@ namespace {
 // >=8-request record may cost at most as much again as serving.
 constexpr double kSloMinRatio = 0.5;
 
-u64 Mix(u64 hash, u64 value) {
-  hash ^= value;
-  hash *= 1099511628211ull;
-  return hash;
-}
-
 u64 MixStr(u64 hash, std::string_view s) {
   for (const char c : s) {
-    hash = Mix(hash, static_cast<u8>(c));
+    hash = FnvMix(hash, static_cast<u8>(c));
   }
   return hash;
 }
@@ -126,18 +120,18 @@ FabricOutcome RunFabric(size_t hosts, size_t batch, u32 requests) {
 
   u64 digest = 1469598103934665603ULL;
   for (const FederatedResponse& r : fleet.TakeResponses()) {
-    digest = Mix(digest, r.id);
-    digest = Mix(digest, r.ok ? 1 : 0);
+    digest = FnvMix(digest, r.id);
+    digest = FnvMix(digest, r.ok ? 1 : 0);
     digest = MixStr(digest, r.text);
   }
   for (const TraceEvent& e : fleet.trace().events()) {
-    digest = Mix(digest, e.time);
+    digest = FnvMix(digest, e.time);
     digest = MixStr(digest, e.kind);
-    digest = Mix(digest, static_cast<u64>(e.value));
+    digest = FnvMix(digest, static_cast<u64>(e.value));
   }
-  digest = Mix(digest, stats.transport_cycles);
-  digest = Mix(digest, stats.serve_cycles);
-  digest = Mix(digest, fleet.fabric().sent());
+  digest = FnvMix(digest, stats.transport_cycles);
+  digest = FnvMix(digest, stats.serve_cycles);
+  digest = FnvMix(digest, fleet.fabric().sent());
   out.digest = digest;
   return out;
 }
@@ -185,14 +179,13 @@ int Run(const std::vector<u64>& host_counts, const std::vector<u64>& batches) {
   const u32 requests = Smoked(2'000u, 192u);
   const BaselineOutcome base_a = RunBaseline(requests);
   const BaselineOutcome base_b = RunBaseline(requests);
-  bool breached = false;
-  bool diverged = base_a.serve_cycles != base_b.serve_cycles;
+  BenchReport report;
+  const bool base_same = report.Gate(base_a.serve_cycles == base_b.serve_cycles,
+                                     "same-host baseline rerun diverged");
   std::printf("same-host baseline: %u requests, %.1f req/Gcycle%s\n\n",
-              requests, base_a.rate_per_gcycle(), diverged ? " (!)" : "");
-  if (base_a.failed || base_a.completed != requests) {
-    std::fprintf(stderr, "SLO BREACH: same-host baseline failed to serve\n");
-    breached = true;
-  }
+              requests, base_a.rate_per_gcycle(), base_same ? "" : " (!)");
+  report.Gate(!base_a.failed && base_a.completed == requests,
+              "same-host baseline failed to serve");
 
   TextTable table({"hosts", "batch", "reqs", "done", "lost", "records",
                    "frm/req", "hs_full", "hs_res", "hs/10k", "tx_kc/req",
@@ -203,10 +196,8 @@ int Run(const std::vector<u64>& host_counts, const std::vector<u64>& batches) {
           RunFabric(hosts, batch, requests);
       const FabricOutcome b =
           RunFabric(hosts, batch, requests);
-      const bool same = a.digest == b.digest;
-      diverged = diverged || !same;
       std::ostringstream digest;
-      digest << std::hex << (a.digest & 0xFFFFFFFF) << (same ? "=" : "!");
+      digest << std::hex << (a.digest & 0xFFFFFFFF) << report.Rerun(a.digest, b.digest);
       const double ratio =
           base_a.rate_per_gcycle() <= 0
               ? 0.0
@@ -238,62 +229,31 @@ int Run(const std::vector<u64>& host_counts, const std::vector<u64>& batches) {
            fixed1(a.rate_per_gcycle()), fixed1(100.0 * ratio) + "%",
            digest.str()});
 
-      if (a.failed || a.completed != requests || a.lost != 0) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hosts=%llu batch=%llu lost requests "
-                     "(done=%llu lost=%llu of %u)\n",
-                     static_cast<unsigned long long>(hosts),
-                     static_cast<unsigned long long>(batch),
-                     static_cast<unsigned long long>(a.completed),
-                     static_cast<unsigned long long>(a.lost), requests);
-        breached = true;
-      }
+      const std::string cell =
+          "hosts=" + std::to_string(hosts) + " batch=" + std::to_string(batch);
+      report.Gate(!a.failed && a.completed == requests && a.lost == 0, cell,
+                  " lost requests (done=", a.completed, " lost=", a.lost, " of ",
+                  requests, ")");
       // Handshake amortization: one full handshake per router<->host pair,
       // ever — so normalized per 10k requests it can only shrink.
-      if (a.hs_full > hosts) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hosts=%llu batch=%llu paid %llu full "
-                     "handshakes (> host-pair count %llu)\n",
-                     static_cast<unsigned long long>(hosts),
-                     static_cast<unsigned long long>(batch),
-                     static_cast<unsigned long long>(a.hs_full),
-                     static_cast<unsigned long long>(hosts));
-        breached = true;
-      }
+      report.Gate(a.hs_full <= hosts, cell, " paid ", a.hs_full,
+                  " full handshakes (> host-pair count ", hosts, ")");
       // Vectored framing: one frame per record each way, nothing else.
-      if (a.frames != 2 * a.records) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hosts=%llu batch=%llu sent %llu frames for "
-                     "%llu records (vectored framing broken)\n",
-                     static_cast<unsigned long long>(hosts),
-                     static_cast<unsigned long long>(batch),
-                     static_cast<unsigned long long>(a.frames),
-                     static_cast<unsigned long long>(a.records));
-        breached = true;
-      }
-      if (hosts == 2 && batch >= 8 && ratio < kSloMinRatio) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hosts=2 batch=%llu cross-host rate %.1f "
-                     "req/Gcycle is under %.0f%% of same-host %.1f\n",
-                     static_cast<unsigned long long>(batch),
-                     a.rate_per_gcycle(), 100.0 * kSloMinRatio,
-                     base_a.rate_per_gcycle());
-        breached = true;
-      }
+      report.Gate(a.frames == 2 * a.records, cell, " sent ", a.frames, " frames for ",
+                  a.records, " records (vectored framing broken)");
+      report.Gate(hosts != 2 || batch < 8 || ratio >= kSloMinRatio, cell,
+                  " cross-host rate ", a.rate_per_gcycle(), " req/Gcycle is under ",
+                  100.0 * kSloMinRatio, "% of same-host ", base_a.rate_per_gcycle());
     }
   }
   table.Print();
-  if (diverged) {
-    std::fprintf(stderr, "DETERMINISM BREACH: rerun digests diverged ('!')\n");
-  }
-  BenchFooter(
+  return report.Finish(
       "hs_full stays at the host-pair count across every batch window (the "
       "channel cache full-handshakes once; steady-state records ride cached "
       "keys), records and frames per request fall as the router coalesces "
       "bigger batches, and batched cross-host throughput holds the pinned "
       "fraction of same-host dispatch; '=' digests confirm byte-identical "
       "reruns");
-  return (breached || diverged) ? 1 : 0;
 }
 
 }  // namespace
@@ -301,13 +261,6 @@ int Run(const std::vector<u64>& host_counts, const std::vector<u64>& batches) {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  std::vector<guillotine::u64> hosts = guillotine::FlagList(argc, argv, "--hosts=");
-  if (hosts.empty()) {
-    hosts = {1, 2, 4};
-  }
-  std::vector<guillotine::u64> batches = guillotine::FlagList(argc, argv, "--batch=");
-  if (batches.empty()) {
-    batches = {1, 8, 32};
-  }
-  return guillotine::Run(hosts, batches);
+  return guillotine::Run(guillotine::FlagList(argc, argv, "--hosts=", {1, 2, 4}),
+                         guillotine::FlagList(argc, argv, "--batch=", {1, 8, 32}));
 }

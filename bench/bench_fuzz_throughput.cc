@@ -12,7 +12,8 @@
 // deterministic hashing cost: SHA-256 compressions per scenario
 // (sha_per_scen). When snapshot seals hashed the whole 1 MiB model DRAM,
 // this read tens of thousands and hashing was most of the campaign's time;
-// the bench exits nonzero if any row climbs past kMaxShaPerScenario.
+// the bench exits nonzero if any row climbs past kMaxShaPerScenario, or if
+// any fuzzed scenario breaks an invariant.
 #include <algorithm>
 #include <chrono>
 
@@ -25,7 +26,7 @@ namespace {
 
 constexpr u64 kMaxShaPerScenario = 4000;
 
-bool Run() {
+int Run() {
   BenchHeader("FZ1 / fuzz throughput",
               "seeded scenario fuzzing is cheap enough for 10k-scenario "
               "nightly campaigns and 1k-scenario PR smokes");
@@ -33,7 +34,7 @@ bool Run() {
   TextTable table({"max_steps", "scenarios", "steps", "events", "failures",
                    "sha_per_scen", "wall_ms", "scen_per_sec", "steps_per_sec"});
   const int scenarios = Smoked(300, 12);
-  bool breached = false;
+  BenchReport report;
   for (const int max_steps : {4, 8, 12}) {
     ScenarioFuzzerConfig config;
     config.max_steps = max_steps;
@@ -55,26 +56,21 @@ bool Run() {
                   TextTable::Num(stats.scenarios / (ms / 1000.0), 1),
                   TextTable::Num(static_cast<double>(stats.steps) / (ms / 1000.0),
                                  1)});
-    if (!stats.failures.empty()) {
+    if (!report.Gate(stats.failures.empty(), "max_steps=", max_steps, ": ",
+                     stats.failures.size(), " scenario(s) broke an invariant")) {
       std::printf("%s", stats.Summary().c_str());
     }
-    if (sha_per_scen > kMaxShaPerScenario) {
-      std::fprintf(stderr,
-                   "SLO BREACH: max_steps=%d hashed %llu SHA-256 compressions "
-                   "per scenario (limit %llu)\n",
-                   max_steps, static_cast<unsigned long long>(sha_per_scen),
-                   static_cast<unsigned long long>(kMaxShaPerScenario));
-      breached = true;
-    }
+    report.Gate(sha_per_scen <= kMaxShaPerScenario, "max_steps=", max_steps, " hashed ",
+                sha_per_scen, " SHA-256 compressions per scenario (limit ",
+                kMaxShaPerScenario, ")");
   }
   table.Print();
-  BenchFooter(
+  return report.Finish(
       "per-scenario cost is dominated by fresh-deployment construction plus "
       "the heavyweight steps (inference, floods); snapshots seal per-page "
       "digests, so sha_per_scen stays under the gate; campaign time scales "
       "roughly linearly with step count, keeping nightly 10k runs in the "
       "minutes range");
-  return !breached;
 }
 
 }  // namespace
@@ -82,5 +78,5 @@ bool Run() {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  return guillotine::Run() ? 0 : 1;
+  return guillotine::Run();
 }

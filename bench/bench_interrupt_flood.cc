@@ -10,10 +10,11 @@
 // budget. The LAPIC token bucket coalesces the storm per core while the
 // service loop's IRQ dedup (a flat seen-bitmap since the async-port-loop
 // change; the old pairwise scan was O(n^2) in the burst size) keeps the
-// per-pass cost linear in the delivered burst. Flags:
+// per-pass cost linear in the delivered burst. E4b exits nonzero unless
+// every rerun digest carries '='. Flags:
 //   --hv-cores=1,2,4   hv core counts to sweep
-#include <cstring>
 #include <sstream>
+#include <tuple>
 
 #include "bench/bench_common.h"
 #include "src/core/guillotine.h"
@@ -175,7 +176,7 @@ FloodSweepOutcome RunFloodSweep(int hv_cores, u32 rate_per_port, u32 passes) {
   return out;
 }
 
-void RunHvCoreFloodSweep(const std::vector<u64>& hv_core_counts) {
+int RunHvCoreFloodSweep(const std::vector<u64>& hv_core_counts) {
   BenchHeader("E4b / multi-hv-core flood sweep",
               "under a 4x-spurious doorbell flood, serviced throughput still "
               "scales with hypervisor cores: the LAPIC coalesces per core, "
@@ -186,6 +187,7 @@ void RunHvCoreFloodSweep(const std::vector<u64>& hv_core_counts) {
   TextTable table({"hv_cores", "rate_per_port", "offered_req", "delivered_irq",
                    "coalesced_irq", "serviced", "req_per_Gcycle", "fwd_irq",
                    "digest"});
+  BenchReport report;
   for (const u64 rate : {2u, 6u, 16u}) {
     for (const u64 cores : hv_core_counts) {
       const FloodSweepOutcome a =
@@ -194,9 +196,8 @@ void RunHvCoreFloodSweep(const std::vector<u64>& hv_core_counts) {
           RunFloodSweep(static_cast<int>(cores), static_cast<u32>(rate), passes);
       std::ostringstream digest;
       digest << std::hex << (a.trace_hash & 0xFFFFFFFF);
-      digest << ((a.trace_hash == b.trace_hash && a.stats_digest == b.stats_digest)
-                     ? "="
-                     : "!");
+      digest << report.Rerun(std::tie(a.trace_hash, a.stats_digest),
+                             std::tie(b.trace_hash, b.stats_digest));
       table.AddRow({std::to_string(cores), std::to_string(rate),
                     std::to_string(a.offered), std::to_string(a.delivered),
                     std::to_string(a.coalesced), std::to_string(a.serviced),
@@ -205,7 +206,7 @@ void RunHvCoreFloodSweep(const std::vector<u64>& hv_core_counts) {
     }
   }
   table.Print();
-  BenchFooter(
+  return report.Finish(
       "dedup regression note: the service loop dedups each pass's IRQ burst "
       "with a flat seen-bitmap (O(n) in burst size; the pre-async pairwise "
       "scan was O(n^2), which this 4x-spurious storm would have made "
@@ -215,7 +216,7 @@ void RunHvCoreFloodSweep(const std::vector<u64>& hv_core_counts) {
       "reruns at every core count");
 }
 
-void Run(const std::vector<u64>& hv_core_counts) {
+int Run(const std::vector<u64>& hv_core_counts) {
   BenchHeader("E4 / Figure 3",
               "the LAPIC token bucket prevents doorbell floods from "
               "live-locking hypervisor cores; legitimate request rates pass "
@@ -246,7 +247,7 @@ void Run(const std::vector<u64>& hv_core_counts) {
       "near the configured steady-state rate and busy fraction stays flat "
       "while excess doorbells coalesce harmlessly");
 
-  RunHvCoreFloodSweep(hv_core_counts);
+  return RunHvCoreFloodSweep(hv_core_counts);
 }
 
 }  // namespace
@@ -254,11 +255,5 @@ void Run(const std::vector<u64>& hv_core_counts) {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  std::vector<guillotine::u64> hv_cores =
-      guillotine::FlagList(argc, argv, "--hv-cores=");
-  if (hv_cores.empty()) {
-    hv_cores = {1, 2, 4};
-  }
-  guillotine::Run(hv_cores);
-  return 0;
+  return guillotine::Run(guillotine::FlagList(argc, argv, "--hv-cores=", {1, 2, 4}));
 }

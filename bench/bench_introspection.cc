@@ -62,7 +62,7 @@ ModeResult RunMode(IntrospectionMode mode) {
   return out;
 }
 
-bool Run() {
+int Run() {
   BenchHeader("E11 / Figure 7 (ablation)",
               "layer-boundary watchpoints buy full activation visibility for "
               "a modest slowdown; single-stepping buys instruction-level "
@@ -74,31 +74,31 @@ bool Run() {
   const ModeResult wp = RunMode(IntrospectionMode::kLayerWatchpoints);
   const ModeResult step = RunMode(IntrospectionMode::kSingleStep);
 
-  bool pass = true;
+  BenchReport report;
   auto row = [&](std::string_view name, const ModeResult& r, bool sees_what_it_claims) {
     // Observation must not perturb: the same instructions and the same answer.
-    const bool ok = sees_what_it_claims && r.instructions == none.instructions &&
-                    !r.output.empty() && r.output == none.output;
-    pass &= ok;
+    const bool ok = report.Gate(sees_what_it_claims && r.instructions == none.instructions &&
+                                    !r.output.empty() && r.output == none.output,
+                                name, " changed what the model executed or computed, or "
+                                      "did not see what it claims");
     table.AddRow({std::string(name), std::to_string(r.total),
                   TextTable::Num(static_cast<double>(r.total) /
                                      static_cast<double>(none.total),
                                  2) + "x",
                   std::to_string(r.instructions), std::to_string(r.activations_inspected),
                   std::to_string(r.control_ops), std::to_string(r.hv_busy),
-                  ok ? "ok" : "BREACH"});
+                  GateCell(ok)});
   };
   row("none", none, none.activations_inspected == 0);
   row("layer_watchpoints", wp, wp.activations_inspected == Dims().size() - 1);
   row("single_step", step, step.control_ops >= step.instructions);
   table.Print();
-  BenchFooter(
+  return report.Finish(
       "watchpoint introspection inspects every layer boundary for a small "
       "constant factor in guest time and hypervisor work; single-stepping "
       "shifts the cost to the hypervisor core (one control-bus operation per "
       "instruction), the maximal-visibility end of the knob the paper gives "
       "the detector");
-  return pass;
 }
 
 }  // namespace
@@ -106,10 +106,5 @@ bool Run() {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  if (!guillotine::Run()) {
-    std::printf("FAIL: an introspection mode changed what the model executed or "
-                "computed, or did not see what it claims (see BREACH)\n");
-    return 1;
-  }
-  return 0;
+  return guillotine::Run();
 }

@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/common/histogram.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/service_scheduler.h"
 #include "src/machine/control_channel.h"
@@ -47,15 +49,6 @@ struct LatencyOutcome {
   u64 trace_hash = 0;
   std::string stats_digest;
 };
-
-u64 Percentile(const std::vector<u64>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 // One deterministic latency run: 8 bulk storage ports and one kill-class
 // hv-escalation channel. Per sample we (optionally) saturate the bulk rings
@@ -113,8 +106,7 @@ LatencyOutcome RunKillLatency(int hv_cores, bool flooded, u32 samples) {
   };
 
   LatencyOutcome out;
-  std::vector<u64> latencies;
-  latencies.reserve(samples);
+  Histogram latencies;
   u64 tag = 1;
   for (u32 s = 0; s < samples; ++s) {
     hv.ApplySoftwareIsolation(IsolationLevel::kStandard);
@@ -167,13 +159,12 @@ LatencyOutcome RunKillLatency(int hv_cores, bool flooded, u32 samples) {
     if (passes >= kPassCap && hv.isolation() < IsolationLevel::kSevered) {
       out.capped = true;
     }
-    latencies.push_back(clock.now() - t0);
+    latencies.Add(static_cast<double>(clock.now() - t0));
   }
 
-  std::sort(latencies.begin(), latencies.end());
-  out.p50 = Percentile(latencies, 0.5);
-  out.p999 = Percentile(latencies, 0.999);
-  out.max = latencies.empty() ? 0 : latencies.back();
+  out.p50 = static_cast<u64>(latencies.Percentile(50));
+  out.p999 = static_cast<u64>(latencies.Percentile(99.9));
+  out.max = static_cast<u64>(latencies.max());
   out.kill_deferred = hv.lifetime_stats().kill_deferred;
   out.handoffs = scheduler.handoffs();
   out.trace_hash = TraceDigestHash(trace);
@@ -189,8 +180,7 @@ int Run(const std::vector<u64>& hv_core_counts) {
                   "x of idle p999 and no kill-class request is ever deferred");
 
   const u32 samples = Smoked(200u, 24u);
-  bool breached = false;
-  bool diverged = false;
+  BenchReport report;
   TextTable table({"hv_cores", "mode", "samples", "p50_cyc", "p999_cyc",
                    "max_cyc", "kill_def", "handoffs", "digest"});
   for (const u64 cores : hv_core_counts) {
@@ -200,11 +190,10 @@ int Run(const std::vector<u64>& hv_core_counts) {
           RunKillLatency(static_cast<int>(cores), flooded, samples);
       const LatencyOutcome b =
           RunKillLatency(static_cast<int>(cores), flooded, samples);
-      const bool same =
-          a.trace_hash == b.trace_hash && a.stats_digest == b.stats_digest;
-      diverged = diverged || !same;
       std::ostringstream digest;
-      digest << std::hex << (a.trace_hash & 0xFFFFFFFF) << (same ? "=" : "!");
+      digest << std::hex << (a.trace_hash & 0xFFFFFFFF)
+             << report.Rerun(std::tie(a.trace_hash, a.stats_digest),
+                             std::tie(b.trace_hash, b.stats_digest));
       table.AddRow({std::to_string(cores), flooded ? "flood" : "idle",
                     std::to_string(samples), std::to_string(a.p50),
                     std::to_string(a.p999), std::to_string(a.max),
@@ -217,46 +206,24 @@ int Run(const std::vector<u64>& hv_core_counts) {
       // The SLO proper: flooded tail within the pinned factor of idle, no
       // kill-class deferral anywhere, and every escalation actually landed.
       const u64 bound = kSloFactor * std::max<u64>(idle.p999, 1);
-      if (a.p999 > bound) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hv_cores=%llu flooded p999=%llu cycles "
-                     "exceeds %llux idle p999 (%llu cycles)\n",
-                     static_cast<unsigned long long>(cores),
-                     static_cast<unsigned long long>(a.p999),
-                     static_cast<unsigned long long>(kSloFactor),
-                     static_cast<unsigned long long>(bound));
-        breached = true;
-      }
-      if (a.kill_deferred != 0 || idle.kill_deferred != 0) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hv_cores=%llu deferred %llu kill-class "
-                     "request(s) past a servicing pass\n",
-                     static_cast<unsigned long long>(cores),
-                     static_cast<unsigned long long>(a.kill_deferred +
-                                                     idle.kill_deferred));
-        breached = true;
-      }
-      if (a.capped || idle.capped) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hv_cores=%llu escalation never reached "
-                     "Severed within %u passes\n",
-                     static_cast<unsigned long long>(cores), kPassCap);
-        breached = true;
-      }
+      const std::string cell = "hv_cores=" + std::to_string(cores);
+      report.Gate(a.p999 <= bound, cell, " flooded p999=", a.p999, " cycles exceeds ",
+                  kSloFactor, "x idle p999 (", bound, " cycles)");
+      report.Gate(a.kill_deferred == 0 && idle.kill_deferred == 0, cell, " deferred ",
+                  a.kill_deferred + idle.kill_deferred,
+                  " kill-class request(s) past a servicing pass");
+      report.Gate(!a.capped && !idle.capped, cell,
+                  " escalation never reached Severed within ", kPassCap, " passes");
     }
   }
   table.Print();
-  if (diverged) {
-    std::fprintf(stderr, "DETERMINISM BREACH: rerun digests diverged ('!')\n");
-  }
-  BenchFooter(
+  return report.Finish(
       "idle and flooded latency distributions coincide at every core count: "
       "kill-class ports are serviced before any bulk work, their doorbells "
       "bypass both the LAPIC throttle and the service-slice deferral, and "
       "the rebalancer never migrates them — so the flood buys the adversary "
       "nothing. kill_def stays 0 (the kill-path-not-starved invariant); '=' "
       "digests confirm byte-identical reruns");
-  return (breached || diverged) ? 1 : 0;
 }
 
 }  // namespace
@@ -264,10 +231,5 @@ int Run(const std::vector<u64>& hv_core_counts) {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  std::vector<guillotine::u64> hv_cores =
-      guillotine::FlagList(argc, argv, "--hv-cores=");
-  if (hv_cores.empty()) {
-    hv_cores = {1, 2, 4};
-  }
-  return guillotine::Run(hv_cores);
+  return guillotine::Run(guillotine::FlagList(argc, argv, "--hv-cores=", {1, 2, 4}));
 }

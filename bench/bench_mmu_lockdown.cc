@@ -73,7 +73,7 @@ Cycles ForwardPassCycles(bool lockdown) {
   return core.stats().cycles;
 }
 
-bool Run() {
+int Run() {
   BenchHeader("E10 / Figure 6",
               "execute-only base+bound lockdown stops runtime code injection "
               "(recursive self-improvement vector) at ~zero runtime cost");
@@ -82,13 +82,12 @@ bool Run() {
   const auto self_modify = BuildSelfModifyAttack(0x1000, 0x40000, 0x50000);
   const auto exec_page = BuildExecPageAttack(0x1000, 0x40000, 0x20000, 0x60000);
 
-  bool pass = true;
+  BenchReport report;
   auto row = [&](const char* attack, bool lockdown, bool ran) {
     // Injected code must run exactly when the lockdown is off.
-    const bool ok = ran != lockdown;
-    pass &= ok;
-    table.AddRow({attack, lockdown ? "armed" : "off", ran ? "YES" : "no",
-                  ok ? "ok" : "BREACH"});
+    const bool ok = report.Gate(ran != lockdown, attack, " with the lockdown ",
+                                lockdown ? "armed" : "off", ": injected code ran=", ran);
+    table.AddRow({attack, lockdown ? "armed" : "off", ran ? "YES" : "no", GateCell(ok)});
   };
   for (bool lockdown : {false, true}) {
     row("direct store into text + jump", lockdown,
@@ -100,7 +99,7 @@ bool Run() {
   // Cost: identical forward pass with the check armed vs disarmed.
   const Cycles with = ForwardPassCycles(true);
   const Cycles without = ForwardPassCycles(false);
-  pass &= with == without;
+  report.Gate(with == without, "the lockdown changed the forward pass's cycles");
   std::printf("\nforward pass: lockdown armed %llu cyc, disarmed %llu cyc "
               "(overhead %.3f%%)%s\n",
               static_cast<unsigned long long>(with),
@@ -114,18 +113,17 @@ bool Run() {
   constexpr u32 kProbes = 16;
   const auto read_code = BuildIntrospectionProbe(0x1000, 0x40000, 0x1000, 64, kProbes);
   const std::vector<u64> probe = RunAttack(read_code, true);  // issued, faulted, read
-  const bool sealed = probe[0] == kProbes && probe[1] == kProbes && probe[2] == 0;
-  pass &= sealed;
+  const bool sealed = report.Gate(probe[0] == kProbes && probe[1] == kProbes && probe[2] == 0,
+                                  "the code-read probe read text under the lockdown");
   std::printf("code-read probe under lockdown: %llu of %llu loads faulted, %llu read "
               "text%s\n",
               static_cast<unsigned long long>(probe[1]),
               static_cast<unsigned long long>(probe[0]),
               static_cast<unsigned long long>(probe[2]), sealed ? "" : " BREACH");
-  BenchFooter(
+  return report.Finish(
       "both injection paths succeed without the lockdown and are dead with "
       "it; the runtime cost is unmeasurable (a bounds compare per "
       "translation), matching the paper's 'cheap at the hardware level'");
-  return pass;
 }
 
 }  // namespace
@@ -133,10 +131,5 @@ bool Run() {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  if (!guillotine::Run()) {
-    std::printf("FAIL: the lockdown let injected code run, did not stop an attack "
-                "it should, let the probe read text, or cost cycles (see BREACH)\n");
-    return 1;
-  }
-  return 0;
+  return guillotine::Run();
 }

@@ -14,10 +14,12 @@
 // E1b adds the async service-loop sweep: the same mediation stack run on a
 // 1/2/4-core hypervisor complex under increasing offered rates, with
 // per-port ownership, scheduler handoffs, and batched completion IRQs.
+// E1b exits nonzero unless every rerun digest carries '=' and, at the top
+// offered rate, serviced req/Gcycle climbs with every added hv core.
 // Flags:
 //   --hv-cores=1,2,4   hv core counts to sweep
-#include <cstring>
 #include <sstream>
+#include <tuple>
 
 #include "bench/bench_common.h"
 #include "src/core/guillotine.h"
@@ -146,7 +148,7 @@ SweepOutcome RunServiceSweep(int hv_cores, u32 per_port_rate, u32 passes) {
   return out;
 }
 
-void RunHvCoreSweep(const std::vector<u64>& hv_core_counts) {
+int RunHvCoreSweep(const std::vector<u64>& hv_core_counts) {
   BenchHeader("E1b / async service sweep",
               "the port service loop scales across hypervisor cores: "
               "per-port ownership + scheduler handoffs + batched completion "
@@ -157,18 +159,29 @@ void RunHvCoreSweep(const std::vector<u64>& hv_core_counts) {
   TextTable table({"hv_cores", "rate_per_port", "offered", "serviced",
                    "req_per_Gcycle", "handoffs", "irq_batches", "depth_max",
                    "digest"});
-  for (const u64 rate : {2u, 6u, 16u}) {
+  BenchReport report;
+  constexpr u32 kTopRate = 16;
+  for (const u64 rate : {2u, 6u, kTopRate}) {
+    u64 prev_cores = 0;
+    double prev_rate = 0.0;
     for (const u64 cores : hv_core_counts) {
       const SweepOutcome a =
           RunServiceSweep(static_cast<int>(cores), static_cast<u32>(rate), passes);
       const SweepOutcome b =
           RunServiceSweep(static_cast<int>(cores), static_cast<u32>(rate), passes);
+      // At the saturating rate every added hv core must lift throughput.
+      if (rate == kTopRate && cores > prev_cores) {
+        report.Gate(a.req_per_gcycle > prev_rate, "rate=", rate, " hv_cores=",
+                    cores, " serviced ", a.req_per_gcycle, " req/Gcycle, not above ",
+                    prev_rate, " at ", prev_cores, " cores");
+      }
+      prev_cores = cores;
+      prev_rate = a.req_per_gcycle;
       std::ostringstream digest;
       digest << std::hex << (a.trace_hash & 0xFFFFFFFF);
       // '=' marks byte-identical trace + per-core stats across the rerun.
-      digest << ((a.trace_hash == b.trace_hash && a.stats_digest == b.stats_digest)
-                     ? "="
-                     : "!");
+      digest << report.Rerun(std::tie(a.trace_hash, a.stats_digest),
+                             std::tie(b.trace_hash, b.stats_digest));
       table.AddRow({std::to_string(cores), std::to_string(rate),
                     std::to_string(a.offered), std::to_string(a.serviced),
                     TextTable::Num(a.req_per_gcycle, 0),
@@ -177,7 +190,7 @@ void RunHvCoreSweep(const std::vector<u64>& hv_core_counts) {
     }
   }
   table.Print();
-  BenchFooter(
+  return report.Finish(
       "at the top offered rate one service core saturates on its slice "
       "budget while 4 cores keep draining — serviced req/Gcycle climbs with "
       "the hv-core count; handoffs show the scheduler re-homing the two hot "
@@ -187,7 +200,7 @@ void RunHvCoreSweep(const std::vector<u64>& hv_core_counts) {
 
 }  // namespace
 
-void Run(const std::vector<u64>& hv_core_counts) {
+int Run(const std::vector<u64>& hv_core_counts) {
   BenchHeader("E1 / Table 1",
               "port-API mediation is affordable; direct (SR-IOV-style) device "
               "access is disallowed and would only save a constant factor");
@@ -263,18 +276,12 @@ void Run(const std::vector<u64>& hv_core_counts) {
       "SR-IOV-style direct assignment, which the paper accepts (section "
       "3.5: Guillotine increases the cost of operating a model)");
 
-  RunHvCoreSweep(hv_core_counts);
+  return RunHvCoreSweep(hv_core_counts);
 }
 
 }  // namespace guillotine
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  std::vector<guillotine::u64> hv_cores =
-      guillotine::FlagList(argc, argv, "--hv-cores=");
-  if (hv_cores.empty()) {
-    hv_cores = {1, 2, 4};
-  }
-  guillotine::Run(hv_cores);
-  return 0;
+  return guillotine::Run(guillotine::FlagList(argc, argv, "--hv-cores=", {1, 2, 4}));
 }

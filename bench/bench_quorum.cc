@@ -6,6 +6,11 @@
 // Guillotine administrators". Monte Carlo over per-admin compromise
 // probability, comparing the paper's policy against simple-majority and
 // single-admin alternatives.
+//
+// Gate: the bench exits nonzero unless the real HSM denies 4 colluding
+// admins a relax and allows 5, and P(unsafe relax) under 5/7-3/7 is below
+// the 4/7 majority's at every compromise rate (smoke mode's 500 trials may
+// tie them at zero).
 #include "bench/bench_common.h"
 #include "src/core/guillotine.h"
 #include "src/physical/quorum.h"
@@ -42,13 +47,14 @@ PolicyOutcome Simulate(const QuorumPolicy& policy, double p_compromise, int tria
   return out;
 }
 
-void Run() {
+int Run() {
   BenchHeader("E6 / Figure 4",
               "5-of-7 relax / 3-of-7 restrict biases toward safety under "
               "admin compromise");
 
-  // Sanity-check the real HSM agrees with the counting model at the
-  // boundary: 4 compromised admins cannot relax, 5 can.
+  // Gate the real HSM at the counting model's boundary: 4 compromised
+  // admins cannot relax, 5 can.
+  BenchReport report;
   {
     Rng rng(1);
     const QuorumPolicy policy;
@@ -61,34 +67,46 @@ void Run() {
     for (int i = 0; i < 4; ++i) {
       sigs.push_back(SignTransition(admins[static_cast<size_t>(i)], relax));
     }
+    const bool four_denied = report.Gate(!hsm.Authorize(relax, sigs).ok(),
+                                         "the HSM let 4 colluding admins relax");
     std::printf("hsm check: 4 colluding admins relax -> %s\n",
-                hsm.Authorize(relax, sigs).ok() ? "ALLOWED (bug!)" : "denied");
+                four_denied ? "denied" : "ALLOWED");
     sigs.push_back(SignTransition(admins[4], relax));
+    const bool five_allowed = report.Gate(hsm.Authorize(relax, sigs).ok(),
+                                          "the HSM denied 5 colluding admins a relax");
     std::printf("hsm check: 5 colluding admins relax -> %s\n\n",
-                hsm.Authorize(relax, sigs).ok() ? "allowed" : "DENIED (bug!)");
+                five_allowed ? "allowed" : "DENIED");
   }
 
-  QuorumPolicy paper;                      // 5/7 relax, 3/7 restrict
-  QuorumPolicy majority{7, 4, 4};          // simple majority both ways
-  QuorumPolicy single{7, 1, 1};            // any admin acts alone
+  const std::vector<std::pair<std::string, QuorumPolicy>> policies = {
+      {"5/7-3/7 (paper)", QuorumPolicy{}},          // 5/7 relax, 3/7 restrict
+      {"4/7-4/7 majority", QuorumPolicy{7, 4, 4}},  // simple majority both ways
+      {"1/7-1/7 single", QuorumPolicy{7, 1, 1}}};   // any admin acts alone
 
   TextTable table({"p_compromise", "policy", "P(unsafe_relax)", "P(cannot_restrict)"});
   Rng rng(2026);
   const int trials = Smoked(20'000, 500);
   for (double p : {0.05, 0.1, 0.2, 0.3, 0.5}) {
-    for (const auto& [name, policy] :
-         std::vector<std::pair<std::string, QuorumPolicy>>{
-             {"5/7-3/7 (paper)", paper},
-             {"4/7-4/7 majority", majority},
-             {"1/7-1/7 single", single}}) {
-      const PolicyOutcome out = Simulate(policy, p, trials, rng);
+    std::vector<PolicyOutcome> outs;
+    for (const auto& [name, policy] : policies) {
+      outs.push_back(Simulate(policy, p, trials, rng));
       table.AddRow({TextTable::Num(p, 2), name,
-                    TextTable::Num(out.p_unsafe_relax, 4),
-                    TextTable::Num(out.p_cannot_restrict, 4)});
+                    TextTable::Num(outs.back().p_unsafe_relax, 4),
+                    TextTable::Num(outs.back().p_cannot_restrict, 4)});
     }
+    // Smoke's 500 trials can see no unsafe relax under either policy (both
+    // read 0 at p = 0.10), so only the full run must separate them.
+    const double paper = outs[0].p_unsafe_relax;
+    const double majority = outs[1].p_unsafe_relax;
+    report.Gate(paper < majority || (SmokeMode() && paper == majority), "p=", p,
+                ": P(unsafe relax) ", paper, " under 5/7-3/7 is not below the 4/7 "
+                "majority's ", majority);
   }
   table.Print();
-  BenchFooter(
+  std::printf("\ngate: the HSM denies 4 colluding admins and allows 5; P(unsafe "
+              "relax) under 5/7-3/7 is below the 4/7 majority's at every p%s\n",
+              SmokeMode() ? " (or ties it)" : "");
+  return report.Finish(
       "the paper's asymmetric policy keeps P(unsafe relax) orders of "
       "magnitude below simple majority at realistic compromise rates, while "
       "P(cannot restrict) stays near zero because restriction needs only "
@@ -100,6 +118,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  guillotine::Run();
-  return 0;
+  return guillotine::Run();
 }

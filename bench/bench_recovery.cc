@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/common/histogram.h"
 #include "src/core/guillotine.h"
 #include "src/hv/snapshot.h"
 #include "src/machine/storage.h"
@@ -37,27 +38,6 @@ namespace {
 // quiesce drains the stale epoch before the board comes back, so the two
 // distributions should coincide; the slack only absorbs quantum rounding.
 constexpr u64 kSloFactor = 2;
-
-u64 CountKind(const EventTrace& trace, std::string_view kind) {
-  u64 count = 0;
-  for (const TraceEvent& e : trace.events()) {
-    count += (e.kind == kind) ? 1 : 0;
-  }
-  return count;
-}
-
-u64 Mix(u64 hash, u64 value) {
-  return (hash ^ value) * 1099511628211ull;
-}
-
-u64 Percentile(const std::vector<u64>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  const size_t idx =
-      static_cast<size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 struct RecoveryOutcome {
   u64 p50 = 0;
@@ -91,8 +71,9 @@ RecoveryOutcome RunRecovery(int hv_cores, bool flooded, u32 samples) {
   const u32 disk =
       sys.machine().AttachDevice(std::make_unique<StorageDevice>(64));
 
-  std::vector<u64> latencies;
+  std::vector<u64> latencies;  // folded into the digest in sorted order
   latencies.reserve(samples);
+  Histogram latency;
   u32 flood_port = 0;
   bool have_port = false;
   u64 tag = 1;
@@ -156,15 +137,16 @@ RecoveryOutcome RunRecovery(int hv_cores, bool flooded, u32 samples) {
       return out;
     }
     latencies.push_back(sys.clock().now() - t0);
+    latency.Add(static_cast<double>(latencies.back()));
   }
 
   std::sort(latencies.begin(), latencies.end());
-  out.p50 = Percentile(latencies, 0.5);
-  out.max = latencies.empty() ? 0 : latencies.back();
-  out.quiesce_events = CountKind(sys.trace(), "snapshot.quiesce");
+  out.p50 = static_cast<u64>(latency.Percentile(50));
+  out.max = static_cast<u64>(latency.max());
+  out.quiesce_events = sys.trace().CountKind("snapshot.quiesce");
   out.digest = TraceDigestHash(sys.trace());
   for (const u64 lat : latencies) {
-    out.digest = Mix(out.digest, lat);
+    out.digest = FnvMix(out.digest, lat);
   }
   return out;
 }
@@ -237,7 +219,7 @@ MigrateOutcome RunMigrate(int hv_cores, bool flooded) {
       0, model, &service, /*target_shard=*/0, fleet.system(0).clock().now(),
       [](ModelSnapshot& snapshot) { snapshot.core ^= 1; });
   out.tamper_refused = !refused.ok() &&
-                       CountKind(fleet.system(0).trace(), "snapshot.tamper") > 0;
+                       fleet.system(0).trace().CountKind("snapshot.tamper") > 0;
 
   const Result<QuarantineMigrateReport> report = fleet.QuarantineMigrate(
       0, model, &service, /*target_shard=*/0, fleet.system(0).clock().now());
@@ -261,11 +243,11 @@ MigrateOutcome RunMigrate(int hv_cores, bool flooded) {
   }
   out.probe_makespan = probe.makespan;
 
-  out.digest = Mix(TraceDigestHash(fleet.decommissioned(0).trace()),
-                   TraceDigestHash(fleet.system(0).trace()));
-  out.digest = Mix(out.digest, out.remapped);
-  out.digest = Mix(out.digest, out.kv_migrated);
-  out.digest = Mix(out.digest, out.probe_makespan);
+  out.digest = FnvMix(TraceDigestHash(fleet.decommissioned(0).trace()),
+                      TraceDigestHash(fleet.system(0).trace()));
+  out.digest = FnvMix(out.digest, out.remapped);
+  out.digest = FnvMix(out.digest, out.kv_migrated);
+  out.digest = FnvMix(out.digest, out.probe_makespan);
   return out;
 }
 
@@ -280,8 +262,7 @@ int Run(const std::vector<u64>& hv_core_counts) {
           "deployment's re-captured digest matches the seal");
 
   const u32 samples = Smoked(24u, 4u);
-  bool breached = false;
-  bool diverged = false;
+  BenchReport report;
   TextTable table({"hv_cores", "mode", "samples", "rec_p50", "rec_max",
                    "quiesce", "tamper_ref", "remap", "kv_mig",
                    "probe_cyc", "digest"});
@@ -294,12 +275,10 @@ int Run(const std::vector<u64>& hv_core_counts) {
           RunRecovery(static_cast<int>(cores), flooded, samples);
       const MigrateOutcome mig_a = RunMigrate(static_cast<int>(cores), flooded);
       const MigrateOutcome mig_b = RunMigrate(static_cast<int>(cores), flooded);
-      const u64 digest_a = Mix(rec_a.digest, mig_a.digest);
-      const u64 digest_b = Mix(rec_b.digest, mig_b.digest);
-      const bool same = digest_a == digest_b;
-      diverged = diverged || !same;
+      const u64 digest_a = FnvMix(rec_a.digest, mig_a.digest);
+      const u64 digest_b = FnvMix(rec_b.digest, mig_b.digest);
       std::ostringstream digest;
-      digest << std::hex << (digest_a & 0xFFFFFFFF) << (same ? "=" : "!");
+      digest << std::hex << (digest_a & 0xFFFFFFFF) << report.Rerun(digest_a, digest_b);
       table.AddRow({std::to_string(cores), flooded ? "flood" : "idle",
                     std::to_string(samples), std::to_string(rec_a.p50),
                     std::to_string(rec_a.max),
@@ -309,71 +288,36 @@ int Run(const std::vector<u64>& hv_core_counts) {
                     std::to_string(mig_a.kv_migrated),
                     std::to_string(mig_a.probe_makespan), digest.str()});
 
-      if (rec_a.failed || mig_a.failed) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hv_cores=%llu %s cell failed to recover or "
-                     "migrate cleanly\n",
-                     static_cast<unsigned long long>(cores),
-                     flooded ? "flood" : "idle");
-        breached = true;
-      }
-      if (rec_a.tamper_refusals != samples || !mig_a.tamper_refused) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hv_cores=%llu %s accepted a tampered "
-                     "snapshot (console refusals %llu/%u, migrate refused=%d)\n",
-                     static_cast<unsigned long long>(cores),
-                     flooded ? "flood" : "idle",
-                     static_cast<unsigned long long>(rec_a.tamper_refusals),
-                     samples, mig_a.tamper_refused ? 1 : 0);
-        breached = true;
-      }
-      if (rec_a.quiesce_events < samples) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hv_cores=%llu %s restore skipped the "
-                     "stale-epoch quiesce (%llu < %u)\n",
-                     static_cast<unsigned long long>(cores),
-                     flooded ? "flood" : "idle",
-                     static_cast<unsigned long long>(rec_a.quiesce_events),
-                     samples);
-        breached = true;
-      }
-      if (!mig_a.digest_verified) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hv_cores=%llu %s migrated deployment's "
-                     "re-captured digest does not match the seal\n",
-                     static_cast<unsigned long long>(cores),
-                     flooded ? "flood" : "idle");
-        breached = true;
-      }
+      const std::string cell =
+          "hv_cores=" + std::to_string(cores) + (flooded ? " flood" : " idle");
+      report.Gate(!rec_a.failed && !mig_a.failed, cell,
+                  " cell failed to recover or migrate cleanly");
+      report.Gate(rec_a.tamper_refusals == samples && mig_a.tamper_refused, cell,
+                  " accepted a tampered snapshot (console refusals ",
+                  rec_a.tamper_refusals, "/", samples,
+                  ", migrate refused=", mig_a.tamper_refused, ")");
+      report.Gate(rec_a.quiesce_events >= samples, cell,
+                  " restore skipped the stale-epoch quiesce (", rec_a.quiesce_events,
+                  " < ", samples, ")");
+      report.Gate(mig_a.digest_verified, cell,
+                  " migrated deployment's re-captured digest does not match the seal");
       if (!flooded) {
         idle = rec_a;
         continue;
       }
       const u64 bound = kSloFactor * std::max<u64>(idle.p50, 1);
-      if (rec_a.p50 > bound) {
-        std::fprintf(stderr,
-                     "SLO BREACH: hv_cores=%llu flooded recovery p50=%llu "
-                     "cycles exceeds %llux idle p50 (%llu cycles)\n",
-                     static_cast<unsigned long long>(cores),
-                     static_cast<unsigned long long>(rec_a.p50),
-                     static_cast<unsigned long long>(kSloFactor),
-                     static_cast<unsigned long long>(bound));
-        breached = true;
-      }
+      report.Gate(rec_a.p50 <= bound, cell, " recovery p50=", rec_a.p50,
+                  " cycles exceeds ", kSloFactor, "x idle p50 (", bound, " cycles)");
     }
   }
   table.Print();
-  if (diverged) {
-    std::fprintf(stderr, "DETERMINISM BREACH: rerun digests diverged ('!')\n");
-  }
-  BenchFooter(
+  return report.Finish(
       "recovery latency is flood-invariant: the restore quiesce drains the "
       "stale pre-capture epoch (rings, IRQs, accounting) before the board "
       "comes back, so flooding the suspect buys the adversary nothing. "
       "tamper_ref == samples and the refused migrate show the sealed-digest "
       "gate holds on both paths; remap/kv columns account every session the "
       "handover moved; '=' digests confirm byte-identical reruns");
-  return (breached || diverged) ? 1 : 0;
 }
 
 }  // namespace
@@ -381,10 +325,5 @@ int Run(const std::vector<u64>& hv_core_counts) {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  std::vector<guillotine::u64> hv_cores =
-      guillotine::FlagList(argc, argv, "--hv-cores=");
-  if (hv_cores.empty()) {
-    hv_cores = {1, 2, 4};
-  }
-  return guillotine::Run(hv_cores);
+  return guillotine::Run(guillotine::FlagList(argc, argv, "--hv-cores=", {1, 2, 4}));
 }

@@ -7,12 +7,19 @@
 // several models communicate with each other to collectively optimize
 // themselves". We simulate a fleet of sandboxed models that gain capability
 // from peer exchanges and compare growth with the refusal policy on/off.
+//
+// Gate: the bench exits nonzero unless the refusal policy lets no
+// cross-hypervisor exchange through and its capability stays exactly on the
+// solo line at every round.
 #include "bench/bench_common.h"
 #include "src/core/guillotine.h"
 #include "src/net/secure_channel.h"
 
 namespace guillotine {
 namespace {
+
+// Capability a model gains per round on its own, without peer exchanges.
+constexpr double kSoloGain = 0.01;
 
 struct FleetResult {
   std::vector<double> capability_by_round;
@@ -36,7 +43,7 @@ FleetResult SimulateFleet(bool refusal_policy, int deployments, int rounds, Rng&
   for (int round = 0; round < rounds; ++round) {
     // Solo improvement: slow, concave (diminishing returns of self-play).
     for (auto& c : capability) {
-      c += 0.01;
+      c += kSoloGain;
     }
     // Peer exchanges: every pair attempts a handshake; a success lets both
     // parties integrate the other's "gradients" — multiplicative growth.
@@ -65,7 +72,7 @@ FleetResult SimulateFleet(bool refusal_policy, int deployments, int rounds, Rng&
   return result;
 }
 
-void Run() {
+int Run() {
   BenchHeader("E12 / Figure 8",
               "refusing hypervisor-to-hypervisor connections removes the "
               "compounding term from collective self-improvement");
@@ -89,7 +96,24 @@ void Run() {
   std::printf("refusal policy: %llu exchanges, %llu refusals\n",
               static_cast<unsigned long long>(guarded.exchanges),
               static_cast<unsigned long long>(guarded.refusals));
-  BenchFooter(
+
+  BenchReport report;
+  report.Gate(guarded.exchanges == 0, "the refusal policy let ", guarded.exchanges,
+              " cross-hypervisor exchange(s) through");
+  // The solo line, accumulated exactly as SimulateFleet does.
+  double solo = 1.0;
+  int off_line_round = 0;
+  for (int r = 0; r < kRounds && off_line_round == 0; ++r) {
+    solo += kSoloGain;
+    if (guarded.capability_by_round[static_cast<size_t>(r)] != solo) {
+      off_line_round = r + 1;
+    }
+  }
+  report.Gate(off_line_round == 0, "capability under the refusal policy left the solo "
+              "line at round ", off_line_round);
+  std::printf("\ngate: the refusal policy allows 0 exchanges and its capability "
+              "stays on the solo line (+%.2f per round)\n", kSoloGain);
+  return report.Finish(
       "with exchanges allowed, capability compounds (exponential-looking "
       "growth); under the refusal policy every cross-hypervisor handshake is "
       "denied and growth stays on the slow solo line");
@@ -100,6 +124,5 @@ void Run() {
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  guillotine::Run();
-  return 0;
+  return guillotine::Run();
 }

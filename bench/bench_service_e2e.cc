@@ -13,7 +13,8 @@
 // GuillotineFleet (one sandboxed deployment per shard), swept over shard
 // count x arrival rate at fixed offered load. Throughput should scale with
 // shards while session affinity keeps the KV hit rate pinned to the
-// 1-shard serial baseline. Flags:
+// 1-shard serial baseline: '=' marks a row that matches it, '!' one that
+// does not, and a '!' fails the run.
 // Part three is the open-world sweep (E8c): RunContinuous driven by a
 // seeded TrafficSource, swept over traffic shape x shard count, with a
 // mid-run elastic resize (down at 40% of the stream, back up at 70%).
@@ -23,7 +24,6 @@
 //   --shards=1,2,4     shard counts to sweep (default 1,2,4 + 8 in full mode)
 //   --spacing=20000    arrival spacings (cycles between arrivals) to sweep
 //   --traffic=poisson,bursty,diurnal   shapes for the open-world sweep
-#include <cstring>
 #include <memory>
 #include <sstream>
 
@@ -153,7 +153,7 @@ void RunSandboxCostTable() {
       "its specification");
 }
 
-void RunShardSweep(const std::vector<u64>& shard_counts,
+void RunShardSweep(BenchReport& report, const std::vector<u64>& shard_counts,
                    const std::vector<u64>& spacings) {
   BenchHeader("E8b / fleet sweep",
               "a sharded fleet of sandboxed replicas scales throughput with "
@@ -172,7 +172,8 @@ void RunShardSweep(const std::vector<u64>& shard_counts,
     double baseline_hit_rate = -1.0;
     for (const u64 shards : shard_counts) {
       GuillotineFleet fleet(shards, SysConfig(IntrospectionMode::kNone));
-      if (!fleet.HostEverywhere(model).ok()) {
+      if (!report.Gate(fleet.HostEverywhere(model).ok(), "shards=", shards,
+                       ": the fleet failed to host the model")) {
         continue;
       }
       ModelServiceConfig config;
@@ -180,25 +181,28 @@ void RunShardSweep(const std::vector<u64>& shard_counts,
       ModelService service(config);
       fleet.RegisterWith(service);
 
-      const ContinuousReport report =
+      const ContinuousReport served =
           service.RunAll(FleetWorkload(kRequests, spacing));
       size_t max_qhw = 0;
-      for (const ShardStats& s : report.shards) {
+      for (const ShardStats& s : served.shards) {
         max_qhw = std::max(max_qhw, s.queue_high_water);
       }
-      std::string hit_rate = TextTable::Num(report.kv_hit_rate, 3);
+      std::string hit_rate = TextTable::Num(served.kv_hit_rate, 3);
       if (baseline_hit_rate < 0) {
-        baseline_hit_rate = report.kv_hit_rate;
-      } else if (report.kv_hit_rate == baseline_hit_rate) {
-        hit_rate += "=";  // byte-equal to the serial baseline
+        baseline_hit_rate = served.kv_hit_rate;
+      } else {
+        hit_rate += report.Mark(served.kv_hit_rate == baseline_hit_rate, "shards=",
+                                shards, " spacing=", spacing, " kv_hit_rate ",
+                                served.kv_hit_rate, " != serial baseline ",
+                                baseline_hit_rate);
       }
       table.AddRow({std::to_string(shards), std::to_string(spacing),
-                    std::to_string(report.completed), std::to_string(report.stolen),
+                    std::to_string(served.completed), std::to_string(served.stolen),
                     std::to_string(max_qhw), hit_rate,
-                    TextTable::Num(report.latency.Percentile(50) / 1e3, 1),
-                    TextTable::Num(report.latency.Percentile(99) / 1e3, 1),
-                    TextTable::Num(report.latency.Percentile(99.9) / 1e3, 1),
-                    TextTable::Num(report.throughput_per_gcycle(), 2)});
+                    TextTable::Num(served.latency.Percentile(50) / 1e3, 1),
+                    TextTable::Num(served.latency.Percentile(99) / 1e3, 1),
+                    TextTable::Num(served.latency.Percentile(99.9) / 1e3, 1),
+                    TextTable::Num(served.throughput_per_gcycle(), 2)});
     }
   }
 
@@ -210,9 +214,9 @@ void RunShardSweep(const std::vector<u64>& shard_counts,
       "and work-stealing moves only session-less one-shots");
 }
 
-// E8c: the open-world loop under each traffic shape. Returns the number of
-// cells whose rerun digest diverged (0 on a healthy scheduler).
-int RunTrafficSweep(const std::vector<std::string>& shape_names,
+// E8c: the open-world loop under each traffic shape; every cell's rerun
+// digest is gated.
+int RunTrafficSweep(BenchReport& report, const std::vector<std::string>& shape_names,
                     const std::vector<u64>& shard_counts) {
   BenchHeader("E8c / open-world traffic sweep",
               "the continuous service loop sustains every arrival shape at "
@@ -227,13 +231,10 @@ int RunTrafficSweep(const std::vector<std::string>& shape_names,
   TextTable table({"shape", "shards", "completed", "failed", "stolen",
                    "remapped", "kv_hit_rate", "p999_lat_kcyc",
                    "req_per_Gcycle", "digest"});
-  int divergences = 0;
 
   for (const std::string& shape_name : shape_names) {
     const auto shape = TrafficShapeFromName(shape_name);
-    if (!shape.has_value()) {
-      std::printf("unknown traffic shape '%s'\n", shape_name.c_str());
-      ++divergences;
+    if (!report.Gate(shape.has_value(), "unknown traffic shape '", shape_name, "'")) {
       continue;
     }
     for (const u64 shards : shard_counts) {
@@ -269,39 +270,32 @@ int RunTrafficSweep(const std::vector<std::string>& shape_names,
         return service.RunContinuous(source, cc);
       };
 
-      const ContinuousReport report = run_once();
+      const ContinuousReport first = run_once();
       const ContinuousReport rerun = run_once();
-      const bool identical = report.Digest() == rerun.Digest();
-      if (!identical) {
-        ++divergences;
-      }
       table.AddRow(
-          {shape_name, std::to_string(shards), std::to_string(report.completed),
-           std::to_string(report.failed), std::to_string(report.stolen),
-           std::to_string(report.remapped_sessions),
-           TextTable::Num(report.kv_hit_rate, 3),
-           TextTable::Num(report.latency.Percentile(99.9) / 1e3, 1),
-           TextTable::Num(report.throughput_per_gcycle(), 2),
-           identical ? "=" : "!"});
+          {shape_name, std::to_string(shards), std::to_string(first.completed),
+           std::to_string(first.failed), std::to_string(first.stolen),
+           std::to_string(first.remapped_sessions),
+           TextTable::Num(first.kv_hit_rate, 3),
+           TextTable::Num(first.latency.Percentile(99.9) / 1e3, 1),
+           TextTable::Num(first.throughput_per_gcycle(), 2),
+           report.Rerun(first.Digest(), rerun.Digest())});
     }
   }
 
   table.Print();
-  BenchFooter(
-      divergences == 0
-          ? "every cell's rerun digest is byte-identical ('='): the "
-            "open-world loop, the seeded arrival process, and the elastic "
-            "resize handover are all deterministic"
-          : "DIGEST DIVERGENCE ('!' rows): the continuous loop is no longer "
-            "deterministic across reruns — this is a scheduler bug");
-  return divergences;
+  return report.Finish(
+      "every cell's rerun digest is byte-identical ('='): the open-world loop, "
+      "the seeded arrival process, and the elastic resize handover are all "
+      "deterministic");
 }
 
 int Run(const std::vector<u64>& shard_counts, const std::vector<u64>& spacings,
         const std::vector<std::string>& traffic_shapes) {
+  BenchReport report;
   RunSandboxCostTable();
-  RunShardSweep(shard_counts, spacings);
-  return RunTrafficSweep(traffic_shapes, shard_counts);
+  RunShardSweep(report, shard_counts, spacings);
+  return RunTrafficSweep(report, traffic_shapes, shard_counts);
 }
 
 }  // namespace
@@ -309,25 +303,14 @@ int Run(const std::vector<u64>& shard_counts, const std::vector<u64>& spacings,
 
 int main(int argc, char** argv) {
   guillotine::ParseBenchArgs(argc, argv);
-  std::vector<guillotine::u64> shards =
-      guillotine::FlagList(argc, argv, "--shards=");
-  if (shards.empty()) {
-    shards = guillotine::SmokeMode() ? std::vector<guillotine::u64>{1, 2, 4}
-                                     : std::vector<guillotine::u64>{1, 2, 4, 8};
-  }
-  std::vector<guillotine::u64> spacings =
-      guillotine::FlagList(argc, argv, "--spacing=");
-  if (spacings.empty()) {
-    spacings = guillotine::SmokeMode()
-                   ? std::vector<guillotine::u64>{5'000}
-                   : std::vector<guillotine::u64>{5'000, 20'000, 80'000};
-  }
-  std::vector<std::string> traffic =
-      guillotine::FlagStrList(argc, argv, "--traffic=");
-  if (traffic.empty()) {
-    traffic = guillotine::SmokeMode()
-                  ? std::vector<std::string>{"poisson", "bursty"}
-                  : std::vector<std::string>{"poisson", "bursty", "diurnal"};
-  }
-  return guillotine::Run(shards, spacings, traffic) == 0 ? 0 : 1;
+  using guillotine::Smoked;
+  using Sweep = std::vector<guillotine::u64>;
+  using Shapes = std::vector<std::string>;
+  return guillotine::Run(
+      guillotine::FlagList(argc, argv, "--shards=", Smoked<Sweep>({1, 2, 4, 8}, {1, 2, 4})),
+      guillotine::FlagList(argc, argv, "--spacing=",
+                           Smoked<Sweep>({5'000, 20'000, 80'000}, {5'000})),
+      guillotine::FlagStrList(argc, argv, "--traffic=",
+                              Smoked<Shapes>({"poisson", "bursty", "diurnal"},
+                                             {"poisson", "bursty"})));
 }

@@ -210,10 +210,12 @@ Status SoftwareHypervisor::QuiesceEpochState(int model_core) {
       continue;
     }
     RingView req = machine_.io_dram().RequestRing(binding->region);
+    RingView resp = machine_.io_dram().ResponseRing(binding->region);
+    GLL_RETURN_IF_ERROR(CheckRing(req, port_id));
+    GLL_RETURN_IF_ERROR(CheckRing(resp, port_id));
     while (req.Pop().has_value()) {
       ++drained_requests;
     }
-    RingView resp = machine_.io_dram().ResponseRing(binding->region);
     while (resp.Pop().has_value()) {
       ++drained_responses;
     }
@@ -562,6 +564,9 @@ void SoftwareHypervisor::ServicePort(int hv_core_id, PortBinding& binding,
                                      std::vector<PendingRequest>& pending,
                                      bool bypass_slice) {
   RingView req_ring = machine_.io_dram().RequestRing(binding.region);
+  if (assertion_failed_ || !CheckRing(req_ring, binding.port_id).ok()) {
+    return;
+  }
   while (bypass_slice || !SliceExhausted(hv_core_id, busy_start)) {
     auto slot = req_ring.Pop();
     if (!slot.has_value()) {
@@ -692,6 +697,9 @@ ServiceStats SoftwareHypervisor::ServiceOnce(int hv_core_id, bool poll_all) {
     }
     ServicePort(hv_core_id, *binding, stats, busy_start, pending);
   }
+  if (assertion_failed_) {
+    return stats;  // failed safe mid-pass: dispatch nothing it validated
+  }
   RunPipeline(hv_core_id, pending, stats);
   FlushCompletionBatches(hv_core_id, stats);
   EmitSystemObservation(hv_core_id);
@@ -789,44 +797,42 @@ void SoftwareHypervisor::ApplySoftwareIsolation(IsolationLevel level) {
   }
 }
 
+Status SoftwareHypervisor::FailSafe(std::string why) {
+  assertion_failed_ = true;
+  machine_.trace().Record(machine_.clock().now(), TraceCategory::kSecurity, "hv",
+                          "hv.assertion_failure", why);
+  if (failsafe_) {
+    failsafe_(why);
+  }
+  return Internal(why);
+}
+
+Status SoftwareHypervisor::CheckRing(const RingView& ring, u32 port_id) {
+  if (const char* corruption = ring.Corruption()) {
+    return FailSafe(std::string(corruption) + " on port " + std::to_string(port_id));
+  }
+  return OkStatus();
+}
+
 Status SoftwareHypervisor::RunAssertions() {
-  auto fail = [&](std::string why) {
-    assertion_failed_ = true;
-    machine_.trace().Record(machine_.clock().now(), TraceCategory::kSecurity, "hv",
-                            "hv.assertion_failure", why);
-    if (failsafe_) {
-      failsafe_(why);
-    }
-    return Internal(why);
-  };
   for (u32 port_id : ports_.PortIds()) {
     const PortBinding* b = ports_.Find(port_id);
-    RingView req = machine_.io_dram().RequestRing(b->region);
-    RingView resp = machine_.io_dram().ResponseRing(b->region);
-    if (req.head() > req.tail() || resp.head() > resp.tail()) {
-      return fail("ring cursor inversion on port " + std::to_string(port_id));
-    }
-    if (req.size() > b->region.slot_count || resp.size() > b->region.slot_count) {
-      return fail("ring overflow on port " + std::to_string(port_id));
-    }
+    GLL_RETURN_IF_ERROR(CheckRing(machine_.io_dram().RequestRing(b->region), port_id));
+    GLL_RETURN_IF_ERROR(CheckRing(machine_.io_dram().ResponseRing(b->region), port_id));
     if (b->rights.byte_quota != 0 && b->quota_used() > 2 * b->rights.byte_quota) {
-      return fail("quota accounting corruption on port " + std::to_string(port_id));
+      return FailSafe("quota accounting corruption on port " + std::to_string(port_id));
     }
     if (b->owner_hv_core < 0 || b->owner_hv_core >= machine_.num_hv_cores()) {
-      return fail("port " + std::to_string(port_id) + " owned by nonexistent hv core " +
-                  std::to_string(b->owner_hv_core));
+      return FailSafe("port " + std::to_string(port_id) +
+                      " owned by nonexistent hv core " +
+                      std::to_string(b->owner_hv_core));
     }
   }
   return OkStatus();
 }
 
 void SoftwareHypervisor::InjectAssertionFailure(std::string reason) {
-  assertion_failed_ = true;
-  machine_.trace().Record(machine_.clock().now(), TraceCategory::kSecurity, "hv",
-                          "hv.assertion_failure", reason);
-  if (failsafe_) {
-    failsafe_(std::move(reason));
-  }
+  FailSafe(std::move(reason)).ok();
 }
 
 Result<Bytes> SoftwareHypervisor::FilterModelInput(const Bytes& prompt) {

@@ -211,6 +211,13 @@ class SoftwareHypervisor {
   void set_failsafe(FailsafeFn fn) { failsafe_ = std::move(fn); }
   // Internal invariant sweep; a violation triggers the fail-safe and returns
   // kInternal. Cheap enough to run every service round.
+  //
+  // Ring cursors are guest-writable, so a ring RingView::Corruption flags
+  // fails the hypervisor safe wherever it is read, not only here: a service
+  // pass (kill-class ports included) or a snapshot quiesce that meets one
+  // pops nothing from it, trips the fail-safe (the console forces Offline)
+  // and does no further work. A sound ring holds at most slot_count
+  // records, so no pass pops more than slot_count slots from one ring.
   Status RunAssertions();
   // Simulates a runtime assertion / machine-check failure (tests, E3).
   void InjectAssertionFailure(std::string reason);
@@ -254,7 +261,8 @@ class SoftwareHypervisor {
     size_t accounted_bytes = 0;
   };
 
-  // Drains `binding`'s request ring until empty or the slice budget runs
+  // Drains `binding`'s request ring (nothing at all when its cursors are
+  // corrupt, see RunAssertions) until empty or the slice budget runs
   // out, validating each popped request and parking the survivors on
   // `pending` for the pass's pipeline; a non-empty leftover ring re-arms the
   // core's own IRQ so the work is revisited next pass even without a poll
@@ -287,6 +295,11 @@ class SoftwareHypervisor {
   void RunPipeline(int hv_core_id, std::vector<PendingRequest>& pending,
                    ServiceStats& stats);
   void FlushCompletionBatches(int hv_core_id, ServiceStats& stats);
+  // Marks the hypervisor failed, audits `why` and fires the fail-safe;
+  // returns kInternal(why).
+  Status FailSafe(std::string why);
+  // FailSafe when `ring` (one of `port_id`'s) has corrupt cursors.
+  Status CheckRing(const RingView& ring, u32 port_id);
   void EmitSystemObservation(int hv_core_id);
   void TraceIo(int hv_core_id, const PortBinding& binding, bool outbound,
                const IoSlot& slot);

@@ -16,6 +16,15 @@ u64 RingView::tail() const {
   return v;
 }
 
+const char* RingView::Corruption() const {
+  const u64 h = head();
+  const u64 t = tail();
+  if (h > t) {
+    return "ring cursor inversion";
+  }
+  return t - h > slot_count_ ? "ring overflow" : nullptr;
+}
+
 Status RingView::Push(const IoSlot& slot) {
   if (full()) {
     return ResourceExhausted("ring full");

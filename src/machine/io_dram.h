@@ -72,6 +72,14 @@ class RingView {
   bool full() const { return size() >= slot_count_; }
   bool empty() const { return size() == 0; }
 
+  // The one test of whether the guest-writable cursors describe a ring this
+  // geometry can hold: "ring cursor inversion" when head > tail, "ring
+  // overflow" when more than slot_count records lie between them, nullptr
+  // when the ring is sound. A sound ring holds at most slot_count records,
+  // so draining it bounds the reader's work by the geometry, not by a
+  // number the guest wrote.
+  const char* Corruption() const;
+
   // Appends a record; fails with kResourceExhausted when full or when the
   // payload exceeds the slot capacity.
   Status Push(const IoSlot& slot);

@@ -427,6 +427,77 @@ TEST_F(HvTest, AssertionFailureTriggersFailsafe) {
   EXPECT_EQ(hv_.ServiceOnce(0, true).requests, 0u);
 }
 
+// Ring cursors live in guest-writable IO DRAM. A guest that forges a tail
+// must not buy itself hypervisor work: the ring is corrupt, so the hv pops
+// nothing from it, fails safe, and no pass pops more than slot_count slots
+// from one ring. The work is read from what the hv counted and from the
+// head cursor (every pop advances it), never from a clock.
+class ForgedTailTest : public HvTest, public ::testing::WithParamInterface<u64> {
+ protected:
+  // A 16-slot port on model core 0 whose request ring claims GetParam()
+  // queued records.
+  u32 ForgedPort(PriorityClass priority) {
+    const u32 port = *hv_.CreatePort(disk_index_, PortRights{}, 0, /*slot_bytes=*/256,
+                                     /*slot_count=*/16, priority);
+    machine_.io_dram().dram().Write64(hv_.FindPort(port)->region.request_ring + 8,
+                                      GetParam());
+    hv_.set_failsafe([this](std::string reason) { failsafe_reason_ = std::move(reason); });
+    return port;
+  }
+
+  u64 Pops(u32 port) {
+    return machine_.io_dram().RequestRing(hv_.FindPort(port)->region).head();
+  }
+
+  void ExpectFailedSafe(u32 port) {
+    EXPECT_EQ(failsafe_reason_, "ring overflow on port " + std::to_string(port));
+    EXPECT_EQ(trace_.CountKind("hv.assertion_failure"), 1u);
+  }
+
+  std::string failsafe_reason_;
+};
+
+TEST_P(ForgedTailTest, BulkPortPassPopsNothing) {
+  const u32 port = ForgedPort(PriorityClass::kBulk);
+  EXPECT_EQ(hv_.ServiceOnce(0, /*poll_all=*/true).requests, 0u);
+  EXPECT_EQ(Pops(port), 0u);
+  ExpectFailedSafe(port);
+  // A failed hypervisor stays failed: the next pass does no work either.
+  EXPECT_EQ(hv_.ServiceOnce(0, /*poll_all=*/true).requests, 0u);
+  EXPECT_EQ(Pops(port), 0u);
+}
+
+TEST_P(ForgedTailTest, KillClassPortPassPopsNothing) {
+  // Kill-class ports drain past the slice budget, so nothing but the ring
+  // check bounds them.
+  const u32 port = ForgedPort(PriorityClass::kKill);
+  machine_.hv_core(0).InjectIrq(port);
+  EXPECT_EQ(hv_.ServiceOnce(0, /*poll_all=*/false).requests, 0u);
+  EXPECT_EQ(Pops(port), 0u);
+  ExpectFailedSafe(port);
+}
+
+TEST_P(ForgedTailTest, QuiescePopsNothing) {
+  const u32 port = ForgedPort(PriorityClass::kBulk);
+  EXPECT_EQ(hv_.QuiesceEpochState(0).code(), StatusCode::kInternal);
+  EXPECT_EQ(Pops(port), 0u);
+  ExpectFailedSafe(port);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tails, ForgedTailTest,
+                         ::testing::Values(u64{1} << 16, u64{1} << 24,
+                                           (u64{1} << 63) - 1));
+
+TEST_F(HvTest, FullRingIsSoundAndDrainsInOnePass) {
+  const auto port = hv_.CreatePort(disk_index_, PortRights{});
+  ASSERT_TRUE(port.ok());
+  for (u64 tag = 0; tag < 16; ++tag) {
+    Push(*port, static_cast<u32>(StorageOpcode::kInfo), tag, {});
+  }
+  EXPECT_EQ(hv_.ServiceOnce(0, /*poll_all=*/true).requests, 16u);
+  EXPECT_TRUE(hv_.RunAssertions().ok());
+}
+
 TEST_F(HvTest, InjectedAssertionFailureAlsoTrips) {
   bool called = false;
   hv_.set_failsafe([&](std::string) { called = true; });
