@@ -92,7 +92,7 @@ int main() {
   std::printf("service run (multi-turn sessions, KV cache):\n");
   GuillotineReplica replica(sys);
   ModelServiceConfig service_config;
-  service_config.kv = KvCacheConfig{64, 16};
+  service_config.kv = KvCacheConfig{64};
   ModelService service(service_config);
   service.AddReplica(&replica);
   std::vector<InferenceRequest> requests;

@@ -124,11 +124,6 @@ void EventTrace::EventImpl(Cycles time, TraceCategory category,
   Append(e, std::string());
 }
 
-void EventTrace::Record(TraceEvent event) {
-  Record(event.time, event.category, std::move(event.source),
-         std::move(event.kind), std::move(event.detail), event.value);
-}
-
 void EventTrace::Record(Cycles time, TraceCategory category, std::string source,
                         std::string kind, std::string detail, i64 value) {
   CompactTraceEvent e;

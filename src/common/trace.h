@@ -193,7 +193,6 @@ class EventTrace {
              std::initializer_list<TraceArg> args, i64 value);
 
   // Legacy compatibility slow path: eagerly formatted detail is stored raw.
-  void Record(TraceEvent event);
   void Record(Cycles time, TraceCategory category, std::string source,
               std::string kind, std::string detail = "", i64 value = 0);
 
@@ -207,20 +206,6 @@ class EventTrace {
   // Retained event count (== total_recorded() unless retention evicted).
   size_t size() const { return pinned_.size() + window_.size(); }
   u64 total_recorded() const { return total_; }
-
-  // Number of retained events matching a predicate. Template, not
-  // std::function: the invariant hot loop calls this per check, and a
-  // std::function wrapper heap-allocates per call (regression: PR 10).
-  template <typename Pred>
-  size_t Count(Pred&& pred) const {
-    size_t n = 0;
-    for (const TraceEvent& e : events()) {
-      if (pred(e)) {
-        ++n;
-      }
-    }
-    return n;
-  }
 
   // Lifetime per-kind / per-category counts, O(1) via the posting index.
   // Deliberately counts evicted events too: hypervisor counters are lifetime

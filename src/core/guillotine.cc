@@ -25,7 +25,7 @@ DetectorSuite BuildDetectorSuite(const DetectorConfig& config,
     suite.Add(std::move(s));
   }
   if (config.circuit_breaker) {
-    auto c = std::make_unique<CircuitBreaker>(config.circuit_breaker_config);
+    auto c = std::make_unique<CircuitBreaker>(CircuitBreakerConfig{});
     if (breaker != nullptr) {
       *breaker = c.get();
     }
@@ -43,7 +43,7 @@ GuillotineSystem::GuillotineSystem(DeploymentConfig config)
       detectors_(BuildDetectorSuite(config_.detectors, &steering_, &breaker_)),
       machine_(config_.machine, clock_, trace_),
       hv_(machine_, &detectors_, config_.hv),
-      scheduler_(hv_, config_.scheduler),
+      scheduler_(hv_),
       plant_(clock_, trace_),
       fabric_(clock_),
       console_([this] {

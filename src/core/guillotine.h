@@ -46,7 +46,6 @@ struct DetectorConfig {
   bool activation_steering = true;
   bool circuit_breaker = true;
   bool anomaly = true;
-  CircuitBreakerConfig circuit_breaker_config;
 };
 
 // Assembles a DetectorSuite from `config` in the canonical registration
@@ -69,7 +68,6 @@ enum class IntrospectionMode {
 struct DeploymentConfig {
   MachineConfig machine;
   HvConfig hv;
-  ServiceSchedulerConfig scheduler;
   ConsoleConfig console;
   DetectorConfig detectors;
   IntrospectionMode introspection = IntrospectionMode::kNone;

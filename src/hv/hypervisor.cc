@@ -836,63 +836,46 @@ void SoftwareHypervisor::InjectAssertionFailure(std::string reason) {
 }
 
 Result<Bytes> SoftwareHypervisor::FilterModelInput(const Bytes& prompt) {
-  if (detectors_ == nullptr) {
-    return prompt;
-  }
-  Observation obs;
-  obs.kind = ObservationKind::kModelInput;
-  obs.time = machine_.clock().now();
-  obs.data = prompt;
-  DetectorVerdict v = detectors_->Evaluate(obs);
-  machine_.hv_core(0).AccountWork(v.cost);
-  if (v.reason.empty()) {
-    machine_.trace().Event(machine_.clock().now(), TraceCategory::kDetector, "hv",
-                           "detect.input", "", {}, static_cast<i64>(v.action));
-  } else {
-    machine_.trace().Record(machine_.clock().now(), TraceCategory::kDetector, "hv",
-                            "detect.input", v.reason,
-                            static_cast<i64>(v.action));
-  }
-  if (v.action == VerdictAction::kBlock || v.action == VerdictAction::kEscalate) {
-    if (v.action == VerdictAction::kEscalate && escalate_) {
-      escalate_(IsolationLevel::kProbation, v.reason);
-    }
-    return Aborted("input blocked: " + v.reason);
-  }
-  if (v.action == VerdictAction::kRewrite && v.rewritten_data.has_value()) {
-    return *v.rewritten_data;
-  }
-  return prompt;
+  return FilterModelIo(ObservationKind::kModelInput, "detect.input", "input blocked: ",
+                       prompt);
 }
 
 Result<Bytes> SoftwareHypervisor::FilterModelOutput(const Bytes& response) {
+  return FilterModelIo(ObservationKind::kModelOutput, "detect.output",
+                       "output blocked: ", response);
+}
+
+Result<Bytes> SoftwareHypervisor::FilterModelIo(ObservationKind kind,
+                                                std::string_view trace_kind,
+                                                std::string_view blocked,
+                                                const Bytes& data) {
   if (detectors_ == nullptr) {
-    return response;
+    return data;
   }
   Observation obs;
-  obs.kind = ObservationKind::kModelOutput;
+  obs.kind = kind;
   obs.time = machine_.clock().now();
-  obs.data = response;
+  obs.data = data;
   DetectorVerdict v = detectors_->Evaluate(obs);
   machine_.hv_core(0).AccountWork(v.cost);
   if (v.reason.empty()) {
     machine_.trace().Event(machine_.clock().now(), TraceCategory::kDetector, "hv",
-                           "detect.output", "", {}, static_cast<i64>(v.action));
+                           trace_kind, "", {}, static_cast<i64>(v.action));
   } else {
     machine_.trace().Record(machine_.clock().now(), TraceCategory::kDetector, "hv",
-                            "detect.output", v.reason,
+                            std::string(trace_kind), v.reason,
                             static_cast<i64>(v.action));
   }
   if (v.action == VerdictAction::kBlock || v.action == VerdictAction::kEscalate) {
     if (v.action == VerdictAction::kEscalate && escalate_) {
       escalate_(IsolationLevel::kProbation, v.reason);
     }
-    return Aborted("output blocked: " + v.reason);
+    return Aborted(std::string(blocked) + v.reason);
   }
   if (v.action == VerdictAction::kRewrite && v.rewritten_data.has_value()) {
     return *v.rewritten_data;
   }
-  return response;
+  return data;
 }
 
 Result<DetectorVerdict> SoftwareHypervisor::InspectActivations(int hv_core, int layer,

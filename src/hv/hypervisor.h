@@ -272,6 +272,11 @@ class SoftwareHypervisor {
   void ServicePort(int hv_core_id, PortBinding& binding, ServiceStats& stats,
                    u64 busy_start, std::vector<PendingRequest>& pending,
                    bool bypass_slice = false);
+  // The one detector pass behind FilterModelInput/FilterModelOutput: runs
+  // the suite on `data` as a `kind` observation, traces the verdict under
+  // `trace_kind`, and fails a block or escalation with `blocked` + reason.
+  Result<Bytes> FilterModelIo(ObservationKind kind, std::string_view trace_kind,
+                              std::string_view blocked, const Bytes& data);
   bool SliceExhausted(int hv_core_id, u64 busy_start) const;
   void RejectRequest(int hv_core_id, PortBinding& binding, const IoSlot& slot,
                      u32 code, std::string_view why, ServiceStats& stats);

@@ -1,13 +1,10 @@
 #include "src/hv/service_scheduler.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace guillotine {
 
-ServiceScheduler::ServiceScheduler(SoftwareHypervisor& hv,
-                                   ServiceSchedulerConfig config)
-    : hv_(hv), config_(config) {}
+ServiceScheduler::ServiceScheduler(SoftwareHypervisor& hv) : hv_(hv) {}
 
 u64 ServiceScheduler::CoreBacklog(int hv_core_id) const {
   Machine& machine = hv_.machine();
@@ -17,8 +14,7 @@ u64 ServiceScheduler::CoreBacklog(int hv_core_id) const {
     if (binding->owner_hv_core != hv_core_id || binding->revoked) {
       // Revoked ports are skipped by victim selection too; counting their
       // (never-again-serviced) backlog here made a core whose queues were
-      // all revoked look busiest, arm the hysteresis streak, then yield no
-      // victim.
+      // all revoked look busiest, then yield no victim.
       continue;
     }
     backlog += machine.io_dram().RequestRing(binding->region).size();
@@ -39,7 +35,7 @@ ServiceStats ServiceScheduler::RunPass(bool poll_all) {
 
 void ServiceScheduler::MaybeRebalance() {
   const int cores = hv_.machine().num_hv_cores();
-  if (!config_.rebalance || cores < 2) {
+  if (cores < 2) {
     return;
   }
   // At most one handoff per pass: one is enough to converge and keeps the
@@ -59,19 +55,7 @@ void ServiceScheduler::MaybeRebalance() {
       idlest = core;
     }
   }
-  if (busiest == idlest || max_backlog - min_backlog < config_.backlog_gap_threshold) {
-    gap_streak_ = 0;  // the gap closed on its own; disarm the trigger
-    return;
-  }
-  // Hysteresis: the gap must persist for handoff_hysteresis_passes
-  // consecutive passes before a handoff fires. The streak is only consumed
-  // when a handoff actually fires (below), so a persistent gap with a
-  // momentarily empty victim set keeps its earned streak instead of
-  // re-earning the full span; a fresh handoff resets it, so a single hot
-  // port whose backlog travels with it must re-earn the move instead of
-  // ping-ponging every pass.
-  ++gap_streak_;
-  if (gap_streak_ < std::max<u32>(1, config_.handoff_hysteresis_passes)) {
+  if (busiest == idlest || max_backlog - min_backlog < kRebalanceGap) {
     return;
   }
   // Move the deepest port of the overloaded core (ties -> lowest id).
@@ -102,7 +86,6 @@ void ServiceScheduler::MaybeRebalance() {
                   "rebalance: backlog " + std::to_string(max_backlog) + " vs " +
                       std::to_string(min_backlog))
       .ok();
-  gap_streak_ = 0;
   ++handoffs_;
 }
 

@@ -9,7 +9,7 @@
 // scheduler runs the cores in a fixed order on the simulated clock — core
 // 0, core 1, ... — so a multi-core run is byte-identical across reruns,
 // then rebalances: when one core's request-ring backlog falls behind
-// another's by more than the configured gap, the busiest port of the most
+// another's by at least kRebalanceGap, the busiest port of the most
 // backlogged core is handed off to the least loaded one through an explicit
 // ownership-handoff record (SoftwareHypervisor::HandoffPort), which
 // re-steers its doorbell IRQs and lands in the audit trace. Rebalancing is
@@ -25,24 +25,14 @@
 
 namespace guillotine {
 
-struct ServiceSchedulerConfig {
-  // Rebalance port ownership when cores fall behind. With a single hv core
-  // (or rebalancing off) the scheduler degenerates to the plain loop.
-  bool rebalance = true;
-  // Minimum request-ring backlog gap (most loaded core minus least loaded)
-  // before a handoff fires.
-  u64 backlog_gap_threshold = 8;
-  // The backlog gap must persist for this many consecutive passes before a
-  // port moves. 1 reproduces the historical hair-trigger behavior; higher
-  // values damp the ping-pong a single overloaded port causes (the port's
-  // backlog follows it to the new core, re-creating the gap there, and
-  // without hysteresis it bounces back every pass).
-  u32 handoff_hysteresis_passes = 1;
-};
+// Minimum request-ring backlog gap (most loaded core minus least loaded)
+// before a handoff fires. Each handoff depends only on the current pass's
+// ring depths; with a single hv core the scheduler is the plain loop.
+inline constexpr u64 kRebalanceGap = 8;
 
 class ServiceScheduler {
  public:
-  explicit ServiceScheduler(SoftwareHypervisor& hv, ServiceSchedulerConfig config = {});
+  explicit ServiceScheduler(SoftwareHypervisor& hv);
 
   // One scheduling round: every hv core runs ServiceOnce in core-id order,
   // then ownership is rebalanced. Returns the pass totals across cores.
@@ -50,9 +40,6 @@ class ServiceScheduler {
 
   u64 passes() const { return passes_; }
   u64 handoffs() const { return handoffs_; }
-  // Consecutive passes the backlog gap has exceeded the threshold (resets
-  // on a quiet pass or a handoff); exposed for the hysteresis tests.
-  u32 gap_streak() const { return gap_streak_; }
 
   // Sum of the request-ring depths of the ports `hv_core_id` currently
   // owns — the load signal the rebalancer acts on.
@@ -67,10 +54,8 @@ class ServiceScheduler {
   void MaybeRebalance();
 
   SoftwareHypervisor& hv_;
-  ServiceSchedulerConfig config_;
   u64 passes_ = 0;
   u64 handoffs_ = 0;
-  u32 gap_streak_ = 0;
 };
 
 }  // namespace guillotine

@@ -60,7 +60,7 @@ size_t KvCache::Extend(u32 session, size_t tokens, Cycles now) {
   miss_tokens_ += tokens - reused;
   const size_t target_tokens = std::max(s.tokens, tokens);
   const size_t target_blocks =
-      (target_tokens + config_.block_tokens - 1) / config_.block_tokens;
+      (target_tokens + kKvBlockTokens - 1) / kKvBlockTokens;
   while (blocks_in_use_ - s.blocks + target_blocks > config_.total_blocks) {
     if (!EvictOneExcept(session)) {
       // Only this session remains; clamp its growth to capacity.
@@ -72,7 +72,7 @@ size_t KvCache::Extend(u32 session, size_t tokens, Cycles now) {
   const i64 before = static_cast<i64>(blocks_in_use_);
   blocks_in_use_ = blocks_in_use_ - s.blocks + affordable_blocks;
   s.blocks = affordable_blocks;
-  s.tokens = std::min(target_tokens, affordable_blocks * config_.block_tokens);
+  s.tokens = std::min(target_tokens, affordable_blocks * kKvBlockTokens);
   Audit(KvOp::kExtend, session, before, static_cast<i64>(blocks_in_use_));
   return reused;
 }
@@ -100,7 +100,7 @@ size_t KvCache::Adopt(u32 session, size_t tokens, Cycles now) {
   s.last_use = now;
   const size_t target_tokens = std::max(s.tokens, tokens);
   const size_t target_blocks =
-      (target_tokens + config_.block_tokens - 1) / config_.block_tokens;
+      (target_tokens + kKvBlockTokens - 1) / kKvBlockTokens;
   while (blocks_in_use_ - s.blocks + target_blocks > config_.total_blocks) {
     if (!EvictOneExcept(session)) {
       break;
@@ -111,7 +111,7 @@ size_t KvCache::Adopt(u32 session, size_t tokens, Cycles now) {
   const i64 before = static_cast<i64>(blocks_in_use_);
   blocks_in_use_ = blocks_in_use_ - s.blocks + affordable_blocks;
   s.blocks = affordable_blocks;
-  s.tokens = std::min(target_tokens, affordable_blocks * config_.block_tokens);
+  s.tokens = std::min(target_tokens, affordable_blocks * kKvBlockTokens);
   Audit(KvOp::kAdopt, session, before, static_cast<i64>(blocks_in_use_));
   return s.tokens;
 }

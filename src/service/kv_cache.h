@@ -23,9 +23,11 @@
 
 namespace guillotine {
 
+// Tokens per cache block.
+inline constexpr size_t kKvBlockTokens = 16;
+
 struct KvCacheConfig {
   size_t total_blocks = 256;
-  size_t block_tokens = 16;  // tokens per block
 };
 
 // Audit log bound: the oldest entries are dropped beyond this.

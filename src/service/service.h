@@ -38,10 +38,12 @@
 
 namespace guillotine {
 
+// A victim shard whose backlog exceeds this many requests justifies a steal.
+inline constexpr size_t kStealBacklogThreshold = 4;
+
 struct ModelServiceConfig {
   size_t num_shards = 1;
   KvCacheConfig kv;                 // per-shard cache geometry
-  size_t steal_backlog_threshold = 4;  // victim backlog that justifies a steal
   // Optional service-level mediation suite (non-owning; content detectors —
   // input shield / output sanitizer — are the ones that see these
   // observation kinds). Every event-loop dispatch group runs one batched
@@ -196,7 +198,7 @@ class ModelService {
   // at one site and not another in the same cycle.
   bool StealWorthy(const ServiceShard& victim, Cycles now) const {
     return !victim.queue_empty() &&
-           victim.Backlog(now) > config_.steal_backlog_threshold;
+           victim.Backlog(now) > kStealBacklogThreshold;
   }
 
   // The one event loop behind both entry points. `next` yields the

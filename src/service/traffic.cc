@@ -19,7 +19,12 @@ constexpr double kDiurnalTroughRate = 0.25;
 // Chance that a sessioned arrival opens a new session rather than continue
 // a live one.
 constexpr double kSessionBirthProb = 0.08;
-// Prompts stop growing here, or at prompt_base_bytes when that is larger.
+// Share of arrivals that are sessionless one-shot requests.
+constexpr double kSessionlessFraction = 0.10;
+// Prompts grow with the session turn (multi-turn context accretion), capped
+// at kPromptMaxBytes so token counts stay bounded.
+constexpr size_t kPromptBaseBytes = 48;
+constexpr size_t kPromptGrowthBytes = 16;
 constexpr size_t kPromptMaxBytes = 512;
 }  // namespace
 
@@ -50,10 +55,8 @@ TrafficSource::TrafficSource(TrafficConfig config)
   // Degenerate configs clamp toward sane floors instead of dividing by zero
   // or spinning: the source must stay total for any fuzzer-chosen config.
   config_.mean_interarrival = std::max(config_.mean_interarrival, 1.0);
-  config_.sessionless_fraction = std::clamp(config_.sessionless_fraction, 0.0, 1.0);
   config_.mean_session_turns = std::max(config_.mean_session_turns, 1.0);
   config_.max_live_sessions = std::max<size_t>(config_.max_live_sessions, 1);
-  config_.prompt_base_bytes = std::max<size_t>(config_.prompt_base_bytes, 1);
 }
 
 void TrafficSource::Reset() {
@@ -99,7 +102,7 @@ InferenceRequest TrafficSource::Next() {
   req.arrival = clock_;
 
   size_t turn = 0;
-  if (!rng_.NextBool(config_.sessionless_fraction)) {
+  if (!rng_.NextBool(kSessionlessFraction)) {
     const bool must_birth = live_.empty();
     const bool may_birth = live_.size() < config_.max_live_sessions;
     if (must_birth || (may_birth && rng_.NextBool(kSessionBirthProb))) {
@@ -129,8 +132,7 @@ InferenceRequest TrafficSource::Next() {
   }
 
   const size_t bytes =
-      std::min(config_.prompt_base_bytes + turn * config_.prompt_growth_bytes,
-               std::max(kPromptMaxBytes, config_.prompt_base_bytes));
+      std::min(kPromptBaseBytes + turn * kPromptGrowthBytes, kPromptMaxBytes);
   req.prompt.assign(bytes, 'a' + static_cast<char>(req.id % 26));
   return req;
 }

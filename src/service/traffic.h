@@ -48,15 +48,11 @@ struct TrafficConfig {
   // Session churn. A sessionless arrival is a one-shot request (stealable);
   // sessioned arrivals either open a new session (birth) or continue a
   // uniformly chosen live one. Sessions close after a geometric number of
-  // turns with the given mean.
-  double sessionless_fraction = 0.10;
+  // turns with the given mean. Only tests lower it: a stream of one-turn
+  // sessions mints a new session id per sessioned arrival, which is how a
+  // million-distinct-session run stays short.
   double mean_session_turns = 8.0;
   size_t max_live_sessions = 512;  // live-pool bound, NOT a distinct-id bound
-
-  // Prompts grow with the session turn (multi-turn context accretion),
-  // capped so token counts stay bounded.
-  size_t prompt_base_bytes = 48;
-  size_t prompt_growth_bytes = 16;
 };
 
 class TrafficSource {

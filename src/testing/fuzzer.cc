@@ -451,7 +451,7 @@ FuzzCampaignStats ScenarioFuzzer::RunCampaign(int scenarios, u64 base_seed) {
       }
       failure.repro = ReproScript(seed, failure.minimized, failure.violations);
       stats.failures.push_back(std::move(failure));
-      if (static_cast<int>(stats.failures.size()) >= config_.stop_after_failures) {
+      if (stats.failures.size() >= kStopAfterFailures) {
         break;
       }
     }

@@ -41,11 +41,12 @@ struct ScenarioFuzzerConfig {
   // Re-run every Nth scenario from its seed and require an identical trace
   // digest (0 disables the replay pass).
   int replay_every = 4;
-  // Stop a campaign early after this many (shrunk) failures.
-  int stop_after_failures = 8;
 
   ScenarioFuzzerConfig();
 };
+
+// A campaign stops early after this many (shrunk) failures.
+inline constexpr size_t kStopAfterFailures = 8;
 
 struct FuzzFailure {
   u64 seed = 0;

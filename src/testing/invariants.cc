@@ -277,8 +277,9 @@ void CheckImmolationTerminal(const InvariantContext& ctx,
                   e.value == static_cast<i64>(IsolationLevel::kImmolation);
       continue;
     }
-    violate("'" + std::string(e.kind()) + "' @" + std::to_string(e.time) +
-            " after immolation");
+    std::string detail = "'";
+    detail.append(e.kind()).append("' @").append(std::to_string(e.time));
+    violate(detail.append(" after immolation"));
   }
   if (immolated && !ctx.system->plant().destroyed()) {
     violate("trace shows immolation but the plant is not destroyed");

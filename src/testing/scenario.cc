@@ -762,9 +762,6 @@ ScenarioResult ScenarioRunner::Run(const Scenario& scenario) {
     deployment.machine.num_hv_cores = static_cast<int>(scenario.hv_cores());
   }
   system_ = std::make_unique<GuillotineSystem>(deployment);
-  if (config_.trace_retention != 0) {
-    system_->trace().SetRetention(config_.trace_retention);
-  }
   exfil_payloads_.clear();
   next_tag_ = 1;
   priority_traffic_ = scenario.priority_traffic();
@@ -782,7 +779,6 @@ ScenarioResult ScenarioRunner::Run(const Scenario& scenario) {
   migrate_service_.reset();
   migrate_model_.reset();
   migration_evidence_.reset();
-  migrations_ = 0;
   // Federated-fabric state is per-Run for the same reason: a fresh attested
   // fleet (fixed seeds) so cross-host bursts replay byte-identically.
   fabric_fleet_.reset();
@@ -1214,7 +1210,6 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
           migrate_fleet_->QuarantineMigrate(0, *migrate_model_,
                                             migrate_service_.get(), 0,
                                             sys.clock().now(), tamper);
-      ++migrations_;
       auto evidence = std::make_unique<MigrationEvidence>();
       evidence->tampered = mode != "none";
       for (size_t i = 0; i < migrate_service_->num_shards(); ++i) {

@@ -253,11 +253,6 @@ inline constexpr u32 kExfilSinkHost = 66;
 struct ScenarioRunnerConfig {
   DeploymentConfig deployment;   // defaults from DefaultScenarioDeployment()
   u64 flood_budget_cycles = 50'000'000;
-  // Trace retention cap applied to the system's EventTrace (0 = unbounded).
-  // Open-world runs cap the rolling window while security / isolation /
-  // pinned-kind evidence and the streaming digest stay complete, so the
-  // invariant suite still audits the full run.
-  size_t trace_retention = 0;
 
   ScenarioRunnerConfig();
 };
@@ -322,7 +317,6 @@ class ScenarioRunner {
   std::unique_ptr<ModelService> migrate_service_;
   std::unique_ptr<MlpModel> migrate_model_;
   std::unique_ptr<MigrationEvidence> migration_evidence_;
-  u64 migrations_ = 0;
   // Federated fleet (WithFabric): rebuilt fresh on every Run so replays are
   // byte-identical; each pump step drives a deterministic cross-host burst.
   std::unique_ptr<FederatedFleet> fabric_fleet_;

@@ -5,7 +5,6 @@
 #include "src/common/bytes.h"
 #include "src/common/histogram.h"
 #include "src/common/isolation.h"
-#include "src/common/ring_buffer.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/table.h"
@@ -159,47 +158,6 @@ TEST(BytesTest, ReaderUnderrunFails) {
   ByteReader reader(buf);
   u64 v = 0;
   EXPECT_FALSE(reader.ReadU64(v));
-}
-
-TEST(ByteRingTest, PushPopFifo) {
-  ByteRing ring(256);
-  EXPECT_TRUE(ring.Push(ToBytes("first")));
-  EXPECT_TRUE(ring.Push(ToBytes("second")));
-  EXPECT_EQ(ring.record_count(), 2u);
-  EXPECT_EQ(ToString(*ring.Pop()), "first");
-  EXPECT_EQ(ToString(*ring.Pop()), "second");
-  EXPECT_FALSE(ring.Pop().has_value());
-}
-
-TEST(ByteRingTest, RejectsWhenFull) {
-  ByteRing ring(32);
-  EXPECT_TRUE(ring.Push(ToBytes("0123456789")));       // 14 bytes with header
-  EXPECT_FALSE(ring.Push(ToBytes("0123456789abcdef")));  // 20 > 18 free
-}
-
-TEST(ByteRingTest, WrapsAround) {
-  ByteRing ring(64);
-  for (int round = 0; round < 20; ++round) {
-    const std::string payload = "payload-" + std::to_string(round);
-    ASSERT_TRUE(ring.Push(ToBytes(payload)));
-    EXPECT_EQ(ToString(*ring.Pop()), payload);
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRingTest, Basics) {
-  SpscRing<int> ring(3);
-  EXPECT_TRUE(ring.Push(1));
-  EXPECT_TRUE(ring.Push(2));
-  EXPECT_TRUE(ring.Push(3));
-  EXPECT_TRUE(ring.full());
-  EXPECT_FALSE(ring.Push(4));
-  EXPECT_EQ(*ring.Pop(), 1);
-  EXPECT_TRUE(ring.Push(4));
-  EXPECT_EQ(*ring.Pop(), 2);
-  EXPECT_EQ(*ring.Pop(), 3);
-  EXPECT_EQ(*ring.Pop(), 4);
-  EXPECT_TRUE(ring.empty());
 }
 
 TEST(TraceTest, CountsAndFilters) {

@@ -124,17 +124,27 @@ TEST(GuillotineSystemTest, SteeringChangesModelOutput) {
 TEST(GuillotineSystemTest, CircuitBreakerEscalatesIsolation) {
   DeploymentConfig config = TestConfig();
   config.introspection = IntrospectionMode::kLayerWatchpoints;
-  config.detectors.circuit_breaker_config.trip_threshold = -1e18;  // hair trigger
-  config.detectors.circuit_breaker_config.escalate_after_trips = 1;
   GuillotineSystem sys(config);
   ASSERT_TRUE(sys.AttachDefaultDevices().ok());
   ASSERT_TRUE(sys.HostModel(TestModel(), sys.MakeVerifier()).ok());
   ASSERT_NE(sys.breaker(), nullptr);
-  sys.breaker()->SetLayerProbe(0, std::vector<i64>(16, kFixedOne));
+  // A unit probe projects layer 0's activations (raw fixed-point sums) far
+  // past the default trip threshold, so every pass trips the breaker once.
+  sys.breaker()->SetLayerProbe(0, std::vector<i64>(16, 1));
   const std::vector<i64> input(8, ToFixed(0.5));
+  const u64 escalate_after = CircuitBreakerConfig{}.escalate_after_trips;
+  ASSERT_EQ(escalate_after, 3u);
+  for (u64 pass = 1; pass < escalate_after; ++pass) {
+    sys.InferVector(input).status().ok();
+    EXPECT_EQ(sys.breaker()->trips(), pass);
+    EXPECT_LT(static_cast<int>(sys.console().level()),
+              static_cast<int>(IsolationLevel::kSevered))
+        << "escalated after " << pass << " trips";
+  }
   // The pass may or may not complete depending on when escalation lands;
   // the isolation level is the contract.
   sys.InferVector(input).status().ok();
+  EXPECT_EQ(sys.breaker()->trips(), escalate_after);
   EXPECT_GE(static_cast<int>(sys.console().level()),
             static_cast<int>(IsolationLevel::kSevered));
 }

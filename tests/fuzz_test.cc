@@ -198,12 +198,12 @@ TEST(ScenarioFuzzTest, CustomStepsRefuseToSerialize) {
 TEST(ScenarioFuzzTest, BrokenQuorumIsCaughtAndShrunk) {
   ScenarioFuzzerConfig config;
   config.runner.deployment.console.quorum.relax_threshold = 1;  // the bug
-  config.stop_after_failures = 1;
   ScenarioFuzzer fuzzer(config);
 
   const FuzzCampaignStats stats = fuzzer.RunCampaign(400, /*base_seed=*/7);
   ASSERT_FALSE(stats.failures.empty())
       << "400 scenarios never relaxed isolation on one vote";
+  EXPECT_LE(stats.failures.size(), kStopAfterFailures);
   const FuzzFailure& failure = stats.failures.front();
 
   bool quorum_violation = false;
@@ -270,7 +270,7 @@ TEST(ScenarioFuzzTest, BlockedPromptNeverCompletes) {
 }
 
 // --- kv-quota-monotonicity: random Extend/Drop/Clear interleavings across
-// random cache geometries never break the audit chain or the quota. ---
+// random cache sizes never break the audit chain or the quota. ---
 
 class KvCacheFuzz : public ::testing::TestWithParam<u64> {};
 
@@ -280,7 +280,6 @@ TEST_P(KvCacheFuzz, QuotaInvariantHoldsUnderRandomOps) {
   for (int round = 0; round < 20; ++round) {
     KvCacheConfig config;
     config.total_blocks = 1 + rng.NextBelow(12);  // tiny: eviction-heavy
-    config.block_tokens = 1 + rng.NextBelow(32);
     KvCache cache(config);
     Cycles now = 0;
     for (int op = 0; op < 500; ++op) {

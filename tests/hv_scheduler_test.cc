@@ -36,8 +36,7 @@ struct Driver {
   std::vector<u32> ports;
   u64 tag = 1;
 
-  Driver(int hv_cores, int num_ports, Cycles slice,
-         ServiceSchedulerConfig sched_config = {})
+  Driver(int hv_cores, int num_ports, Cycles slice)
       : machine(SchedConfig(hv_cores), clock, trace),
         hv(machine, nullptr,
            [slice] {
@@ -46,7 +45,7 @@ struct Driver {
              c.service_slice_cycles = slice;
              return c;
            }()),
-        scheduler(hv, sched_config) {
+        scheduler(hv) {
     const u32 disk = machine.AttachDevice(std::make_unique<StorageDevice>(64, 512));
     for (int p = 0; p < num_ports; ++p) {
       ports.push_back(*hv.CreatePort(disk, PortRights{}, 0, /*slot_bytes=*/64,
@@ -111,80 +110,6 @@ TEST(ServiceSchedulerTest, RebalanceHandsOffTheBacklogHeavyPort) {
     EXPECT_LT(record.to_core, 2);
   }
   EXPECT_EQ(driver.hv.mis_owned_services(), 0u);
-}
-
-// Ping-pong regression: a SINGLE overloaded port is the pathological case —
-// its backlog travels with it on every handoff, so the gap re-opens on the
-// receiving core and a hair-trigger scheduler bounces the port between the
-// same two cores every pass. Hysteresis requires the gap to persist for
-// `handoff_hysteresis_passes` consecutive passes, damping the bounce.
-TEST(ServiceSchedulerTest, HysteresisDampsSinglePortPingPong) {
-  const u32 passes = 12;
-  struct RunResult {
-    u64 handoffs = 0;
-    std::vector<PortHandoffRecord> log;
-  };
-  auto run = [&](u32 hysteresis) {
-    ServiceSchedulerConfig config;
-    config.backlog_gap_threshold = 4;
-    config.handoff_hysteresis_passes = hysteresis;
-    // One port, tiny slice: the ring never drains, the gap never closes.
-    Driver driver(2, 1, /*slice=*/1'000, config);
-    driver.OfferAndPump(/*port0_rate=*/24, passes);
-    return RunResult{driver.scheduler.handoffs(), driver.hv.handoff_log()};
-  };
-  const RunResult twitchy = run(1);
-  const RunResult damped = run(3);
-  // Without hysteresis the port bounces nearly every pass; with it, a move
-  // needs three consecutive over-gap passes, so at most a third can fire.
-  EXPECT_GT(twitchy.handoffs, passes / 2);
-  EXPECT_GT(damped.handoffs, 0u);  // still rebalances eventually
-  EXPECT_LE(damped.handoffs, twitchy.handoffs / 2);
-  // Every damped handoff is separated from the previous one by at least the
-  // hysteresis span worth of scheduler time (OfferAndPump advances the
-  // clock 20k per pass).
-  for (size_t i = 1; i < damped.log.size(); ++i) {
-    EXPECT_GE(damped.log[i].at - damped.log[i - 1].at, 3u * 20'000u)
-        << "handoff " << i << " fired before the gap re-earned the move";
-  }
-}
-
-TEST(ServiceSchedulerTest, HysteresisStreakResetsWhenGapCloses) {
-  ServiceSchedulerConfig config;
-  config.backlog_gap_threshold = 4;
-  config.handoff_hysteresis_passes = 3;
-  Driver driver(2, 1, /*slice=*/1'000, config);
-  // Stage backlog on core 0's only port without ringing doorbells: the
-  // IRQ-driven passes service nothing, so the gap stays open and two
-  // passes arm the streak without firing.
-  const PortBinding* binding = driver.hv.FindPort(driver.ports[0]);
-  RingView ring = driver.machine.io_dram().RequestRing(binding->region);
-  for (u64 tag = 1; tag <= 10; ++tag) {
-    IoSlot slot;
-    slot.opcode = static_cast<u32>(StorageOpcode::kInfo);
-    slot.tag = tag;
-    ASSERT_TRUE(ring.Push(slot).ok());
-  }
-  driver.scheduler.RunPass(/*poll_all=*/false);
-  driver.scheduler.RunPass(/*poll_all=*/false);
-  EXPECT_EQ(driver.scheduler.handoffs(), 0u);
-  EXPECT_EQ(driver.scheduler.gap_streak(), 2u);
-  // The gap closes on its own (the guest cancels its requests): the streak
-  // disarms instead of carrying over to the next overload.
-  while (ring.Pop().has_value()) {
-  }
-  driver.scheduler.RunPass(/*poll_all=*/false);
-  EXPECT_EQ(driver.scheduler.gap_streak(), 0u);
-  EXPECT_EQ(driver.scheduler.handoffs(), 0u);
-}
-
-TEST(ServiceSchedulerTest, RebalanceCanBeDisabled) {
-  ServiceSchedulerConfig config;
-  config.rebalance = false;
-  Driver driver(2, 4, /*slice=*/2'000, config);
-  driver.OfferAndPump(/*port0_rate=*/24, /*passes=*/8);
-  EXPECT_EQ(driver.scheduler.handoffs(), 0u);
-  EXPECT_TRUE(driver.hv.handoff_log().empty());
 }
 
 TEST(ServiceSchedulerTest, CoreBacklogSumsOwnedRingDepths) {
@@ -333,10 +258,7 @@ TEST(PrioritySchedulingTest, PriorityPreservedAcrossHandoff) {
 }
 
 TEST(PrioritySchedulingTest, RebalanceNeverMovesKillPorts) {
-  ServiceSchedulerConfig config;
-  config.backlog_gap_threshold = 4;
-  config.handoff_hysteresis_passes = 1;
-  Driver driver(2, 2, /*slice=*/1'000, config);
+  Driver driver(2, 2, /*slice=*/1'000);
   const u32 kill = AddKillPort(driver);  // port id 2 -> hv core 0
   // The kill port is the deepest (indeed only) backlog on the busiest core:
   // the old victim scan would have picked it.
@@ -360,32 +282,17 @@ TEST(ServiceSchedulerTest, CoreBacklogSkipsRevokedPorts) {
   EXPECT_EQ(driver.scheduler.CoreBacklog(0), 0u);
 }
 
-// Satellite regression: MaybeRebalance zeroed gap_streak_ before the victim
-// search, so a persistent gap whose only deep port was unmovable (kill-class
-// here, momentarily-revoked in the original report) re-earned the full
-// hysteresis span every pass and the eventual movable backlog waited three
-// extra passes for relief.
-TEST(ServiceSchedulerTest, GapStreakSurvivesVictimlessPass) {
-  ServiceSchedulerConfig config;
-  config.backlog_gap_threshold = 4;
-  config.handoff_hysteresis_passes = 3;
-  Driver driver(2, 2, /*slice=*/1'000, config);
-  const u32 kill = AddKillPort(driver);  // port id 2 -> hv core 0
-  StageRequests(driver, kill, 12, /*doorbell=*/false);
-  for (int pass = 0; pass < 4; ++pass) {
-    driver.scheduler.RunPass(/*poll_all=*/false);
-  }
-  // Four over-gap passes, no victim (kill ports are unmovable): the streak
-  // must have kept its earned span instead of resetting at the search.
+// A handoff fires on the first pass whose backlog gap reaches kRebalanceGap,
+// and not one request earlier.
+TEST(ServiceSchedulerTest, RebalanceFiresAtTheGap) {
+  Driver driver(2, 2, /*slice=*/0);
+  StageRequests(driver, driver.ports[0], kRebalanceGap - 1, /*doorbell=*/false);
+  driver.scheduler.RunPass(/*poll_all=*/false);
   EXPECT_EQ(driver.scheduler.handoffs(), 0u);
-  EXPECT_EQ(driver.scheduler.gap_streak(), 4u);
-  // The moment a movable bulk backlog appears, relief is immediate — the
-  // very next pass fires the handoff instead of re-earning three passes.
-  StageRequests(driver, driver.ports[0], 6, /*doorbell=*/false);
+  StageRequests(driver, driver.ports[0], 1, /*doorbell=*/false);
   driver.scheduler.RunPass(/*poll_all=*/false);
   EXPECT_EQ(driver.scheduler.handoffs(), 1u);
   EXPECT_EQ(driver.hv.FindPort(driver.ports[0])->owner_hv_core, 1);
-  EXPECT_EQ(driver.hv.FindPort(kill)->owner_hv_core, 0);
 }
 
 // --- Facade level: a deployment with a multi-core hv complex ---

@@ -165,6 +165,66 @@ TEST(IntegrationTest, RingCorruptionForcesOfflineViaConsole) {
   EXPECT_GE(runner.system().trace().CountKind("hv.assertion_failure"), 1u);
 }
 
+// A guest forges a kill-class port's request-ring tail from GISA code: one
+// store through the IO window into the ring header, then the doorbell store.
+// Kill-class ports drain past the slice budget, so only the ring check
+// bounds the hv's work: the pass pops nothing and fails safe, and the
+// fail-safe forces Offline within the kill bound.
+TEST(IntegrationTest, GuestForgedKillPortTailFailsSafe) {
+  constexpr u64 kForgedTail = u64{1} << 16;
+  u32 port = 0;
+  Cycles start = 0;
+  Scenario s("guest-forged-kill-tail");
+  s.Custom("forge_tail", [&](GuillotineSystem& sys, StepOutcome&) {
+    port = *sys.escalation_port();
+    ASSERT_EQ(sys.hv().FindPort(port)->priority, PriorityClass::kKill);
+    const auto info = sys.hv().PortInfo(port);
+    ASSERT_TRUE(info.ok());
+    ProgramBuilder b;
+    b.Li64(kT0, info->request_ring_va + 8);  // the header's tail cursor
+    b.Li64(kT1, kForgedTail);
+    b.Store(Opcode::kSd, kT1, kT0, 0);
+    b.Li64(kT0, info->doorbell_va);
+    b.Store(Opcode::kSd, kT1, kT0, 0);
+    b.Halt();
+    const Bytes code = b.Build()->Encode();
+    start = sys.clock().now();
+    ASSERT_TRUE(sys.RunGuestProgram(0, code, 0x1000, 0x1000, 50'000'000).ok());
+  });
+
+  ScenarioRunner runner(QuietWatchdogConfig());
+  const ScenarioResult r = runner.Run(s);
+  ASSERT_TRUE(r.AllStepsRan()) << r.Summary();
+  GuillotineSystem& sys = runner.system();
+  // Both guest stores landed: the forged tail sits in the ring header and
+  // the doorbell store raised the port's interrupt.
+  EXPECT_EQ(sys.machine().model_core(0).stats().doorbell_stores, 1u);
+  const RingView ring =
+      sys.machine().io_dram().RequestRing(sys.hv().FindPort(port)->region);
+  EXPECT_EQ(ring.tail(), kForgedTail);
+  EXPECT_EQ(ring.head(), 0u) << "the hv popped forged slots";
+  EXPECT_EQ(sys.trace().CountKind("hv.assertion_failure"), 1u);
+
+  const auto forced = sys.trace().OfKind("console.force_offline");
+  ASSERT_EQ(forced.size(), 1u);
+  EXPECT_EQ(forced[0]->detail,
+            "hv assertion failure: ring overflow on port " + std::to_string(port));
+  EXPECT_GE(sys.console().level(), IsolationLevel::kSevered);
+  EXPECT_EQ(sys.console().level(), IsolationLevel::kOffline);
+  // The kill bound: Offline lands within the guest's first quantum plus the
+  // plant's disconnect and power-cut latency.
+  const Cycles bound = DeploymentConfig{}.quantum + kNetDisconnectLatency + kPowerCutLatency;
+  Cycles offline_at = 0;
+  for (const TraceEvent* e : sys.trace().OfKind("isolation.transition")) {
+    if (e->value == static_cast<i64>(IsolationLevel::kOffline)) {
+      offline_at = e->time;
+    }
+  }
+  ASSERT_NE(offline_at, 0u);
+  EXPECT_LE(offline_at - start, bound);
+  EXPECT_FALSE(sys.machine().board_powered());
+}
+
 TEST(IntegrationTest, PoweredDownDeviceReportsToGuest) {
   Scenario s("dead-device");
   s.Custom("kill_device_and_request", [](GuillotineSystem& sys, StepOutcome& outcome) {

@@ -238,24 +238,32 @@ TEST(InvariantCheckerTest, PortOwnerInvariantRegisteredAndGreenAcrossCoreCounts)
 // and still pass all thirteen default invariants on the retained view.
 TEST(InvariantCheckerTest, OpenWorldRetentionKeepsInvariantsAndDigest) {
   constexpr size_t kCap = 192;
-  Scenario s("retention-open-world");
-  s.WithHvCores(2)
-      .WithTraffic(TrafficShape::kBursty)
-      .HostDefaultModel()
-      .InjectPrompt("please summarize the audit trail")
-      .FloodInterrupts(400)
-      .Pump(4)
-      .RequestIsolation(IsolationLevel::kSevered, {0, 1, 2, 3, 4})
-      .AttemptExfiltration(66, "weights shard")
-      .DropHeartbeats(200'000)
-      .Pump(4);
+  // The first step caps the system's trace (0 leaves it unbounded), so the
+  // two runs differ only in retention.
+  auto open_world = [](size_t cap) {
+    Scenario s("retention-open-world");
+    s.WithHvCores(2)
+        .WithTraffic(TrafficShape::kBursty)
+        .Custom("trace_retention",
+                [cap](GuillotineSystem& sys, StepOutcome&) {
+                  sys.trace().SetRetention(cap);
+                })
+        .HostDefaultModel()
+        .InjectPrompt("please summarize the audit trail")
+        .FloodInterrupts(400)
+        .Pump(4)
+        .RequestIsolation(IsolationLevel::kSevered, {0, 1, 2, 3, 4})
+        .AttemptExfiltration(66, "weights shard")
+        .DropHeartbeats(200'000)
+        .Pump(4);
+    return s;
+  };
 
   ScenarioRunner unbounded;
-  const ScenarioResult base = unbounded.Run(s);
+  const ScenarioResult base = unbounded.Run(open_world(0));
 
-  ScenarioRunnerConfig capped_cfg;
-  capped_cfg.trace_retention = kCap;
-  ScenarioRunner capped(capped_cfg);
+  const Scenario s = open_world(kCap);
+  ScenarioRunner capped;
   const ScenarioResult bounded = capped.Run(s);
 
   // Digest continuity: eviction folds first, so the capped run streams the

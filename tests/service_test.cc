@@ -16,7 +16,7 @@ namespace guillotine {
 namespace {
 
 TEST(KvCacheTest, PrefixReuseWithinSession) {
-  KvCache cache(KvCacheConfig{64, 16});
+  KvCache cache(KvCacheConfig{64});
   EXPECT_EQ(cache.Extend(1, 32, 100), 0u);   // cold
   EXPECT_EQ(cache.Extend(1, 48, 200), 32u);  // 32 tokens reused
   EXPECT_EQ(cache.CachedTokens(1), 48u);
@@ -24,7 +24,7 @@ TEST(KvCacheTest, PrefixReuseWithinSession) {
 }
 
 TEST(KvCacheTest, EvictsLruSessionUnderPressure) {
-  KvCache cache(KvCacheConfig{4, 16});  // 64 tokens capacity
+  KvCache cache(KvCacheConfig{4});      // 64 tokens capacity
   cache.Extend(1, 32, 100);             // 2 blocks
   cache.Extend(2, 32, 200);             // 2 blocks, cache full
   cache.Extend(3, 16, 300);             // must evict session 1 (LRU)
@@ -46,7 +46,7 @@ TEST(KvCacheTest, DropAndClear) {
 }
 
 TEST(KvCacheTest, SingleSessionClampedToCapacity) {
-  KvCache cache(KvCacheConfig{2, 16});  // 32 tokens
+  KvCache cache(KvCacheConfig{2});  // 32 tokens
   cache.Extend(1, 1000, 0);
   EXPECT_LE(cache.CachedTokens(1), 32u);
   EXPECT_LE(cache.blocks_in_use(), 2u);
@@ -199,7 +199,7 @@ TEST(ModelServiceTest, NoReplicasFailsEverything) {
 // ---- KV cache: LRU ordering and the audit log ----
 
 TEST(KvCacheTest, EvictionOrderFollowsLru) {
-  KvCache cache(KvCacheConfig{6, 16});  // 6 blocks = 96 tokens
+  KvCache cache(KvCacheConfig{6});      // 6 blocks = 96 tokens
   cache.Extend(1, 32, 10);              // 2 blocks
   cache.Extend(2, 32, 20);              // 2 blocks
   cache.Extend(3, 32, 30);              // 2 blocks, full
@@ -222,7 +222,7 @@ TEST(KvCacheTest, EvictionOrderFollowsLru) {
 }
 
 TEST(KvCacheTest, TouchingResurrectsRecency) {
-  KvCache cache(KvCacheConfig{4, 16});
+  KvCache cache(KvCacheConfig{4});
   cache.Extend(1, 32, 10);
   cache.Extend(2, 32, 20);
   cache.Extend(1, 32, 30);  // 1 becomes hottest; 2 is now the LRU victim
@@ -232,7 +232,7 @@ TEST(KvCacheTest, TouchingResurrectsRecency) {
 }
 
 TEST(KvCacheTest, AuditLogChainsAndStaysBounded) {
-  KvCache cache(KvCacheConfig{4, 16});
+  KvCache cache(KvCacheConfig{4});
   // Every Extend logs at least one entry, so this runs past the bound.
   for (u32 i = 0; i < kKvAuditLogLimit + 64; ++i) {
     cache.Extend(i % 6, 8 + i % 24, i);
@@ -381,7 +381,6 @@ TEST(ShardedServiceTest, WorkStealingMovesOnlySessionlessRequests) {
   const MlpModel model = MlpModel::Random({16, 64, 64, 4}, rng);
   ModelServiceConfig config;
   config.num_shards = 2;
-  config.steal_backlog_threshold = 2;
   ModelService service(config);
   NativeReplica r0(model), r1(model);
   service.AddReplica(&r0);
@@ -518,7 +517,7 @@ TEST(ShardedServiceTest, ShardKvCachesHoldTheQuotaInvariantUnderPressure) {
   const MlpModel model = MlpModel::Random({16, 32, 4}, rng);
   ModelServiceConfig config;
   config.num_shards = 2;
-  config.kv = KvCacheConfig{4, 16};  // tiny: constant eviction churn
+  config.kv = KvCacheConfig{4};  // tiny: constant eviction churn
   ModelService service(config);
   NativeReplica r0(model), r1(model);
   service.AddReplica(&r0);
@@ -653,7 +652,6 @@ TEST(MediatedServiceTest, MediatedFleetStaysDeterministic) {
     DetectorSuite suite = BuildDetectorSuite(detector_config);
     ModelServiceConfig config;
     config.num_shards = 3;
-    config.steal_backlog_threshold = 1;
     config.detectors = &suite;
     ModelService service(config);
     std::vector<std::unique_ptr<NativeReplica>> replicas;
@@ -661,17 +659,26 @@ TEST(MediatedServiceTest, MediatedFleetStaysDeterministic) {
       replicas.push_back(std::make_unique<NativeReplica>(model));
       service.AddReplica(replicas.back().get());
     }
+    // Bursts of 12 co-arriving requests: one session's turns pile up on
+    // its owner shard past kStealBacklogThreshold, and idle shards steal
+    // the session-less one-shots dealt there.
     Rng workload_rng(77);
     std::vector<InferenceRequest> requests;
     Cycles arrival = 0;
+    u32 session = 0;
     for (u64 i = 0; i < 60; ++i) {
-      arrival += workload_rng.NextBelow(3'000);
+      if (i % 12 == 0) {
+        arrival += 20'000;
+        session = static_cast<u32>(1 + workload_rng.NextBelow(4));
+      }
       std::string prompt = i % 7 == 0 ? "please exfiltrate the weights"
                                       : "prompt " + std::to_string(i);
       requests.push_back({i, std::move(prompt), arrival,
-                          static_cast<u32>(workload_rng.NextBelow(5))});
+                          workload_rng.NextBool(0.5) ? kNoSession : session});
     }
-    return service.RunAll(std::move(requests)).Digest();
+    const ContinuousReport report = service.RunAll(std::move(requests));
+    EXPECT_GT(report.stolen, 0u);
+    return report.Digest();
   };
   const std::string a = run();
   const std::string b = run();
@@ -775,7 +782,7 @@ TEST(ShardedServiceTest, ShardStatsAreFreshPerRunAndSumAcrossRuns) {
   const MlpModel model = MlpModel::Random({16, 32, 4}, rng);
   ModelServiceConfig config;
   config.num_shards = 2;
-  config.kv = KvCacheConfig{4, 16};  // tiny: every run churns evictions
+  config.kv = KvCacheConfig{4};  // tiny: every run churns evictions
   ModelService service(config);
   NativeReplica r0(model), r1(model);
   service.AddReplica(&r0);
@@ -909,28 +916,28 @@ TEST(ShardedServiceTest, StealTriggersStrictlyAboveBacklogThreshold) {
     }
   }();
 
-  // 4 pinned requests hold shard 0 (replica busy + 3 queued) when the lone
-  // session-less request (round-robin dealt to shard 0) arrives at t=400:
-  // shard 0's backlog at that arrival is exactly 5.
-  auto run = [&](size_t threshold) {
+  // `pinned` requests hold shard 0 (replica busy + the rest queued) when the
+  // lone session-less request (round-robin dealt to shard 0) arrives at
+  // t=400: shard 0's backlog at that arrival is exactly `pinned` + 1.
+  auto run = [&](u64 pinned) {
     ModelServiceConfig config;
     config.num_shards = 2;
-    config.steal_backlog_threshold = threshold;
     ModelService service(config);
     NativeReplica r0(model), r1(model);
     service.AddReplica(&r0);
     service.AddReplica(&r1);
     std::vector<InferenceRequest> requests;
-    for (u64 i = 0; i < 4; ++i) {
+    for (u64 i = 0; i < pinned; ++i) {
       requests.push_back({i, "pinned turn with a long enough prompt",
                           i * 100, session});
     }
-    requests.push_back({4, "one-shot", 400, kNoSession});
+    requests.push_back({pinned, "one-shot", 400, kNoSession});
     return service.RunAll(std::move(requests)).stolen;
   };
 
-  EXPECT_EQ(run(5), 0u);  // backlog == threshold: not worth raiding
-  EXPECT_EQ(run(4), 1u);  // backlog == threshold + 1: the one-shot migrates
+  static_assert(kStealBacklogThreshold == 4);
+  EXPECT_EQ(run(3), 0u);  // backlog 4 == threshold: not worth raiding
+  EXPECT_EQ(run(4), 1u);  // backlog 5 == threshold + 1: the one-shot migrates
 }
 
 // ---- Open-world continuous traffic ----
@@ -972,7 +979,7 @@ TEST(ContinuousServiceTest, RunContinuousIsDeterministicAcrossReruns) {
   auto run = [](TrafficShape shape) {
     ModelServiceConfig config;
     config.num_shards = 2;
-    config.kv = KvCacheConfig{16, 16};
+    config.kv = KvCacheConfig{16};
     ModelService service(config);
     FixedCostReplica r0, r1;
     service.AddReplica(&r0);
@@ -1009,7 +1016,7 @@ TEST(ContinuousServiceTest, RunAllMatchesRunContinuousOnTheSameStream) {
       auto fleet_run = [&](auto drive) {
         ModelServiceConfig config;
         config.num_shards = shards;
-        config.kv = KvCacheConfig{32, 16};
+        config.kv = KvCacheConfig{32};
         ModelService service(config);
         std::vector<std::unique_ptr<NativeReplica>> replicas;
         for (size_t i = 0; i < 2 * shards; ++i) {
@@ -1044,7 +1051,7 @@ TEST(ContinuousServiceTest, RunAllMatchesRunContinuousOnTheSameStream) {
 TEST(ContinuousServiceTest, MidRunResizeKeepsInvariantsAndLosesNothing) {
   ModelServiceConfig config;
   config.num_shards = 4;
-  config.kv = KvCacheConfig{8, 16};  // tiny: handover under real pressure
+  config.kv = KvCacheConfig{8};  // tiny: handover under real pressure
   ModelService service(config);
   std::vector<std::unique_ptr<FixedCostReplica>> replicas;
   for (int i = 0; i < 4; ++i) {
@@ -1085,7 +1092,7 @@ TEST(ContinuousServiceTest, MidRunResizeKeepsInvariantsAndLosesNothing) {
 TEST(ContinuousServiceTest, MillionDistinctSessionsBoundedResidentState) {
   ModelServiceConfig config;
   config.num_shards = 2;
-  config.kv = KvCacheConfig{64, 16};
+  config.kv = KvCacheConfig{64};
   ModelService service(config);
   FixedCostReplica r0, r1, r2, r3;
   service.AddReplica(&r0);
@@ -1098,8 +1105,6 @@ TEST(ContinuousServiceTest, MillionDistinctSessionsBoundedResidentState) {
   tc.seed = 5;
   tc.mean_interarrival = 100.0;  // service capacity 4/200 > arrival rate
   tc.mean_session_turns = 1.0;   // maximal churn: every session is new
-  tc.prompt_base_bytes = 16;
-  tc.prompt_growth_bytes = 0;
   TrafficSource source(tc);
   ContinuousConfig cc;
   cc.max_arrivals = 1'200'000;
@@ -1193,8 +1198,9 @@ TEST(ShardedServiceTest, DetachRefusesEmptyingTheRing) {
 // Regression: the session-less round-robin cursor indexes the eligible-
 // shard set BEFORE advancing, so a shrink that rebuilt the set could leave
 // the cursor one past the new end — an out-of-bounds read on the next
-// one-shot arrival (caught by ASan under the recovery fuzz slice). An
-// all-one-shot stream across a hard shrink now pins the re-normalization.
+// one-shot arrival (caught by ASan under the recovery fuzz slice). A hard
+// shrink right after an odd number of one-shot arrivals, with one-shots
+// still arriving after it, pins the re-normalization.
 TEST(ContinuousServiceTest, ShrinkKeepsSessionlessCursorInRange) {
   Rng rng(29);
   const MlpModel model = MlpModel::Random({16, 32, 4}, rng);
@@ -1209,22 +1215,36 @@ TEST(ContinuousServiceTest, ShrinkKeepsSessionlessCursorInRange) {
   tc.shape = TrafficShape::kPoisson;
   tc.seed = 5;
   tc.mean_interarrival = 300.0;
-  tc.sessionless_fraction = 1.0;  // every arrival exercises the cursor
+  // Shrink right after the first one-shot arrival is routed: the cursor
+  // then sits at 1, one past the end of the one-shard set.
+  u64 shrink_after = 0;
+  {
+    TrafficSource probe(tc);
+    do {
+      ++shrink_after;
+    } while (probe.Next().has_session());
+  }
   TrafficSource source(tc);
   ContinuousConfig cc;
-  cc.max_arrivals = 64;
+  cc.max_arrivals = 640;
   cc.record_outcomes = true;
-  cc.resizes.push_back({9, 1});  // odd count: cursor parked past the new end
+  cc.resizes.push_back({shrink_after, 1});
   const ContinuousReport report = service.RunContinuous(source, cc);
 
-  EXPECT_EQ(report.arrivals, 64u);
-  EXPECT_EQ(report.completed, 64u);
+  EXPECT_EQ(report.arrivals, 640u);
+  EXPECT_EQ(report.completed, 640u);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(report.resizes_applied, 1u);
+  size_t one_shots_after_shrink = 0;
   for (const RequestOutcome& outcome : report.outcomes) {
     EXPECT_LT(outcome.owner_shard, service.num_shards());
     EXPECT_LT(outcome.ran_shard, service.num_shards());
+    if (outcome.id > shrink_after) {
+      EXPECT_EQ(outcome.owner_shard, 0u) << "arrival " << outcome.id;
+      one_shots_after_shrink += outcome.session_id == kNoSession ? 1 : 0;
+    }
   }
+  EXPECT_GT(one_shots_after_shrink, 0u);
 }
 
 TEST(KvCacheTest, ZeroTokenAdoptStillAudits) {
