@@ -9,32 +9,31 @@ void Histogram::Add(double v) {
   values_.push_back(v);
   sum_ += v;
   sum_sq_ += v * v;
-  sorted_valid_ = false;
+  sorted_ = false;
 }
 
 void Histogram::Merge(const Histogram& other) {
   values_.insert(values_.end(), other.values_.begin(), other.values_.end());
   sum_ += other.sum_;
   sum_sq_ += other.sum_sq_;
-  sorted_valid_ = false;
+  sorted_ = false;
 }
 
 void Histogram::SortIfNeeded() const {
-  if (!sorted_valid_) {
-    sorted_ = values_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
+  if (!sorted_) {
+    std::sort(values_.begin(), values_.end());
+    sorted_ = true;
   }
 }
 
 double Histogram::min() const {
   SortIfNeeded();
-  return sorted_.empty() ? 0.0 : sorted_.front();
+  return values_.empty() ? 0.0 : values_.front();
 }
 
 double Histogram::max() const {
   SortIfNeeded();
-  return sorted_.empty() ? 0.0 : sorted_.back();
+  return values_.empty() ? 0.0 : values_.back();
 }
 
 double Histogram::mean() const {
@@ -52,17 +51,17 @@ double Histogram::stddev() const {
 
 double Histogram::Percentile(double p) const {
   SortIfNeeded();
-  if (sorted_.empty()) {
+  if (values_.empty()) {
     return 0.0;
   }
   const double clamped = std::clamp(p, 0.0, 100.0);
   // Nearest-rank with an epsilon guard: p/100*n accumulates enough float
   // error that e.g. p=99.9 over n=1000 lands at 999.0000000000001 and
   // ceil() would skip the exact-rank sample for the max.
-  const double exact = clamped * static_cast<double>(sorted_.size()) / 100.0;
+  const double exact = clamped * static_cast<double>(values_.size()) / 100.0;
   const size_t rank = static_cast<size_t>(std::ceil(exact - 1e-9));
   const size_t idx = rank == 0 ? 0 : rank - 1;
-  return sorted_[std::min(idx, sorted_.size() - 1)];
+  return values_[std::min(idx, values_.size() - 1)];
 }
 
 }  // namespace guillotine

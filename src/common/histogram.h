@@ -26,11 +26,12 @@ class Histogram {
   double Percentile(double p) const;
 
  private:
+  // Sorts the samples in place the first time a query needs order, so each
+  // sample is stored once; Add and Merge append and clear the flag.
   void SortIfNeeded() const;
 
-  std::vector<double> values_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
+  mutable std::vector<double> values_;
+  mutable bool sorted_ = false;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
 };

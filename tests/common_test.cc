@@ -2,6 +2,10 @@
 // histogram, table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "src/common/bytes.h"
 #include "src/common/histogram.h"
 #include "src/common/isolation.h"
@@ -371,6 +375,58 @@ TEST(HistogramTest, MergeUnionsSamples) {
   EXPECT_DOUBLE_EQ(a.mean(), 50.5);
   EXPECT_EQ(a.Percentile(50), 50.0);
   EXPECT_EQ(a.max(), 100.0);
+}
+
+// The histogram sorts its one copy of the samples in place on the first
+// query, so appends after a query land behind a sorted prefix. Interleaving
+// Add and Merge with every query must still answer as a fresh sorted copy
+// of the whole multiset would. Integer-valued samples keep the sums exact.
+TEST(HistogramTest, QueriesInterleavedWithAppendsMatchSortedReference) {
+  Rng rng(41);
+  Histogram h;
+  std::vector<double> all;
+  for (int round = 0; round < 60; ++round) {
+    if (round % 3 == 2) {
+      Histogram other;
+      const u64 n = rng.NextBelow(20);
+      for (u64 i = 0; i < n; ++i) {
+        const double v = static_cast<double>(rng.NextInRange(-500, 500));
+        other.Add(v);
+        all.push_back(v);
+      }
+      if (n % 2 == 1) {
+        other.Percentile(50);  // merge a source that has already sorted itself
+      }
+      h.Merge(other);
+    } else {
+      const u64 n = 1 + rng.NextBelow(7);
+      for (u64 i = 0; i < n; ++i) {
+        const double v = static_cast<double>(rng.NextInRange(-500, 500));
+        h.Add(v);
+        all.push_back(v);
+      }
+    }
+    std::vector<double> ref = all;
+    std::sort(ref.begin(), ref.end());
+    ASSERT_EQ(h.count(), ref.size());
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (const double v : ref) {
+      sum += v;
+      sum_sq += v * v;
+    }
+    const double n = static_cast<double>(ref.size());
+    EXPECT_EQ(h.mean(), sum / n) << "round " << round;
+    const double var = ref.size() < 2 ? 0.0 : (sum_sq - sum * sum / n) / (n - 1);
+    EXPECT_DOUBLE_EQ(h.stddev(), var > 0 ? std::sqrt(var) : 0.0) << "round " << round;
+    EXPECT_EQ(h.min(), ref.front()) << "round " << round;
+    EXPECT_EQ(h.max(), ref.back()) << "round " << round;
+    for (const double p : {0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0}) {
+      const size_t rank = static_cast<size_t>(std::ceil(p * n / 100.0 - 1e-9));
+      EXPECT_EQ(h.Percentile(p), ref[rank == 0 ? 0 : rank - 1])
+          << "round " << round << " p" << p;
+    }
+  }
 }
 
 TEST(TableTest, RendersAligned) {
