@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "src/isa/assembler.h"
 #include "src/machine/accelerator.h"
@@ -651,6 +654,48 @@ std::string RenderTiming(Machine& machine, int core_id) {
   return out;
 }
 
+// The MLP forward pass tests/golden/timing_mlp_image.txt freezes.
+struct FrozenMlpImage {
+  u64 code_base = 0;
+  u64 data_base = 0;
+  u64 input_addr = 0;
+  u64 input_dim = 0;
+  Bytes code;
+  Bytes data;
+};
+
+FrozenMlpImage ReadFrozenMlpImage() {
+  FrozenMlpImage image;
+  std::ifstream in(std::string(GUILLOTINE_SOURCE_DIR) +
+                   "/tests/golden/timing_mlp_image.txt");
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    std::istringstream fields(line);
+    std::string key;
+    std::string value;
+    fields >> key >> value;
+    if (key == "code" || key == "data") {
+      const Bytes bytes = HexDecode(value);
+      Bytes& image_bytes = key == "code" ? image.code : image.data;
+      image_bytes.insert(image_bytes.end(), bytes.begin(), bytes.end());
+      continue;
+    }
+    const u64 number = std::stoull(value, nullptr, 16);
+    if (key == "code_base") {
+      image.code_base = number;
+    } else if (key == "data_base") {
+      image.data_base = number;
+    } else if (key == "input_addr") {
+      image.input_addr = number;
+    } else if (key == "input_dim") {
+      image.input_dim = number;
+    }
+  }
+  return image;
+}
+
 void RunToStop(ModelCore& core) {
   for (Cycles used = 0; core.state() == RunState::kRunning && used < 50'000'000;) {
     used += core.Run(100'000);
@@ -662,27 +707,26 @@ TEST_F(MachineTest, TimingModelIsPinned) {
     ASSERT_TRUE(machine.model_dram().WriteBlock(base, image).ok());
   };
 
-  // 1. A compiled MLP forward pass (the instruction mix the service runs),
-  //    with its text locked down execute-only.
+  // 1. A compiled MLP forward pass, with its text locked down execute-only.
+  //    The program is a committed image, so the pin times the simulator, not
+  //    the current compiler.
   {
     SimClock clock;
     EventTrace trace;
     Machine machine(SmallConfig(), clock, trace);
-    Rng rng(13);
-    const MlpModel model = MlpModel::Random({8, 16, 16, 4}, rng);
-    const auto compiled = CompileMlp(model, 0x1000, 0x40000);
-    ASSERT_TRUE(compiled.ok());
-    const MlpProgramLayout& layout = compiled->layout;
-    load(machine, compiled->code, layout.code_base);
-    load(machine, compiled->data, layout.data_base);
-    std::vector<i64> input(layout.input_dim);
+    const FrozenMlpImage image = ReadFrozenMlpImage();
+    ASSERT_FALSE(image.code.empty());
+    ASSERT_FALSE(image.data.empty());
+    load(machine, image.code, image.code_base);
+    load(machine, image.data, image.data_base);
+    std::vector<i64> input(image.input_dim);
     for (size_t i = 0; i < input.size(); ++i) {
       input[i] = ToFixed(0.1 * static_cast<double>(i + 1)) * (i % 2 == 0 ? 1 : -1);
     }
-    load(machine, PackI64(input), layout.input_addr);
+    load(machine, PackI64(input), image.input_addr);
     ModelCore& core = machine.model_core(0);
-    core.PowerUpCore(layout.code_base);
-    core.SetLockdown(ExecLockdown{true, layout.code_base, layout.data_base});
+    core.PowerUpCore(image.code_base);
+    core.SetLockdown(ExecLockdown{true, image.code_base, image.data_base});
     ASSERT_TRUE(core.Resume().ok());
     RunToStop(core);
     ASSERT_EQ(core.state(), RunState::kDone);
