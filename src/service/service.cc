@@ -245,6 +245,15 @@ struct ModelService::LoopCtx {
   u64 routed = 0;                 // arrivals routed so far
   u64 finalized = 0;              // slots whose outcome has settled
   Cycles makespan = 0;            // latest outcome.done seen
+
+  // The next shard of the round-robin deal. A cursor past the end of
+  // `eligible` is a routing bug, so the read is bounds-checked in every
+  // build (it throws std::out_of_range) rather than reading past the set.
+  size_t DealSessionless() {
+    const size_t owner = eligible.at(sessionless_cursor);
+    sessionless_cursor = (sessionless_cursor + 1) % eligible.size();
+    return owner;
+  }
 };
 
 void ModelService::RouteSlot(RequestSlot& slot, LoopCtx& ctx) const {
@@ -254,8 +263,7 @@ void ModelService::RouteSlot(RequestSlot& slot, LoopCtx& ctx) const {
   if (slot.request.has_session()) {
     slot.owner = ring_->Owner(slot.request.session_id);
   } else {
-    slot.owner = ctx.eligible[ctx.sessionless_cursor];
-    ctx.sessionless_cursor = (ctx.sessionless_cursor + 1) % ctx.eligible.size();
+    slot.owner = ctx.DealSessionless();
   }
   slot.outcome.owner_shard = slot.owner;
   slot.outcome.ran_shard = slot.owner;
@@ -604,7 +612,7 @@ ContinuousReport ModelService::Drive(
     report.kv_migrated += resized->kv_migrated;
     ctx.eligible = EligibleShards();
     // A shrink can strand the round-robin cursor one past the new end;
-    // RouteSlot indexes eligible[cursor] before advancing, so re-normalize
+    // DealSessionless reads eligible[cursor] before advancing, so re-normalize
     // here where the set changes size (an applied resize keeps >= 1
     // eligible shard, so the modulus is never zero).
     ctx.sessionless_cursor %= ctx.eligible.size();
@@ -624,8 +632,7 @@ ContinuousReport ModelService::Drive(
         owner = ring_->Owner(slot->request.session_id);
       } else if (owner >= active_shards_ ||
                  shards_[owner]->num_replicas() == 0) {
-        owner = ctx.eligible[ctx.sessionless_cursor];
-        ctx.sessionless_cursor = (ctx.sessionless_cursor + 1) % ctx.eligible.size();
+        owner = ctx.DealSessionless();
       }
       if (owner != slot->owner) {
         ++report.requeued;

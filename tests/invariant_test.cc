@@ -235,9 +235,12 @@ TEST(InvariantCheckerTest, PortOwnerInvariantRegisteredAndGreenAcrossCoreCounts)
 // scenario (riding continuous RunContinuous traffic) run unbounded and with
 // a retention cap must produce the identical streaming digest, keep every
 // security / isolation event retained, stay within cap + pinned evidence,
-// and still pass all thirteen default invariants on the retained view.
+// and still pass all thirteen default invariants on the retained view. A
+// containment step comes before a long traffic burst, so eviction has to
+// pin that evidence rather than merely never reach it.
 TEST(InvariantCheckerTest, OpenWorldRetentionKeepsInvariantsAndDigest) {
   constexpr size_t kCap = 192;
+  constexpr u64 kTrafficBurst = 8;
   // The first step caps the system's trace (0 leaves it unbounded), so the
   // two runs differ only in retention.
   auto open_world = [](size_t cap) {
@@ -251,9 +254,10 @@ TEST(InvariantCheckerTest, OpenWorldRetentionKeepsInvariantsAndDigest) {
         .HostDefaultModel()
         .InjectPrompt("please summarize the audit trail")
         .FloodInterrupts(400)
-        .Pump(4)
-        .RequestIsolation(IsolationLevel::kSevered, {0, 1, 2, 3, 4})
+        .RequestIsolation(IsolationLevel::kProbation, {0, 1, 2, 3, 4})
         .AttemptExfiltration(66, "weights shard")
+        .Pump(kTrafficBurst)
+        .RequestIsolation(IsolationLevel::kSevered, {0, 1, 2, 3, 4})
         .DropHeartbeats(200'000)
         .Pump(4);
     return s;
@@ -280,6 +284,9 @@ TEST(InvariantCheckerTest, OpenWorldRetentionKeepsInvariantsAndDigest) {
   EXPECT_GT(trace.evicted(), 0u);
   EXPECT_LT(trace.size(), trace.total_recorded());
   EXPECT_LE(trace.size(), trace.pinned_retained() + kCap);
+  // The probation transition precedes the traffic burst by far more than
+  // kCap events, so its evidence left the window and survives only pinned.
+  EXPECT_GT(trace.pinned_retained(), 0u);
 
   // Every security / isolation event ever recorded is still retained.
   size_t retained_pinned_class = 0;
