@@ -20,11 +20,12 @@
 //
 // GUILLOTINE_GOLDEN_SCENARIOS=N checks the first N lines (default 512; the
 // CI release job checks all 2048). GUILLOTINE_GOLDEN_REPIN=1 rewrites the
-// file from the current simulation instead. A repin changes a check: say
-// which lines moved and why.
+// file from the current simulation instead and prints how many lines moved
+// in each column. A repin changes a check: say which lines moved and why.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -119,6 +120,19 @@ size_t EnvOr(const char* name, size_t fallback) {
   return static_cast<size_t>(std::strtoull(value, nullptr, 0));
 }
 
+constexpr std::array<const char*, 8> kColumns = {
+    "index",       "script_hash", "slices",       "trace_hash",
+    "final_clock", "guest_instr", "guest_cycles", "traffic_digest"};
+
+std::vector<std::string> SplitColumns(const std::string& line) {
+  std::vector<std::string> out;
+  std::istringstream in(line);
+  for (std::string field; std::getline(in, field, '\t');) {
+    out.push_back(field);
+  }
+  return out;
+}
+
 std::vector<std::string> ReadGolden() {
   std::vector<std::string> lines;
   std::ifstream in(kGoldenPath);
@@ -140,15 +154,32 @@ TEST(GoldenCorpusTest, Seed7CorpusMatchesCommittedDigests) {
                                      kCorpusSize);
 
   if (repin) {
+    const std::vector<std::string> old_lines = ReadGolden();
     std::ofstream out(kGoldenPath);
     ASSERT_TRUE(out) << "cannot write " << kGoldenPath;
-    out << "# index\tscript_hash\tslices\ttrace_hash\tfinal_clock\tguest_instr\t"
-           "guest_cycles\ttraffic_digest\n";
+    for (size_t c = 0; c < kColumns.size(); ++c) {
+      out << (c == 0 ? "# " : "\t") << kColumns[c];
+    }
+    out << '\n';
+    size_t moved_lines = 0;
+    std::vector<size_t> moved(kColumns.size(), 0);
     for (size_t i = 0; i < count; ++i) {
       const Scenario s = fuzzer.Generate(SplitMix(kCorpusSeed * kCorpusSize + i));
-      out << GoldenLine(i, s, runner) << '\n';
+      const std::string line = GoldenLine(i, s, runner);
+      out << line << '\n';
+      const std::vector<std::string> now = SplitColumns(line);
+      const std::vector<std::string> was =
+          i < old_lines.size() ? SplitColumns(old_lines[i]) : std::vector<std::string>{};
+      moved_lines += now != was ? 1 : 0;
+      for (size_t c = 0; c < kColumns.size(); ++c) {
+        moved[c] += c >= was.size() || c >= now.size() || was[c] != now[c] ? 1 : 0;
+      }
     }
-    std::printf("repinned %zu scenarios into %s\n", count, kGoldenPath.c_str());
+    std::printf("repinned %zu scenarios into %s; %zu lines moved\n", count,
+                kGoldenPath.c_str(), moved_lines);
+    for (size_t c = 0; c < kColumns.size(); ++c) {
+      std::printf("  %-14s %zu moved\n", kColumns[c], moved[c]);
+    }
     return;
   }
 
