@@ -16,11 +16,10 @@ std::string Fixed(double v, const char* format = "%.6f") {
   return buffer;
 }
 
-void AppendPercentiles(std::ostringstream& out, const Histogram& h) {
-  out << "n=" << h.count() << " mean=" << Fixed(h.mean(), "%.3f")
-      << " p50=" << Fixed(h.Percentile(50), "%.3f")
-      << " p99=" << Fixed(h.Percentile(99), "%.3f")
-      << " p999=" << Fixed(h.Percentile(99.9), "%.3f");
+void AppendPercentiles(std::ostringstream& out, const LatencySummary& s) {
+  out << "n=" << s.count << " mean=" << Fixed(s.mean, "%.3f")
+      << " p50=" << Fixed(s.p50, "%.3f") << " p99=" << Fixed(s.p99, "%.3f")
+      << " p999=" << Fixed(s.p999, "%.3f");
 }
 
 void AppendShardLine(std::ostringstream& out, const ShardStats& s) {
@@ -51,7 +50,7 @@ std::string ContinuousReport::Digest() const {
       << " remapped=" << remapped_sessions << " migrated=" << kv_migrated
       << " requeued=" << requeued << "\n";
   out << "latency ";
-  AppendPercentiles(out, latency);
+  AppendPercentiles(out, LatencySummary::Of(latency));
   out << "\n";
   for (const ShardStats& s : shards) {
     AppendShardLine(out, s);
@@ -318,7 +317,7 @@ void ModelService::AccountOutcome(ServiceShard& exec_shard, RequestSlot& slot,
   ShardStats& stats = exec_shard.stats();
   if (slot.outcome.ok) {
     ++stats.completed;
-    stats.latency.Add(
+    exec_shard.latency().Add(
         static_cast<double>(slot.outcome.done - slot.request.arrival));
   } else {
     ++stats.failed;
@@ -693,7 +692,7 @@ ContinuousReport ModelService::Drive(
     report.completed += stats.completed;
     report.failed += stats.failed;
     report.stolen += stats.stolen_in;
-    report.latency.Merge(stats.latency);
+    report.latency.Merge(s->latency());
     report.shards.push_back(stats);
   }
   const u64 kv_total = kv_hits + kv_misses;

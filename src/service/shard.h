@@ -59,6 +59,20 @@ class SessionHashRing {
   std::vector<Point> points_;  // sorted by position
 };
 
+// The latency figures a report renders for one shard. The samples behind
+// them are stored once, in ContinuousReport::latency.
+struct LatencySummary {
+  u64 count = 0;
+  double mean = 0.0;
+  double p50 = 0.0;
+  double p99 = 0.0;
+  double p999 = 0.0;
+
+  static LatencySummary Of(const Histogram& h) {
+    return {h.count(), h.mean(), h.Percentile(50), h.Percentile(99), h.Percentile(99.9)};
+  }
+};
+
 // Aggregated per-shard accounting surfaced through ContinuousReport.
 struct ShardStats {
   size_t shard = 0;
@@ -82,7 +96,7 @@ struct ShardStats {
   u64 det_rewritten = 0;      // prompts/completions rewritten in place
   u64 det_cost = 0;           // aggregate simulated detector cycles
   double det_cyc_per_obs = 0.0;  // amortized cost, computed at aggregation
-  Histogram latency;  // cycles, completed requests this shard executed
+  LatencySummary latency;  // cycles, completed requests this shard executed
 };
 
 // A shard: ready queue + replicas + the KV cache those replicas share.
@@ -174,6 +188,8 @@ class ServiceShard {
   }
 
   ShardStats& stats() { return stats_; }
+  // This run's latency samples (cycles, completed requests executed here).
+  Histogram& latency() { return latency_; }
 
   // ---- Per-run stat accounting ----
   // Stats are true per-run deltas: BeginRun zeroes the counters and records
@@ -188,6 +204,7 @@ class ServiceShard {
     fresh.shard = index_;
     fresh.replicas = replicas_.size();
     stats_ = std::move(fresh);
+    latency_ = Histogram();
     kv_hits_base_ = kv_cache_.hits();
     kv_misses_base_ = kv_cache_.misses();
     kv_evictions_base_ = kv_cache_.evictions();
@@ -207,6 +224,7 @@ class ServiceShard {
                                  ? 0.0
                                  : static_cast<double>(stats_.det_cost) /
                                        static_cast<double>(stats_.det_obs);
+    stats_.latency = LatencySummary::Of(latency_);
   }
 
  private:
@@ -220,6 +238,7 @@ class ServiceShard {
   std::vector<ReplicaState> replicas_;
   std::deque<RequestSlot*> queue_;
   ShardStats stats_;
+  Histogram latency_;
   u64 kv_hits_base_ = 0;
   u64 kv_misses_base_ = 0;
   u64 kv_evictions_base_ = 0;

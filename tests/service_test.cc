@@ -450,7 +450,7 @@ TEST(ShardedServiceTest, PerShardStatsSumToGlobals) {
   for (const ShardStats& s : report.shards) {
     completed += s.completed;
     failed += s.failed;
-    latencies += s.latency.count();
+    latencies += s.latency.count;
     EXPECT_GT(s.queue_high_water, 0u);  // saturating arrivals queue everywhere
   }
   EXPECT_EQ(completed, report.completed);
@@ -507,7 +507,7 @@ TEST(ShardedServiceTest, DetectorFailedRequestsNeverAppearCompleted) {
   // Failed requests contribute no latency samples anywhere.
   size_t latencies = 0;
   for (const ShardStats& s : report.shards) {
-    latencies += s.latency.count();
+    latencies += s.latency.count;
   }
   EXPECT_EQ(latencies, 15u);
 }
