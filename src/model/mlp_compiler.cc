@@ -4,10 +4,30 @@ namespace guillotine {
 
 namespace {
 constexpr int kZero = 0;
-constexpr int kT0 = 12, kT1 = 13, kT2 = 14, kT3 = 15, kT4 = 16, kT5 = 17, kT6 = 18,
-              kT7 = 19;
-constexpr int kS0 = 20, kS1 = 21, kS2 = 22, kS3 = 23, kS4 = 24, kS5 = 25, kS6 = 26,
-              kS7 = 27;
+constexpr int kT0 = 12, kT1 = 13, kT4 = 16, kT5 = 17, kT6 = 18, kT7 = 19;
+constexpr int kS0 = 20, kS1 = 21, kS2 = 22, kS3 = 23, kS4 = 24;
+
+// Multiply-accumulates per trip of a layer's inner loop.
+constexpr u32 kUnroll = 4;
+
+// Straight-line copy of `count` i64 slots from [src] to [dst].
+void EmitCopy(ProgramBuilder& b, u64 src, u64 dst, u32 count) {
+  b.Li64(kT0, src);
+  b.Li64(kT1, dst);
+  for (u32 k = 0; k < count; ++k) {
+    b.Load(Opcode::kLd, kT4, kT0, static_cast<i32>(k * 8));
+    b.Store(Opcode::kSd, kT4, kT1, static_cast<i32>(k * 8));
+  }
+}
+
+// acc (t4) += src[k] * w[k], with t5 walking the source activations and s1
+// the weight row.
+void EmitMac(ProgramBuilder& b, u32 k) {
+  b.Load(Opcode::kLd, kT6, kT5, static_cast<i32>(k * 8));
+  b.Load(Opcode::kLd, kT7, kS1, static_cast<i32>(k * 8));
+  b.Emit(Opcode::kMul, kT6, kT6, kT7);
+  b.Emit(Opcode::kAdd, kT4, kT4, kT6);
+}
 }  // namespace
 
 Bytes PackI64(const std::vector<i64>& values) {
@@ -47,16 +67,15 @@ Result<CompiledMlp> CompileMlp(const MlpModel& model, u64 code_base, u64 data_ba
   layout.num_layers = static_cast<u32>(model.num_layers());
 
   // ---- Data image ----
-  // Descriptor table: per layer {w_ptr, b_ptr, in_dim, out_dim} as u64s.
-  const u64 desc_base = data_base;
-  const u64 desc_bytes = model.num_layers() * 32;
-
+  // Per layer: the weights transposed to one row per neuron (w[j][i]), so
+  // the inner loop walks a row and the source activations with one pointer
+  // each, then the bias.
   u32 max_width = layout.input_dim;
   for (size_t l = 0; l < model.num_layers(); ++l) {
     max_width = std::max(max_width, model.layer(l).out_dim);
   }
 
-  u64 cursor = desc_base + desc_bytes;
+  u64 cursor = data_base;
   std::vector<std::pair<u64, u64>> layer_ptrs;  // {w_ptr, b_ptr}
   for (size_t l = 0; l < model.num_layers(); ++l) {
     const MlpLayer& layer = model.layer(l);
@@ -79,19 +98,19 @@ Result<CompiledMlp> CompileMlp(const MlpModel& model, u64 code_base, u64 data_ba
   layout.done_addr = cursor;
   cursor += 8;
   layout.data_size = cursor - data_base;
+  if (layout.data_size > static_cast<u64>(INT32_MAX)) {
+    return InvalidArgument("model too large for 32-bit load offsets");
+  }
 
   Bytes data;
   data.reserve(layout.data_size);
   for (size_t l = 0; l < model.num_layers(); ++l) {
-    PutU64(data, layer_ptrs[l].first);
-    PutU64(data, layer_ptrs[l].second);
-    PutU64(data, model.layer(l).in_dim);
-    PutU64(data, model.layer(l).out_dim);
-  }
-  for (size_t l = 0; l < model.num_layers(); ++l) {
     const MlpLayer& layer = model.layer(l);
-    for (i64 w : layer.weights) {
-      PutU64(data, static_cast<u64>(w));
+    for (u32 j = 0; j < layer.out_dim; ++j) {
+      for (u32 i = 0; i < layer.in_dim; ++i) {
+        const i64 w = layer.weights[static_cast<size_t>(i) * layer.out_dim + j];
+        PutU64(data, static_cast<u64>(w));
+      }
     }
     for (i64 b : layer.bias) {
       // Pre-scale bias into the Q(2*frac) accumulator domain.
@@ -101,121 +120,67 @@ Result<CompiledMlp> CompileMlp(const MlpModel& model, u64 code_base, u64 data_ba
   data.resize(layout.data_size, 0);  // buffers and flags start zeroed
 
   // ---- Program ----
+  // Layer dims are compile-time constants, so every layer gets its own code
+  // with immediate bounds: per neuron, acc = bias, then an inner loop of
+  // kUnroll multiply-accumulates per trip with immediate load offsets, the
+  // in_dim % kUnroll remainder straight-line, the shift back to Q(frac),
+  // ReLU on hidden layers and the store.
   ProgramBuilder b;
-  const auto layer_loop = b.NewLabel();
-  const auto layers_done = b.NewLabel();
-  const auto j_loop = b.NewLabel();
-  const auto j_done = b.NewLabel();
-  const auto i_loop = b.NewLabel();
-  const auto i_done = b.NewLabel();
-  const auto skip_relu = b.NewLabel();
-  const auto copy_in = b.NewLabel();
-  const auto copy_in_done = b.NewLabel();
-  const auto copy_out = b.NewLabel();
-  const auto copy_out_done = b.NewLabel();
-
-  // Preamble: copy input -> act A. t0 = i.
-  b.Ldi(kT0, 0);
-  b.Ldi(kT1, static_cast<i32>(layout.input_dim));
-  b.Bind(copy_in);
-  b.Branch(Opcode::kBge, kT0, kT1, copy_in_done);
-  b.Emit(Opcode::kSlli, kT2, kT0, 0, 3);
-  b.Li64(kT3, layout.input_addr);
-  b.Emit(Opcode::kAdd, kT3, kT3, kT2);
-  b.Load(Opcode::kLd, kT4, kT3, 0);
-  b.Li64(kT3, layout.act_a_addr);
-  b.Emit(Opcode::kAdd, kT3, kT3, kT2);
-  b.Store(Opcode::kSd, kT4, kT3, 0);
-  b.Emit(Opcode::kAddi, kT0, kT0, 0, 1);
-  b.Jump(copy_in);
-  b.Bind(copy_in_done);
-
-  // s0 = layer index, s5 = src buffer, s6 = dst buffer, s7 = desc base.
-  b.Ldi(kS0, 0);
-  b.Li64(kS5, layout.act_a_addr);
-  b.Li64(kS6, layout.act_b_addr);
-  b.Li64(kS7, desc_base);
-
-  b.Bind(layer_loop);
-  b.Ldi(kT0, static_cast<i32>(layout.num_layers));
-  b.Branch(Opcode::kBge, kS0, kT0, layers_done);
-  // Load descriptor: s1=w, s2=b, s3=in_dim, s4=out_dim.
-  b.Emit(Opcode::kSlli, kT1, kS0, 0, 5);  // l * 32
-  b.Emit(Opcode::kAdd, kT1, kS7, kT1);
-  b.Load(Opcode::kLd, kS1, kT1, 0);
-  b.Load(Opcode::kLd, kS2, kT1, 8);
-  b.Load(Opcode::kLd, kS3, kT1, 16);
-  b.Load(Opcode::kLd, kS4, kT1, 24);
-
-  // j loop: t2 = j.
-  b.Ldi(kT2, 0);
-  b.Bind(j_loop);
-  b.Branch(Opcode::kBge, kT2, kS4, j_done);
-  // acc (t4) = bias[j] (already pre-scaled).
-  b.Emit(Opcode::kSlli, kT3, kT2, 0, 3);
-  b.Emit(Opcode::kAdd, kT3, kS2, kT3);
-  b.Load(Opcode::kLd, kT4, kT3, 0);
-  // i loop: t5 = i.
-  b.Ldi(kT5, 0);
-  b.Bind(i_loop);
-  b.Branch(Opcode::kBge, kT5, kS3, i_done);
-  // t6 = src[i].
-  b.Emit(Opcode::kSlli, kT6, kT5, 0, 3);
-  b.Emit(Opcode::kAdd, kT6, kS5, kT6);
-  b.Load(Opcode::kLd, kT6, kT6, 0);
-  // t7 = w[i*out_dim + j].
-  b.Emit(Opcode::kMul, kT7, kT5, kS4);
-  b.Emit(Opcode::kAdd, kT7, kT7, kT2);
-  b.Emit(Opcode::kSlli, kT7, kT7, 0, 3);
-  b.Emit(Opcode::kAdd, kT7, kS1, kT7);
-  b.Load(Opcode::kLd, kT7, kT7, 0);
-  b.Emit(Opcode::kMul, kT6, kT6, kT7);
-  b.Emit(Opcode::kAdd, kT4, kT4, kT6);
-  b.Emit(Opcode::kAddi, kT5, kT5, 0, 1);
-  b.Jump(i_loop);
-  b.Bind(i_done);
-  // acc >>= frac.
-  b.Emit(Opcode::kSrai, kT4, kT4, 0, kFracBits);
-  // ReLU on hidden layers: skip when s0 == num_layers - 1 or acc >= 0.
-  b.Ldi(kT0, static_cast<i32>(layout.num_layers - 1));
-  b.Branch(Opcode::kBeq, kS0, kT0, skip_relu);
-  b.Emit(Opcode::kSlt, kT6, kT4, kZero);
-  b.Branch(Opcode::kBeq, kT6, kZero, skip_relu);
-  b.Ldi(kT4, 0);
-  b.Bind(skip_relu);
-  // dst[j] = acc.
-  b.Emit(Opcode::kSlli, kT6, kT2, 0, 3);
-  b.Emit(Opcode::kAdd, kT6, kS6, kT6);
-  b.Store(Opcode::kSd, kT4, kT6, 0);
-  b.Emit(Opcode::kAddi, kT2, kT2, 0, 1);
-  b.Jump(j_loop);
-  b.Bind(j_done);
-  // progress = l + 1 (watchpoint target for layer-boundary introspection).
-  b.Li64(kT0, layout.progress_addr);
-  b.Emit(Opcode::kAddi, kT1, kS0, 0, 1);
-  b.Store(Opcode::kSd, kT1, kT0, 0);
-  // Swap ping/pong buffers, next layer.
-  b.Mv(kT1, kS5);
-  b.Mv(kS5, kS6);
-  b.Mv(kS6, kT1);
-  b.Emit(Opcode::kAddi, kS0, kS0, 0, 1);
-  b.Jump(layer_loop);
-  b.Bind(layers_done);
-
-  // Copy final activations (in s5 after the last swap) to the output buffer.
-  b.Ldi(kT0, 0);
-  b.Ldi(kT1, static_cast<i32>(layout.output_dim));
-  b.Bind(copy_out);
-  b.Branch(Opcode::kBge, kT0, kT1, copy_out_done);
-  b.Emit(Opcode::kSlli, kT2, kT0, 0, 3);
-  b.Emit(Opcode::kAdd, kT3, kS5, kT2);
-  b.Load(Opcode::kLd, kT4, kT3, 0);
-  b.Li64(kT3, layout.output_addr);
-  b.Emit(Opcode::kAdd, kT3, kT3, kT2);
-  b.Store(Opcode::kSd, kT4, kT3, 0);
-  b.Emit(Opcode::kAddi, kT0, kT0, 0, 1);
-  b.Jump(copy_out);
-  b.Bind(copy_out_done);
+  EmitCopy(b, layout.input_addr, layout.act_a_addr, layout.input_dim);
+  b.Li64(kS0, layout.progress_addr);
+  for (size_t l = 0; l < model.num_layers(); ++l) {
+    const MlpLayer& layer = model.layer(l);
+    const u64 src = l % 2 == 0 ? layout.act_a_addr : layout.act_b_addr;
+    const u64 dst = layout.act_addr_for_layer(l);
+    const u32 groups = layer.in_dim / kUnroll;
+    const u32 remainder = layer.in_dim % kUnroll;
+    if (layer.out_dim > 0) {
+      // s1 walks the weight rows back to back, s2 the destination; bias[j]
+      // sits at a fixed offset from dst[j].
+      b.Li64(kS1, layer_ptrs[l].first);
+      b.Li64(kS2, dst);
+      b.Li64(kS4, dst + static_cast<u64>(layer.out_dim) * 8);
+      if (groups > 0) {
+        b.Li64(kS3, src + static_cast<u64>(groups) * kUnroll * 8);
+      }
+      const i32 bias_offset = static_cast<i32>(layer_ptrs[l].second - dst);
+      const auto neuron = b.NewLabel();
+      b.Bind(neuron);
+      b.Load(Opcode::kLd, kT4, kS2, bias_offset);
+      b.Li64(kT5, src);
+      if (groups > 0) {
+        const auto group = b.NewLabel();
+        b.Bind(group);
+        for (u32 k = 0; k < kUnroll; ++k) {
+          EmitMac(b, k);
+        }
+        b.Emit(Opcode::kAddi, kT5, kT5, 0, kUnroll * 8);
+        b.Emit(Opcode::kAddi, kS1, kS1, 0, kUnroll * 8);
+        b.Branch(Opcode::kBne, kT5, kS3, group);
+      }
+      for (u32 k = 0; k < remainder; ++k) {
+        EmitMac(b, k);
+      }
+      if (remainder > 0) {
+        b.Emit(Opcode::kAddi, kS1, kS1, 0, static_cast<i32>(remainder * 8));
+      }
+      b.Emit(Opcode::kSrai, kT4, kT4, 0, kFracBits);
+      if (l + 1 < model.num_layers()) {
+        const auto non_negative = b.NewLabel();
+        b.Branch(Opcode::kBge, kT4, kZero, non_negative);
+        b.Ldi(kT4, 0);
+        b.Bind(non_negative);
+      }
+      b.Store(Opcode::kSd, kT4, kS2, 0);
+      b.Emit(Opcode::kAddi, kS2, kS2, 0, 8);
+      b.Branch(Opcode::kBne, kS2, kS4, neuron);
+    }
+    // progress = l + 1 (watchpoint target for layer-boundary introspection).
+    b.Ldi(kT0, static_cast<i32>(l + 1));
+    b.Store(Opcode::kSd, kT0, kS0, 0);
+  }
+  EmitCopy(b, layout.act_addr_for_layer(model.num_layers() - 1), layout.output_addr,
+           layout.output_dim);
   // done = 1; halt.
   b.Li64(kT0, layout.done_addr);
   b.Ldi(kT1, 1);

@@ -4,11 +4,18 @@
 // Memory layout produced (all addresses are model-DRAM physical):
 //   [code_base, code_base + code_size)      program text (the MMU lockdown
 //                                           region the hypervisor arms)
-//   [data_base ...)                         in order: layer descriptor table,
-//                                           weights+bias blobs, input buffer,
+//   [data_base ...)                         in order: per layer the weights
+//                                           (one row per neuron, w[j][i])
+//                                           and the bias, input buffer,
 //                                           ping/pong activation buffers,
 //                                           output buffer, progress word,
 //                                           done flag
+//
+// Layer dims are compile-time constants, so each layer gets its own code:
+// per neuron, an inner loop walks the source activations and the weight row
+// with one pointer each, four multiply-accumulates per trip at immediate
+// load offsets, and the in_dim % 4 remainder runs straight-line. Every MAC
+// is a guest mul and add on a weight loaded from model DRAM.
 //
 // The program stores the layer index to `progress_addr` after finishing each
 // layer — that store is the watchpoint target the software hypervisor uses

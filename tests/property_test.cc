@@ -141,40 +141,94 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometrySweep,
 
 // --- Property: fully random MLPs match the GISA execution bit for bit. ---
 
-class MlpRandomShape : public ::testing::TestWithParam<u64> {};
-
-TEST_P(MlpRandomShape, GoldEquivalence) {
-  Rng rng(GetParam());
-  // Random depth 1-3 hidden layers, widths 2-12.
-  std::vector<u32> widths;
-  const int layers = static_cast<int>(2 + rng.NextBelow(3));
-  for (int i = 0; i <= layers; ++i) {
-    widths.push_back(static_cast<u32>(2 + rng.NextBelow(11)));
-  }
-  const MlpModel model = MlpModel::Random(widths, rng);
-
+DeploymentConfig MlpTestConfig(IntrospectionMode mode = IntrospectionMode::kNone) {
   DeploymentConfig config;
   config.machine.num_model_cores = 1;
   config.machine.num_hv_cores = 1;
   config.machine.model_dram_bytes = 1 << 20;
   config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
+  config.introspection = mode;
   config.data_base = 0x40000;
-  GuillotineSystem sys(config);
-  ASSERT_TRUE(sys.AttachDefaultDevices().ok());
-  ASSERT_TRUE(sys.HostModel(model, sys.MakeVerifier()).ok());
+  return config;
+}
 
-  std::vector<i64> input(widths.front());
+std::vector<i64> RandomInput(u32 width, Rng& rng) {
+  std::vector<i64> input(width);
   for (auto& v : input) {
     v = ToFixed(rng.NextGaussian() * 0.4);
   }
+  return input;
+}
+
+class MlpRandomShape : public ::testing::TestWithParam<u64> {};
+
+TEST_P(MlpRandomShape, GoldEquivalence) {
+  const u64 seed = GetParam();
+  Rng rng(seed);
+  // Random depth 1-3 hidden layers, widths 1-40. The compiler unrolls each
+  // inner loop by 4, so the input width 8 + seed % 4 + 4k gives every
+  // remainder (in_dim mod 4) at least two unrolled groups across the seeds.
+  std::vector<u32> widths = {static_cast<u32>(8 + seed % 4 + 4 * rng.NextBelow(8))};
+  const int layers = static_cast<int>(2 + rng.NextBelow(3));
+  for (int i = 0; i < layers; ++i) {
+    widths.push_back(static_cast<u32>(1 + rng.NextBelow(40)));
+  }
+  const MlpModel model = MlpModel::Random(widths, rng);
+
+  GuillotineSystem sys(MlpTestConfig());
+  ASSERT_TRUE(sys.AttachDefaultDevices().ok());
+  ASSERT_TRUE(sys.HostModel(model, sys.MakeVerifier()).ok());
+
+  const std::vector<i64> input = RandomInput(widths.front(), rng);
   const auto sandboxed = sys.InferVector(input);
   ASSERT_TRUE(sandboxed.ok()) << sandboxed.status().ToString();
   EXPECT_EQ(*sandboxed, model.Forward(input));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MlpRandomShape,
-                         ::testing::Values(100, 101, 102, 103, 104, 105, 106, 107));
+INSTANTIATE_TEST_SUITE_P(Seeds, MlpRandomShape, ::testing::Range<u64>(100, 132));
+
+// Every introspection mode computes the same answer, and only layer
+// watchpoints inspect activations: once per layer boundary. The widths give
+// in_dim mod 4 = 3, 2 and 1 behind at least two unrolled groups.
+class MlpIntrospection : public ::testing::TestWithParam<IntrospectionMode> {};
+
+TEST_P(MlpIntrospection, OutputAndOneInspectionPerLayer) {
+  Rng rng(61);
+  const MlpModel model = MlpModel::Random({11, 18, 9, 5}, rng);
+  GuillotineSystem sys(MlpTestConfig(GetParam()));
+  ASSERT_TRUE(sys.AttachDefaultDevices().ok());
+  ASSERT_TRUE(sys.HostModel(model, sys.MakeVerifier()).ok());
+
+  const std::vector<i64> input = RandomInput(model.input_dim(), rng);
+  const auto output = sys.InferVector(input);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_EQ(*output, model.Forward(input));
+  const size_t expected_inspections =
+      GetParam() == IntrospectionMode::kLayerWatchpoints ? model.num_layers() : 0;
+  EXPECT_EQ(sys.trace().CountKind("detect.activations"), expected_inspections);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, MlpIntrospection,
+                         ::testing::Values(IntrospectionMode::kNone,
+                                           IntrospectionMode::kLayerWatchpoints,
+                                           IntrospectionMode::kSingleStep));
+
+// The serving model's forward pass ({16, 32, 8}: 768 multiply-accumulates)
+// stays within the unrolled compiler's instruction budget (4,002 today); the
+// one-MAC-per-trip loop it replaced retired 10,905.
+TEST(MlpCompilerBudget, ForwardPassInstructionBudget) {
+  Rng rng(7);
+  const MlpModel model = MlpModel::Random({16, 32, 8}, rng);
+  GuillotineSystem sys(MlpTestConfig());
+  ASSERT_TRUE(sys.AttachDefaultDevices().ok());
+  ASSERT_TRUE(sys.HostModel(model, sys.MakeVerifier()).ok());
+  const std::vector<i64> input = RandomInput(model.input_dim(), rng);
+  const auto output = sys.InferVector(input);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_EQ(*output, model.Forward(input));
+  EXPECT_LE(sys.machine().model_core(0).stats().instructions, 4'600u);
+}
 
 // --- Property: quorum authorization is monotone in the vote count. ---
 
