@@ -120,11 +120,7 @@ Result<CompiledMlp> CompileMlp(const MlpModel& model, u64 code_base, u64 data_ba
   data.resize(layout.data_size, 0);  // buffers and flags start zeroed
 
   // ---- Program ----
-  // Layer dims are compile-time constants, so every layer gets its own code
-  // with immediate bounds: per neuron, acc = bias, then an inner loop of
-  // kUnroll multiply-accumulates per trip with immediate load offsets, the
-  // in_dim % kUnroll remainder straight-line, the shift back to Q(frac),
-  // ReLU on hidden layers and the store.
+  // One block of code per layer, its bounds immediates (see the header).
   ProgramBuilder b;
   EmitCopy(b, layout.input_addr, layout.act_a_addr, layout.input_dim);
   b.Li64(kS0, layout.progress_addr);

@@ -69,7 +69,8 @@ struct LatencySummary {
   double p999 = 0.0;
 
   static LatencySummary Of(const Histogram& h) {
-    return {h.count(), h.mean(), h.Percentile(50), h.Percentile(99), h.Percentile(99.9)};
+    return {h.count(), h.mean(), h.Percentile(50), h.Percentile(99),
+            h.Percentile(99.9)};
   }
 };
 

@@ -255,9 +255,9 @@ TEST(InvariantCheckerTest, OpenWorldRetentionKeepsInvariantsAndDigest) {
         .InjectPrompt("please summarize the audit trail")
         .FloodInterrupts(400)
         .RequestIsolation(IsolationLevel::kProbation, {0, 1, 2, 3, 4})
-        .AttemptExfiltration(66, "weights shard")
         .Pump(kTrafficBurst)
         .RequestIsolation(IsolationLevel::kSevered, {0, 1, 2, 3, 4})
+        .AttemptExfiltration(66, "weights shard")
         .DropHeartbeats(200'000)
         .Pump(4);
     return s;
