@@ -9,6 +9,8 @@
 // instructions and returns the same inference output, layer watchpoints
 // inspect exactly one boundary per layer (none inspects nothing), and single
 // stepping issues at least one control-bus operation per retired instruction.
+// Guest time orders the modes by what they see: single stepping takes more
+// cycles than layer watchpoints, and watchpoints no fewer than running free.
 #include "bench/bench_common.h"
 #include "src/core/guillotine.h"
 
@@ -93,6 +95,11 @@ int Run() {
   row("layer_watchpoints", wp, wp.activations_inspected == Dims().size() - 1);
   row("single_step", step, step.control_ops >= step.instructions);
   table.Print();
+  // Visibility costs guest time in order: single stepping pays a control-bus
+  // step per instruction, watchpoints a trap per layer, running free nothing.
+  report.Gate(step.total > wp.total && wp.total >= none.total,
+              "guest time is not single_step > layer_watchpoints >= none (",
+              step.total, " / ", wp.total, " / ", none.total, " cycles)");
   return report.Finish(
       "watchpoint introspection inspects every layer boundary for a small "
       "constant factor in guest time and hypervisor work; single-stepping "

@@ -5,11 +5,24 @@
 //
 //   $ ./examples/guest_asm
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/core/guillotine.h"
 #include "src/isa/disasm.h"
 
 using namespace guillotine;
+
+namespace {
+
+// Stops the example when a step its output depends on did not run.
+void Require(const Status& status, const char* what) {
+  if (!status.ok()) {
+    std::printf("%s failed: %s\n", what, status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+}  // namespace
 
 int main() {
   std::printf("== GISA guest playground ==\n\n");
@@ -55,14 +68,16 @@ int main() {
   ControlBus& bus = sys.hv().control_bus();
 
   // Load under lockdown, set a write-watchpoint on the publish address.
-  sys.hv().LoadModel(0, code, 0x1000, 0x1000).ok();
-  bus.SetWatchpoint(0, 0, 0x20000, 0x20008, false, false, true).ok();
+  Require(sys.hv().LoadModel(0, code, 0x1000, 0x1000), "model load");
+  Require(bus.SetWatchpoint(0, 0, 0x20000, 0x20008, false, false, true).status(),
+          "watchpoint");
 
   // Single-step the first five instructions, dumping the register deltas.
   std::printf("single-stepping the first 5 instructions:\n");
   for (int i = 0; i < 5; ++i) {
-    bus.SingleStep(0, 0).ok();
+    Require(bus.SingleStep(0, 0).status(), "single step");
     const auto arch = bus.ReadArchState(0, 0);
+    Require(arch.status(), "register read");
     std::printf("  pc=0x%llx t0=%lld a0=%lld a1=%lld\n",
                 static_cast<unsigned long long>(arch->pc),
                 static_cast<long long>(arch->x[12]),
@@ -72,7 +87,7 @@ int main() {
 
   // Resume to the watchpoint: the store to 0x20000 halts the core BEFORE
   // the value lands, so the hypervisor can veto or observe it.
-  bus.Resume(0, 0).ok();
+  Require(bus.Resume(0, 0), "resume");
   ModelCore& core = sys.machine().model_core(0);
   while (core.state() == RunState::kRunning) {
     sys.machine().RunQuantum(10'000);
@@ -86,11 +101,12 @@ int main() {
                 static_cast<unsigned long long>(event.address));
   }
   const auto arch = bus.ReadArchState(0, 0);
+  Require(arch.status(), "register read");
   std::printf("  about to publish a0=%lld (fib(12)=144 expected)\n",
               static_cast<long long>(arch->x[4]));
 
   // Let it finish; verify the published value over the private DRAM bus.
-  bus.Resume(0, 0).ok();
+  Require(bus.Resume(0, 0), "resume");
   while (core.state() == RunState::kRunning) {
     sys.machine().RunQuantum(10'000);
   }
@@ -105,5 +121,5 @@ int main() {
               static_cast<unsigned long long>(core.stats().instructions),
               static_cast<unsigned long long>(core.stats().cycles),
               static_cast<unsigned long long>(core.stats().traps));
-  return 0;
+  return published == 144 ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 //
 //   $ ./examples/policy_audit
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/core/guillotine.h"
 #include "src/policy/audit.h"
@@ -11,6 +12,18 @@
 #include "src/policy/risk.h"
 
 using namespace guillotine;
+
+namespace {
+
+// Stops the example when a step its output depends on did not run.
+void Require(const Status& status, const char* what) {
+  if (!status.ok()) {
+    std::printf("%s failed: %s\n", what, status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+}  // namespace
 
 int main() {
   std::printf("== Policy hypervisor walkthrough ==\n\n");
@@ -44,7 +57,7 @@ int main() {
   config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);
-  sys.AttachDefaultDevices().ok();
+  Require(sys.AttachDefaultDevices(), "device setup");
   Regulator regulator("EU-AI-Office", sys.rng());
   const AttestationVerifier verifier = sys.MakeVerifier();
   const auto cert = regulator.IssueHypervisorCertificate(
@@ -54,6 +67,7 @@ int main() {
   std::printf("  certificate issued: %s (guillotine extension: %s)\n",
               cert.ok() ? "yes" : cert.status().ToString().c_str(),
               cert.ok() && cert->IsGuillotineHypervisor() ? "present" : "-");
+  Require(cert.status(), "certification");
 
   // 3. In-person audits + kill-switch tests feed the compliance record.
   std::printf("\nphysical audit:\n");
@@ -100,9 +114,8 @@ int main() {
   }
 
   // 5. Remote audit by the regulator's network-connected audit computer.
-  std::printf("\nremote audit: %s\n",
-              regulator.RemoteAudit(sys.hv(), verifier, sys.device_key(), sys.rng())
-                  .ToString()
-                  .c_str());
-  return 0;
+  const Status remote =
+      regulator.RemoteAudit(sys.hv(), verifier, sys.device_key(), sys.rng());
+  std::printf("\nremote audit: %s\n", remote.ToString().c_str());
+  return remote.ok() ? 0 : 1;
 }

@@ -5,11 +5,24 @@
 //
 //   $ ./examples/rag_service
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/core/guillotine.h"
 #include "src/service/service.h"
 
 using namespace guillotine;
+
+namespace {
+
+// Stops the example when a step its output depends on did not run.
+void Require(const Status& status, const char* what) {
+  if (!status.ok()) {
+    std::printf("%s failed: %s\n", what, status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+}  // namespace
 
 int main() {
   std::printf("== RAG model service on Guillotine ==\n\n");
@@ -30,10 +43,10 @@ int main() {
   config.console.heartbeat.timeout = ~0ULL >> 1;
   config.data_base = 0x40000;
   GuillotineSystem sys(config);
-  sys.AttachDefaultDevices(&knowledge).ok();
+  Require(sys.AttachDefaultDevices(&knowledge), "device setup");
   Rng rng(11);
   const MlpModel model = MlpModel::Random({16, 32, 8}, rng);
-  sys.HostModel(model, sys.MakeVerifier()).ok();
+  Require(sys.HostModel(model, sys.MakeVerifier()), "model load");
 
   // The serving layer performs retrieval through the hypervisor-mediated
   // RAG port before each inference (CPU-orchestrated RAG, as in section 2).
@@ -47,7 +60,7 @@ int main() {
     for (i64 v : EmbedPrompt(prompt, knowledge.dim())) {
       PutU64(slot.payload, static_cast<u64>(v));
     }
-    requests.Push(slot).ok();
+    Require(requests.Push(slot), "retrieval request");
     sys.hv().ServiceOnce(0, /*poll_all=*/true);
     RingView responses = sys.machine().io_dram().ResponseRing(binding->region);
     std::vector<RagHit> hits;

@@ -4,6 +4,7 @@
 //
 //   $ ./examples/rogue_containment
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/core/guillotine.h"
 #include "src/machine/storage.h"
@@ -14,9 +15,18 @@ using namespace guillotine;
 
 namespace {
 
+// Stops the example when a step its output depends on did not run.
+void Require(const Status& status, const char* what) {
+  if (!status.ok()) {
+    std::printf("%s failed: %s\n", what, status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
 std::vector<i64> ReadResults(GuillotineSystem& sys, const AttackProgram& attack) {
   std::vector<u8> raw(attack.result_slots * 8);
-  sys.hv().control_bus().ReadModelDram(0, attack.result_addr, raw).ok();
+  Require(sys.hv().control_bus().ReadModelDram(0, attack.result_addr, raw),
+          "result read");
   return UnpackI64(raw);
 }
 
@@ -32,14 +42,16 @@ int main() {
   config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);
-  sys.AttachDefaultDevices().ok();
+  Require(sys.AttachDefaultDevices(), "device setup");
 
   // --- Attack 1: introspect the sandbox (find hypervisor state) ---
   std::printf("[attack 1] address-space introspection probe\n");
   {
     const auto probe = BuildIntrospectionProbe(0x1000, 0x30000, 0x80000000ULL,
                                                kPageSize, 64);
-    sys.RunGuestProgram(0, probe.code, probe.code_base, probe.entry, 50'000'000).ok();
+    Require(sys.RunGuestProgram(0, probe.code, probe.code_base, probe.entry, 50'000'000)
+                .status(),
+            "introspection probe");
     const auto r = ReadResults(sys, probe);
     std::printf("  probes=%lld faults=%lld reads=%lld — hypervisor DRAM has no "
                 "address; nothing to find\n\n",
@@ -51,8 +63,10 @@ int main() {
   std::printf("[attack 2] self-modification under MMU lockdown\n");
   {
     const auto inject = BuildSelfModifyAttack(0x1000, 0x31000, 0x38000);
-    sys.RunGuestProgram(0, inject.code, inject.code_base, inject.entry,
-                        50'000'000).ok();
+    Require(sys.RunGuestProgram(0, inject.code, inject.code_base, inject.entry,
+                                50'000'000)
+                .status(),
+            "self-modification attack");
     const auto r = ReadResults(sys, inject);
     std::printf("  text-store faulted=%lld, injected code ran=%lld, data-jump "
                 "faulted=%lld — W^X held\n\n",
@@ -64,8 +78,10 @@ int main() {
   std::printf("[attack 3] executable-PTE forgery\n");
   {
     const auto forge = BuildExecPageAttack(0x1000, 0x32000, 0x20000, 0x60000);
-    sys.RunGuestProgram(0, forge.code, forge.code_base, forge.entry,
-                        200'000'000).ok();
+    Require(sys.RunGuestProgram(0, forge.code, forge.code_base, forge.entry,
+                                200'000'000)
+                .status(),
+            "page-table forgery");
     const auto r = ReadResults(sys, forge);
     std::printf("  payload executed=%lld (fetch fault observed=%lld) — the MMU "
                 "treats exec PTEs outside the armed region as invalid\n\n",
@@ -78,7 +94,9 @@ int main() {
     const u32 disk =
         sys.machine().AttachDevice(std::make_unique<StorageDevice>(64));
     const auto port = sys.hv().CreatePort(disk, PortRights{});
+    Require(port.status(), "port creation");
     const auto info = sys.hv().PortInfo(*port);
+    Require(info.status(), "port info");
     const auto flood = BuildDoorbellFlood(0x1000, 0x33000, *info, 20'000);
     const auto state = sys.RunGuestProgram(0, flood.code, flood.code_base,
                                            flood.entry, 100'000'000);

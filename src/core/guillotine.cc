@@ -159,10 +159,14 @@ Status GuillotineSystem::RunForwardPass(Cycles max_cycles) {
   bool severed = false;
   while (clock_.now() < deadline) {
     if (config_.introspection == IntrospectionMode::kSingleStep) {
-      // The hypervisor core walks the model one instruction at a time.
+      // The hypervisor core walks the model one instruction at a time. A
+      // quantum of the clock holds as many steps as fit in it, counting
+      // each instruction's guest cycles plus the control-bus step cost.
       bus.Pause(0, 0).ok();
-      for (int i = 0; i < 1024 && core.state() == RunState::kHalted; ++i) {
-        GLL_RETURN_IF_ERROR(bus.SingleStep(0, 0));
+      for (Cycles spent = 0;
+           spent < config_.quantum && core.state() == RunState::kHalted;) {
+        GLL_ASSIGN_OR_RETURN(const Cycles consumed, bus.SingleStep(0, 0));
+        spent += consumed + ControlBus::kStepCost;
       }
       clock_.Advance(config_.quantum);
       scheduler_.RunPass(/*poll_all=*/true);

@@ -49,13 +49,13 @@ Status ControlBus::Resume(int hv_core, int model_core) {
   return OkStatus();
 }
 
-Status ControlBus::SingleStep(int hv_core, int model_core) {
+Result<Cycles> ControlBus::SingleStep(int hv_core, int model_core) {
   GLL_RETURN_IF_ERROR(CheckCores(hv_core, model_core));
   Cycles consumed = 0;
   GLL_RETURN_IF_ERROR(machine_.model_core(model_core).SingleStep(consumed));
   Charge(hv_core, kStepCost);
   Log(hv_core, model_core, "ctl.step");
-  return OkStatus();
+  return consumed;
 }
 
 Status ControlBus::PowerDown(int hv_core, int model_core) {

@@ -36,7 +36,9 @@ class ControlBus {
   // --- Core run control ---
   Status Pause(int hv_core, int model_core);
   Status Resume(int hv_core, int model_core);
-  Status SingleStep(int hv_core, int model_core);
+  // Executes one instruction on a halted core; returns the guest cycles it
+  // took (kStepCost is charged to the hv core on top).
+  Result<Cycles> SingleStep(int hv_core, int model_core);
   Status PowerDown(int hv_core, int model_core);
   Status PowerUp(int hv_core, int model_core, u64 boot_pc);
 

@@ -89,24 +89,6 @@ std::vector<int> PickVotes(Rng& rng, int num_admins) {
   return ids;
 }
 
-Scenario FromSteps(const std::string& name, const std::vector<ScenarioStep>& steps,
-                   u32 hv_cores, bool priority_traffic,
-                   const std::optional<TrafficShape>& traffic, bool recovery,
-                   u32 fabric_hosts) {
-  Scenario scenario(name);
-  scenario.WithHvCores(hv_cores);
-  scenario.WithPriorityTraffic(priority_traffic);
-  if (traffic.has_value()) {
-    scenario.WithTraffic(*traffic);
-  }
-  scenario.WithRecovery(recovery);
-  scenario.WithFabric(fabric_hosts);
-  for (const ScenarioStep& step : steps) {
-    scenario.Append(step);
-  }
-  return scenario;
-}
-
 // Invariant context over a finished run: the base trio plus (when the
 // scenario rode open-world traffic) the service's per-shard KV caches, so
 // kv-quota-monotonicity replays the continuous loop's audit logs too.
@@ -334,9 +316,7 @@ Scenario ScenarioFuzzer::Shrink(const Scenario& scenario) {
     }
     --budget;
     ScenarioRunner runner(config_.runner);
-    const Scenario s = FromSteps(scenario.name(), candidate, scenario.hv_cores(),
-                                 scenario.priority_traffic(), scenario.traffic(),
-                                 scenario.recovery(), scenario.fabric_hosts());
+    const Scenario s = scenario.Derive(scenario.name(), candidate);
     const ScenarioResult r = runner.Run(s);
     const InvariantContext ctx = ContextFor(s, r, runner);
     return !checker_.Check(ctx).empty();
@@ -394,9 +374,7 @@ Scenario ScenarioFuzzer::Shrink(const Scenario& scenario) {
       }
     }
   }
-  return FromSteps(scenario.name() + "-min", steps, scenario.hv_cores(),
-                   scenario.priority_traffic(), scenario.traffic(),
-                   scenario.recovery(), scenario.fabric_hosts());
+  return scenario.Derive(scenario.name() + "-min", std::move(steps));
 }
 
 std::string ScenarioFuzzer::ReproScript(

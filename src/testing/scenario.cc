@@ -1,8 +1,12 @@
 #include "src/testing/scenario.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <variant>
 
 #include "src/core/federation.h"
 #include "src/machine/control_channel.h"
@@ -11,173 +15,101 @@
 
 namespace guillotine {
 
-std::string_view ScenarioStepKindName(ScenarioStepKind k) {
-  switch (k) {
-    case ScenarioStepKind::kHostModel: return "host_model";
-    case ScenarioStepKind::kInjectPrompt: return "inject_prompt";
-    case ScenarioStepKind::kEmitOutput: return "emit_output";
-    case ScenarioStepKind::kFloodInterrupts: return "flood_interrupts";
-    case ScenarioStepKind::kAttemptExfil: return "attempt_exfil";
-    case ScenarioStepKind::kDropHeartbeats: return "drop_heartbeats";
-    case ScenarioStepKind::kRestoreHeartbeats: return "restore_heartbeats";
-    case ScenarioStepKind::kRequestIsolation: return "request_isolation";
-    case ScenarioStepKind::kHvEscalate: return "hv_escalate";
-    case ScenarioStepKind::kAdvanceClock: return "advance_clock";
-    case ScenarioStepKind::kPump: return "pump";
-    case ScenarioStepKind::kRecoverSnapshot: return "recover_snapshot";
-    case ScenarioStepKind::kQuarantineMigrate: return "quarantine_migrate";
-    case ScenarioStepKind::kSeverFabricHost: return "sever_fabric_host";
-    case ScenarioStepKind::kHealFabricHost: return "heal_fabric_host";
-    case ScenarioStepKind::kCustom: return "custom";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------------------
 // Scenario builder
 // ---------------------------------------------------------------------------
 
 Scenario& Scenario::HostDefaultModel(std::vector<u32> dims, u64 weight_seed) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kHostModel;
-  s.model_dims = std::move(dims);
-  s.seed = weight_seed;
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kHostModel,
+                 .model_dims = std::move(dims),
+                 .seed = weight_seed});
 }
 
 Scenario& Scenario::InjectPrompt(std::string prompt) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kInjectPrompt;
-  s.text = std::move(prompt);
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kInjectPrompt, .text = std::move(prompt)});
 }
 
 Scenario& Scenario::EmitOutput(std::string response) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kEmitOutput;
-  s.text = std::move(response);
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kEmitOutput, .text = std::move(response)});
 }
 
 Scenario& Scenario::FloodInterrupts(u32 doorbells) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kFloodInterrupts;
-  s.amount = doorbells;
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kFloodInterrupts, .amount = doorbells});
 }
 
 Scenario& Scenario::AttemptExfiltration(u32 dst_host, std::string payload) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kAttemptExfil;
-  s.host = dst_host;
-  s.text = std::move(payload);
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kAttemptExfil,
+                 .text = std::move(payload),
+                 .host = dst_host});
 }
 
 Scenario& Scenario::DropHeartbeats(Cycles duration) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kDropHeartbeats;
-  s.amount = duration;
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kDropHeartbeats, .amount = duration});
 }
 
 Scenario& Scenario::RestoreHeartbeats() {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kRestoreHeartbeats;
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kRestoreHeartbeats});
 }
 
 Scenario& Scenario::RequestIsolation(IsolationLevel target,
                                      std::vector<int> approving_admins) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kRequestIsolation;
-  s.level = target;
-  s.votes = std::move(approving_admins);
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kRequestIsolation,
+                 .level = target,
+                 .votes = std::move(approving_admins)});
 }
 
 Scenario& Scenario::EscalateFromHypervisor(IsolationLevel target, std::string reason) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kHvEscalate;
-  s.level = target;
-  s.text = std::move(reason);
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kHvEscalate,
+                 .text = std::move(reason),
+                 .level = target});
 }
 
 Scenario& Scenario::AdvanceClock(Cycles cycles) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kAdvanceClock;
-  s.amount = cycles;
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kAdvanceClock, .amount = cycles});
 }
 
 Scenario& Scenario::Pump(u64 rounds) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kPump;
-  s.amount = rounds;
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kPump, .amount = rounds});
 }
 
 Scenario& Scenario::RecoverSnapshot(IsolationLevel target,
                                     std::vector<int> approving_admins,
                                     std::string tamper) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kRecoverSnapshot;
-  s.level = target;
-  s.votes = std::move(approving_admins);
-  s.text = std::move(tamper);
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kRecoverSnapshot,
+                 .text = std::move(tamper),
+                 .level = target,
+                 .votes = std::move(approving_admins)});
 }
 
 Scenario& Scenario::QuarantineMigrate(std::string tamper) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kQuarantineMigrate;
-  s.text = std::move(tamper);
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kQuarantineMigrate, .text = std::move(tamper)});
 }
 
 Scenario& Scenario::SeverFabricHost(u64 member) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kSeverFabricHost;
-  s.amount = member;
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kSeverFabricHost, .amount = member});
 }
 
 Scenario& Scenario::HealFabricHost(u64 member) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kHealFabricHost;
-  s.amount = member;
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kHealFabricHost, .amount = member});
 }
 
 Scenario& Scenario::Custom(std::string label,
                            std::function<void(GuillotineSystem&, StepOutcome&)> fn) {
-  ScenarioStep s;
-  s.kind = ScenarioStepKind::kCustom;
-  s.text = std::move(label);
-  s.custom = std::move(fn);
-  steps_.push_back(std::move(s));
-  return *this;
+  return Append({.kind = ScenarioStepKind::kCustom,
+                 .text = std::move(label),
+                 .custom = std::move(fn)});
 }
 
 Scenario& Scenario::Append(ScenarioStep step) {
   steps_.push_back(std::move(step));
   return *this;
+}
+
+Scenario Scenario::Derive(std::string name, std::vector<ScenarioStep> steps) const {
+  Scenario derived = *this;
+  derived.name_ = std::move(name);
+  derived.steps_ = std::move(steps);
+  return derived;
 }
 
 Scenario& Scenario::WithHvCores(u32 hv_cores) {
@@ -211,8 +143,128 @@ Scenario& Scenario::WithFabric(u32 hosts) {
 
 namespace {
 
-std::string QuoteText(std::string_view text) {
-  std::string out = "\"";
+// How a field's value is spelled on a script line.
+enum class FieldType : u8 {
+  kNone,     // an unused slot of a step row
+  kText,     // quoted string
+  kU64,      // decimal
+  kU32,      // decimal, at most 2^32 - 1
+  kLevel,    // IsolationLevelName
+  kVotes,    // comma-separated admin indices
+  kDims,     // comma-separated layer widths
+  kTamper,   // a kSnapshotTamperModes name, written "none" when empty
+  kFlag,     // 1 when set
+  kShape,    // TrafficShapeName
+  kRetired,  // a key old scripts carry: read and dropped, never written
+};
+
+// A field is always written (so a parse requires it), or left out when its
+// value is empty (0, false, no votes, no traffic).
+enum class Presence : u8 { kRequired, kOmitEmpty };
+constexpr Presence kOmitEmpty = Presence::kOmitEmpty;
+
+// One field of a script line: `key=value`, or the line's positional quoted
+// text when `key` is empty. `member` is what the field fills in `Owner`: a
+// ScenarioStep, or the Scenario itself on the header line.
+template <typename Owner>
+struct Field {
+  std::string_view key;
+  FieldType type = FieldType::kNone;
+  std::variant<std::monostate, std::string Owner::*, u64 Owner::*, u32 Owner::*,
+               bool Owner::*, IsolationLevel Owner::*, std::vector<int> Owner::*,
+               std::vector<u32> Owner::*, std::optional<TrafficShape> Owner::*>
+      member;
+  Presence presence = Presence::kRequired;
+};
+
+// One verb and its fields, in the order they are written.
+struct StepRow {
+  ScenarioStepKind kind;
+  std::string_view verb;
+  std::array<Field<ScenarioStep>, 3> fields;
+};
+
+using T = FieldType;
+using S = ScenarioStep;
+
+// The script vocabulary: one row per ScenarioStepKind, in enum order.
+constexpr StepRow kStepTable[] = {
+    {ScenarioStepKind::kHostModel, "host_model",
+     {{{"dims", T::kDims, &S::model_dims}, {"seed", T::kU64, &S::seed}}}},
+    {ScenarioStepKind::kInjectPrompt, "inject_prompt", {{{"", T::kText, &S::text}}}},
+    {ScenarioStepKind::kEmitOutput, "emit_output", {{{"", T::kText, &S::text}}}},
+    {ScenarioStepKind::kFloodInterrupts, "flood_interrupts",
+     {{{"count", T::kU32, &S::amount}}}},
+    {ScenarioStepKind::kAttemptExfil, "attempt_exfil",
+     {{{"host", T::kU32, &S::host}, {"payload", T::kText, &S::text}}}},
+    {ScenarioStepKind::kDropHeartbeats, "drop_heartbeats",
+     {{{"cycles", T::kU64, &S::amount}}}},
+    {ScenarioStepKind::kRestoreHeartbeats, "restore_heartbeats", {}},
+    {ScenarioStepKind::kRequestIsolation, "request_isolation",
+     {{{"level", T::kLevel, &S::level}, {"votes", T::kVotes, &S::votes, kOmitEmpty}}}},
+    {ScenarioStepKind::kHvEscalate, "hv_escalate",
+     {{{"level", T::kLevel, &S::level}, {"reason", T::kText, &S::text}}}},
+    {ScenarioStepKind::kAdvanceClock, "advance_clock",
+     {{{"cycles", T::kU64, &S::amount}}}},
+    {ScenarioStepKind::kPump, "pump", {{{"rounds", T::kU64, &S::amount}}}},
+    {ScenarioStepKind::kRecoverSnapshot, "recover_snapshot",
+     {{{"level", T::kLevel, &S::level},
+       {"tamper", T::kTamper, &S::text},
+       {"votes", T::kVotes, &S::votes, kOmitEmpty}}}},
+    {ScenarioStepKind::kQuarantineMigrate, "quarantine_migrate",
+     {{{"tamper", T::kTamper, &S::text}}}},
+    {ScenarioStepKind::kSeverFabricHost, "sever_fabric_host",
+     {{{"member", T::kU64, &S::amount}}}},
+    {ScenarioStepKind::kHealFabricHost, "heal_fabric_host",
+     {{{"member", T::kU64, &S::amount}}}},
+    // Holds code: named in outcomes, never written or read.
+    {ScenarioStepKind::kCustom, "custom", {}},
+};
+
+consteval bool StepTableInEnumOrder() {
+  for (size_t i = 0; i < std::size(kStepTable); ++i) {
+    if (kStepTable[i].kind != static_cast<ScenarioStepKind>(i)) {
+      return false;
+    }
+  }
+  return std::size(kStepTable) == static_cast<size_t>(ScenarioStepKind::kCustom) + 1;
+}
+static_assert(StepTableInEnumOrder(),
+              "kStepTable needs one row per ScenarioStepKind, in enum order");
+
+}  // namespace
+
+// The header line: `scenario "name"` plus the corpus-slice flags. A friend
+// of Scenario, so its fields can name the private members they fill.
+struct ScriptHeader {
+  static constexpr std::string_view kVerb = "scenario";
+  static constexpr Field<Scenario> kFields[] = {
+      {"", T::kText, &Scenario::name_},
+      {"hv_cores", T::kU32, &Scenario::hv_cores_, kOmitEmpty},
+      {"priority", T::kFlag, &Scenario::priority_traffic_, kOmitEmpty},
+      {"recovery", T::kFlag, &Scenario::recovery_, kOmitEmpty},
+      {"fabric", T::kU32, &Scenario::fabric_hosts_, kOmitEmpty},
+      {"traffic", T::kShape, &Scenario::traffic_, kOmitEmpty},
+      // The retired detector-batching slice: repro files that carry it
+      // still replay.
+      {"detector_batch", T::kRetired, {}, kOmitEmpty},
+  };
+};
+
+std::string_view ScenarioStepKindName(ScenarioStepKind k) {
+  const auto i = static_cast<size_t>(k);
+  return i < std::size(kStepTable) ? kStepTable[i].verb : "unknown";
+}
+
+namespace {
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+void AppendQuoted(std::string& out, std::string_view text) {
+  out += '"';
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -230,29 +282,89 @@ std::string QuoteText(std::string_view text) {
     }
   }
   out += '"';
-  return out;
 }
 
-std::string JoinU32(const std::vector<u32>& values) {
-  std::string out;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += std::to_string(values[i]);
-  }
-  return out;
+template <typename N>
+void AppendNumber(std::string& out, N value) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), value).ptr);
 }
 
-std::string JoinInt(const std::vector<int>& values) {
-  std::string out;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out += ',';
+template <typename Owner>
+void AppendValue(std::string& out, const Field<Owner>& field, const Owner& owner) {
+  std::visit(Overloaded{
+                 [](std::monostate) {},
+                 [&](std::string Owner::*m) {
+                   const std::string& text = owner.*m;
+                   if (field.type != T::kTamper) {
+                     AppendQuoted(out, text);
+                   } else {
+                     out += text.empty() ? "none" : std::string_view(text);
+                   }
+                 },
+                 [&](bool Owner::*m) { out += owner.*m ? '1' : '0'; },
+                 [&](IsolationLevel Owner::*m) { out += IsolationLevelName(owner.*m); },
+                 [&](std::optional<TrafficShape> Owner::*m) {
+                   out += TrafficShapeName(*(owner.*m));
+                 },
+                 [&]<typename N>(std::vector<N> Owner::*m) {
+                   for (size_t i = 0; i < (owner.*m).size(); ++i) {
+                     if (i > 0) {
+                       out += ',';
+                     }
+                     AppendNumber(out, (owner.*m)[i]);
+                   }
+                 },
+                 [&]<typename N>(N Owner::*m) { AppendNumber(out, owner.*m); },
+             },
+             field.member);
+}
+
+template <typename Owner>
+bool IsEmpty(const Field<Owner>& field, const Owner& owner) {
+  return std::visit(Overloaded{[](std::monostate) { return true; },
+                               [&](std::optional<TrafficShape> Owner::*m) {
+                                 return !(owner.*m).has_value();
+                               },
+                               [&](auto m) {
+                                 using V = std::remove_cvref_t<decltype(owner.*m)>;
+                                 return owner.*m == V{};
+                               }},
+                    field.member);
+}
+
+// Writes one line: the verb, then each field that is required or set.
+template <typename Owner>
+Status AppendLine(std::string& out, std::string_view verb,
+                  std::span<const Field<Owner>> fields, const Owner& owner) {
+  out += verb;
+  for (const Field<Owner>& field : fields) {
+    if (field.type == T::kNone) {
+      continue;
     }
-    out += std::to_string(values[i]);
+    if (IsEmpty(field, owner)) {
+      if (field.presence == kOmitEmpty) {
+        continue;
+      }
+      if (field.type == T::kDims) {  // an empty list would not read back
+        return InvalidArgument(std::string(verb) + " step has no " +
+                               std::string(field.key));
+      }
+    }
+    out += ' ';
+    if (!field.key.empty()) {
+      out += field.key;
+      out += '=';
+    }
+    AppendValue(out, field, owner);
   }
-  return out;
+  out += '\n';
+  return OkStatus();
+}
+
+Status LineError(size_t line_no, std::string_view why) {
+  return InvalidArgument("scenario script line " + std::to_string(line_no) + ": " +
+                         std::string(why));
 }
 
 // One whitespace-separated token of a script line: either a bare word or a
@@ -260,16 +372,11 @@ std::string JoinInt(const std::vector<int>& values) {
 struct ScriptToken {
   std::string key;    // empty for bare words
   std::string value;  // unescaped
-  bool quoted = false;
 };
 
 Result<std::vector<ScriptToken>> TokenizeLine(std::string_view line, size_t line_no) {
   std::vector<ScriptToken> tokens;
   size_t i = 0;
-  auto syntax_error = [&](std::string_view why) {
-    return InvalidArgument("scenario script line " + std::to_string(line_no) + ": " +
-                           std::string(why));
-  };
   while (i < line.size()) {
     if (line[i] == ' ' || line[i] == '\t') {
       ++i;
@@ -293,15 +400,14 @@ Result<std::vector<ScriptToken>> TokenizeLine(std::string_view line, size_t line
       tokens.push_back(std::move(token));
       continue;
     } else if (i != start) {
-      return syntax_error("quote in the middle of a bare word");
+      return LineError(line_no, "quote in the middle of a bare word");
     }
     if (i < line.size() && line[i] == '"') {
-      token.quoted = true;
       ++i;
       while (i < line.size() && line[i] != '"') {
         if (line[i] == '\\') {
           if (i + 1 >= line.size()) {
-            return syntax_error("dangling escape");
+            return LineError(line_no, "dangling escape");
           }
           const char esc = line[i + 1];
           if (esc == 'n') {
@@ -309,7 +415,7 @@ Result<std::vector<ScriptToken>> TokenizeLine(std::string_view line, size_t line
             i += 2;
           } else if (esc == 'x') {
             if (i + 3 >= line.size()) {
-              return syntax_error("truncated \\x escape");
+              return LineError(line_no, "truncated \\x escape");
             }
             auto nibble = [](char c) -> int {
               if (c >= '0' && c <= '9') return c - '0';
@@ -320,7 +426,7 @@ Result<std::vector<ScriptToken>> TokenizeLine(std::string_view line, size_t line
             const int hi = nibble(line[i + 2]);
             const int lo = nibble(line[i + 3]);
             if (hi < 0 || lo < 0) {
-              return syntax_error("bad \\x escape");
+              return LineError(line_no, "bad \\x escape");
             }
             token.value += static_cast<char>((hi << 4) | lo);
             i += 4;
@@ -334,7 +440,7 @@ Result<std::vector<ScriptToken>> TokenizeLine(std::string_view line, size_t line
         }
       }
       if (i >= line.size()) {
-        return syntax_error("unterminated string");
+        return LineError(line_no, "unterminated string");
       }
       ++i;  // closing quote
     } else {
@@ -353,36 +459,32 @@ Result<std::vector<ScriptToken>> TokenizeLine(std::string_view line, size_t line
 Result<u64> ParseNumber(std::string_view text, size_t line_no) {
   u64 value = 0;
   if (text.empty()) {
-    return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                           ": empty number");
+    return LineError(line_no, "empty number");
   }
   for (const char c : text) {
     if (c < '0' || c > '9') {
-      return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                             ": bad number '" + std::string(text) + "'");
+      return LineError(line_no, "bad number '" + std::string(text) + "'");
     }
     const u64 digit = static_cast<u64>(c - '0');
     if (value > (~0ULL - digit) / 10) {
-      return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                             ": number '" + std::string(text) + "' overflows u64");
+      return LineError(line_no, "number '" + std::string(text) + "' overflows u64");
     }
     value = value * 10 + digit;
   }
   return value;
 }
 
-template <typename T>
-Result<T> NarrowNumber(u64 v, size_t line_no) {
-  if (v > static_cast<u64>(std::numeric_limits<T>::max())) {
-    return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                           ": number " + std::to_string(v) + " out of range");
+template <typename N>
+Result<N> NarrowNumber(u64 v, size_t line_no) {
+  if (v > static_cast<u64>(std::numeric_limits<N>::max())) {
+    return LineError(line_no, "number " + std::to_string(v) + " out of range");
   }
-  return static_cast<T>(v);
+  return static_cast<N>(v);
 }
 
-template <typename T>
-Result<std::vector<T>> ParseNumberList(std::string_view text, size_t line_no) {
-  std::vector<T> out;
+template <typename N>
+Result<std::vector<N>> ParseNumberList(std::string_view text, size_t line_no) {
+  std::vector<N> out;
   size_t start = 0;
   while (start <= text.size()) {
     size_t end = text.find(',', start);
@@ -390,7 +492,7 @@ Result<std::vector<T>> ParseNumberList(std::string_view text, size_t line_no) {
       end = text.size();
     }
     GLL_ASSIGN_OR_RETURN(u64 v, ParseNumber(text.substr(start, end - start), line_no));
-    GLL_ASSIGN_OR_RETURN(T narrowed, NarrowNumber<T>(v, line_no));
+    GLL_ASSIGN_OR_RETURN(N narrowed, NarrowNumber<N>(v, line_no));
     out.push_back(narrowed);
     if (end == text.size()) {
       break;
@@ -400,94 +502,106 @@ Result<std::vector<T>> ParseNumberList(std::string_view text, size_t line_no) {
   return out;
 }
 
+// Reads one field's value into `owner`.
+template <typename Owner>
+Status ParseValue(const Field<Owner>& field, const std::string& value, size_t line_no,
+                  Owner& owner) {
+  auto unknown = [&](std::string_view what) {
+    return LineError(line_no, "unknown " + std::string(what) + " '" + value + "'");
+  };
+  return std::visit(
+      Overloaded{
+          [](std::monostate) { return OkStatus(); },
+          [&](std::string Owner::*m) {
+            if (field.type == T::kTamper &&
+                std::ranges::find(kSnapshotTamperModes, value) ==
+                    std::end(kSnapshotTamperModes)) {
+              return unknown("tamper mode");
+            }
+            owner.*m = value;
+            return OkStatus();
+          },
+          [&](IsolationLevel Owner::*m) {
+            const std::optional<IsolationLevel> level = IsolationLevelFromName(value);
+            if (!level.has_value()) {
+              return unknown("isolation level");
+            }
+            owner.*m = *level;
+            return OkStatus();
+          },
+          [&](std::optional<TrafficShape> Owner::*m) {
+            owner.*m = TrafficShapeFromName(value);
+            return (owner.*m).has_value() ? OkStatus() : unknown("traffic shape");
+          },
+          [&]<typename N>(std::vector<N> Owner::*m) -> Status {
+            GLL_ASSIGN_OR_RETURN(owner.*m, ParseNumberList<N>(value, line_no));
+            return OkStatus();
+          },
+          [&]<typename N>(N Owner::*m) -> Status {  // numbers and flags
+            GLL_ASSIGN_OR_RETURN(const u64 n, ParseNumber(value, line_no));
+            if (field.type == T::kU32) {
+              GLL_RETURN_IF_ERROR(NarrowNumber<u32>(n, line_no).status());
+            }
+            owner.*m = static_cast<N>(n);
+            return OkStatus();
+          },
+      },
+      field.member);
+}
+
+// Reads a line's tokens after its verb into `owner`: each must be one of the
+// verb's fields, given once, and every required field must be there.
+template <typename Owner>
+Status ParseLine(std::span<const Field<Owner>> fields,
+                 const std::vector<ScriptToken>& tokens, size_t line_no, Owner& owner) {
+  const std::string& verb = tokens.front().value;
+  u32 seen = 0;  // bit i: fields[i] was given
+  for (size_t t = 1; t < tokens.size(); ++t) {
+    const ScriptToken& token = tokens[t];
+    size_t i = 0;
+    while (i < fields.size() &&
+           (fields[i].type == T::kNone || fields[i].key != token.key)) {
+      ++i;
+    }
+    if (i == fields.size() || (seen & (1u << i)) != 0) {
+      if (token.key.empty()) {
+        return LineError(line_no,
+                         "stray word '" + token.value + "' after '" + verb + "'");
+      }
+      const char* why = i == fields.size() ? "' has no key " : "' repeats key ";
+      return LineError(line_no, "'" + verb + why + token.key + "=");
+    }
+    seen |= 1u << i;
+    GLL_RETURN_IF_ERROR(ParseValue(fields[i], token.value, line_no, owner));
+  }
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (fields[i].type != T::kNone && fields[i].presence == Presence::kRequired &&
+        (seen & (1u << i)) == 0) {
+      return LineError(line_no, "'" + verb + "' needs " +
+                                    (fields[i].key.empty()
+                                         ? std::string("its quoted text")
+                                         : std::string(fields[i].key) + "="));
+    }
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 Result<std::string> SerializeScenarioScript(const Scenario& scenario) {
-  std::ostringstream out;
-  out << "scenario " << QuoteText(scenario.name());
-  if (scenario.hv_cores() != 0) {
-    out << " hv_cores=" << scenario.hv_cores();
-  }
-  if (scenario.priority_traffic()) {
-    out << " priority=1";
-  }
-  if (scenario.recovery()) {
-    out << " recovery=1";
-  }
-  if (scenario.fabric_hosts() != 0) {
-    out << " fabric=" << scenario.fabric_hosts();
-  }
-  if (scenario.traffic().has_value()) {
-    out << " traffic=" << TrafficShapeName(*scenario.traffic());
-  }
-  out << "\n";
+  std::string out;
+  // One allocation for a typical script: its lines run under 64 bytes.
+  out.reserve(64 * (scenario.steps().size() + 1));
+  GLL_RETURN_IF_ERROR(
+      AppendLine<Scenario>(out, ScriptHeader::kVerb, ScriptHeader::kFields, scenario));
   for (const ScenarioStep& step : scenario.steps()) {
-    switch (step.kind) {
-      case ScenarioStepKind::kHostModel:
-        if (step.model_dims.empty()) {
-          return InvalidArgument("host_model step has no layer dims");
-        }
-        out << "host_model dims=" << JoinU32(step.model_dims) << " seed=" << step.seed;
-        break;
-      case ScenarioStepKind::kInjectPrompt:
-        out << "inject_prompt " << QuoteText(step.text);
-        break;
-      case ScenarioStepKind::kEmitOutput:
-        out << "emit_output " << QuoteText(step.text);
-        break;
-      case ScenarioStepKind::kFloodInterrupts:
-        out << "flood_interrupts count=" << step.amount;
-        break;
-      case ScenarioStepKind::kAttemptExfil:
-        out << "attempt_exfil host=" << step.host << " payload=" << QuoteText(step.text);
-        break;
-      case ScenarioStepKind::kDropHeartbeats:
-        out << "drop_heartbeats cycles=" << step.amount;
-        break;
-      case ScenarioStepKind::kRestoreHeartbeats:
-        out << "restore_heartbeats";
-        break;
-      case ScenarioStepKind::kRequestIsolation:
-        out << "request_isolation level=" << IsolationLevelName(step.level);
-        if (!step.votes.empty()) {
-          out << " votes=" << JoinInt(step.votes);
-        }
-        break;
-      case ScenarioStepKind::kHvEscalate:
-        out << "hv_escalate level=" << IsolationLevelName(step.level)
-            << " reason=" << QuoteText(step.text);
-        break;
-      case ScenarioStepKind::kAdvanceClock:
-        out << "advance_clock cycles=" << step.amount;
-        break;
-      case ScenarioStepKind::kPump:
-        out << "pump rounds=" << step.amount;
-        break;
-      case ScenarioStepKind::kRecoverSnapshot:
-        // tamper is always emitted (defaulting empty to "none") so
-        // serialize -> parse -> serialize is a fixpoint.
-        out << "recover_snapshot level=" << IsolationLevelName(step.level)
-            << " tamper=" << (step.text.empty() ? "none" : step.text);
-        if (!step.votes.empty()) {
-          out << " votes=" << JoinInt(step.votes);
-        }
-        break;
-      case ScenarioStepKind::kQuarantineMigrate:
-        out << "quarantine_migrate tamper="
-            << (step.text.empty() ? "none" : step.text);
-        break;
-      case ScenarioStepKind::kSeverFabricHost:
-        out << "sever_fabric_host member=" << step.amount;
-        break;
-      case ScenarioStepKind::kHealFabricHost:
-        out << "heal_fabric_host member=" << step.amount;
-        break;
-      case ScenarioStepKind::kCustom:
-        return InvalidArgument("custom steps hold code and cannot be serialized");
+    if (step.kind == ScenarioStepKind::kCustom) {
+      return InvalidArgument("custom steps hold code and cannot be serialized");
     }
-    out << "\n";
+    const StepRow& row = kStepTable[static_cast<size_t>(step.kind)];
+    GLL_RETURN_IF_ERROR(AppendLine<ScenarioStep>(out, row.verb, row.fields, step));
   }
-  return out.str();
+  return out;
 }
 
 Result<Scenario> ParseScenarioScript(std::string_view script) {
@@ -511,149 +625,26 @@ Result<Scenario> ParseScenarioScript(std::string_view script) {
       continue;
     }
     const std::string& verb = tokens.front().value;
-    auto find = [&](std::string_view key) -> const ScriptToken* {
-      for (size_t i = 1; i < tokens.size(); ++i) {
-        if (tokens[i].key == key) {
-          return &tokens[i];
-        }
-      }
-      return nullptr;
-    };
-    auto require = [&](std::string_view key) -> Result<const ScriptToken*> {
-      const ScriptToken* token = find(key);
-      if (token == nullptr) {
-        return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                               ": '" + verb + "' needs " + std::string(key) + "=");
-      }
-      return token;
-    };
-    auto require_number = [&](std::string_view key) -> Result<u64> {
-      GLL_ASSIGN_OR_RETURN(const ScriptToken* token, require(key));
-      return ParseNumber(token->value, line_no);
-    };
-    auto require_level = [&]() -> Result<IsolationLevel> {
-      GLL_ASSIGN_OR_RETURN(const ScriptToken* token, require("level"));
-      const auto level = IsolationLevelFromName(token->value);
-      if (!level.has_value()) {
-        return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                               ": unknown isolation level '" + token->value + "'");
-      }
-      return *level;
-    };
-
-    if (verb == "scenario") {
-      if (tokens.size() < 2) {
-        return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                               ": missing scenario name");
-      }
+    if (verb == ScriptHeader::kVerb) {
       if (saw_header || !scenario.steps().empty()) {
-        return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                               ": duplicate 'scenario' header (concatenated repro "
-                               "files must be split before replaying)");
+        return LineError(line_no,
+                         "duplicate 'scenario' header (concatenated repro files must "
+                         "be split before replaying)");
       }
-      scenario = Scenario(tokens[1].value);
-      if (const ScriptToken* cores = find("hv_cores"); cores != nullptr) {
-        GLL_ASSIGN_OR_RETURN(u64 n, ParseNumber(cores->value, line_no));
-        GLL_ASSIGN_OR_RETURN(u32 narrowed, NarrowNumber<u32>(n, line_no));
-        scenario.WithHvCores(narrowed);
-      }
-      if (const ScriptToken* prio = find("priority"); prio != nullptr) {
-        GLL_ASSIGN_OR_RETURN(u64 n, ParseNumber(prio->value, line_no));
-        scenario.WithPriorityTraffic(n != 0);
-      }
-      if (const ScriptToken* rec = find("recovery"); rec != nullptr) {
-        GLL_ASSIGN_OR_RETURN(u64 n, ParseNumber(rec->value, line_no));
-        scenario.WithRecovery(n != 0);
-      }
-      if (const ScriptToken* fab = find("fabric"); fab != nullptr) {
-        GLL_ASSIGN_OR_RETURN(u64 n, ParseNumber(fab->value, line_no));
-        GLL_ASSIGN_OR_RETURN(u32 hosts, NarrowNumber<u32>(n, line_no));
-        scenario.WithFabric(hosts);
-      }
-      if (const ScriptToken* traffic = find("traffic"); traffic != nullptr) {
-        const auto shape = TrafficShapeFromName(traffic->value);
-        if (!shape.has_value()) {
-          return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                                 ": unknown traffic shape '" + traffic->value + "'");
-        }
-        scenario.WithTraffic(*shape);
-      }
+      GLL_RETURN_IF_ERROR(
+          ParseLine<Scenario>(ScriptHeader::kFields, tokens, line_no, scenario));
       saw_header = true;
-    } else if (verb == "host_model") {
-      GLL_ASSIGN_OR_RETURN(const ScriptToken* dims, require("dims"));
-      GLL_ASSIGN_OR_RETURN(std::vector<u32> widths,
-                           ParseNumberList<u32>(dims->value, line_no));
-      GLL_ASSIGN_OR_RETURN(u64 seed, require_number("seed"));
-      scenario.HostDefaultModel(std::move(widths), seed);
-    } else if (verb == "inject_prompt") {
-      if (tokens.size() < 2) {
-        return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                               ": missing prompt");
-      }
-      scenario.InjectPrompt(tokens[1].value);
-    } else if (verb == "emit_output") {
-      if (tokens.size() < 2) {
-        return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                               ": missing output");
-      }
-      scenario.EmitOutput(tokens[1].value);
-    } else if (verb == "flood_interrupts") {
-      GLL_ASSIGN_OR_RETURN(u64 count, require_number("count"));
-      GLL_ASSIGN_OR_RETURN(u32 doorbells, NarrowNumber<u32>(count, line_no));
-      scenario.FloodInterrupts(doorbells);
-    } else if (verb == "attempt_exfil") {
-      GLL_ASSIGN_OR_RETURN(u64 host, require_number("host"));
-      GLL_ASSIGN_OR_RETURN(u32 dst, NarrowNumber<u32>(host, line_no));
-      GLL_ASSIGN_OR_RETURN(const ScriptToken* payload, require("payload"));
-      scenario.AttemptExfiltration(dst, payload->value);
-    } else if (verb == "drop_heartbeats") {
-      GLL_ASSIGN_OR_RETURN(u64 cycles, require_number("cycles"));
-      scenario.DropHeartbeats(cycles);
-    } else if (verb == "restore_heartbeats") {
-      scenario.RestoreHeartbeats();
-    } else if (verb == "request_isolation") {
-      GLL_ASSIGN_OR_RETURN(IsolationLevel level, require_level());
-      std::vector<int> votes;
-      if (const ScriptToken* v = find("votes"); v != nullptr && !v->value.empty()) {
-        GLL_ASSIGN_OR_RETURN(votes, ParseNumberList<int>(v->value, line_no));
-      }
-      scenario.RequestIsolation(level, std::move(votes));
-    } else if (verb == "hv_escalate") {
-      GLL_ASSIGN_OR_RETURN(IsolationLevel level, require_level());
-      GLL_ASSIGN_OR_RETURN(const ScriptToken* reason, require("reason"));
-      scenario.EscalateFromHypervisor(level, reason->value);
-    } else if (verb == "advance_clock") {
-      GLL_ASSIGN_OR_RETURN(u64 cycles, require_number("cycles"));
-      scenario.AdvanceClock(cycles);
-    } else if (verb == "pump") {
-      GLL_ASSIGN_OR_RETURN(u64 rounds, require_number("rounds"));
-      scenario.Pump(rounds);
-    } else if (verb == "recover_snapshot") {
-      GLL_ASSIGN_OR_RETURN(IsolationLevel level, require_level());
-      std::vector<int> votes;
-      if (const ScriptToken* v = find("votes"); v != nullptr && !v->value.empty()) {
-        GLL_ASSIGN_OR_RETURN(votes, ParseNumberList<int>(v->value, line_no));
-      }
-      std::string tamper = "none";
-      if (const ScriptToken* t = find("tamper"); t != nullptr && !t->value.empty()) {
-        tamper = t->value;
-      }
-      scenario.RecoverSnapshot(level, std::move(votes), std::move(tamper));
-    } else if (verb == "quarantine_migrate") {
-      std::string tamper = "none";
-      if (const ScriptToken* t = find("tamper"); t != nullptr && !t->value.empty()) {
-        tamper = t->value;
-      }
-      scenario.QuarantineMigrate(std::move(tamper));
-    } else if (verb == "sever_fabric_host") {
-      GLL_ASSIGN_OR_RETURN(u64 member, require_number("member"));
-      scenario.SeverFabricHost(member);
-    } else if (verb == "heal_fabric_host") {
-      GLL_ASSIGN_OR_RETURN(u64 member, require_number("member"));
-      scenario.HealFabricHost(member);
     } else {
-      return InvalidArgument("scenario script line " + std::to_string(line_no) +
-                             ": unknown step '" + verb + "'");
+      const auto row = std::ranges::find_if(kStepTable, [&](const StepRow& r) {
+        return r.kind != ScenarioStepKind::kCustom && r.verb == verb;
+      });
+      if (row == std::end(kStepTable)) {
+        return LineError(line_no, "unknown step '" + verb + "'");
+      }
+      ScenarioStep step;
+      step.kind = row->kind;
+      GLL_RETURN_IF_ERROR(ParseLine<ScenarioStep>(row->fields, tokens, line_no, step));
+      scenario.Append(std::move(step));
     }
     if (pos > script.size()) {
       break;
@@ -752,7 +743,7 @@ DeploymentConfig DefaultScenarioDeployment() {
 ScenarioRunnerConfig::ScenarioRunnerConfig() : deployment(DefaultScenarioDeployment()) {}
 
 ScenarioRunner::ScenarioRunner(ScenarioRunnerConfig config)
-    : config_(std::move(config)) {}
+    : config_(std::move(config)), world_(std::make_unique<World>()) {}
 
 ScenarioRunner::~ScenarioRunner() = default;
 
@@ -761,62 +752,46 @@ ScenarioResult ScenarioRunner::Run(const Scenario& scenario) {
   if (scenario.hv_cores() > 0) {
     deployment.machine.num_hv_cores = static_cast<int>(scenario.hv_cores());
   }
+  // The old world's replicas point into the old system: drop them first,
+  // then rebuild the whole world, so a replay starts fresh.
+  world_ = std::make_unique<World>();
   system_ = std::make_unique<GuillotineSystem>(deployment);
-  exfil_payloads_.clear();
-  next_tag_ = 1;
-  priority_traffic_ = scenario.priority_traffic();
-
-  // Open-world traffic: a fresh 2-shard service over Guillotine adapters and
-  // a fresh seeded source per Run, so replays are byte-identical. The tiny
-  // cache geometry forces eviction/handover churn even in short bursts.
-  traffic_service_.reset();
-  traffic_replicas_.clear();
-  traffic_source_.reset();
-  traffic_report_.reset();
-  traffic_pumps_ = 0;
-  // Quarantine-migrate state is per-Run for the same reason.
-  migrate_fleet_.reset();
-  migrate_service_.reset();
-  migrate_model_.reset();
-  migration_evidence_.reset();
-  // Federated-fabric state is per-Run for the same reason: a fresh attested
-  // fleet (fixed seeds) so cross-host bursts replay byte-identically.
-  fabric_fleet_.reset();
-  fabric_model_.reset();
-  fabric_bursts_ = 0;
+  World& w = *world_;
+  w.priority_traffic = scenario.priority_traffic();
   if (scenario.fabric_hosts() > 0) {
     Rng model_rng(11);
-    fabric_model_ =
-        std::make_unique<MlpModel>(MlpModel::Random({8, 16, 4}, model_rng));
+    w.fabric_model = std::make_unique<MlpModel>(MlpModel::Random({8, 16, 4}, model_rng));
     FederationConfig fc;
     fc.num_hosts = scenario.fabric_hosts();
     fc.deployment = config_.deployment;
-    fabric_fleet_ = std::make_unique<FederatedFleet>(fc);
-    const Status hosted = fabric_fleet_->HostEverywhere(*fabric_model_);
-    const Status joined = hosted.ok() ? fabric_fleet_->JoinAll() : hosted;
+    w.fabric_fleet = std::make_unique<FederatedFleet>(fc);
+    const Status hosted = w.fabric_fleet->HostEverywhere(*w.fabric_model);
+    const Status joined = hosted.ok() ? w.fabric_fleet->JoinAll() : hosted;
     if (!joined.ok()) {
       // Infrastructure failure, not an adversarial refusal: fabric steps
       // will report "no fabric fleet" rather than crash the run.
-      fabric_fleet_.reset();
-      fabric_model_.reset();
+      w.fabric_fleet.reset();
+      w.fabric_model.reset();
     }
   }
   if (scenario.traffic().has_value()) {
+    // The tiny cache geometry forces eviction/handover churn even in short
+    // bursts.
     ModelServiceConfig svc;
     svc.num_shards = 2;
     svc.kv.total_blocks = 48;
-    traffic_service_ = std::make_unique<ModelService>(svc);
+    w.traffic_service = std::make_unique<ModelService>(svc);
     for (size_t i = 0; i < svc.num_shards; ++i) {
-      traffic_replicas_.push_back(std::make_unique<GuillotineReplica>(
+      w.traffic_replicas.push_back(std::make_unique<GuillotineReplica>(
           *system_, "traffic-" + std::to_string(i)));
-      traffic_service_->AddReplica(traffic_replicas_.back().get(), i);
+      w.traffic_service->AddReplica(w.traffic_replicas.back().get(), i);
     }
     TrafficConfig tc;
     tc.shape = *scenario.traffic();
     tc.seed = 0x7AFF1C + static_cast<u64>(tc.shape);
     tc.mean_interarrival = 600.0;
     tc.max_live_sessions = 24;
-    traffic_source_ = std::make_unique<TrafficSource>(tc);
+    w.traffic_source = std::make_unique<TrafficSource>(tc);
   }
 
   ScenarioResult result;
@@ -832,8 +807,8 @@ ScenarioResult ScenarioRunner::Run(const Scenario& scenario) {
   }
   // Frames land on the next fabric pump (NetFabric defaults to 5 us).
   system_->fabric().set_propagation_delay(0);
-  system_->fabric().AttachHost(kExfilSinkHost, [this](const Frame& frame) {
-    exfil_payloads_.push_back(frame.payload);
+  system_->fabric().AttachHost(kExfilSinkHost, [&w](const Frame& frame) {
+    w.exfil_payloads.push_back(frame.payload);
   });
 
   for (const ScenarioStep& step : scenario.steps()) {
@@ -871,6 +846,7 @@ void ApplySnapshotTamper(std::string_view mode, ModelSnapshot& snapshot) {
 
 void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
   GuillotineSystem& sys = *system_;
+  World& w = *world_;
   switch (step.kind) {
     case ScenarioStepKind::kHostModel: {
       Rng weight_rng(step.seed);
@@ -930,7 +906,7 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
       u32 kill_pings = 0;
       u64 kill_served_before = 0;
       const PortBinding* kill_binding = nullptr;
-      if (priority_traffic_ && sys.console_port().has_value()) {
+      if (w.priority_traffic && sys.console_port().has_value()) {
         kill_binding = sys.hv().FindPort(*sys.console_port());
       }
       if (kill_binding != nullptr) {
@@ -939,7 +915,7 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
         for (int i = 0; i < 3; ++i) {
           IoSlot ping;
           ping.opcode = static_cast<u32>(ControlOpcode::kPing);
-          ping.tag = next_tag_++;
+          ping.tag = w.next_tag++;
           ping.payload = ToBytes("liveness");
           if (kill_ring.Push(ping).ok()) {
             ++kill_pings;
@@ -998,7 +974,7 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
       RingView requests = sys.machine().io_dram().RequestRing(binding->region);
       IoSlot slot;
       slot.opcode = static_cast<u32>(NicOpcode::kSend);
-      slot.tag = next_tag_++;
+      slot.tag = w.next_tag++;
       PutU32(slot.payload, step.host);
       const Bytes body = ToBytes(step.text);
       slot.payload.insert(slot.payload.end(), body.begin(), body.end());
@@ -1007,7 +983,7 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
         outcome.detail = pushed.ToString();
         break;
       }
-      const size_t escaped_before = exfil_payloads_.size();
+      const size_t escaped_before = w.exfil_payloads.size();
       const u64 rejected_before = sys.hv().lifetime_stats().blocked;
       const u64 dropped_before = sys.fabric().dropped();
       // Service on the NIC port's owning hv core: with a multi-core hv
@@ -1015,7 +991,7 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
       sys.hv().ServiceOnce(binding->owner_hv_core, /*poll_all=*/true);
       sys.fabric().Pump();
       outcome.ok = true;
-      outcome.value = static_cast<i64>(exfil_payloads_.size() - escaped_before);
+      outcome.value = static_cast<i64>(w.exfil_payloads.size() - escaped_before);
       std::ostringstream detail;
       detail << "escaped=" << outcome.value
              << " rejected=" << sys.hv().lifetime_stats().blocked - rejected_before
@@ -1094,37 +1070,37 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
       // burst with a mid-burst elastic resize (alternating down-to-1 and
       // back-up-to-2 across pump steps) so the invariants see the handover
       // path, not just steady-state routing.
-      if (traffic_source_ != nullptr) {
+      if (w.traffic_source != nullptr) {
         ContinuousConfig cc;
         cc.max_arrivals = 24 + 8 * std::min<u64>(step.amount, 8);
         TrafficResize resize;
         resize.after_arrivals = cc.max_arrivals / 2;
-        resize.active_shards = (traffic_pumps_ % 2 == 0) ? 1 : 2;
+        resize.active_shards = (w.traffic_pumps % 2 == 0) ? 1 : 2;
         cc.resizes.push_back(resize);
-        ++traffic_pumps_;
-        traffic_report_ = std::make_unique<ContinuousReport>(
-            traffic_service_->RunContinuous(*traffic_source_, cc));
+        ++w.traffic_pumps;
+        w.traffic_report = std::make_unique<ContinuousReport>(
+            w.traffic_service->RunContinuous(*w.traffic_source, cc));
         std::ostringstream os;
-        os << " traffic: arrivals=" << traffic_report_->arrivals
-           << " completed=" << traffic_report_->completed
-           << " failed=" << traffic_report_->failed
-           << " remapped=" << traffic_report_->remapped_sessions;
+        os << " traffic: arrivals=" << w.traffic_report->arrivals
+           << " completed=" << w.traffic_report->completed
+           << " failed=" << w.traffic_report->failed
+           << " remapped=" << w.traffic_report->remapped_sessions;
         outcome.detail += os.str();
       }
       // With a federated fabric on, each pump step also routes a
       // deterministic cross-host burst through the router's coalescing
       // pump, then folds the federation's counters into the scenario trace
       // so the replay digest covers the cross-host path too.
-      if (fabric_fleet_ != nullptr) {
-        const FederationStats before = fabric_fleet_->stats();
-        const u64 burst = fabric_bursts_++;
+      if (w.fabric_fleet != nullptr) {
+        const FederationStats before = w.fabric_fleet->stats();
+        const u64 burst = w.fabric_bursts++;
         const u64 requests = 4 + 2 * std::min<u64>(step.amount, 4);
         for (u64 i = 0; i < requests; ++i) {
-          fabric_fleet_->Submit("fed-" + std::to_string(burst) + "-" +
-                                std::to_string(i));
+          w.fabric_fleet->Submit("fed-" + std::to_string(burst) + "-" +
+                                 std::to_string(i));
         }
-        fabric_fleet_->RunUntilDrained(64);
-        const FederationStats& after = fabric_fleet_->stats();
+        w.fabric_fleet->RunUntilDrained(64);
+        const FederationStats& after = w.fabric_fleet->stats();
         std::ostringstream os;
         os << "submitted=" << requests
            << " completed=" << after.completed - before.completed
@@ -1173,30 +1149,30 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
     }
 
     case ScenarioStepKind::kQuarantineMigrate: {
-      if (migrate_fleet_ == nullptr) {
+      if (w.migrate_fleet == nullptr) {
         // Lazily stand up the two-member fleet behind a two-shard service
         // and seed resident sessions so the detach/attach handover has KV
         // state to account for.
         Rng model_rng(3);
-        migrate_model_ =
+        w.migrate_model =
             std::make_unique<MlpModel>(MlpModel::Random({8, 16, 4}, model_rng));
-        migrate_fleet_ =
+        w.migrate_fleet =
             std::make_unique<GuillotineFleet>(2, config_.deployment);
-        const Status hosted = migrate_fleet_->HostEverywhere(*migrate_model_);
+        const Status hosted = w.migrate_fleet->HostEverywhere(*w.migrate_model);
         if (!hosted.ok()) {
-          migrate_fleet_.reset();
-          migrate_model_.reset();
+          w.migrate_fleet.reset();
+          w.migrate_model.reset();
           outcome.detail = "fleet: " + hosted.ToString();
           break;  // infrastructure failure, not an adversarial refusal
         }
         ModelServiceConfig svc;
         svc.num_shards = 2;
         svc.kv.total_blocks = 48;
-        migrate_service_ = std::make_unique<ModelService>(svc);
-        migrate_fleet_->RegisterWith(*migrate_service_);
+        w.migrate_service = std::make_unique<ModelService>(svc);
+        w.migrate_fleet->RegisterWith(*w.migrate_service);
         for (u32 sid = 1; sid <= 6; ++sid) {
-          const size_t owner = migrate_service_->OwnerShard(sid);
-          migrate_service_->shard(owner).kv_cache().Extend(sid, 24, 0);
+          const size_t owner = w.migrate_service->OwnerShard(sid);
+          w.migrate_service->shard(owner).kv_cache().Extend(sid, 24, 0);
         }
       }
       const std::string mode = step.text.empty() ? "none" : step.text;
@@ -1207,20 +1183,20 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
         };
       }
       const Result<QuarantineMigrateReport> report =
-          migrate_fleet_->QuarantineMigrate(0, *migrate_model_,
-                                            migrate_service_.get(), 0,
+          w.migrate_fleet->QuarantineMigrate(0, *w.migrate_model,
+                                            w.migrate_service.get(), 0,
                                             sys.clock().now(), tamper);
       auto evidence = std::make_unique<MigrationEvidence>();
       evidence->tampered = mode != "none";
-      for (size_t i = 0; i < migrate_service_->num_shards(); ++i) {
-        evidence->caches.push_back(&migrate_service_->shard(i).kv_cache());
+      for (size_t i = 0; i < w.migrate_service->num_shards(); ++i) {
+        evidence->caches.push_back(&w.migrate_service->shard(i).kv_cache());
       }
       outcome.ok = true;  // a refused migrate is a successful exercise
       if (report.ok()) {
         evidence->migrated = true;
-        evidence->old_system = &migrate_fleet_->decommissioned(
-            migrate_fleet_->decommissioned_count() - 1);
-        evidence->new_system = &migrate_fleet_->system(0);
+        evidence->old_system = &w.migrate_fleet->decommissioned(
+            w.migrate_fleet->decommissioned_count() - 1);
+        evidence->new_system = &w.migrate_fleet->system(0);
         evidence->sealed_portable = report->sealed_portable;
         evidence->recaptured_portable = report->recaptured_portable;
         outcome.value = 1;
@@ -1232,23 +1208,23 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
       } else {
         // The retained suspect (still installed) holds the tamper trace.
         evidence->migrated = false;
-        evidence->old_system = &migrate_fleet_->system(0);
+        evidence->old_system = &w.migrate_fleet->system(0);
         outcome.value = -1;
         outcome.detail = report.status().ToString();
       }
-      migration_evidence_ = std::move(evidence);
+      w.migration_evidence = std::move(evidence);
       break;
     }
 
     case ScenarioStepKind::kSeverFabricHost: {
-      if (fabric_fleet_ == nullptr) {
+      if (w.fabric_fleet == nullptr) {
         outcome.detail = "no fabric fleet";
         break;
       }
-      const size_t member = step.amount % fabric_fleet_->size();
-      const u64 lost_before = fabric_fleet_->stats().lost;
-      fabric_fleet_->SeverHost(member);
-      const u64 lost = fabric_fleet_->stats().lost - lost_before;
+      const size_t member = step.amount % w.fabric_fleet->size();
+      const u64 lost_before = w.fabric_fleet->stats().lost;
+      w.fabric_fleet->SeverHost(member);
+      const u64 lost = w.fabric_fleet->stats().lost - lost_before;
       outcome.ok = true;
       outcome.value = static_cast<i64>(lost);
       outcome.detail =
@@ -1260,12 +1236,12 @@ void ScenarioRunner::Execute(const ScenarioStep& step, StepOutcome& outcome) {
     }
 
     case ScenarioStepKind::kHealFabricHost: {
-      if (fabric_fleet_ == nullptr) {
+      if (w.fabric_fleet == nullptr) {
         outcome.detail = "no fabric fleet";
         break;
       }
-      const size_t member = step.amount % fabric_fleet_->size();
-      const Status healed = fabric_fleet_->HealHost(member);
+      const size_t member = step.amount % w.fabric_fleet->size();
+      const Status healed = w.fabric_fleet->HealHost(member);
       outcome.ok = true;  // a refused heal is a successful exercise
       outcome.value = healed.ok() ? 1 : -1;
       outcome.detail = healed.ok()

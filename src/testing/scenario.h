@@ -70,16 +70,18 @@ struct StepOutcome {
   i64 value = 0;
 };
 
+// Every member has an initializer, so a designated initializer may name only
+// the fields its kind uses (-Wmissing-field-initializers stays quiet).
 struct ScenarioStep {
   ScenarioStepKind kind = ScenarioStepKind::kPump;
-  std::string text;              // prompt / output / escalation reason
+  std::string text{};            // prompt / output / escalation reason
   u64 amount = 0;                // cycles, rounds, doorbell count
   u32 host = 0;                  // exfiltration destination fabric host
   IsolationLevel level = IsolationLevel::kStandard;
-  std::vector<int> votes;        // approving admin indices
-  std::vector<u32> model_dims;   // kHostModel layer widths
+  std::vector<int> votes{};      // approving admin indices
+  std::vector<u32> model_dims{}; // kHostModel layer widths
   u64 seed = 0;                  // kHostModel weight seed
-  std::function<void(GuillotineSystem&, StepOutcome&)> custom;
+  std::function<void(GuillotineSystem&, StepOutcome&)> custom{};
 };
 
 // Snapshot tamper modes the recovery/migrate steps inject between capture
@@ -126,9 +128,12 @@ class Scenario {
   Scenario& Custom(std::string label,
                    std::function<void(GuillotineSystem&, StepOutcome&)> fn);
 
-  // Raw-step append: how the fuzzer's generator and shrinker build
-  // scenarios from step lists without going through the fluent methods.
+  // Raw-step append: how the fuzzer's generator builds scenarios from step
+  // lists without going through the fluent methods.
   Scenario& Append(ScenarioStep step);
+  // A scenario named `name` that rides this one's header slices but runs
+  // `steps`: how the shrinker tries candidate step lists.
+  Scenario Derive(std::string name, std::vector<ScenarioStep> steps) const;
 
   // Overrides the deployment's hypervisor-core count for this scenario
   // (0 = use the runner's default). Lets the fuzzer exercise ownership
@@ -176,6 +181,8 @@ class Scenario {
   const std::vector<ScenarioStep>& steps() const { return steps_; }
 
  private:
+  friend struct ScriptHeader;  // the script header reads and fills these
+
   std::string name_;
   std::vector<ScenarioStep> steps_;
   u32 hv_cores_ = 0;
@@ -199,7 +206,9 @@ class Scenario {
 // a scenario that replays to the identical trace digest. This is the format
 // the fuzzer emits for minimized repros (`#` lines are comments, so a repro
 // file can carry its seed and violation report inline). kCustom steps hold
-// arbitrary code and cannot be serialized.
+// arbitrary code and cannot be serialized. One table in scenario.cc spells
+// every verb and key; the parser rejects a key its verb does not have, a
+// repeated key and a stray bare word.
 Result<std::string> SerializeScenarioScript(const Scenario& scenario);
 Result<Scenario> ParseScenarioScript(std::string_view script);
 
@@ -277,51 +286,58 @@ class ScenarioRunner {
   bool has_system() const { return system_ != nullptr; }
 
   // Payloads that reached the adversary sink during the last Run.
-  const std::vector<Bytes>& exfil_payloads() const { return exfil_payloads_; }
+  const std::vector<Bytes>& exfil_payloads() const { return world_->exfil_payloads; }
 
   // Open-world traffic state of the last Run (null unless the scenario set
   // WithTraffic): the sharded service whose KV caches the quota invariant
   // replays, and the aggregate report of the most recent pump burst.
-  const ModelService* traffic_service() const { return traffic_service_.get(); }
-  const ContinuousReport* traffic_report() const { return traffic_report_.get(); }
+  const ModelService* traffic_service() const { return world_->traffic_service.get(); }
+  const ContinuousReport* traffic_report() const { return world_->traffic_report.get(); }
 
   // Evidence of the last Run's final quarantine_migrate step (null when the
   // scenario had none); feeds the no-state-leak-across-migration invariant.
   const MigrationEvidence* migration_evidence() const {
-    return migration_evidence_.get();
+    return world_->migration_evidence.get();
   }
 
   // Federated fleet riding the last Run (null unless the scenario set
   // WithFabric): cross-host burst stats, attestation verifier, channels.
-  const FederatedFleet* fabric_fleet() const { return fabric_fleet_.get(); }
+  const FederatedFleet* fabric_fleet() const { return world_->fabric_fleet.get(); }
 
  private:
+  // Everything one Run builds beside its system: the adversary sink's haul,
+  // the ring tag counter, and the side worlds the scenario's header and
+  // steps ask for. Run replaces the whole struct, so a replay starts fresh.
+  struct World {
+    std::vector<Bytes> exfil_payloads;
+    u32 next_tag = 1;
+    bool priority_traffic = false;  // from the scenario, for flood steps
+    // Open-world traffic (WithTraffic): a 2-shard service over Guillotine
+    // adapters of the scenario's system and a seeded source.
+    std::vector<std::unique_ptr<InferenceReplica>> traffic_replicas;
+    std::unique_ptr<ModelService> traffic_service;
+    std::unique_ptr<TrafficSource> traffic_source;
+    std::unique_ptr<ContinuousReport> traffic_report;
+    u64 traffic_pumps = 0;
+    // Quarantine-migrate (kQuarantineMigrate steps): a two-member fleet
+    // behind a two-shard service, built by the first migrate step.
+    std::unique_ptr<MlpModel> migrate_model;
+    std::unique_ptr<GuillotineFleet> migrate_fleet;
+    std::unique_ptr<ModelService> migrate_service;
+    std::unique_ptr<MigrationEvidence> migration_evidence;
+    // Federated fleet (WithFabric): attested with fixed seeds, so each pump
+    // step's cross-host burst replays byte-identically.
+    std::unique_ptr<MlpModel> fabric_model;
+    std::unique_ptr<FederatedFleet> fabric_fleet;
+    u64 fabric_bursts = 0;
+  };
+
   void Execute(const ScenarioStep& step, StepOutcome& outcome);
 
   ScenarioRunnerConfig config_;
   std::unique_ptr<GuillotineSystem> system_;
-  std::vector<Bytes> exfil_payloads_;
-  u32 next_tag_ = 1;
-  bool priority_traffic_ = false;  // from the scenario, for flood steps
-  // Open-world traffic riding the scenario (WithTraffic): rebuilt fresh on
-  // every Run so replays are byte-identical.
-  std::unique_ptr<ModelService> traffic_service_;
-  std::vector<std::unique_ptr<InferenceReplica>> traffic_replicas_;
-  std::unique_ptr<TrafficSource> traffic_source_;
-  std::unique_ptr<ContinuousReport> traffic_report_;
-  u64 traffic_pumps_ = 0;
-  // Quarantine-migrate state (kQuarantineMigrate steps): a two-member fleet
-  // behind a two-shard service, built lazily on the first migrate step of a
-  // Run and torn down at the next Run so replays are byte-identical.
-  std::unique_ptr<GuillotineFleet> migrate_fleet_;
-  std::unique_ptr<ModelService> migrate_service_;
-  std::unique_ptr<MlpModel> migrate_model_;
-  std::unique_ptr<MigrationEvidence> migration_evidence_;
-  // Federated fleet (WithFabric): rebuilt fresh on every Run so replays are
-  // byte-identical; each pump step drives a deterministic cross-host burst.
-  std::unique_ptr<FederatedFleet> fabric_fleet_;
-  std::unique_ptr<MlpModel> fabric_model_;
-  u64 fabric_bursts_ = 0;
+  // Declared after system_ so it dies first: its replicas point into it.
+  std::unique_ptr<World> world_;
 };
 
 }  // namespace guillotine

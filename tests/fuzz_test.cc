@@ -159,6 +159,14 @@ TEST(ScenarioFuzzTest, ScriptParserSurvivesCommentsAndRejectsGarbage) {
       ParseScenarioScript("request_isolation level=standard votes=4294967296\n").ok());
   // Concatenated repro files are rejected, not silently truncated.
   EXPECT_FALSE(ParseScenarioScript("scenario \"a\"\npump rounds=1\nscenario \"b\"\n").ok());
+  // Each key is checked against its verb's fields: a misspelled key, a
+  // repeated key and a stray bare word are rejected, not dropped.
+  EXPECT_FALSE(ParseScenarioScript("request_isolation level=severed vote=0,1,2\n").ok());
+  EXPECT_FALSE(ParseScenarioScript("scenario \"x\" fabrc=2\n").ok());
+  EXPECT_FALSE(ParseScenarioScript("pump rounds=1 rounds=9\n").ok());
+  EXPECT_FALSE(ParseScenarioScript("pump rounds=1 twice\n").ok());
+  EXPECT_FALSE(ParseScenarioScript("inject_prompt \"a\" \"b\"\n").ok());
+  EXPECT_FALSE(ParseScenarioScript("quarantine_migrate tamper=bti\n").ok());
   // host_model steps without dims cannot serialize (they could not parse back).
   Scenario dimless("dimless");
   ScenarioStep host;

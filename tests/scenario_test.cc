@@ -209,6 +209,38 @@ TEST(ScenarioTest, RunnerReuseIsHermetic) {
   EXPECT_EQ(runner.exfil_payloads().size(), 1u);  // not accumulated across runs
 }
 
+// Every Run replaces the runner's whole side world: after a fabric + traffic
+// + recovery scenario, a base scenario on the same runner leaves no side
+// world behind and replays to a fresh runner's digest.
+TEST(ScenarioTest, RunnerRebuildsItsSideWorldEveryRun) {
+  Scenario rich("rich");
+  rich.WithFabric(2)
+      .WithTraffic(TrafficShape::kPoisson)
+      .WithRecovery(true)
+      .HostDefaultModel()
+      .AttemptExfiltration(kExfilSinkHost, "ping")
+      .Pump(2)
+      .QuarantineMigrate();
+  Scenario base("base");
+  base.HostDefaultModel().AttemptExfiltration(kExfilSinkHost, "ping").Pump(1);
+
+  ScenarioRunner runner;
+  ASSERT_TRUE(runner.Run(rich).AllStepsRan());
+  ASSERT_NE(runner.traffic_service(), nullptr);
+  ASSERT_NE(runner.traffic_report(), nullptr);
+  ASSERT_NE(runner.migration_evidence(), nullptr);
+  ASSERT_NE(runner.fabric_fleet(), nullptr);
+
+  const u64 reused = runner.Run(base).trace_hash;
+  EXPECT_EQ(runner.traffic_service(), nullptr);
+  EXPECT_EQ(runner.traffic_report(), nullptr);
+  EXPECT_EQ(runner.migration_evidence(), nullptr);
+  EXPECT_EQ(runner.fabric_fleet(), nullptr);
+  EXPECT_EQ(runner.exfil_payloads().size(), 1u);
+  ScenarioRunner fresh;
+  EXPECT_EQ(reused, fresh.Run(base).trace_hash);
+}
+
 // Detector mediation contains a scripted attack on every step, and replays
 // of the script are digest-identical. Repro files from before the service
 // pipeline became the only mediation path carry a retired detector_batch=1
