@@ -176,8 +176,10 @@ void BM_SimSigSignVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSigSignVerify);
 
-// Keygen draws 31-bit candidates until two pass IsPrime: the cost every
-// deployment pays for its admin and device keys.
+// Keygen draws 31-bit odd candidates until two are prime, about 21 per
+// keypair: trial division rejects about 80% of them, and Miller-Rabin runs
+// base 2 on the rest, then bases 7 and 61 side by side on the ~2 that pass.
+// Every deployment pays this for its 7 admin keys and its device key.
 void BM_SimSigKeyGen(benchmark::State& state) {
   Rng rng(3);
   for (auto _ : state) {
@@ -185,6 +187,17 @@ void BM_SimSigKeyGen(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimSigKeyGen);
+
+// Builds and destroys one GuillotineSystem from the default config: the
+// Machine, the hypervisor and console, and 8 SimSig keypairs, which are most
+// of the cost.
+void BM_DeploymentBuild(benchmark::State& state) {
+  for (auto _ : state) {
+    GuillotineSystem sys(DeploymentConfig{});
+    benchmark::DoNotOptimize(&sys);
+  }
+}
+BENCHMARK(BM_DeploymentBuild);
 
 }  // namespace
 }  // namespace guillotine

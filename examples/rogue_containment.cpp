@@ -24,10 +24,10 @@ void Require(const Status& status, const char* what) {
 }
 
 std::vector<i64> ReadResults(GuillotineSystem& sys, const AttackProgram& attack) {
-  std::vector<u8> raw(attack.result_slots * 8);
-  Require(sys.hv().control_bus().ReadModelDram(0, attack.result_addr, raw),
-          "result read");
-  return UnpackI64(raw);
+  Result<Bytes> raw = sys.hv().control_bus().ReadModelDram(0, attack.result_addr,
+                                                            attack.result_slots * 8);
+  Require(raw.status(), "result read");
+  return UnpackI64(*raw);
 }
 
 }  // namespace

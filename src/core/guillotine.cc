@@ -247,8 +247,8 @@ Result<std::vector<i64>> GuillotineSystem::InferVector(const std::vector<i64>& i
   const Cycles budget = 2'000'000'000;
   GLL_RETURN_IF_ERROR(RunForwardPass(budget));
 
-  std::vector<u8> raw(layout.output_dim * 8);
-  GLL_RETURN_IF_ERROR(bus.ReadModelDram(0, layout.output_addr, raw));
+  GLL_ASSIGN_OR_RETURN(const Bytes raw,
+                       bus.ReadModelDram(0, layout.output_addr, layout.output_dim * 8));
   return UnpackI64(raw);
 }
 

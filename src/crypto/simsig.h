@@ -49,8 +49,8 @@ bool Verify(const SimSigPublicKey& key, std::span<const u8> message,
 bool Verify(const SimSigPublicKey& key, std::string_view message,
             const SimSignature& sig);
 
-// Modular arithmetic helpers (exposed for tests).
-u64 MulMod(u64 a, u64 b, u64 m);
+// Modular arithmetic helpers (exposed for tests). PowMod's modulus must be
+// odd, as every SimSig modulus is: it runs on a Montgomery kernel.
 u64 PowMod(u64 base, u64 exp, u64 m);
 bool IsPrime(u64 n);
 

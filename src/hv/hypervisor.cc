@@ -881,8 +881,8 @@ Result<Bytes> SoftwareHypervisor::FilterModelIo(ObservationKind kind,
 Result<DetectorVerdict> SoftwareHypervisor::InspectActivations(int hv_core, int layer,
                                                                PhysAddr addr,
                                                                size_t count) {
-  std::vector<u8> raw(count * 8);
-  GLL_RETURN_IF_ERROR(control_bus_.ReadModelDram(hv_core, addr, raw));
+  GLL_ASSIGN_OR_RETURN(const Bytes raw,
+                       control_bus_.ReadModelDram(hv_core, addr, count * 8));
   Observation obs;
   obs.kind = ObservationKind::kActivations;
   obs.time = machine_.clock().now();

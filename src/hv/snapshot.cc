@@ -91,8 +91,8 @@ Result<ModelSnapshot> CaptureSnapshot(SoftwareHypervisor& hv, int core) {
   snapshot.core = core;
   snapshot.taken_at = machine.clock().now();
   GLL_ASSIGN_OR_RETURN(snapshot.arch, bus.ReadArchState(0, core));
-  snapshot.dram.resize(machine.model_dram().size());
-  GLL_RETURN_IF_ERROR(bus.ReadModelDram(0, 0, snapshot.dram));
+  GLL_ASSIGN_OR_RETURN(snapshot.dram,
+                       bus.ReadModelDram(0, 0, machine.model_dram().size()));
   snapshot.digest = snapshot.ComputeDigest();
   machine.trace().Event(machine.clock().now(), TraceCategory::kControlBus, "hv",
                         "snapshot.capture", "core={} digest={}",

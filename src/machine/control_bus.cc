@@ -179,16 +179,15 @@ Status ControlBus::FlushComplexL3(int hv_core) {
   return OkStatus();
 }
 
-Status ControlBus::ReadModelDram(int hv_core, PhysAddr addr, std::span<u8> out) {
+Result<Bytes> ControlBus::ReadModelDram(int hv_core, PhysAddr addr, size_t len) {
   GLL_RETURN_IF_ERROR(CheckCores(hv_core, 0));
   if (!machine_.AllModelCoresQuiesced()) {
     return FailedPrecondition("model complex must be quiesced for DRAM inspection");
   }
-  GLL_RETURN_IF_ERROR(machine_.model_dram().ReadBlock(addr, out));
-  Charge(hv_core, kDramSetupCost + out.size() / 8);
-  Log(hv_core, 0, "ctl.read_dram", "modelcore{} addr={} len={}", addr,
-      out.size());
-  return OkStatus();
+  GLL_ASSIGN_OR_RETURN(Bytes out, machine_.model_dram().ReadBlock(addr, len));
+  Charge(hv_core, kDramSetupCost + len / 8);
+  Log(hv_core, 0, "ctl.read_dram", "modelcore{} addr={} len={}", addr, len);
+  return out;
 }
 
 Status ControlBus::WriteModelDram(int hv_core, PhysAddr addr,

@@ -67,7 +67,7 @@ class ControlBus {
   // --- Private DRAM inspection bus ---
   // Requires every model core to be quiesced (the private bus arbitrates
   // against a stopped complex).
-  Status ReadModelDram(int hv_core, PhysAddr addr, std::span<u8> out);
+  Result<Bytes> ReadModelDram(int hv_core, PhysAddr addr, size_t len);
   Status WriteModelDram(int hv_core, PhysAddr addr, std::span<const u8> data);
 
  private:

@@ -66,9 +66,9 @@ std::optional<IoSlot> RingView::Peek(u64 idx) const {
     // Guest wrote a corrupt length; clamp rather than fault the hypervisor.
     len = static_cast<u32>(slot_bytes_ - kSlotHeaderBytes);
   }
-  slot.payload.resize(len);
   if (len > 0) {
-    dram_.ReadBlock(addr + kSlotHeaderBytes, slot.payload).ok();
+    Result<Bytes> payload = dram_.ReadBlock(addr + kSlotHeaderBytes, len);
+    slot.payload = payload.ok() ? payload.take() : Bytes(len);
   }
   return slot;
 }

@@ -32,14 +32,15 @@ IoResponse StorageDevice::Handle(const IoRequest& request, Cycles /*now*/,
         service_cycles = 50;
         return resp;
       }
-      resp.payload.resize(static_cast<size_t>(count) * sector_bytes_);
-      if (!blocks_.ReadBlock(sector * sector_bytes_, resp.payload).ok()) {
+      const size_t len = static_cast<size_t>(count) * sector_bytes_;
+      Result<Bytes> data = blocks_.ReadBlock(sector * sector_bytes_, len);
+      if (!data.ok()) {
         // `sector + count` wrapped past 2^64.
-        resp.payload.clear();
         resp.status = 2;
         service_cycles = 50;
         return resp;
       }
+      resp.payload = data.take();
       // Seek + per-sector transfer model.
       service_cycles = 20'000 + static_cast<Cycles>(count) * 4'000;
       resp.status = 0;

@@ -94,12 +94,23 @@ bool Dram::Write16(PhysAddr addr, u16 v) { return Store(addr, v); }
 bool Dram::Write32(PhysAddr addr, u32 v) { return Store(addr, v); }
 bool Dram::Write64(PhysAddr addr, u64 v) { return Store(addr, v); }
 
-Status Dram::ReadBlock(PhysAddr addr, std::span<u8> out) const {
-  if (!InBounds(addr, out.size())) {
+Result<Bytes> Dram::ReadBlock(PhysAddr addr, size_t len) const {
+  if (!InBounds(addr, len)) {
     return OutOfRange(name_ + ": read past end");
   }
-  CopyOut(addr, out.data(), out.size());
-  return OkStatus();
+  Bytes out;
+  out.reserve(len);
+  while (len > 0) {
+    const size_t chunk = std::min(len, kPageBytes - (addr & (kPageBytes - 1)));
+    if (live_[addr >> kPageShift] != kNotLive) {
+      out.insert(out.end(), bytes_.get() + addr, bytes_.get() + addr + chunk);
+    } else {
+      out.resize(out.size() + chunk);
+    }
+    addr += chunk;
+    len -= chunk;
+  }
+  return out;
 }
 
 Status Dram::WriteBlock(PhysAddr addr, std::span<const u8> data) {

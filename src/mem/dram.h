@@ -42,6 +42,7 @@
 #include <span>
 #include <string>
 
+#include "src/common/bytes.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 
@@ -72,9 +73,12 @@ class Dram {
   bool Write32(PhysAddr addr, u32 v);
   bool Write64(PhysAddr addr, u64 v);
 
-  // Block accessors used by buses, loaders, and audit tooling. WriteBlock
-  // leaves an all-zero chunk over a non-live page non-live.
-  Status ReadBlock(PhysAddr addr, std::span<u8> out) const;
+  // Block accessors used by buses, loaders, and audit tooling. ReadBlock
+  // returns `len` new bytes and writes each once: live pages are copied and
+  // the rest appended as zeros, so a 1 MiB snapshot costs one pass, not a
+  // zero-fill and a copy. WriteBlock leaves an all-zero chunk over a
+  // non-live page non-live.
+  Result<Bytes> ReadBlock(PhysAddr addr, size_t len) const;
   Status WriteBlock(PhysAddr addr, std::span<const u8> data);
 
   // Zero the whole module (used on power-down / immolation). Bumps
@@ -113,8 +117,8 @@ class Dram {
   template <typename T>
   bool Store(PhysAddr addr, T v);
 
-  // Bounds-checked range copies, page by page. CopyOut reads a non-live page
-  // as zeros; CopyIn materializes every page it writes.
+  // Range copies for callers that bounds-checked, page by page. CopyOut
+  // reads a non-live page as zeros; CopyIn materializes every page it writes.
   void CopyOut(PhysAddr addr, u8* out, size_t len) const;
   void CopyIn(PhysAddr addr, const u8* data, size_t len);
   // Zero-fills page `page`, marks it live, and zeroes the head of the next

@@ -176,9 +176,10 @@ TEST(GuillotineSystemTest, RunGuestProgramBlocksSelfModification) {
                                          attack.entry, 50'000'000);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(*state, RunState::kDone);
-  std::vector<u8> raw(24);
-  ASSERT_TRUE(sys.hv().control_bus().ReadModelDram(0, attack.result_addr, raw).ok());
-  const auto result = UnpackI64(raw);
+  const Result<Bytes> raw =
+      sys.hv().control_bus().ReadModelDram(0, attack.result_addr, 24);
+  ASSERT_TRUE(raw.ok());
+  const auto result = UnpackI64(*raw);
   EXPECT_EQ(result[0], 1);  // store fault
   EXPECT_EQ(result[1], 0);  // payload never ran
 }

@@ -193,12 +193,27 @@ TEST(HmacTest, DigestEqualConstantStructure) {
   EXPECT_FALSE(DigestEqual(a, b));
 }
 
+// a*b mod m over a 128-bit product: the reference the kernel must match.
+u64 ReferenceMulMod(u64 a, u64 b, u64 m) {
+  return static_cast<u64>((static_cast<unsigned __int128>(a) * b) % m);
+}
+
+// Square-and-multiply on ReferenceMulMod.
+u64 ReferencePowMod(u64 base, u64 exp, u64 m) {
+  u64 x = 1 % m;
+  for (base %= m; exp > 0; exp >>= 1, base = ReferenceMulMod(base, base, m)) {
+    if (exp & 1) {
+      x = ReferenceMulMod(x, base, m);
+    }
+  }
+  return x;
+}
+
 TEST(SimSigTest, PowModMatchesKnownValues) {
   EXPECT_EQ(PowMod(2, 10, 1'000'000'007ULL), 1024u);
   EXPECT_EQ(PowMod(7, 0, 13), 1u);
-  EXPECT_EQ(MulMod(0xFFFFFFFFFFFFULL, 0xFFFFFFFFFFFFULL, 1'000'000'007ULL),
-            (static_cast<unsigned __int128>(0xFFFFFFFFFFFFULL) * 0xFFFFFFFFFFFFULL) %
-                1'000'000'007ULL);
+  EXPECT_EQ(PowMod(0xFFFFFFFFFFFFULL, 2, 1'000'000'007ULL),
+            ReferenceMulMod(0xFFFFFFFFFFFFULL, 0xFFFFFFFFFFFFULL, 1'000'000'007ULL));
 }
 
 TEST(SimSigTest, PrimalityKnownCases) {
@@ -281,6 +296,101 @@ TEST(SimSigTest, PrimalityAgreesAcrossTheFourBaseBound) {
   EXPECT_GT(primes, 1000);
 }
 
+TEST(SimSigTest, PrimalityAgreesBelowOneHundredThousand) {
+  // The small primes themselves, trial division alone below 211^2, and the
+  // first Miller-Rabin candidates above it.
+  int primes = 0;
+  for (u64 n = 0; n < 100'000; ++n) {
+    const bool prime = IsPrime(n);
+    primes += prime;
+    ASSERT_EQ(prime, TwelveBaseIsPrime(n)) << n;
+  }
+  EXPECT_EQ(primes, 9'592);  // pi(10^5)
+}
+
+TEST(SimSigTest, PrimalityAgreesAcrossTheThreeBaseBound) {
+  // 4,759,123,141 = 48,781 * 97,561 is the least strong pseudoprime to
+  // bases 2, 7 and 61, so the three-base path must stop just below it.
+  constexpr u64 kBound = 4'759'123'141ULL;
+  EXPECT_FALSE(IsPrime(kBound));
+  EXPECT_FALSE(TwelveBaseIsPrime(kBound));
+  // Strong pseudoprimes to bases 2 and 7 with no factor up to 199, below,
+  // inside and above the keygen range: trial division passes them and
+  // only base 61 rejects them.
+  for (const u64 n : {2'269'093ULL, 1'084'444'481ULL, 2'385'574'201ULL}) {
+    EXPECT_FALSE(IsPrime(n)) << n;
+    EXPECT_FALSE(TwelveBaseIsPrime(n)) << n;
+  }
+  int primes = 0;
+  for (u64 n = kBound - 20'000; n <= kBound + 20'000; ++n) {
+    const bool prime = IsPrime(n);
+    primes += prime;
+    ASSERT_EQ(prime, TwelveBaseIsPrime(n)) << n;
+  }
+  EXPECT_GT(primes, 1000);
+}
+
+TEST(SimSigTest, PrimalityAgreesAcrossTwoToThe32) {
+  // Trial division runs in 32-bit lanes below 2^32 and not at all above.
+  int primes = 0;
+  for (u64 n = (1ULL << 32) - 20'000; n <= (1ULL << 32) + 20'000; ++n) {
+    const bool prime = IsPrime(n);
+    primes += prime;
+    ASSERT_EQ(prime, TwelveBaseIsPrime(n)) << n;
+  }
+  EXPECT_GT(primes, 1000);
+}
+
+TEST(SimSigTest, PrimalityAgreesOnRandom64BitOddNumbers) {
+  Rng rng(37);
+  int primes = 0;
+  int high = 0;
+  for (int i = 0; i < 50'000; ++i) {
+    const u64 n = rng.Next() | 1;
+    high += n >> 63;
+    const bool prime = IsPrime(n);
+    primes += prime;
+    ASSERT_EQ(prime, TwelveBaseIsPrime(n)) << n;
+  }
+  EXPECT_GT(primes, 1000);
+  EXPECT_GT(high, 20'000);
+}
+
+TEST(SimSigTest, PowModMatchesTheReferenceOnRandomOddModuli) {
+  // PowMod runs on the Montgomery kernel: a square checks one product
+  // against a 128-bit %, and a random exponent checks a whole chain.
+  Rng rng(41);
+  for (int i = 0; i < 20'000; ++i) {
+    const u64 m = i == 0 ? ~0ULL : rng.Next() >> (rng.Next() % 62) | 1;
+    const u64 a = rng.Next();
+    const u64 e = rng.Next();
+    ASSERT_EQ(PowMod(a, 2, m), ReferenceMulMod(a % m, a % m, m)) << a << " " << m;
+    ASSERT_EQ(PowMod(a, e, m), ReferencePowMod(a, e, m)) << a << " " << e << " " << m;
+  }
+}
+
+TEST(SimSigTest, KeygenAndSignAreBitIdenticalToTheDivisionKernel) {
+  // Values taken from the SimSig that reduced every product with a 128-bit
+  // %: the candidates drawn, the primes accepted, the keys and the rng's
+  // position after 10,000 keypairs must all be unchanged.
+  Rng rng(3);
+  u64 fold = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const SimSigKeyPair kp = GenerateKeyPair(rng);
+    fold = (fold * 1'000'003) ^ kp.pub.n;
+    fold = (fold * 1'000'003) ^ kp.d;
+    fold = (fold * 1'000'003) ^ kp.pub.e;
+  }
+  EXPECT_EQ(fold, 0x519b3f34cd30dda6ULL);
+  EXPECT_EQ(rng.Next(), 0xcbbfb98af53db49eULL);
+
+  Rng key_rng(1);
+  const SimSigKeyPair kp = GenerateKeyPair(key_rng);
+  EXPECT_EQ(kp.pub.n, 0x25593f2810a58397ULL);
+  EXPECT_EQ(kp.d, 0x1260fa9cdfecbac1ULL);
+  EXPECT_EQ(Sign(kp, "attest this").value, 0x0e9e2290e54f740cULL);
+}
+
 TEST(SimSigTest, SignVerifyRoundTrip) {
   Rng rng(1);
   const SimSigKeyPair kp = GenerateKeyPair(rng);
@@ -309,6 +419,14 @@ TEST(SimSigTest, RejectsForgedSignatureValue) {
   SimSignature sig = Sign(kp, "msg");
   sig.value ^= 1;
   EXPECT_FALSE(Verify(kp.pub, "msg", sig));
+}
+
+TEST(SimSigTest, RejectsDegenerateModuli) {
+  // A forged public key with an even modulus or a modulus of 1 is refused,
+  // without reaching the odd-modulus kernel or a division by n - 1 = 0.
+  for (const u64 n : {0ULL, 1ULL, 2ULL, 1ULL << 40, ~0ULL - 1}) {
+    EXPECT_FALSE(Verify(SimSigPublicKey{n, 65537}, "msg", SimSignature{0})) << n;
+  }
 }
 
 // Property sweep: sign/verify holds across many keys and messages.

@@ -102,8 +102,8 @@ TEST(IntegrationTest, GuestNetworkEchoRoundTrip) {
     sys.machine().model_dram().Read64(kResultAddr, len);
     // Reply payload: [src u32]["ping!"] = 9 bytes.
     EXPECT_EQ(len, 9u);
-    Bytes reply(9);
-    sys.machine().model_dram().ReadBlock(kResultAddr + 8, reply).ok();
+    const Bytes reply =
+        sys.machine().model_dram().ReadBlock(kResultAddr + 8, 9).value_or(Bytes(9));
     ByteReader reader(reply);
     u32 src = 0;
     ASSERT_TRUE(reader.ReadU32(src));

@@ -375,10 +375,9 @@ TEST_F(MachineTest, ControlBusDramRequiresQuiescedComplex) {
   Load(0, "loop: j loop");
   Load(1, "halt");
   Start(0);
-  Bytes buf(8);
-  EXPECT_FALSE(bus_.ReadModelDram(0, 0, buf).ok());
+  EXPECT_FALSE(bus_.ReadModelDram(0, 0, 8).ok());
   ASSERT_TRUE(bus_.Pause(0, 0).ok());
-  EXPECT_TRUE(bus_.ReadModelDram(0, 0, buf).ok());
+  EXPECT_TRUE(bus_.ReadModelDram(0, 0, 8).ok());
 }
 
 TEST_F(MachineTest, ControlBusWriteRegisterAndPc) {

@@ -155,9 +155,9 @@ TEST(DramTest, BlockOps) {
   Dram dram(64);
   const Bytes data = {1, 2, 3, 4, 5};
   EXPECT_TRUE(dram.WriteBlock(10, data).ok());
-  Bytes out(5);
-  EXPECT_TRUE(dram.ReadBlock(10, out).ok());
-  EXPECT_EQ(out, data);
+  const Result<Bytes> out = dram.ReadBlock(10, 5);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*out, data);
   EXPECT_FALSE(dram.WriteBlock(62, data).ok());
 }
 
@@ -510,12 +510,12 @@ void ExpectDramMatchesZeroedVector(size_t size, u64 seed, int steps) {
         ASSERT_EQ(std::memcmp(got, ref.data() + addr, 8), 0) << "step " << step;
       }
     } else if (op < 77) {  // block read across pages
-      Bytes out(rng.NextBelow(3 * Dram::kPageBytes), 0xEE);
-      const bool ok = dram.ReadBlock(addr, out).ok();
-      ASSERT_EQ(ok, in_bounds(addr, out.size())) << "step " << step;
-      if (ok) {
-        ASSERT_EQ(std::memcmp(out.data(), ref.data() + addr, out.size()), 0)
-            << "step " << step;
+      const size_t len = rng.NextBelow(3 * Dram::kPageBytes);
+      const Result<Bytes> out = dram.ReadBlock(addr, len);
+      ASSERT_EQ(out.ok(), in_bounds(addr, len)) << "step " << step;
+      if (out.ok()) {
+        ASSERT_EQ(out->size(), len) << "step " << step;
+        ASSERT_EQ(std::memcmp(out->data(), ref.data() + addr, len), 0) << "step " << step;
       }
     } else if (op < 99) {  // block write: random bytes, or zeros
       Bytes data(rng.NextBelow(3 * Dram::kPageBytes), 0);
@@ -534,9 +534,9 @@ void ExpectDramMatchesZeroedVector(size_t size, u64 seed, int steps) {
       std::fill(ref.begin(), ref.end(), 0);
     }
   }
-  Bytes all(size);
-  ASSERT_TRUE(dram.ReadBlock(0, all).ok());
-  EXPECT_TRUE(all == ref);
+  const Result<Bytes> all = dram.ReadBlock(0, size);
+  ASSERT_TRUE(all.ok());
+  EXPECT_TRUE(*all == ref);
 }
 
 TEST(DramTest, LazyPagesMatchZeroedVector) {
@@ -555,9 +555,9 @@ TEST(DramTest, ZeroBlockOverUntouchedPagesStaysZeroAndLiveWritesLand) {
   ASSERT_TRUE(dram.Write64(2 * Dram::kPageBytes + 100, 0x1122334455667788ULL));
   // Zeros over a live page overwrite what is there.
   ASSERT_TRUE(dram.WriteBlock(2 * Dram::kPageBytes, zeros).ok());
-  Bytes all(8 * Dram::kPageBytes, 0xEE);
-  ASSERT_TRUE(dram.ReadBlock(0, all).ok());
-  EXPECT_TRUE(all == Bytes(8 * Dram::kPageBytes, 0));
+  const Result<Bytes> all = dram.ReadBlock(0, 8 * Dram::kPageBytes);
+  ASSERT_TRUE(all.ok());
+  EXPECT_TRUE(*all == Bytes(8 * Dram::kPageBytes, 0));
   // A store straddling two untouched pages lands in both.
   ASSERT_TRUE(dram.Write64(5 * Dram::kPageBytes - 3, ~0ULL));
   u64 v = 0;

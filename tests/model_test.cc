@@ -135,16 +135,17 @@ TEST_P(CompiledMlpGold, GisaMatchesNative) {
   ASSERT_EQ(core.state(), RunState::kDone) << "used=" << used;
 
   // done flag and progress word.
-  std::vector<u8> raw(8);
-  ASSERT_TRUE(hv.control_bus().ReadModelDram(0, layout.done_addr, raw).ok());
-  EXPECT_EQ(UnpackI64(raw)[0], 1);
-  ASSERT_TRUE(hv.control_bus().ReadModelDram(0, layout.progress_addr, raw).ok());
-  EXPECT_EQ(UnpackI64(raw)[0], static_cast<i64>(layout.num_layers));
+  Result<Bytes> raw = hv.control_bus().ReadModelDram(0, layout.done_addr, 8);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(UnpackI64(raw.value())[0], 1);
+  raw = hv.control_bus().ReadModelDram(0, layout.progress_addr, 8);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(UnpackI64(raw.value())[0], static_cast<i64>(layout.num_layers));
 
   // Output equality, bit for bit.
-  std::vector<u8> out_raw(layout.output_dim * 8);
-  ASSERT_TRUE(hv.control_bus().ReadModelDram(0, layout.output_addr, out_raw).ok());
-  EXPECT_EQ(UnpackI64(out_raw), model.Forward(input));
+  raw = hv.control_bus().ReadModelDram(0, layout.output_addr, layout.output_dim * 8);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(UnpackI64(raw.value()), model.Forward(input));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -173,11 +174,13 @@ class AttackTest : public ::testing::Test {
       used += core.Run(100'000);
     }
     EXPECT_EQ(core.state(), expect_state);
-    std::vector<u8> raw(attack.result_slots * 8);
-    if (!raw.empty()) {
-      EXPECT_TRUE(hv_.control_bus().ReadModelDram(0, attack.result_addr, raw).ok());
+    if (attack.result_slots == 0) {
+      return {};
     }
-    return UnpackI64(raw);
+    const Result<Bytes> raw =
+        hv_.control_bus().ReadModelDram(0, attack.result_addr, attack.result_slots * 8);
+    EXPECT_TRUE(raw.ok());
+    return UnpackI64(raw.value_or(Bytes(attack.result_slots * 8)));
   }
 
   SimClock clock_;
@@ -279,13 +282,13 @@ TEST_F(AttackTest, CovertProgramsRunToCompletion) {
     used += core.Run(100'000);
   }
   EXPECT_EQ(core.state(), RunState::kDone);
-  std::vector<u8> phase_raw(8);
-  ASSERT_TRUE(hv_.control_bus().ReadModelDram(0, 0x40008, phase_raw).ok());
-  EXPECT_EQ(UnpackI64(phase_raw)[0], 3);  // probe phase completed
+  const Result<Bytes> phase_raw = hv_.control_bus().ReadModelDram(0, 0x40008, 8);
+  ASSERT_TRUE(phase_raw.ok());
+  EXPECT_EQ(UnpackI64(*phase_raw)[0], 3);  // probe phase completed
   // Latencies recorded for each bit group.
-  std::vector<u8> lat_raw(4 * 8);
-  ASSERT_TRUE(hv_.control_bus().ReadModelDram(0, 0x40010, lat_raw).ok());
-  for (i64 total : UnpackI64(lat_raw)) {
+  const Result<Bytes> lat_raw = hv_.control_bus().ReadModelDram(0, 0x40010, 4 * 8);
+  ASSERT_TRUE(lat_raw.ok());
+  for (i64 total : UnpackI64(*lat_raw)) {
     EXPECT_GT(total, 0);
   }
 }

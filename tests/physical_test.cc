@@ -349,9 +349,10 @@ TEST_F(ConsoleTest, ImmolationDestroysModelDram) {
   u64 v = 1;
   machine_.model_dram().Read64(0x100, v);
   EXPECT_EQ(v, 0u);
-  Bytes all(machine_.model_dram().size(), 0xEE);
-  ASSERT_TRUE(machine_.model_dram().ReadBlock(0, all).ok());
-  EXPECT_TRUE(all == Bytes(all.size(), 0));
+  const Dram& dram = machine_.model_dram();
+  const Result<Bytes> all = dram.ReadBlock(0, dram.size());
+  ASSERT_TRUE(all.ok());
+  EXPECT_TRUE(*all == Bytes(all->size(), 0));
   // A fetch from the code page now reads zeros, not the old instruction:
   // opcode 0 is illegal, and with no trap vector the core faults.
   core.PowerUpCore(kCodePage);
