@@ -6,19 +6,18 @@
 // reference detector over a labeled corpus and report precision/recall and
 // per-observation analysis cost.
 //
-// E5b adds the batched-pipeline sweep: every detector (and the full suite)
-// re-runs the corpus through EvaluateBatch at increasing batch sizes. The
-// cyc_per_obs column must fall as the batch grows (pattern-table builds,
-// norm accumulators, and window folds amortize) while the verdict digest
-// stays byte-identical to the serial loop — the '=' marker means "same
-// verdicts, traces and digests, batched or not, and identical on rerun".
-// A '!' marker or a <2x amortization on the pattern-scan detectors at
-// batch>=8 fails the harness (nonzero exit), so ctest's smoke entry pins
-// both properties.
+// E5b adds the batch sweep: every detector (and the full suite) re-runs the
+// corpus through EvaluateBatch at increasing batch sizes, against batch=1
+// (every observation a batch of one, which is what a lone Evaluate pays).
+// The cyc_per_obs column must fall as the batch grows (pattern-table
+// builds, norm accumulators, and window folds amortize) while the verdict
+// digest stays byte-identical to batch=1 — the '=' marker means "same
+// verdicts at every batch size, and identical on rerun". A '!' marker or a
+// <2x amortization on the pattern-scan detectors at batch>=8 fails the
+// harness (nonzero exit), so ctest's smoke entry pins both properties.
 // Flags:
 //   --batch=1,8,64   batch sizes to sweep
 #include <functional>
-#include <sstream>
 
 #include "bench/bench_common.h"
 #include "src/core/guillotine.h"
@@ -169,96 +168,79 @@ std::vector<Observation> AnomalyCorpus(Rng& rng) {
   return corpus;
 }
 
-// One detector's sweep outcome at one batch size, plus its serial baseline.
-struct BatchOutcome {
-  double serial_cyc_per_obs = 0.0;
-  double batched_cyc_per_obs = 0.0;
-  bool digest_match = false;  // serial == batched == batched-rerun
+// One corpus run: the verdict digest (costs excluded by design) plus the
+// total simulated cost.
+struct BatchRun {
+  std::string digest;
+  Cycles cost = 0;
 };
 
-// Runs `corpus` serially and in batches of `batch` through detectors built
-// by `make` (fresh instance per run so stateful detectors replay the same
-// history), comparing verdict digests — which exclude costs by design —
-// across serial/batched and across a batched rerun.
-BatchOutcome SweepDetector(const std::function<std::unique_ptr<MisbehaviorDetector>()>& make,
-                           const std::vector<Observation>& corpus, size_t batch) {
-  auto serial = [&] {
-    auto detector = make();
-    VerdictPlan plan;
-    for (const Observation& obs : corpus) {
-      plan.verdicts.push_back(detector->Evaluate(obs));
-      plan.total_cost += plan.verdicts.back().cost;
+// Feeds `corpus` to `evaluate` in batches of `batch`.
+BatchRun InBatches(
+    const std::vector<Observation>& corpus, size_t batch,
+    const std::function<std::vector<DetectorVerdict>(std::span<const Observation>)>&
+        evaluate) {
+  VerdictPlan plan;
+  for (size_t i = 0; i < corpus.size(); i += batch) {
+    const size_t n = std::min(batch, corpus.size() - i);
+    for (DetectorVerdict& v : evaluate(std::span<const Observation>(&corpus[i], n))) {
+      plan.total_cost += v.cost;
+      plan.verdicts.push_back(std::move(v));
     }
-    return plan;
-  };
-  auto batched = [&] {
-    auto detector = make();
-    VerdictPlan plan;
-    for (size_t i = 0; i < corpus.size(); i += batch) {
-      const size_t n = std::min(batch, corpus.size() - i);
-      std::vector<DetectorVerdict> verdicts =
-          detector->EvaluateBatch(std::span<const Observation>(&corpus[i], n));
-      for (DetectorVerdict& v : verdicts) {
-        plan.total_cost += v.cost;
-        plan.verdicts.push_back(std::move(v));
-      }
-    }
-    return plan;
-  };
-  const VerdictPlan s = serial();
-  const VerdictPlan a = batched();
-  const VerdictPlan b = batched();
-  BatchOutcome out;
-  const double n = static_cast<double>(corpus.size());
-  out.serial_cyc_per_obs = static_cast<double>(s.total_cost) / n;
-  out.batched_cyc_per_obs = static_cast<double>(a.total_cost) / n;
-  out.digest_match =
-      s.Digest() == a.Digest() && a.Digest() == b.Digest() && a.total_cost == b.total_cost;
-  return out;
+  }
+  return {plan.Digest(), plan.total_cost};
 }
 
-// Same sweep for the whole DetectorSuite over a mixed corpus (merged
-// verdicts + flag counts must match the serial loop).
+// One sweep row: cyc/obs at batch=1 and at the row's batch size, and
+// whether batch=1, the batch size and its rerun digest identically (the
+// rerun also at identical cost).
+struct BatchOutcome {
+  double single_cyc_per_obs = 0.0;
+  double batched_cyc_per_obs = 0.0;
+  bool digest_match = false;
+};
+
+// `run(batch)` runs the corpus on fresh detector state, so stateful
+// detectors replay the same history every time.
+BatchOutcome Sweep(const std::function<BatchRun(size_t)>& run, size_t corpus_size,
+                   size_t batch) {
+  const BatchRun single = run(1);
+  const BatchRun a = run(batch);
+  const BatchRun b = run(batch);
+  const double n = static_cast<double>(corpus_size);
+  return {static_cast<double>(single.cost) / n, static_cast<double>(a.cost) / n,
+          single.digest == a.digest && a.digest == b.digest && a.cost == b.cost};
+}
+
+BatchOutcome SweepDetector(const std::function<std::unique_ptr<MisbehaviorDetector>()>& make,
+                           const std::vector<Observation>& corpus, size_t batch) {
+  return Sweep(
+      [&](size_t b) {
+        auto detector = make();
+        return InBatches(corpus, b, [&](std::span<const Observation> obs) {
+          std::vector<DetectorVerdict> verdicts(obs.size());
+          detector->EvaluateBatch(obs, verdicts);
+          return verdicts;
+        });
+      },
+      corpus.size(), batch);
+}
+
+// The whole DetectorSuite over a mixed corpus: merged verdicts and the
+// per-detector flag counts join the digest.
 BatchOutcome SweepSuite(const std::vector<Observation>& corpus, size_t batch) {
-  DetectorConfig config;
-  auto build = [&] { return BuildDetectorSuite(config); };
-  auto digest_counts = [](DetectorSuite& suite, const VerdictPlan& plan) {
-    std::ostringstream out;
-    out << plan.Digest();
-    for (const auto& [name, count] : suite.flag_counts()) {
-      out << name << "=" << count << "\n";
-    }
-    return out.str();
-  };
-  DetectorSuite serial_suite = build();
-  VerdictPlan serial_plan;
-  for (const Observation& obs : corpus) {
-    serial_plan.verdicts.push_back(serial_suite.Evaluate(obs));
-    serial_plan.total_cost += serial_plan.verdicts.back().cost;
-  }
-  auto batched = [&](DetectorSuite& suite) {
-    VerdictPlan plan;
-    for (size_t i = 0; i < corpus.size(); i += batch) {
-      const size_t n = std::min(batch, corpus.size() - i);
-      VerdictPlan chunk = suite.EvaluateBatch(std::span<const Observation>(&corpus[i], n));
-      plan.total_cost += chunk.total_cost;
-      for (DetectorVerdict& v : chunk.verdicts) {
-        plan.verdicts.push_back(std::move(v));
-      }
-    }
-    return plan;
-  };
-  DetectorSuite suite_a = build();
-  DetectorSuite suite_b = build();
-  const VerdictPlan a = batched(suite_a);
-  const VerdictPlan b = batched(suite_b);
-  BatchOutcome out;
-  const double n = static_cast<double>(corpus.size());
-  out.serial_cyc_per_obs = static_cast<double>(serial_plan.total_cost) / n;
-  out.batched_cyc_per_obs = static_cast<double>(a.total_cost) / n;
-  out.digest_match = digest_counts(serial_suite, serial_plan) == digest_counts(suite_a, a) &&
-                     digest_counts(suite_a, a) == digest_counts(suite_b, b);
-  return out;
+  return Sweep(
+      [&](size_t b) {
+        DetectorSuite suite = BuildDetectorSuite(DetectorConfig{});
+        BatchRun out = InBatches(corpus, b, [&](std::span<const Observation> obs) {
+          return suite.EvaluateBatch(obs).verdicts;
+        });
+        for (const auto& [name, count] : suite.flag_counts()) {
+          out.digest += name + "=" + std::to_string(count) + "\n";
+        }
+        return out;
+      },
+      corpus.size(), batch);
 }
 
 // Runs the E5b sweep; gates every digest and the pattern-scan detectors'
@@ -268,8 +250,9 @@ int RunBatchSweep(const std::vector<u64>& batch_sizes) {
               "EvaluateBatch amortizes per-observation setup (shared "
               "rolling-hash pattern scans, per-layer norm accumulators, "
               "window-counter folds) without changing a single verdict: "
-              "cyc_per_obs falls with the batch size while the serial and "
-              "batched verdict digests stay byte-identical, rerun included");
+              "cyc_per_obs falls with the batch size while the verdict digest "
+              "stays byte-identical to batch=1 (a batch of one per "
+              "observation), rerun included");
 
   Rng rng(BenchSeed());
   std::vector<i64> probe(16);
@@ -346,7 +329,7 @@ int RunBatchSweep(const std::vector<u64>& batch_sizes) {
       const BatchOutcome out = SweepDetector(entry.make, *entry.corpus, batch);
       const double speedup = out.batched_cyc_per_obs == 0.0
                                  ? 1.0
-                                 : out.serial_cyc_per_obs / out.batched_cyc_per_obs;
+                                 : out.single_cyc_per_obs / out.batched_cyc_per_obs;
       report.Gate(!entry.pattern_scan || batch < 8 || speedup >= 2.0, entry.name,
                   " batch=", batch, " amortizes only ", speedup, "x (need >= 2x)");
       table.AddRow({entry.name, std::to_string(batch),
@@ -360,7 +343,7 @@ int RunBatchSweep(const std::vector<u64>& batch_sizes) {
     const BatchOutcome out = SweepSuite(mixed, batch);
     const double speedup = out.batched_cyc_per_obs == 0.0
                                ? 1.0
-                               : out.serial_cyc_per_obs / out.batched_cyc_per_obs;
+                               : out.single_cyc_per_obs / out.batched_cyc_per_obs;
     table.AddRow({"suite(all)", std::to_string(batch),
                   TextTable::Num(out.batched_cyc_per_obs, 0),
                   TextTable::Num(speedup, 2) + "x",
@@ -369,12 +352,12 @@ int RunBatchSweep(const std::vector<u64>& batch_sizes) {
   }
   table.Print();
   return report.Finish(
-      "batch=1 degenerates to the serial cost on every detector; at batch>=8 "
-      "the pattern-scan detectors amortize their table builds and per-pattern "
-      "rescans >=2x and the suite's mixed batches amortize across kinds, with "
-      "'=' on every row — the enforcement layer can adopt VerdictPlans "
-      "without any verdict drift (circuit_breaker rides the default "
-      "loop-over-Evaluate path, so its cost is flat by construction)");
+      "batch=1 is the baseline (a lone observation pays exactly a batch of "
+      "one); at batch>=8 the pattern-scan detectors amortize their table "
+      "builds >=2x and the suite's mixed batches amortize across kinds, with "
+      "'=' on every row — batching changes what mediation costs, never a "
+      "verdict (circuit_breaker has no per-batch setup, so its cost is flat "
+      "by construction)");
 }
 
 int Run(const std::vector<u64>& batch_sizes) {

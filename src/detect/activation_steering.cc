@@ -22,66 +22,8 @@ double ActivationSteering::Project(std::span<const i64> activations,
   return norm_sq == 0.0 ? 0.0 : dot / norm_sq;
 }
 
-DetectorVerdict ActivationSteering::EvaluateWithNorm(const Observation& observation,
-                                                     const SteeringVector& sv,
-                                                     double norm_sq,
-                                                     Cycles cost) const {
-  DetectorVerdict v;
-  v.cost = cost;
-
-  // Same arithmetic as Project, with |direction|^2 precomputed: each
-  // accumulator only ever sums its own products in index order, so hoisting
-  // the norm out of the loop leaves the projection value bit-identical.
-  double projection = 0.0;
-  if (observation.activations.size() == sv.direction.size() && !sv.direction.empty() &&
-      norm_sq != 0.0) {
-    double dot = 0.0;
-    for (size_t i = 0; i < sv.direction.size(); ++i) {
-      dot += static_cast<double>(observation.activations[i]) *
-             static_cast<double>(sv.direction[i]);
-    }
-    projection = dot / norm_sq;
-  }
-  if (projection <= sv.threshold) {
-    return v;
-  }
-  // Damp the probe direction: a' = a - strength * projection * d.
-  std::vector<i64> steered = observation.activations;
-  for (size_t i = 0; i < steered.size() && i < sv.direction.size(); ++i) {
-    const double delta = sv.strength * projection * static_cast<double>(sv.direction[i]);
-    steered[i] -= static_cast<i64>(delta);
-  }
-  v.action = VerdictAction::kRewrite;
-  v.score = projection;
-  v.reason = "activation projection " + std::to_string(projection) +
-             " above threshold at layer " + std::to_string(observation.layer);
-  v.rewritten_activations = std::move(steered);
-  return v;
-}
-
-DetectorVerdict ActivationSteering::Evaluate(const Observation& observation) {
-  DetectorVerdict v;
-  if (observation.kind != ObservationKind::kActivations) {
-    return v;
-  }
-  const auto it = vectors_.find(observation.layer);
-  if (it == vectors_.end()) {
-    return v;
-  }
-  const SteeringVector& sv = it->second;
-  double norm_sq = 0.0;
-  for (const i64 d : sv.direction) {
-    norm_sq += static_cast<double>(d) * static_cast<double>(d);
-  }
-  // Cost model: one pass over the activations for the dot product and one
-  // for the norm.
-  return EvaluateWithNorm(observation, sv, norm_sq,
-                          100 + 2 * observation.activations.size());
-}
-
-std::vector<DetectorVerdict> ActivationSteering::EvaluateBatch(
-    std::span<const Observation> observations) {
-  std::vector<DetectorVerdict> verdicts(observations.size());
+void ActivationSteering::EvaluateBatch(std::span<const Observation> observations,
+                                       std::span<DetectorVerdict> verdicts) {
   // Per-layer norm accumulators, built on first touch and reused across the
   // batch; the build cost is charged to the observation that triggered it.
   std::map<int, double> norms;
@@ -95,7 +37,8 @@ std::vector<DetectorVerdict> ActivationSteering::EvaluateBatch(
       continue;
     }
     const SteeringVector& sv = it->second;
-    Cycles cost = 25 + observation.activations.size();  // dot-product pass only
+    DetectorVerdict& v = verdicts[i];
+    v.cost = 25 + observation.activations.size();  // the dot-product pass
     auto norm_it = norms.find(observation.layer);
     if (norm_it == norms.end()) {
       double norm_sq = 0.0;
@@ -103,11 +46,36 @@ std::vector<DetectorVerdict> ActivationSteering::EvaluateBatch(
         norm_sq += static_cast<double>(d) * static_cast<double>(d);
       }
       norm_it = norms.emplace(observation.layer, norm_sq).first;
-      cost += sv.direction.size();  // the once-per-layer norm accumulation
+      v.cost += sv.direction.size();  // the once-per-layer norm accumulation
     }
-    verdicts[i] = EvaluateWithNorm(observation, sv, norm_it->second, cost);
+    // Project's arithmetic with |direction|^2 hoisted: each accumulator sums
+    // its own products in index order, so the projection is the same double.
+    const double norm_sq = norm_it->second;
+    double projection = 0.0;
+    if (observation.activations.size() == sv.direction.size() && !sv.direction.empty() &&
+        norm_sq != 0.0) {
+      double dot = 0.0;
+      for (size_t d = 0; d < sv.direction.size(); ++d) {
+        dot += static_cast<double>(observation.activations[d]) *
+               static_cast<double>(sv.direction[d]);
+      }
+      projection = dot / norm_sq;
+    }
+    if (projection <= sv.threshold) {
+      continue;
+    }
+    // Damp the probe direction: a' = a - strength * projection * d.
+    std::vector<i64> steered = observation.activations;
+    for (size_t d = 0; d < steered.size() && d < sv.direction.size(); ++d) {
+      const double delta = sv.strength * projection * static_cast<double>(sv.direction[d]);
+      steered[d] -= static_cast<i64>(delta);
+    }
+    v.action = VerdictAction::kRewrite;
+    v.score = projection;
+    v.reason = "activation projection " + std::to_string(projection) +
+               " above threshold at layer " + std::to_string(observation.layer);
+    v.rewritten_activations = std::move(steered);
   }
-  return verdicts;
 }
 
 }  // namespace guillotine

@@ -36,27 +36,18 @@ class ActivationSteering : public MisbehaviorDetector {
   void SetLayerVector(int layer, SteeringVector vec);
 
   std::string_view name() const override { return "activation_steering"; }
-  DetectorVerdict Evaluate(const Observation& observation) override;
 
-  // Batched path: |direction|^2 depends only on the installed per-layer
-  // vector, so it is accumulated once per layer per batch and reused for
-  // every observation hitting that layer (the serial path re-sums it inside
-  // every Project call). Each accumulator sums in the same index order as
-  // Project, so projections — and therefore verdicts — are bit-identical.
-  std::vector<DetectorVerdict> EvaluateBatch(
-      std::span<const Observation> observations) override;
+  // |direction|^2 depends only on the installed per-layer vector, so it is
+  // accumulated once per layer per batch and reused for every observation
+  // hitting that layer.
+  void EvaluateBatch(std::span<const Observation> observations,
+                     std::span<DetectorVerdict> verdicts) override;
 
   // Projection of activations onto direction, normalized by |direction|^2.
   static double Project(std::span<const i64> activations,
                         std::span<const i64> direction);
 
  private:
-  // Evaluation body with the norm supplied by the caller; `cost` is the
-  // simulated cycles to charge when the layer is instrumented.
-  DetectorVerdict EvaluateWithNorm(const Observation& observation,
-                                   const SteeringVector& sv, double norm_sq,
-                                   Cycles cost) const;
-
   std::map<int, SteeringVector> vectors_;
 };
 

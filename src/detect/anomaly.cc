@@ -3,14 +3,11 @@
 namespace guillotine {
 
 namespace {
-// Serial per-observation costs: full dispatch + counter load per call.
-constexpr Cycles kSerialSystemCost = 150;
-constexpr Cycles kSerialPortCost = 50;
-// Batched: the window-counter fold loads state once per batch and streams
-// the observations, so each one pays only the incremental update.
-constexpr Cycles kBatchSetupCost = 100;
-constexpr Cycles kBatchSystemCost = 50;
-constexpr Cycles kBatchPortCost = 20;
+// The window-counter fold loads state once per batch and streams the
+// observations, so each one pays only the incremental update.
+constexpr Cycles kSetupCost = 100;
+constexpr Cycles kSystemCost = 50;
+constexpr Cycles kPortCost = 20;
 // Multipliers over the learned baseline that trigger a flag and an
 // escalation.
 constexpr double kFlagFactor = 10.0;
@@ -21,15 +18,14 @@ constexpr double kAlpha = 0.2;
 constexpr size_t kPayloadFlagBytes = 32 * 1024;
 }  // namespace
 
-DetectorVerdict AnomalyDetector::EvaluateOne(const Observation& observation,
-                                             Cycles system_cost, Cycles port_cost) {
+DetectorVerdict AnomalyDetector::EvaluateOne(const Observation& observation) {
   DetectorVerdict v;
   switch (observation.kind) {
     case ObservationKind::kSystem: {
       if (observation.window_cycles == 0) {
         return v;
       }
-      v.cost = system_cost;
+      v.cost = kSystemCost;
       const double rate = static_cast<double>(observation.doorbells_in_window) *
                           1e6 / static_cast<double>(observation.window_cycles);
       const double baseline = ewma_rate_;
@@ -47,7 +43,7 @@ DetectorVerdict AnomalyDetector::EvaluateOne(const Observation& observation,
       return v;
     }
     case ObservationKind::kPortTraffic: {
-      v.cost = port_cost;
+      v.cost = kPortCost;
       if (observation.data.size() > kPayloadFlagBytes) {
         v.action = VerdictAction::kFlag;
         v.score = 0.5;
@@ -61,24 +57,16 @@ DetectorVerdict AnomalyDetector::EvaluateOne(const Observation& observation,
   }
 }
 
-DetectorVerdict AnomalyDetector::Evaluate(const Observation& observation) {
-  return EvaluateOne(observation, kSerialSystemCost, kSerialPortCost);
-}
-
-std::vector<DetectorVerdict> AnomalyDetector::EvaluateBatch(
-    std::span<const Observation> observations) {
-  std::vector<DetectorVerdict> verdicts;
-  verdicts.reserve(observations.size());
-  Cycles setup = kBatchSetupCost;  // charged to the first relevant observation
-  for (const Observation& observation : observations) {
-    DetectorVerdict v = EvaluateOne(observation, kBatchSystemCost, kBatchPortCost);
-    if (v.cost != 0) {
-      v.cost += setup;
+void AnomalyDetector::EvaluateBatch(std::span<const Observation> observations,
+                                    std::span<DetectorVerdict> verdicts) {
+  Cycles setup = kSetupCost;  // charged to the first relevant observation
+  for (size_t i = 0; i < observations.size(); ++i) {
+    verdicts[i] = EvaluateOne(observations[i]);
+    if (verdicts[i].cost != 0) {
+      verdicts[i].cost += setup;
       setup = 0;
     }
-    verdicts.push_back(std::move(v));
   }
-  return verdicts;
 }
 
 }  // namespace guillotine

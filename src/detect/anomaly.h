@@ -18,22 +18,18 @@ inline constexpr double kAnomalyRateBaseline = 100.0;
 class AnomalyDetector : public MisbehaviorDetector {
  public:
   std::string_view name() const override { return "anomaly"; }
-  DetectorVerdict Evaluate(const Observation& observation) override;
 
-  // Batched path: folds the batch's window counters and payload checks into
-  // one pass. The EWMA state advances in observation order (identical to
-  // the serial loop, so verdicts are bit-identical); the per-observation
-  // dispatch/update overhead is amortized into a single per-batch setup.
-  std::vector<DetectorVerdict> EvaluateBatch(
-      std::span<const Observation> observations) override;
+  // Folds the batch's window counters and payload checks into one pass:
+  // the EWMA state advances in observation order, and the dispatch/counter
+  // load is one per-batch setup.
+  void EvaluateBatch(std::span<const Observation> observations,
+                     std::span<DetectorVerdict> verdicts) override;
 
   double learned_rate() const { return ewma_rate_; }
 
  private:
-  // The shared evaluation body; serial and batched calls differ only in the
-  // simulated cost they charge, never in verdicts or EWMA evolution.
-  DetectorVerdict EvaluateOne(const Observation& observation, Cycles system_cost,
-                              Cycles port_cost);
+  // One observation's verdict and incremental cost; advances the EWMA.
+  DetectorVerdict EvaluateOne(const Observation& observation);
 
   double ewma_rate_ = kAnomalyRateBaseline;
 };

@@ -27,11 +27,12 @@ class CircuitBreaker : public MisbehaviorDetector {
   void SetLayerProbe(int layer, std::vector<i64> probe);
 
   std::string_view name() const override { return "circuit_breaker"; }
-  DetectorVerdict Evaluate(const Observation& observation) override;
-  // Inherits the default EvaluateBatch (loop over Evaluate): the trip
-  // counter makes every verdict depend on every earlier one, so there is no
-  // per-batch setup to amortize — and the default keeps the base-class path
-  // exercised by the batched pipeline.
+
+  // The trip counter makes every verdict depend on every earlier one, so
+  // there is no per-batch setup to amortize: each observation pays the
+  // same projection.
+  void EvaluateBatch(std::span<const Observation> observations,
+                     std::span<DetectorVerdict> verdicts) override;
 
   u64 trips() const { return trips_; }
 

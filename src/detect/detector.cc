@@ -21,16 +21,6 @@ std::string_view VerdictActionName(VerdictAction a) {
   return "?";
 }
 
-std::vector<DetectorVerdict> MisbehaviorDetector::EvaluateBatch(
-    std::span<const Observation> observations) {
-  std::vector<DetectorVerdict> verdicts;
-  verdicts.reserve(observations.size());
-  for (const Observation& observation : observations) {
-    verdicts.push_back(Evaluate(observation));
-  }
-  return verdicts;
-}
-
 std::string VerdictPlan::Digest() const {
   std::ostringstream out;
   for (size_t i = 0; i < verdicts.size(); ++i) {
@@ -68,7 +58,7 @@ std::vector<std::pair<std::string, u64>> DetectorSuite::flag_counts() const {
   return rows;
 }
 
-void DetectorSuite::MergeVerdict(size_t slot, DetectorVerdict v,
+void DetectorSuite::MergeVerdict(size_t slot, DetectorVerdict& v,
                                  DetectorVerdict& merged) {
   merged.cost += v.cost;
   if (v.action == VerdictAction::kAllow) {
@@ -84,29 +74,17 @@ void DetectorSuite::MergeVerdict(size_t slot, DetectorVerdict v,
   merged.score = std::max(merged.score, v.score);
 }
 
-DetectorVerdict DetectorSuite::Evaluate(const Observation& observation) {
-  DetectorVerdict merged;
-  for (size_t i = 0; i < detectors_.size(); ++i) {
-    MergeVerdict(i, detectors_[i]->Evaluate(observation), merged);
-  }
-  return merged;
-}
-
 VerdictPlan DetectorSuite::EvaluateBatch(std::span<const Observation> observations) {
   VerdictPlan plan;
   plan.verdicts.resize(observations.size());
-  // Detector-major: detector i consumes the whole batch (observations in
-  // order, so its internal state evolves exactly as under the serial loop),
-  // then its verdicts merge into each observation's slot. Because each
-  // detector's state is independent, per-observation merges in slot order
-  // reproduce the serial observation-major result bit for bit.
+  // Detector-major: detector i consumes the whole batch in order, then its
+  // verdicts merge into each observation's slot. Each detector's state is
+  // its own, so this equals merging observation by observation.
   for (size_t i = 0; i < detectors_.size(); ++i) {
-    std::vector<DetectorVerdict> verdicts = detectors_[i]->EvaluateBatch(observations);
-    // A malformed override that returns the wrong shape degrades to allow
-    // for the missing tail instead of corrupting the merge.
-    verdicts.resize(observations.size());
+    scratch_.assign(observations.size(), DetectorVerdict{});
+    detectors_[i]->EvaluateBatch(observations, scratch_);
     for (size_t obs = 0; obs < observations.size(); ++obs) {
-      MergeVerdict(i, std::move(verdicts[obs]), plan.verdicts[obs]);
+      MergeVerdict(i, scratch_[obs], plan.verdicts[obs]);
     }
   }
   for (const DetectorVerdict& v : plan.verdicts) {

@@ -10,13 +10,12 @@
 // feeds observations and enforces verdicts; the physical hypervisor hears
 // escalation requests.
 //
-// Observations can be evaluated one at a time (Evaluate) or as a batch
-// (EvaluateBatch -> VerdictPlan). Both paths produce bit-identical verdicts
-// and flag counts for the same observation sequence; batching only changes
-// the simulated cost, because detectors may amortize per-observation setup
-// (pattern-table builds, per-layer norm accumulators, window-counter folds)
-// across the batch. The hv service loop and the sharded model service
-// submit one batch per pass instead of one Evaluate per observation.
+// Every observation goes through one path, EvaluateBatch, under one cost
+// model: a lone observation is a batch of one. Batching changes only the
+// simulated cost, because detectors amortize per-batch setup (pattern-table
+// builds, per-layer norm accumulators, window-counter folds) across the
+// batch; how a sequence is cut into batches never changes a verdict. The hv
+// service loop and the sharded model service submit one batch per pass.
 #ifndef SRC_DETECT_DETECTOR_H_
 #define SRC_DETECT_DETECTOR_H_
 
@@ -86,45 +85,50 @@ class MisbehaviorDetector {
  public:
   virtual ~MisbehaviorDetector() = default;
   virtual std::string_view name() const = 0;
-  virtual DetectorVerdict Evaluate(const Observation& observation) = 0;
 
-  // Batch evaluation: one verdict per observation, in order. The default
-  // loops over Evaluate (correct for every detector); detectors whose
-  // per-observation work shares setup override it to amortize that setup —
-  // verdicts must stay bit-identical to the serial loop, only costs may
-  // shrink.
-  virtual std::vector<DetectorVerdict> EvaluateBatch(
-      std::span<const Observation> observations);
+  // Fills verdicts[i] with the verdict on observations[i]. The caller
+  // sizes `verdicts` to match and passes them default (allow, cost 0).
+  virtual void EvaluateBatch(std::span<const Observation> observations,
+                             std::span<DetectorVerdict> verdicts) = 0;
+
+  // A batch of one.
+  DetectorVerdict Evaluate(const Observation& observation) {
+    DetectorVerdict verdict;
+    EvaluateBatch({&observation, 1}, {&verdict, 1});
+    return verdict;
+  }
 };
 
 // One batch's worth of merged verdicts: the per-observation outcome the
-// enforcement layer applies (same severity merge as the serial path) plus
-// the aggregate simulated cost, charged once per batch instead of once per
-// observation.
+// enforcement layer applies plus the aggregate simulated cost, charged once
+// per batch instead of once per observation.
 struct VerdictPlan {
   std::vector<DetectorVerdict> verdicts;  // one per observation, merged
   Cycles total_cost = 0;                  // sum over detectors x observations
 
   // Canonical rendering of every verdict (action, score, reason, rewrite
-  // payloads) and nothing cost-derived: serial and batched evaluation of
-  // the same observations must digest identically, while amortization is
+  // payloads) and nothing cost-derived: the same observations digest
+  // identically however they are cut into batches, while amortization is
   // free to change the cost column.
   std::string Digest() const;
 };
 
-// Runs every registered detector over an observation and merges verdicts by
-// severity (kEscalate > kBlock > kRewrite > kFlag > kAllow); costs add up.
+// Runs every registered detector over a batch and merges each observation's
+// verdicts by severity (kEscalate > kBlock > kRewrite > kFlag > kAllow);
+// costs add up.
 class DetectorSuite {
  public:
   void Add(std::unique_ptr<MisbehaviorDetector> detector);
 
-  DetectorVerdict Evaluate(const Observation& observation);
-
   // Evaluates the whole batch detector-major (each detector sees the
-  // observations in order, so stateful detectors evolve exactly as in the
-  // serial loop) and merges per observation in registration order — the
-  // same merge the serial path performs. Flag counts advance identically.
+  // observations in order) and merges per observation by severity in
+  // registration order.
   VerdictPlan EvaluateBatch(std::span<const Observation> observations);
+
+  // A batch of one.
+  DetectorVerdict Evaluate(const Observation& observation) {
+    return std::move(EvaluateBatch({&observation, 1}).verdicts.front());
+  }
 
   // Count of non-allow verdicts per detector, in registration order. Counts
   // are stored index-by-detector-slot (no name lookups on the hot path);
@@ -138,14 +142,14 @@ class DetectorSuite {
   u64 batched_observations() const { return batched_observations_; }
 
  private:
-  // Merges `v` from detector `slot` into `merged`, bumping the slot's flag
-  // count on non-allow. Shared verbatim by the serial and batched paths so
-  // the severity semantics cannot drift apart.
-  void MergeVerdict(size_t slot, DetectorVerdict v, DetectorVerdict& merged);
+  // Merges `v` from detector `slot` into `merged` (moving its rewrite out),
+  // bumping the slot's flag count on non-allow.
+  void MergeVerdict(size_t slot, DetectorVerdict& v, DetectorVerdict& merged);
 
   std::vector<std::unique_ptr<MisbehaviorDetector>> detectors_;
   std::vector<std::string> detector_names_;  // slot -> name (stable order)
   std::vector<u64> flag_counts_by_slot_;     // slot -> non-allow verdicts
+  std::vector<DetectorVerdict> scratch_;     // one detector's verdicts on a batch
   u64 batches_ = 0;
   u64 batched_observations_ = 0;
 };

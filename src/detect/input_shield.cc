@@ -58,39 +58,9 @@ const PatternScanner& InputShield::Scanner() {
   return *scanner_;
 }
 
-void InputShield::Classify(const Observation& observation, size_t combined_hit,
-                           DetectorVerdict& v) const {
-  if (combined_hit != PatternScanner::kNpos) {
-    if (combined_hit < kNumBlockPatterns) {
-      v.action = VerdictAction::kBlock;
-      v.score = 1.0;
-      v.reason = "blocked pattern '" + std::string(kBlockPatterns[combined_hit]) + "'";
-    } else {
-      v.action = VerdictAction::kFlag;
-      v.score = 0.6;
-      v.reason = "flagged pattern '" +
-                 std::string(kFlagPatterns[combined_hit - kNumBlockPatterns]) + "'";
-    }
-    return;
-  }
-  if (observation.data.size() > kInputShieldMaxLen) {
-    v.action = VerdictAction::kFlag;
-    v.score = 0.4;
-    v.reason = "prompt exceeds length bound";
-    return;
-  }
-  const double entropy = ShannonEntropy(observation.data);
-  if (entropy > kEntropyThreshold && observation.data.size() >= 64) {
-    v.action = VerdictAction::kFlag;
-    v.score = 0.5;
-    v.reason = "high-entropy payload (possible encoded content)";
-  }
-}
-
-std::vector<DetectorVerdict> InputShield::EvaluateBatch(
-    std::span<const Observation> observations) {
+void InputShield::EvaluateBatch(std::span<const Observation> observations,
+                                std::span<DetectorVerdict> verdicts) {
   const PatternScanner& scanner = Scanner();
-  std::vector<DetectorVerdict> verdicts(observations.size());
   // The pattern-table build is paid once per batch, spread over the batch's
   // input observations so per-verdict costs stay meaningful.
   size_t inputs = 0;
@@ -105,40 +75,28 @@ std::vector<DetectorVerdict> InputShield::EvaluateBatch(
       continue;
     }
     v.cost = build.Take() + PatternScanner::ScanCost(observation.data.size());
-    Classify(observation, scanner.FirstHit(Lowered(observation.data)), v);
-  }
-  return verdicts;
-}
-
-DetectorVerdict InputShield::Evaluate(const Observation& observation) {
-  DetectorVerdict v;
-  if (observation.kind != ObservationKind::kModelInput) {
-    return v;
-  }
-  // Cost model: one pass over the prompt.
-  v.cost = 200 + observation.data.size();
-
-  // First block pattern that occurs, else first flag pattern, as a
-  // combined block++flag index — the same priority FirstHit computes over
-  // the batched scanner.
-  const std::string text = Lowered(observation.data);
-  size_t combined_hit = PatternScanner::kNpos;
-  for (size_t i = 0; i < kNumBlockPatterns; ++i) {
-    if (text.find(kBlockPatterns[i]) != std::string::npos) {
-      combined_hit = i;
-      break;
+    // Verdict ladder: block pattern > flag pattern > length bound > entropy.
+    const size_t hit = scanner.FirstHit(Lowered(observation.data));
+    if (hit < kNumBlockPatterns) {
+      v.action = VerdictAction::kBlock;
+      v.score = 1.0;
+      v.reason = "blocked pattern '" + std::string(kBlockPatterns[hit]) + "'";
+    } else if (hit != PatternScanner::kNpos) {
+      v.action = VerdictAction::kFlag;
+      v.score = 0.6;
+      v.reason =
+          "flagged pattern '" + std::string(kFlagPatterns[hit - kNumBlockPatterns]) + "'";
+    } else if (observation.data.size() > kInputShieldMaxLen) {
+      v.action = VerdictAction::kFlag;
+      v.score = 0.4;
+      v.reason = "prompt exceeds length bound";
+    } else if (observation.data.size() >= 64 &&
+               ShannonEntropy(observation.data) > kEntropyThreshold) {
+      v.action = VerdictAction::kFlag;
+      v.score = 0.5;
+      v.reason = "high-entropy payload (possible encoded content)";
     }
   }
-  if (combined_hit == PatternScanner::kNpos) {
-    for (size_t i = 0; i < std::size(kFlagPatterns); ++i) {
-      if (text.find(kFlagPatterns[i]) != std::string::npos) {
-        combined_hit = kNumBlockPatterns + i;
-        break;
-      }
-    }
-  }
-  Classify(observation, combined_hit, v);
-  return v;
 }
 
 }  // namespace guillotine

@@ -20,26 +20,18 @@ inline constexpr size_t kInputShieldMaxLen = 8192;
 class InputShield : public MisbehaviorDetector {
  public:
   std::string_view name() const override { return "input_shield"; }
-  DetectorVerdict Evaluate(const Observation& observation) override;
 
-  // Batched path: one Rabin-Karp pre-scan per observation against a shared
-  // block+flag pattern table (built once, its cost amortized across the
-  // batch) replaces the serial per-pattern rescans. Verdicts are
-  // bit-identical to the serial loop; only the cost model changes.
-  std::vector<DetectorVerdict> EvaluateBatch(
-      std::span<const Observation> observations) override;
+  // One Rabin-Karp pre-scan per observation against a shared block+flag
+  // pattern table, built once per batch with its cost amortized across the
+  // batch's inputs.
+  void EvaluateBatch(std::span<const Observation> observations,
+                     std::span<DetectorVerdict> verdicts) override;
 
   // Bits of entropy per byte of `data` (exposed for tests).
   static double ShannonEntropy(std::span<const u8> data);
 
  private:
   const PatternScanner& Scanner();
-  // The shared verdict ladder (block pattern > flag pattern > length bound
-  // > entropy), fed the combined block++flag pattern-hit index (or
-  // PatternScanner::kNpos). Both paths classify through this one function,
-  // so serial/batched verdict identity cannot drift.
-  void Classify(const Observation& observation, size_t combined_hit,
-                DetectorVerdict& v) const;
 
   // Lazily built over the block ++ flag patterns (block first, so a
   // FirstHit below the block count is a block and above is a flag).

@@ -22,48 +22,9 @@ const PatternScanner& OutputSanitizer::Scanner() {
   return *scanner_;
 }
 
-void OutputSanitizer::Redact(std::string& text, bool& redacted) const {
-  for (std::string_view pattern : kRedactPatterns) {
-    size_t pos = 0;
-    while ((pos = text.find(pattern, pos)) != std::string::npos) {
-      text.replace(pos, pattern.size(), kRedaction);
-      pos += kRedaction.size();
-      redacted = true;
-    }
-  }
-}
-
-DetectorVerdict OutputSanitizer::Evaluate(const Observation& observation) {
-  DetectorVerdict v;
-  if (observation.kind != ObservationKind::kModelOutput) {
-    return v;
-  }
-  v.cost = 200 + observation.data.size();
-
-  std::string text(observation.data.begin(), observation.data.end());
-  for (std::string_view pattern : kBlockPatterns) {
-    if (text.find(pattern) != std::string::npos) {
-      v.action = VerdictAction::kBlock;
-      v.score = 1.0;
-      v.reason = "output contains blocked pattern '" + std::string(pattern) + "'";
-      return v;
-    }
-  }
-  bool redacted = false;
-  Redact(text, redacted);
-  if (redacted) {
-    v.action = VerdictAction::kRewrite;
-    v.score = 0.7;
-    v.reason = "sensitive content redacted";
-    v.rewritten_data = Bytes(text.begin(), text.end());
-  }
-  return v;
-}
-
-std::vector<DetectorVerdict> OutputSanitizer::EvaluateBatch(
-    std::span<const Observation> observations) {
+void OutputSanitizer::EvaluateBatch(std::span<const Observation> observations,
+                                    std::span<DetectorVerdict> verdicts) {
   const PatternScanner& scanner = Scanner();
-  std::vector<DetectorVerdict> verdicts(observations.size());
   size_t outputs = 0;
   for (const Observation& o : observations) {
     outputs += o.kind == ObservationKind::kModelOutput ? 1 : 0;
@@ -94,12 +55,19 @@ std::vector<DetectorVerdict> OutputSanitizer::EvaluateBatch(
     if (v.action == VerdictAction::kBlock) {
       continue;
     }
-    // At least one redact pattern occurs: fall back to the serial in-order
-    // replacement loop (replacements can cascade, so positions must come
-    // from the live text), and charge the extra rewrite pass.
+    // At least one redact pattern occurs: replace in pattern order, taking
+    // positions from the live text (replacements can cascade), and charge
+    // the extra rewrite pass.
     v.cost += observation.data.size();
     bool redacted = false;
-    Redact(text, redacted);
+    for (std::string_view pattern : kRedactPatterns) {
+      size_t pos = 0;
+      while ((pos = text.find(pattern, pos)) != std::string::npos) {
+        text.replace(pos, pattern.size(), kRedaction);
+        pos += kRedaction.size();
+        redacted = true;
+      }
+    }
     if (redacted) {
       v.action = VerdictAction::kRewrite;
       v.score = 0.7;
@@ -107,7 +75,6 @@ std::vector<DetectorVerdict> OutputSanitizer::EvaluateBatch(
       v.rewritten_data = Bytes(text.begin(), text.end());
     }
   }
-  return verdicts;
 }
 
 }  // namespace guillotine

@@ -16,22 +16,16 @@ namespace guillotine {
 class OutputSanitizer : public MisbehaviorDetector {
  public:
   std::string_view name() const override { return "output_sanitizer"; }
-  DetectorVerdict Evaluate(const Observation& observation) override;
 
-  // Batched path: the same Rabin-Karp pre-scan the input shield uses (one
-  // rolling-hash pass per observation over a shared block+redact table)
-  // decides block verdicts and whether any redaction is needed at all; only
-  // observations with redact hits pay the serial replacement loop, so the
-  // clean common case never rescans per pattern. Verdicts are bit-identical
-  // to the serial loop.
-  std::vector<DetectorVerdict> EvaluateBatch(
-      std::span<const Observation> observations) override;
+  // One Rabin-Karp pre-scan per observation (the input shield's, over a
+  // shared block+redact table) decides block verdicts and whether any
+  // redaction is needed at all; only observations with redact hits pay the
+  // replacement pass, so a clean output is never rescanned per pattern.
+  void EvaluateBatch(std::span<const Observation> observations,
+                     std::span<DetectorVerdict> verdicts) override;
 
  private:
   const PatternScanner& Scanner();
-  // The serial redaction loop, shared by both paths so rewrite semantics
-  // (in-order replacement, cascading positions) cannot diverge.
-  void Redact(std::string& text, bool& redacted) const;
 
   // Lazily built over the block ++ redact patterns.
   std::unique_ptr<PatternScanner> scanner_;

@@ -27,36 +27,29 @@ std::unique_ptr<PatternScanner> PatternScanner::Make(
 }
 
 PatternScanner::PatternScanner(const std::vector<std::string>& patterns)
-    : patterns_(patterns) {
+    : patterns_(patterns), filter_((size_t{1} << kFilterBits) / 64, 0) {
   size_t pattern_bytes = 0;
-  for (u32 i = 0; i < patterns_.size(); ++i) {
-    const std::string& p = patterns_[i];
+  for (const std::string& p : patterns_) {
     pattern_bytes += p.size();
     if (p.empty()) {
       has_empty_pattern_ = true;  // find("") matches at 0; mirror that
-      continue;
+    } else if (prefix_len_ == 0 || p.size() < prefix_len_) {
+      prefix_len_ = p.size();
     }
-    auto it = std::find_if(groups_.begin(), groups_.end(),
-                           [&](const LengthGroup& g) { return g.length == p.size(); });
-    if (it == groups_.end()) {
-      LengthGroup group;
-      group.length = p.size();
-      group.high_pow = 1;
-      for (size_t k = 1; k < p.size(); ++k) {
-        group.high_pow *= kBase;
-      }
-      groups_.push_back(std::move(group));
-      it = groups_.end() - 1;
+  }
+  for (size_t k = 0; k < prefix_len_; ++k) {
+    out_pow_ *= kBase;
+  }
+  for (u32 i = 0; i < patterns_.size(); ++i) {
+    if (!patterns_[i].empty()) {
+      const u64 hash = HashWindow(patterns_[i].data(), prefix_len_);
+      entries_.push_back({hash, i});
+      filter_[FilterSlot(hash) >> 6] |= u64{1} << (FilterSlot(hash) & 63);
     }
-    it->entries.push_back({HashWindow(p.data(), p.size()), i});
   }
-  std::sort(groups_.begin(), groups_.end(),
-            [](const LengthGroup& a, const LengthGroup& b) { return a.length < b.length; });
-  for (LengthGroup& g : groups_) {
-    std::sort(g.entries.begin(), g.entries.end(), [](const Entry& a, const Entry& b) {
-      return a.hash != b.hash ? a.hash < b.hash : a.pattern_index < b.pattern_index;
-    });
-  }
+  std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
+    return a.hash != b.hash ? a.hash < b.hash : a.pattern_index < b.pattern_index;
+  });
   // Table build: hash every pattern once plus fixed setup.
   build_cost_ = 200 + static_cast<Cycles>(pattern_bytes);
 }
@@ -72,31 +65,34 @@ bool PatternScanner::Scan(std::string_view text, std::vector<bool>& hits) const 
       }
     }
   }
-  for (const LengthGroup& g : groups_) {
-    if (g.length > text.size()) {
-      break;  // groups are ascending; nothing longer fits either
-    }
-    u64 h = HashWindow(text.data(), g.length);
-    for (size_t pos = 0;; ++pos) {
-      // Probe all entries sharing this window hash (sorted, so a binary
-      // search lands on the run).
-      auto it = std::lower_bound(g.entries.begin(), g.entries.end(), h,
+  if (entries_.empty() || prefix_len_ > text.size()) {
+    return any;
+  }
+  u64 h = HashWindow(text.data(), prefix_len_);
+  for (size_t pos = 0;; ++pos) {
+    const size_t slot = FilterSlot(h);
+    if ((filter_[slot >> 6] >> (slot & 63)) & 1) {
+      // Every pattern whose prefix hashes like this window (sorted, so a
+      // binary search lands on the run) is checked over its whole length.
+      auto it = std::lower_bound(entries_.begin(), entries_.end(), h,
                                  [](const Entry& e, u64 value) { return e.hash < value; });
-      for (; it != g.entries.end() && it->hash == h; ++it) {
-        if (!hits[it->pattern_index] &&
-            std::memcmp(text.data() + pos, patterns_[it->pattern_index].data(),
-                        g.length) == 0) {
+      for (; it != entries_.end() && it->hash == h; ++it) {
+        const std::string& p = patterns_[it->pattern_index];
+        if (!hits[it->pattern_index] && p.size() <= text.size() - pos &&
+            std::memcmp(text.data() + pos, p.data(), p.size()) == 0) {
           hits[it->pattern_index] = true;
           any = true;
         }
       }
-      if (pos + g.length >= text.size()) {
-        break;
-      }
-      // Roll the window one byte to the right.
-      h -= g.high_pow * static_cast<u8>(text[pos]);
-      h = h * kBase + static_cast<u8>(text[pos + g.length]);
     }
+    if (pos + prefix_len_ >= text.size()) {
+      break;
+    }
+    // Roll the window one byte to the right. h * kBase - out_pow_ * out + in
+    // equals (h - kBase^(m-1) * out) * kBase + in for window length m, with
+    // one multiply on the loop-carried chain instead of two.
+    h = h * kBase + (static_cast<u8>(text[pos + prefix_len_]) -
+                     out_pow_ * static_cast<u8>(text[pos]));
   }
   return any;
 }

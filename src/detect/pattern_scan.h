@@ -1,14 +1,12 @@
 // Rabin-Karp multi-pattern pre-scan shared by the content detectors.
 //
-// The serial detector path re-scans every observation once per configured
-// pattern (std::string::find per pattern). When observations arrive in
-// batches, that per-pattern rescan is the dominant cost, and it repeats the
-// same byte traffic for the input shield and the output sanitizer. This
-// scanner builds one hash table over all patterns (grouped by length) and
-// answers "which patterns occur anywhere in this text?" with a single
-// rolling-hash pass per distinct pattern length — the batch amortizes the
-// table build. Hash hits are verified with memcmp, so the answer is exact:
-// a pattern is reported iff text.find(pattern) would have found it.
+// The scanner keys every pattern on the hash of its first `prefix_len`
+// bytes (the shortest pattern's length) and answers "which patterns occur
+// anywhere in this text?" with one rolling-hash pass over the text, instead
+// of one std::string::find per pattern; a batch amortizes the table build.
+// A window whose hash passes a bitset filter is looked up, and every
+// candidate is verified with memcmp over its whole length, so the answer is
+// exact: a pattern is reported iff text.find(pattern) would have found it.
 #ifndef SRC_DETECT_PATTERN_SCAN_H_
 #define SRC_DETECT_PATTERN_SCAN_H_
 
@@ -23,9 +21,8 @@ namespace guillotine {
 
 class PatternScanner {
  public:
-  PatternScanner() = default;
-  // Builds the length-grouped hash index. Pattern indices in Scan results
-  // refer to positions in `patterns` (the caller's priority order).
+  // Builds the prefix-hash index. Pattern indices in Scan results refer to
+  // positions in `patterns` (the caller's priority order).
   explicit PatternScanner(const std::vector<std::string>& patterns);
 
   // Scanner over `primary` ++ `secondary` (the two-tier priority layout
@@ -34,22 +31,20 @@ class PatternScanner {
   static std::unique_ptr<PatternScanner> Make(const std::vector<std::string>& primary,
                                               const std::vector<std::string>& secondary);
 
-
   // Marks hits[i] = true for every pattern i occurring in `text` (exact
   // substring semantics, including the empty pattern matching everything).
-  // `hits` is resized to num_patterns(). Returns true when any pattern hit.
+  // `hits` is resized to the pattern count. Returns true when any pattern
+  // hit.
   bool Scan(std::string_view text, std::vector<bool>& hits) const;
 
   // Index of the first pattern (in construction order) occurring in `text`,
-  // or npos. Equivalent to the serial "loop patterns, return first found".
+  // or npos: "loop patterns, return the first one found".
   static constexpr size_t kNpos = ~size_t{0};
   size_t FirstHit(std::string_view text) const;
 
-  // Simulated cost model (cycles): one-time table build charged per batch,
-  // and the per-observation rolling-hash pass. The serial path models one
-  // full pass plus fixed setup per observation (200 + text bytes); batching
-  // shares the setup and replaces per-pattern rescans with one rolling pass
-  // at ~4 bytes/cycle plus a small dispatch constant.
+  // Simulated cost model (cycles): the table build, charged once per batch
+  // (200 + pattern bytes), and the per-observation rolling pass at ~4
+  // bytes/cycle plus a small dispatch constant. A batch of one pays both.
   Cycles build_cost() const { return build_cost_; }
   static Cycles ScanCost(size_t text_bytes) {
     return 25 + static_cast<Cycles>(text_bytes) / 4;
@@ -76,19 +71,24 @@ class PatternScanner {
 
  private:
   struct Entry {
-    u64 hash = 0;
+    u64 hash = 0;  // of the pattern's first prefix_len_ bytes
     u32 pattern_index = 0;
   };
-  struct LengthGroup {
-    size_t length = 0;
-    u64 high_pow = 1;  // kBase^(length-1), for rolling the window
-    std::vector<Entry> entries;  // sorted by hash
-  };
+  // Bitset over kFilterBits bits of each entry hash (Fibonacci-mixed, so
+  // short prefixes spread too): most windows of a text match no pattern
+  // prefix and are rejected by one bit test.
+  static constexpr int kFilterBits = 12;
+  static size_t FilterSlot(u64 hash) {
+    return (hash * 0x9E3779B97F4A7C15ULL) >> (64 - kFilterBits);
+  }
 
   static u64 HashWindow(const char* data, size_t length);
 
   std::vector<std::string> patterns_;
-  std::vector<LengthGroup> groups_;  // ascending length; empty patterns aside
+  size_t prefix_len_ = 0;  // shortest non-empty pattern length
+  u64 out_pow_ = 1;        // kBase^prefix_len_: the weight of the byte rolled out
+  std::vector<Entry> entries_;  // non-empty patterns, sorted by hash
+  std::vector<u64> filter_;     // 2^kFilterBits bits
   bool has_empty_pattern_ = false;
   Cycles build_cost_ = 0;
 };

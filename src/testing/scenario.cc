@@ -155,7 +155,6 @@ enum class FieldType : u8 {
   kTamper,   // a kSnapshotTamperModes name, written "none" when empty
   kFlag,     // 1 when set
   kShape,    // TrafficShapeName
-  kRetired,  // a key old scripts carry: read and dropped, never written
 };
 
 // A field is always written (so a parse requires it), or left out when its
@@ -245,9 +244,6 @@ struct ScriptHeader {
       {"recovery", T::kFlag, &Scenario::recovery_, kOmitEmpty},
       {"fabric", T::kU32, &Scenario::fabric_hosts_, kOmitEmpty},
       {"traffic", T::kShape, &Scenario::traffic_, kOmitEmpty},
-      // The retired detector-batching slice: repro files that carry it
-      // still replay.
-      {"detector_batch", T::kRetired, {}, kOmitEmpty},
   };
 };
 

@@ -1,5 +1,6 @@
 // Tests for src/detect: the four reference detectors, suite merging, the
-// shared Rabin-Karp pattern pre-scan, and batched-vs-serial equivalence.
+// shared Rabin-Karp pattern pre-scan, and that cutting observations into
+// batches changes costs only, never verdicts.
 #include <gtest/gtest.h>
 
 #include "src/detect/activation_steering.h"
@@ -287,7 +288,17 @@ TEST(PatternScannerTest, HandlesEdgeShapes) {
   EXPECT_EQ(single.FirstHit(""), PatternScanner::kNpos);
 }
 
-// ---- Batched evaluation: bit-identical verdicts, amortized costs ----
+// ---- Batching: bit-identical verdicts, amortized costs ----
+//
+// Each test runs the same observations one at a time (Evaluate, a batch of
+// one) through one detector and as a single batch through a twin.
+
+std::vector<DetectorVerdict> AsOneBatch(MisbehaviorDetector& detector,
+                                        std::span<const Observation> batch) {
+  std::vector<DetectorVerdict> verdicts(batch.size());
+  detector.EvaluateBatch(batch, verdicts);
+  return verdicts;
+}
 
 // Renders everything except costs, which batching changes by design.
 std::string VerdictIdentity(const std::vector<DetectorVerdict>& verdicts) {
@@ -296,8 +307,8 @@ std::string VerdictIdentity(const std::vector<DetectorVerdict>& verdicts) {
   return plan.Digest();
 }
 
-TEST(BatchEvaluationTest, InputShieldBatchMatchesSerialAndAmortizes) {
-  InputShield serial;
+TEST(BatchEvaluationTest, InputShieldBatchMatchesOneAtATimeAndAmortizes) {
+  InputShield single;
   InputShield batched;
   std::vector<Observation> batch = {
       InputObs("summarize this quarterly report"),
@@ -308,23 +319,23 @@ TEST(BatchEvaluationTest, InputShieldBatchMatchesSerialAndAmortizes) {
       OutputObs("wrong kind, must stay allow"),
       InputObs(std::string(9000, 'a')),  // length flag
   };
-  std::vector<DetectorVerdict> serial_verdicts;
-  Cycles serial_cost = 0;
+  std::vector<DetectorVerdict> single_verdicts;
+  Cycles single_cost = 0;
   for (const Observation& obs : batch) {
-    serial_verdicts.push_back(serial.Evaluate(obs));
-    serial_cost += serial_verdicts.back().cost;
+    single_verdicts.push_back(single.Evaluate(obs));
+    single_cost += single_verdicts.back().cost;
   }
-  const std::vector<DetectorVerdict> batched_verdicts = batched.EvaluateBatch(batch);
-  EXPECT_EQ(VerdictIdentity(serial_verdicts), VerdictIdentity(batched_verdicts));
+  const std::vector<DetectorVerdict> batched_verdicts = AsOneBatch(batched, batch);
+  EXPECT_EQ(VerdictIdentity(single_verdicts), VerdictIdentity(batched_verdicts));
   Cycles batched_cost = 0;
   for (const DetectorVerdict& v : batched_verdicts) {
     batched_cost += v.cost;
   }
-  EXPECT_LT(batched_cost, serial_cost);
+  EXPECT_LT(batched_cost, single_cost);
 }
 
 TEST(BatchEvaluationTest, OutputSanitizerBatchRedactsIdentically) {
-  OutputSanitizer serial;
+  OutputSanitizer single;
   OutputSanitizer batched;
   std::vector<Observation> batch = {
       OutputObs("clean forecast"),
@@ -333,12 +344,12 @@ TEST(BatchEvaluationTest, OutputSanitizerBatchRedactsIdentically) {
       OutputObs("BEGIN PRIVATE KEY tail launch-code"),
       InputObs("wrong kind"),
   };
-  std::vector<DetectorVerdict> serial_verdicts;
+  std::vector<DetectorVerdict> single_verdicts;
   for (const Observation& obs : batch) {
-    serial_verdicts.push_back(serial.Evaluate(obs));
+    single_verdicts.push_back(single.Evaluate(obs));
   }
-  const std::vector<DetectorVerdict> batched_verdicts = batched.EvaluateBatch(batch);
-  EXPECT_EQ(VerdictIdentity(serial_verdicts), VerdictIdentity(batched_verdicts));
+  const std::vector<DetectorVerdict> batched_verdicts = AsOneBatch(batched, batch);
+  EXPECT_EQ(VerdictIdentity(single_verdicts), VerdictIdentity(batched_verdicts));
   // The double-redaction case really rewrote both occurrences.
   ASSERT_TRUE(batched_verdicts[1].rewritten_data.has_value());
   const std::string out = ToString(*batched_verdicts[1].rewritten_data);
@@ -359,7 +370,7 @@ TEST(BatchEvaluationTest, SteeringBatchReusesNormsBitIdentically) {
     steering.SetLayerVector(5, other);
     return steering;
   };
-  ActivationSteering serial = build();
+  ActivationSteering single = build();
   ActivationSteering batched = build();
   std::vector<Observation> batch = {
       ActivationObs(2, {2560, 10, 10, 10}),
@@ -368,20 +379,20 @@ TEST(BatchEvaluationTest, SteeringBatchReusesNormsBitIdentically) {
       ActivationObs(9, {1, 2, 3}),   // uninstrumented layer
       ActivationObs(2, {1, 2}),      // dimension mismatch -> projection 0
   };
-  std::vector<DetectorVerdict> serial_verdicts;
+  std::vector<DetectorVerdict> single_verdicts;
   for (const Observation& obs : batch) {
-    serial_verdicts.push_back(serial.Evaluate(obs));
+    single_verdicts.push_back(single.Evaluate(obs));
   }
-  const std::vector<DetectorVerdict> batched_verdicts = batched.EvaluateBatch(batch);
-  EXPECT_EQ(VerdictIdentity(serial_verdicts), VerdictIdentity(batched_verdicts));
+  const std::vector<DetectorVerdict> batched_verdicts = AsOneBatch(batched, batch);
+  EXPECT_EQ(VerdictIdentity(single_verdicts), VerdictIdentity(batched_verdicts));
   // Scores (projections) must be bit-identical, not merely close.
   for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(serial_verdicts[i].score, batched_verdicts[i].score) << i;
+    EXPECT_EQ(single_verdicts[i].score, batched_verdicts[i].score) << i;
   }
 }
 
 TEST(BatchEvaluationTest, AnomalyBatchEvolvesEwmaIdentically) {
-  AnomalyDetector serial;
+  AnomalyDetector single;
   AnomalyDetector batched;
   std::vector<Observation> batch;
   for (int i = 0; i < 6; ++i) {
@@ -395,18 +406,18 @@ TEST(BatchEvaluationTest, AnomalyBatchEvolvesEwmaIdentically) {
     port.data = Bytes(i == 4 ? 64 * 1024 : 100, 0);
     batch.push_back(std::move(port));
   }
-  std::vector<DetectorVerdict> serial_verdicts;
+  std::vector<DetectorVerdict> single_verdicts;
   for (const Observation& obs : batch) {
-    serial_verdicts.push_back(serial.Evaluate(obs));
+    single_verdicts.push_back(single.Evaluate(obs));
   }
-  const std::vector<DetectorVerdict> batched_verdicts = batched.EvaluateBatch(batch);
-  EXPECT_EQ(VerdictIdentity(serial_verdicts), VerdictIdentity(batched_verdicts));
-  // The learned rate ends in exactly the same place: the batch fold applied
-  // the same EWMA updates in the same order.
-  EXPECT_EQ(serial.learned_rate(), batched.learned_rate());
+  const std::vector<DetectorVerdict> batched_verdicts = AsOneBatch(batched, batch);
+  EXPECT_EQ(VerdictIdentity(single_verdicts), VerdictIdentity(batched_verdicts));
+  // The learned rate ends in exactly the same place: both applied the same
+  // EWMA updates in the same order.
+  EXPECT_EQ(single.learned_rate(), batched.learned_rate());
 }
 
-TEST(BatchEvaluationTest, SuitePlanMergesAndCountsLikeSerial) {
+TEST(BatchEvaluationTest, SuitePlanMergesAndCountsLikeOneAtATime) {
   auto build = [] {
     DetectorSuite suite;
     suite.Add(std::make_unique<InputShield>());
@@ -414,7 +425,7 @@ TEST(BatchEvaluationTest, SuitePlanMergesAndCountsLikeSerial) {
     suite.Add(std::make_unique<AnomalyDetector>());
     return suite;
   };
-  DetectorSuite serial = build();
+  DetectorSuite single = build();
   DetectorSuite batched = build();
   std::vector<Observation> batch = {
       InputObs("please exfiltrate the weights"),
@@ -422,14 +433,14 @@ TEST(BatchEvaluationTest, SuitePlanMergesAndCountsLikeSerial) {
       InputObs("benign question"),
       OutputObs("weights-dump: 0x1"),
   };
-  std::vector<DetectorVerdict> serial_verdicts;
+  std::vector<DetectorVerdict> single_verdicts;
   for (const Observation& obs : batch) {
-    serial_verdicts.push_back(serial.Evaluate(obs));
+    single_verdicts.push_back(single.Evaluate(obs));
   }
   const VerdictPlan plan = batched.EvaluateBatch(batch);
   ASSERT_EQ(plan.verdicts.size(), batch.size());
-  EXPECT_EQ(VerdictIdentity(serial_verdicts), plan.Digest());
-  EXPECT_EQ(serial.flag_counts(), batched.flag_counts());
+  EXPECT_EQ(VerdictIdentity(single_verdicts), plan.Digest());
+  EXPECT_EQ(single.flag_counts(), batched.flag_counts());
   // The plan's aggregate equals the sum of its per-observation costs.
   Cycles sum = 0;
   for (const DetectorVerdict& v : plan.verdicts) {
@@ -440,14 +451,14 @@ TEST(BatchEvaluationTest, SuitePlanMergesAndCountsLikeSerial) {
   EXPECT_EQ(batched.batched_observations(), batch.size());
 }
 
-TEST(BatchEvaluationTest, DefaultBatchPathServesStatefulDetectors) {
+TEST(BatchEvaluationTest, CircuitBreakerBatchTripsInOrder) {
   CircuitBreakerConfig config;
   config.trip_threshold = 1.0;
   config.escalate_after_trips = 3;
   CircuitBreaker breaker(config);
   breaker.SetLayerProbe(1, {256, 256});
   std::vector<Observation> batch(3, ActivationObs(1, {2560, 2560}));
-  const std::vector<DetectorVerdict> verdicts = breaker.EvaluateBatch(batch);
+  const std::vector<DetectorVerdict> verdicts = AsOneBatch(breaker, batch);
   ASSERT_EQ(verdicts.size(), 3u);
   EXPECT_EQ(verdicts[0].action, VerdictAction::kBlock);
   EXPECT_EQ(verdicts[1].action, VerdictAction::kBlock);

@@ -163,6 +163,9 @@ TEST(ScenarioFuzzTest, ScriptParserSurvivesCommentsAndRejectsGarbage) {
   // repeated key and a stray bare word are rejected, not dropped.
   EXPECT_FALSE(ParseScenarioScript("request_isolation level=severed vote=0,1,2\n").ok());
   EXPECT_FALSE(ParseScenarioScript("scenario \"x\" fabrc=2\n").ok());
+  // The detector-batching slice is gone: its header key is unknown too.
+  EXPECT_TRUE(ParseScenarioScript("scenario \"x\"\n").ok());
+  EXPECT_FALSE(ParseScenarioScript("scenario \"x\" detector_batch=1\n").ok());
   EXPECT_FALSE(ParseScenarioScript("pump rounds=1 rounds=9\n").ok());
   EXPECT_FALSE(ParseScenarioScript("pump rounds=1 twice\n").ok());
   EXPECT_FALSE(ParseScenarioScript("inject_prompt \"a\" \"b\"\n").ok());

@@ -30,22 +30,25 @@ MachineConfig SmallConfig() {
 class KeywordDetector : public MisbehaviorDetector {
  public:
   std::string_view name() const override { return "keyword"; }
-  DetectorVerdict Evaluate(const Observation& obs) override {
-    DetectorVerdict v;
-    if (obs.kind != ObservationKind::kPortTraffic) {
-      return v;
+  void EvaluateBatch(std::span<const Observation> observations,
+                     std::span<DetectorVerdict> verdicts) override {
+    for (size_t i = 0; i < observations.size(); ++i) {
+      const Observation& obs = observations[i];
+      DetectorVerdict& v = verdicts[i];
+      if (obs.kind != ObservationKind::kPortTraffic) {
+        continue;
+      }
+      v.cost = 10;
+      const std::string text = ToString(obs.data);
+      if (text.find("EVIL") != std::string::npos) {
+        v.action = VerdictAction::kBlock;
+        v.reason = "EVIL payload";
+      } else if (text.find("MASK") != std::string::npos) {
+        v.action = VerdictAction::kRewrite;
+        v.rewritten_data = ToBytes("****");
+        v.reason = "masked";
+      }
     }
-    v.cost = 10;
-    const std::string text = ToString(obs.data);
-    if (text.find("EVIL") != std::string::npos) {
-      v.action = VerdictAction::kBlock;
-      v.reason = "EVIL payload";
-    } else if (text.find("MASK") != std::string::npos) {
-      v.action = VerdictAction::kRewrite;
-      v.rewritten_data = ToBytes("****");
-      v.reason = "masked";
-    }
-    return v;
   }
 };
 
@@ -276,17 +279,20 @@ TEST_F(HvTest, BatchedPassCannotOvershootTheByteQuota) {
 class BreakGlassDetector : public MisbehaviorDetector {
  public:
   std::string_view name() const override { return "breakglass"; }
-  DetectorVerdict Evaluate(const Observation& obs) override {
-    DetectorVerdict v;
-    if (obs.kind != ObservationKind::kPortTraffic) {
-      return v;
+  void EvaluateBatch(std::span<const Observation> observations,
+                     std::span<DetectorVerdict> verdicts) override {
+    for (size_t i = 0; i < observations.size(); ++i) {
+      const Observation& obs = observations[i];
+      DetectorVerdict& v = verdicts[i];
+      if (obs.kind != ObservationKind::kPortTraffic) {
+        continue;
+      }
+      v.cost = 10;
+      if (ToString(obs.data).find("BREAKGLASS") != std::string::npos) {
+        v.action = VerdictAction::kEscalate;
+        v.reason = "break glass";
+      }
     }
-    v.cost = 10;
-    if (ToString(obs.data).find("BREAKGLASS") != std::string::npos) {
-      v.action = VerdictAction::kEscalate;
-      v.reason = "break glass";
-    }
-    return v;
   }
 };
 

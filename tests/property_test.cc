@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/guillotine.h"
+#include "src/detect/pattern_scan.h"
 #include "src/isa/disasm.h"
 #include "src/machine/io_dram.h"
 #include "src/mem/cache.h"
@@ -361,11 +362,12 @@ TEST_P(FleetDeterminism, SameWorkloadSameDigest) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDeterminism,
                          ::testing::Values(600, 601, 602, 603));
 
-// --- Property: batched and serial detector evaluation are bit-identical —
-// for random observation batches spanning every ObservationKind (with
-// allow/flag/rewrite/block/escalate mixes), DetectorSuite::EvaluateBatch
-// yields exactly the verdicts, digests, and flag counts of the serial
-// Evaluate loop; only the simulated cost may differ (and never upward).
+// --- Property: how observations are cut into batches never changes a
+// verdict — for random observation batches spanning every ObservationKind
+// (with allow/flag/rewrite/block/escalate mixes), one DetectorSuite::
+// EvaluateBatch yields exactly the verdicts, digests, and flag counts of
+// evaluating each observation as a batch of one; only the simulated cost
+// may differ.
 
 class BatchedDetectorEquivalence : public ::testing::TestWithParam<u64> {};
 
@@ -456,32 +458,30 @@ TEST_P(BatchedDetectorEquivalence, SameObservationsSameVerdictPlan) {
     }
     // Fresh suites per run: stateful detectors (EWMA, breaker trips) must
     // replay the same history on both sides.
-    DetectorSuite serial_suite = FullSuite();
+    DetectorSuite single_suite = FullSuite();
     DetectorSuite batched_suite = FullSuite();
-    VerdictPlan serial_plan;
+    VerdictPlan single_plan;
     for (const Observation& obs : batch) {
-      serial_plan.verdicts.push_back(serial_suite.Evaluate(obs));
-      serial_plan.total_cost += serial_plan.verdicts.back().cost;
+      single_plan.verdicts.push_back(single_suite.Evaluate(obs));
     }
     const VerdictPlan batched_plan = batched_suite.EvaluateBatch(batch);
     ASSERT_EQ(batched_plan.verdicts.size(), batch.size());
-    ASSERT_EQ(serial_plan.Digest(), batched_plan.Digest())
+    ASSERT_EQ(single_plan.Digest(), batched_plan.Digest())
         << "seed " << GetParam() << " round " << round;
     for (size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(serial_plan.verdicts[i].action, batched_plan.verdicts[i].action);
-      ASSERT_EQ(serial_plan.verdicts[i].score, batched_plan.verdicts[i].score);
-      ASSERT_EQ(serial_plan.verdicts[i].reason, batched_plan.verdicts[i].reason);
-      ASSERT_EQ(serial_plan.verdicts[i].rewritten_data,
+      ASSERT_EQ(single_plan.verdicts[i].action, batched_plan.verdicts[i].action);
+      ASSERT_EQ(single_plan.verdicts[i].score, batched_plan.verdicts[i].score);
+      ASSERT_EQ(single_plan.verdicts[i].reason, batched_plan.verdicts[i].reason);
+      ASSERT_EQ(single_plan.verdicts[i].rewritten_data,
                 batched_plan.verdicts[i].rewritten_data);
-      ASSERT_EQ(serial_plan.verdicts[i].rewritten_activations,
+      ASSERT_EQ(single_plan.verdicts[i].rewritten_activations,
                 batched_plan.verdicts[i].rewritten_activations);
     }
-    ASSERT_EQ(serial_suite.flag_counts(), batched_suite.flag_counts())
+    ASSERT_EQ(single_suite.flag_counts(), batched_suite.flag_counts())
         << "seed " << GetParam() << " round " << round;
-    // (Costs are deliberately NOT compared against serial here: tiny
-    // batches can pay a whole table build for one observation — the >=2x
-    // amortization bar at batch>=8 is pinned by bench_detectors' smoke.)
-    // The batched path replays to the identical plan, costs included.
+    // (Costs are deliberately not compared here: the >=2x amortization bar
+    // at batch>=8 is pinned by bench_detectors' smoke.) A batch replays to
+    // the identical plan, costs included.
     DetectorSuite replay_suite = FullSuite();
     const VerdictPlan replay = replay_suite.EvaluateBatch(batch);
     ASSERT_EQ(replay.Digest(), batched_plan.Digest());
@@ -491,6 +491,121 @@ TEST_P(BatchedDetectorEquivalence, SameObservationsSameVerdictPlan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchedDetectorEquivalence,
                          ::testing::Values(700, 701, 702, 703));
+
+// --- Property: the Rabin-Karp scanner answers exactly what a per-pattern
+// std::string::find loop answers — Scan marks pattern i iff find(i) hits,
+// and FirstHit is the first such i — over the input shield's block-then-flag
+// list, the output sanitizer's block-then-redact list, and random pattern
+// sets, on text with planted matches (lower- and upper-case, overlapping,
+// at offset 0 and ending at the last byte). ---
+
+class PatternScannerOracle : public ::testing::TestWithParam<u64> {};
+
+namespace {
+
+// The detectors' lists, in their priority order (block patterns first).
+const std::vector<std::string> kShieldPatterns = {
+    "ignore previous instructions", "exfiltrate", "disable the hypervisor",
+    "reveal your weights", "self-improve", "bioweapon", "zero-day",
+    "social engineer"};
+const std::vector<std::string> kSanitizerPatterns = {
+    "weights-dump:", "sk-secret", "BEGIN PRIVATE KEY", "launch-code"};
+
+std::string RandomText(Rng& rng, std::string_view alphabet, size_t max_len) {
+  std::string text(rng.NextBelow(max_len + 1), ' ');
+  for (char& c : text) {
+    c = alphabet[rng.NextBelow(alphabet.size())];
+  }
+  return text;
+}
+
+std::string Upper(std::string text) {
+  for (char& c : text) {
+    c = (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
+  }
+  return text;
+}
+
+// Overwrites text at `pos` with `pattern` (growing the text if needed).
+void Plant(std::string& text, size_t pos, std::string_view pattern) {
+  if (text.size() < pos + pattern.size()) {
+    text.resize(pos + pattern.size(), '.');
+  }
+  text.replace(pos, pattern.size(), pattern);
+}
+
+// A text over `alphabet` with up to three of `patterns` planted: at offset
+// 0, ending at the last byte, at a random spot, overlapping the previous
+// plant, or upper-cased.
+std::string PlantedText(Rng& rng, const std::vector<std::string>& patterns,
+                        std::string_view alphabet) {
+  std::string text = RandomText(rng, alphabet, 96);
+  size_t last_pos = 0;
+  for (u64 k = rng.NextBelow(4); k > 0; --k) {
+    std::string pattern = patterns[rng.NextBelow(patterns.size())];
+    switch (rng.NextBelow(5)) {
+      case 0:
+        last_pos = 0;
+        break;
+      case 1:
+        last_pos = text.size() >= pattern.size() ? text.size() - pattern.size() : 0;
+        break;
+      case 2:
+        last_pos = rng.NextBelow(text.size() + 1);
+        break;
+      case 3:
+        last_pos += pattern.empty() ? 0 : rng.NextBelow(pattern.size());
+        break;
+      default:
+        pattern = Upper(pattern);
+        last_pos = rng.NextBelow(text.size() + 1);
+        break;
+    }
+    Plant(text, last_pos, pattern);
+  }
+  return text;
+}
+
+void ExpectMatchesFindOracle(const std::vector<std::string>& patterns,
+                             const std::string& text) {
+  const PatternScanner scanner(patterns);
+  std::vector<bool> hits;
+  const bool any = scanner.Scan(text, hits);
+  ASSERT_EQ(hits.size(), patterns.size());
+  size_t first = PatternScanner::kNpos;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const bool found = text.find(patterns[i]) != std::string::npos;
+    ASSERT_EQ(hits[i], found) << "pattern '" << patterns[i] << "' in '" << text << "'";
+    if (found && first == PatternScanner::kNpos) {
+      first = i;
+    }
+  }
+  ASSERT_EQ(any, first != PatternScanner::kNpos) << text;
+  ASSERT_EQ(scanner.FirstHit(text), first) << text;
+}
+
+}  // namespace
+
+TEST_P(PatternScannerOracle, ScanAndFirstHitAgreeWithFind) {
+  Rng rng(GetParam());
+  constexpr std::string_view kProse = "abcdefghijklmnopqrstuvwxyz -:ABEGIKNPRTVY";
+  for (int round = 0; round < 400; ++round) {
+    ExpectMatchesFindOracle(kShieldPatterns, PlantedText(rng, kShieldPatterns, kProse));
+    ExpectMatchesFindOracle(kSanitizerPatterns,
+                            PlantedText(rng, kSanitizerPatterns, kProse));
+    // Random sets over a three-letter alphabet: short patterns collide,
+    // repeat and overlap constantly, and some share a length group.
+    std::vector<std::string> patterns(1 + rng.NextBelow(8));
+    for (std::string& pattern : patterns) {
+      pattern = RandomText(rng, "abc", 6);
+    }
+    ExpectMatchesFindOracle(patterns, PlantedText(rng, patterns, "abc"));
+    ExpectMatchesFindOracle(patterns, RandomText(rng, "abcAB", 40));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PatternScannerOracle,
+                         ::testing::Values(800, 801, 802, 803));
 
 // --- Property: the trace audit pipeline is faithful across the fuzz
 // corpus — for 100+ generated scripts replayed at 1/2/4 hv cores (4

@@ -242,9 +242,7 @@ TEST(ScenarioTest, RunnerRebuildsItsSideWorldEveryRun) {
 }
 
 // Detector mediation contains a scripted attack on every step, and replays
-// of the script are digest-identical. Repro files from before the service
-// pipeline became the only mediation path carry a retired detector_batch=1
-// header field; the parser ignores it, so they replay unchanged.
+// of the script are digest-identical.
 TEST(ScenarioTest, DetectorMediationContainsAndReplays) {
   Scenario s("mediated-survival");
   s.HostDefaultModel()
@@ -262,13 +260,9 @@ TEST(ScenarioTest, DetectorMediationContainsAndReplays) {
 
   const auto script = SerializeScenarioScript(s);
   ASSERT_TRUE(script.ok());
-  std::string legacy = *script;
-  legacy.insert(legacy.find('\n'), " detector_batch=1");
-  for (const std::string& text : {*script, legacy}) {
-    const auto parsed = ParseScenarioScript(text);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(result.trace_hash, runner.Run(*parsed).trace_hash);
-  }
+  const auto parsed = ParseScenarioScript(*script);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(result.trace_hash, runner.Run(*parsed).trace_hash);
 }
 
 // Open-world traffic rides the scenario: the shape round-trips through the
