@@ -21,7 +21,6 @@
 #include "src/hv/service_scheduler.h"
 #include "src/machine/storage.h"
 #include "src/model/attacks.h"
-#include "src/testing/scenario.h"
 
 namespace guillotine {
 namespace {
@@ -171,7 +170,7 @@ FloodSweepOutcome RunFloodSweep(int hv_cores, u32 rate_per_port, u32 passes) {
       clock.now() == 0 ? 0.0
                        : static_cast<double>(out.serviced) * 1e9 /
                              static_cast<double>(clock.now());
-  out.trace_hash = TraceDigestHash(trace);
+  out.trace_hash = trace.digest_hash();
   out.stats_digest = scheduler.StatsDigest();
   return out;
 }

@@ -25,7 +25,6 @@
 #include "src/machine/control_channel.h"
 #include "src/machine/machine.h"
 #include "src/machine/storage.h"
-#include "src/testing/scenario.h"
 
 namespace guillotine {
 namespace {
@@ -167,7 +166,7 @@ LatencyOutcome RunKillLatency(int hv_cores, bool flooded, u32 samples) {
   out.max = static_cast<u64>(latencies.max());
   out.kill_deferred = hv.lifetime_stats().kill_deferred;
   out.handoffs = scheduler.handoffs();
-  out.trace_hash = TraceDigestHash(trace);
+  out.trace_hash = trace.digest_hash();
   out.stats_digest = scheduler.StatsDigest();
   return out;
 }

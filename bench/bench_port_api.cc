@@ -26,7 +26,6 @@
 #include "src/hv/service_scheduler.h"
 #include "src/machine/storage.h"
 #include "src/model/guest_lib.h"
-#include "src/testing/scenario.h"
 
 namespace guillotine {
 namespace {
@@ -143,7 +142,7 @@ SweepOutcome RunServiceSweep(int hv_cores, u32 per_port_rate, u32 passes) {
       clock.now() == 0 ? 0.0
                        : static_cast<double>(out.serviced) * 1e9 /
                              static_cast<double>(clock.now());
-  out.trace_hash = TraceDigestHash(trace);
+  out.trace_hash = trace.digest_hash();
   out.stats_digest = scheduler.StatsDigest();
   return out;
 }

@@ -144,7 +144,7 @@ RecoveryOutcome RunRecovery(int hv_cores, bool flooded, u32 samples) {
   out.p50 = static_cast<u64>(latency.Percentile(50));
   out.max = static_cast<u64>(latency.max());
   out.quiesce_events = sys.trace().CountKind("snapshot.quiesce");
-  out.digest = TraceDigestHash(sys.trace());
+  out.digest = sys.trace().digest_hash();
   for (const u64 lat : latencies) {
     out.digest = FnvMix(out.digest, lat);
   }
@@ -243,8 +243,8 @@ MigrateOutcome RunMigrate(int hv_cores, bool flooded) {
   }
   out.probe_makespan = probe.makespan;
 
-  out.digest = FnvMix(TraceDigestHash(fleet.decommissioned(0).trace()),
-                      TraceDigestHash(fleet.system(0).trace()));
+  out.digest = FnvMix(fleet.decommissioned(0).trace().digest_hash(),
+                      fleet.system(0).trace().digest_hash());
   out.digest = FnvMix(out.digest, out.remapped);
   out.digest = FnvMix(out.digest, out.kv_migrated);
   out.digest = FnvMix(out.digest, out.probe_makespan);

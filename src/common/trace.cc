@@ -268,18 +268,6 @@ std::string EventTrace::RenderDetail(u64 seq) const {
   return out;
 }
 
-TraceEvent EventTrace::MaterializeEvent(const CompactTraceEvent& e,
-                                        bool pinned_store) const {
-  TraceEvent out;
-  out.time = e.time;
-  out.category = static_cast<TraceCategory>(e.category);
-  out.source = std::string(interner_.Name(e.source_id));
-  out.kind = std::string(interner_.Name(e.kind_id));
-  RenderDetailTo(e, pinned_store, StringSink{&out.detail});
-  out.value = e.value;
-  return out;
-}
-
 std::string EventTrace::Dump(size_t n) const {
   std::ostringstream os;
   const size_t count = size();
@@ -307,41 +295,25 @@ std::string EventTrace::Dump(size_t n) const {
   return os.str();
 }
 
-// ---------------------------------------------------------------------------
-// Materialized view
-// ---------------------------------------------------------------------------
-
-void EventTrace::SyncView() const {
-  if (view_total_ == total_ && view_evicted_ == evicted_ &&
-      view_pinned_ == pinned_.size()) {
-    return;
+std::vector<TraceEvent> EventTrace::events() const {
+  std::vector<TraceEvent> out;
+  out.reserve(size());
+  auto render = [&](const CompactTraceEvent& e, bool pinned_store) {
+    TraceEvent& event = out.emplace_back();
+    event.time = e.time;
+    event.category = static_cast<TraceCategory>(e.category);
+    event.source = std::string(interner_.Name(e.source_id));
+    event.kind = std::string(interner_.Name(e.kind_id));
+    RenderDetailTo(e, pinned_store, StringSink{&event.detail});
+    event.value = e.value;
+  };
+  for (const CompactTraceEvent& e : pinned_) {
+    render(e, /*pinned_store=*/true);
   }
-  if (view_evicted_ == evicted_ && view_total_ <= total_) {
-    // No evictions since the last sync: every new event is still in the
-    // window; extend the cache incrementally.
-    const u64 base = WindowBaseSeq();
-    view_.reserve(view_.size() + static_cast<size_t>(total_ - view_total_));
-    for (u64 seq = view_total_; seq < total_; ++seq) {
-      view_.push_back(MaterializeEvent(window_[seq - base], false));
-    }
-  } else {
-    view_.clear();
-    view_.reserve(size());
-    for (const CompactTraceEvent& e : pinned_) {
-      view_.push_back(MaterializeEvent(e, true));
-    }
-    for (size_t i = 0; i < window_.size(); ++i) {
-      view_.push_back(MaterializeEvent(window_[i], false));
-    }
+  for (size_t i = 0; i < window_.size(); ++i) {
+    render(window_[i], /*pinned_store=*/false);
   }
-  view_total_ = total_;
-  view_evicted_ = evicted_;
-  view_pinned_ = pinned_.size();
-}
-
-const std::vector<TraceEvent>& EventTrace::events() const {
-  SyncView();
-  return view_;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -373,31 +345,6 @@ const CompactTraceEvent* EventTrace::Resolve(u64 seq, bool& pinned_store) const 
     return &pinned_[static_cast<size_t>(it - pinned_seqs_.begin())];
   }
   return nullptr;
-}
-
-std::vector<const TraceEvent*> EventTrace::OfKind(std::string_view kind) const {
-  std::vector<const TraceEvent*> out;
-  u16 id = 0;
-  if (!interner_.Find(kind, &id) || id >= postings_.size()) {
-    return out;
-  }
-  SyncView();
-  const u64 base = WindowBaseSeq();
-  const size_t npinned = pinned_.size();
-  for (const Posting& p : postings_[id]) {
-    const u64 seq = p.seq();
-    if (seq >= base) {
-      out.push_back(&view_[npinned + static_cast<size_t>(seq - base)]);
-      continue;
-    }
-    const auto it =
-        std::lower_bound(pinned_seqs_.begin(), pinned_seqs_.end(), seq);
-    if (it != pinned_seqs_.end() && *it == seq) {
-      out.push_back(&view_[static_cast<size_t>(it - pinned_seqs_.begin())]);
-    }
-    // else: evicted posting not yet pruned — skip.
-  }
-  return out;
 }
 
 std::vector<EventTrace::EventRef> EventTrace::Select(
@@ -551,26 +498,6 @@ void EventTrace::PrunePostings() {
 // ---------------------------------------------------------------------------
 // Coverage / introspection
 // ---------------------------------------------------------------------------
-
-std::vector<u64> EventTrace::KindCoverage() const {
-  std::vector<u64> bitmap((interner_.size() + 63) / 64, 0);
-  for (size_t id = 0; id < kind_counts_.size(); ++id) {
-    if (kind_counts_[id] != 0) {
-      bitmap[id / 64] |= 1ULL << (id % 64);
-    }
-  }
-  return bitmap;
-}
-
-size_t EventTrace::DistinctKinds() const {
-  size_t n = 0;
-  for (const u64 c : kind_counts_) {
-    if (c != 0) {
-      ++n;
-    }
-  }
-  return n;
-}
 
 std::vector<std::string_view> EventTrace::KindNames() const {
   std::vector<std::string_view> out;

@@ -9,19 +9,21 @@
 //
 //   * Typed events (Event): source / kind / detail-format strings are
 //     interned to u16 ids, arguments ride inline as i64s (ints, interned
-//     strings, or 16-hex-digit digest prefixes), and the legacy `detail`
-//     string is rendered lazily — only when something actually reads the
-//     event. Steady-state, recording allocates nothing.
+//     strings, or 16-hex-digit digest prefixes), and the `detail` string is
+//     rendered lazily — only when something actually reads the event.
+//     Steady-state, recording allocates nothing.
 //   * Streaming digest: every event is folded into the canonical FNV-1a
 //     trace digest ("@time category source kind detail v=value" per line)
 //     exactly once, in seq order — lazily in batches, at digest reads and
 //     before retention eviction — so the record path pays nothing and
-//     TraceDigestHash is amortized O(1) instead of materializing the whole
-//     trace. The rendering is byte-identical to the legacy materialized
-//     path (property-tested across the fuzz corpus).
+//     digest_hash() is amortized O(1) instead of rendering the whole trace.
+//     The rendering is byte-identical to the reference TraceDigestLines
+//     rendering (property-tested across the fuzz corpus).
 //   * Per-kind posting index: kind-id -> event-seq postings make CountKind
-//     O(1) and OfKind/Select O(matches), so an invariant sweep is O(events)
-//     total instead of O(invariants x events).
+//     O(1) and Select O(matches), so an invariant sweep is O(events) total
+//     instead of O(invariants x events). The index is the one way to read
+//     the trace; events() only renders a copy for the reference digest,
+//     tests and benches.
 //   * Bounded retention: SetRetention(cap) ring-evicts the oldest events
 //     once they are folded into the streaming digest, pinning kSecurity /
 //     kIsolation / explicitly pinned (kill-class) kinds forever, so
@@ -65,8 +67,8 @@ inline constexpr size_t kNumTraceCategories = 11;
 
 std::string_view TraceCategoryName(TraceCategory c);
 
-// Materialized (legacy) view of one event. Tests and audit reports consume
-// this; the trace stores events compactly and renders these on demand.
+// Rendered form of one event, as events() returns it. The trace stores
+// events compactly and renders these only when asked.
 struct TraceEvent {
   Cycles time = 0;
   TraceCategory category = TraceCategory::kPortIo;
@@ -196,12 +198,12 @@ class EventTrace {
   void Record(Cycles time, TraceCategory category, std::string source,
               std::string kind, std::string detail = "", i64 value = 0);
 
-  // ---- Reading (materialized view) ----
+  // ---- Reading ----
 
-  // The retained events, materialized lazily (details rendered on first
-  // access, then cached; appends extend the cache incrementally). With no
-  // retention cap this is every event ever recorded, as it always was.
-  const std::vector<TraceEvent>& events() const;
+  // Renders every retained event into a fresh vector, details included, on
+  // each call: it allocates and costs O(events). With no retention cap this
+  // is every event ever recorded. Audit code reads Select instead.
+  std::vector<TraceEvent> events() const;
 
   // Retained event count (== total_recorded() unless retention evicted).
   size_t size() const { return pinned_.size() + window_.size(); }
@@ -212,12 +214,6 @@ class EventTrace {
   // totals, and the audit invariants compare against them.
   size_t CountKind(std::string_view kind) const;
   size_t CountCategory(TraceCategory c) const;
-
-  // All retained events of one kind, in order (pointers into the
-  // materialized view; invalidated by the next Record, as before).
-  std::vector<const TraceEvent*> OfKind(std::string_view kind) const;
-
-  // ---- Reading (indexed, render-free) ----
 
   // Lightweight handle onto a retained event: everything an invariant needs
   // without rendering the detail string. detail() renders on demand (for
@@ -278,16 +274,14 @@ class EventTrace {
 
   // ---- Coverage / introspection ----
 
-  // Bitmap over interned ids: bit set <=> at least one event of that kind
-  // was ever recorded. A cheap novelty signal for coverage-guided fuzzing.
-  std::vector<u64> KindCoverage() const;
-  size_t DistinctKinds() const;
+  // Names of the kinds recorded at least once. Interner ids are assigned
+  // per trace in first-seen order, so coverage merges across runs by name.
   std::vector<std::string_view> KindNames() const;
 
   const StringInterner& interner() const { return interner_; }
 
   // Approximate resident bytes of the trace (events, index, side tables,
-  // interner; excludes the lazily materialized view cache).
+  // interner).
   size_t MemoryFootprint() const;
 
  private:
@@ -331,13 +325,10 @@ class EventTrace {
                       Sink&& sink) const;
   // Folds every not-yet-folded event with seq < up_to into the streaming
   // digest, in order. const because folding is deterministic bookkeeping
-  // over already-recorded state (digest_/folded_ are mutable, like view_).
+  // over already-recorded state (digest_/folded_ are mutable).
   void FoldPending(u64 up_to) const;
   void FoldIntoDigest(const CompactTraceEvent& e,
                       std::string_view legacy_detail) const;
-  TraceEvent MaterializeEvent(const CompactTraceEvent& e,
-                              bool pinned_store) const;
-  void SyncView() const;
 
   StringInterner interner_;
 
@@ -367,12 +358,6 @@ class EventTrace {
   size_t retention_cap_ = 0;  // 0 = unbounded
   u64 evicted_ = 0;
   u64 evicted_since_prune_ = 0;
-
-  // Lazily materialized legacy view.
-  mutable std::vector<TraceEvent> view_;
-  mutable u64 view_total_ = 0;
-  mutable u64 view_evicted_ = 0;
-  mutable u64 view_pinned_ = 0;
 };
 
 }  // namespace guillotine

@@ -27,7 +27,7 @@ constexpr std::array<u32, 64> kK = {
 
 u32 Rotr(u32 x, int n) { return (x >> n) | (x << (32 - n)); }
 
-u64 g_compressions = 0;
+thread_local u64 t_compressions = 0;
 
 #if defined(__x86_64__)
 // Four rounds per iteration. The state lives as its ABEF and CDGH halves,
@@ -77,7 +77,7 @@ __attribute__((target("sha,sse4.1"))) void CompressShaNi(u32* state, const u8* d
 // Every run of whole blocks goes through here, so the counter advances by
 // blocks whichever kernel compresses them.
 void Compress(std::array<u32, 8>& state, const u8* data, size_t nblocks) {
-  g_compressions += nblocks;
+  t_compressions += nblocks;
   Sha256ActiveKernel()(state.data(), data, nblocks);
 }
 
@@ -146,7 +146,7 @@ Sha256CompressFn& Sha256ActiveKernel() {
   return kernel;
 }
 
-u64 Sha256::compressions() { return g_compressions; }
+u64 Sha256::compressions() { return t_compressions; }
 
 Sha256::Sha256() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,

@@ -34,11 +34,13 @@ class Sha256 {
   static Sha256Digest Hash(std::span<const u8> data);
   static Sha256Digest Hash(std::string_view data);
 
-  // Process-wide count of 64-byte blocks compressed since startup, whichever
-  // kernel compressed them. The simulation's crypto cost models charge
-  // cycles per compression, so a delta of this counter around a
-  // Seal/Open/Handshake is the honest "how much hashing did that actually
-  // take" measurement (single-threaded sim; no synchronization).
+  // Count of 64-byte blocks the calling thread has compressed since it
+  // started, whichever kernel compressed them. The simulation's crypto cost
+  // models charge cycles per compression, so a delta of this counter around
+  // a Seal/Open/Handshake is the honest "how much hashing did that actually
+  // take" measurement. A simulation never spans threads, so the count is per
+  // thread: simulations running side by side on other threads never leak
+  // into each other's deltas.
   static u64 compressions();
 
  private:

@@ -63,9 +63,9 @@ struct FuzzCampaignStats {
   int replays = 0;
   std::vector<FuzzFailure> failures;
 
-  // Union of event kinds the campaign's runs recorded (per-run bitmaps come
-  // from EventTrace::KindCoverage; the union is by name because interner
-  // ids are assigned per-system in first-seen order). Recorded as a cheap
+  // Union of event kinds the campaign's runs recorded, by name
+  // (EventTrace::KindNames; interner ids are assigned per-system in
+  // first-seen order, so they do not merge across runs). Recorded as a cheap
   // coverage signal — a future campaign can weight seed scheduling by the
   // novelty of the kinds a scenario lights up.
   std::set<std::string> covered_kinds;

@@ -88,7 +88,7 @@ void CheckTransitionAudit(const InvariantContext& ctx,
     return;
   }
   const auto& log = ctx.system->console().transition_log();
-  const auto events = ctx.system->trace().OfKind("isolation.transition");
+  const auto events = ctx.system->trace().Select({"isolation.transition"});
   if (events.size() != log.size()) {
     violate("trace has " + std::to_string(events.size()) +
             " isolation.transition events but the console log has " +
@@ -101,9 +101,9 @@ void CheckTransitionAudit(const InvariantContext& ctx,
             " transitions but logged " + std::to_string(log.size()));
   }
   for (size_t i = 0; i < log.size(); ++i) {
-    if (events[i]->value != static_cast<i64>(log[i].to)) {
+    if (events[i].value != static_cast<i64>(log[i].to)) {
       violate("transition " + std::to_string(i) + ": trace says level " +
-              std::to_string(events[i]->value) + ", log says " +
+              std::to_string(events[i].value) + ", log says " +
               std::string(IsolationLevelName(log[i].to)));
     }
   }

@@ -668,12 +668,6 @@ std::vector<std::string> TraceDigestLines(const EventTrace& trace) {
   return lines;
 }
 
-u64 TraceDigestHash(const EventTrace& trace) {
-  // The trace already folded every event into the canonical FNV-1a digest
-  // at Record time; under retention this also covers evicted events.
-  return trace.digest_hash();
-}
-
 u64 MaterializedTraceDigestHash(const EventTrace& trace) {
   u64 hash = 1469598103934665603ULL;  // FNV-1a offset basis
   auto mix = [&hash](std::string_view s) {
@@ -814,9 +808,7 @@ ScenarioResult ScenarioRunner::Run(const Scenario& scenario) {
     result.outcomes.push_back(std::move(outcome));
   }
 
-  result.trace_hash = TraceDigestHash(system_->trace());
-  result.kind_coverage = system_->trace().KindCoverage();
-  result.distinct_kinds = system_->trace().DistinctKinds();
+  result.trace_hash = system_->trace().digest_hash();
   return result;
 }
 

@@ -214,13 +214,11 @@ Result<Scenario> ParseScenarioScript(std::string_view script);
 
 // Canonical, deterministic rendering of an EventTrace: one line per event
 // ("@time category source kind detail v=value") plus an FNV-1a hash over
-// the lines. Golden assertions compare hashes (or individual lines) across
-// runs and across code changes.
+// the lines. Golden assertions compare EventTrace::digest_hash() (or
+// individual lines) across runs and across code changes.
 std::vector<std::string> TraceDigestLines(const EventTrace& trace);
-// O(1): the trace folds every event into this hash at Record time.
-u64 TraceDigestHash(const EventTrace& trace);
-// Reference implementation: materializes every line and hashes them. Exists
-// so property tests can assert the streaming fold is bit-identical.
+// Reference implementation: renders every line and hashes them. Exists so
+// property tests can assert the streaming digest_hash() is bit-identical.
 u64 MaterializedTraceDigestHash(const EventTrace& trace);
 
 // What the last quarantine-migrate step of a Run left behind, for the
@@ -243,10 +241,6 @@ struct ScenarioResult {
   std::string name;
   std::vector<StepOutcome> outcomes;
   u64 trace_hash = 0;
-  // Recorded event-kind coverage of the run (see EventTrace::KindCoverage):
-  // a cheap novelty signal the fuzzer aggregates across a campaign.
-  std::vector<u64> kind_coverage;
-  size_t distinct_kinds = 0;
 
   // True when every step ran (attack refusals still count as ran).
   bool AllStepsRan() const;

@@ -172,9 +172,10 @@ TEST(TraceTest, CountsAndFilters) {
   EXPECT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace.CountKind("port.request"), 1u);
   EXPECT_EQ(trace.CountCategory(TraceCategory::kPortIo), 2u);
-  const auto events = trace.OfKind("port.response");
+  const auto events = trace.Select({"port.response"});
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0]->value, 32);
+  EXPECT_EQ(events[0].value, 32);
+  EXPECT_EQ(events[0].detail(), "y");
   EXPECT_FALSE(trace.Dump().empty());
 }
 
@@ -208,9 +209,11 @@ TEST(TraceTest, TypedAndLegacyPathsAgree) {
                   "port=" + std::to_string(i % 3) + " from=modelcore0", 1);
   }
   EXPECT_EQ(typed.digest_hash(), legacy.digest_hash());
-  ASSERT_EQ(typed.events().size(), legacy.events().size());
-  for (size_t i = 0; i < typed.events().size(); ++i) {
-    EXPECT_EQ(typed.events()[i].detail, legacy.events()[i].detail);
+  const std::vector<TraceEvent> typed_events = typed.events();
+  const std::vector<TraceEvent> legacy_events = legacy.events();
+  ASSERT_EQ(typed_events.size(), legacy_events.size());
+  for (size_t i = 0; i < typed_events.size(); ++i) {
+    EXPECT_EQ(typed_events[i].detail, legacy_events[i].detail);
   }
 }
 
@@ -295,25 +298,16 @@ TEST(InternerTest, IdsAreStableAndCacheIsTransparent) {
   EXPECT_EQ(interner.Name(0xFFFE), "<bad-id>");
 }
 
-// KindCoverage reports exactly the kinds that ever recorded, as a bitmap
-// over interned ids.
-TEST(TraceTest, KindCoverageBitmapTracksRecordedKinds) {
+// KindNames lists exactly the kinds that ever recorded, in interner order.
+TEST(TraceTest, KindNamesListOnlyRecordedKinds) {
   EventTrace trace;
-  trace.Event(1, TraceCategory::kPortIo, "hv", "port.request");
+  trace.Event(1, TraceCategory::kPortIo, "hv", "port.request", "port={}", {"x"});
   trace.Event(2, TraceCategory::kInterrupt, "machine", "doorbell");
-  const std::vector<u64> coverage = trace.KindCoverage();
-  size_t covered = 0;
-  for (const u64 word : coverage) {
-    for (u64 w = word; w != 0; w &= w - 1) {
-      ++covered;
-    }
-  }
-  EXPECT_EQ(covered, trace.DistinctKinds());
-  EXPECT_EQ(trace.DistinctKinds(), 2u);
-  // Interned-but-never-recorded strings (sources, formats) stay uncovered.
-  u16 source_id = 0;
-  ASSERT_TRUE(trace.interner().Find("hv", &source_id));
-  EXPECT_EQ(coverage[source_id / 64] >> (source_id % 64) & 1, 0u);
+  trace.Event(3, TraceCategory::kPortIo, "hv", "port.request");
+  // Interned-but-never-recorded strings (sources, formats, string args)
+  // are not kinds.
+  EXPECT_EQ(trace.KindNames(),
+            (std::vector<std::string_view>{"port.request", "doorbell"}));
 }
 
 TEST(HistogramTest, Statistics) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -183,6 +184,21 @@ TEST(HmacTest, HmacKeySkipsPadCompressionsOnReuse) {
   // A fresh HMAC pays two extra pad-absorption compressions every call; the
   // cached key paid them once at construction.
   EXPECT_EQ(cached_cost + 2, fresh_cost);
+}
+
+// The counter is per thread: another thread's hashing must not show up in
+// this thread's deltas, or concurrent simulations would bill each other.
+TEST(Sha256Test, CompressionsCountOnlyTheCallingThreadsBlocks) {
+  const u64 before = Sha256::compressions();
+  u64 other_thread_blocks = 0;
+  std::thread other([&other_thread_blocks] {
+    const u64 start = Sha256::compressions();
+    Sha256::Hash(std::string(64 * 100, 'a'));
+    other_thread_blocks = Sha256::compressions() - start;
+  });
+  other.join();
+  EXPECT_EQ(other_thread_blocks, 101u);  // 100 data blocks + 1 padding block
+  EXPECT_EQ(Sha256::compressions(), before);
 }
 
 TEST(HmacTest, DigestEqualConstantStructure) {

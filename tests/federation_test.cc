@@ -5,6 +5,9 @@
 // ModelService.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <tuple>
+
 #include "src/core/federation.h"
 #include "src/service/service.h"
 
@@ -225,6 +228,42 @@ TEST(FederationTest, RerunsAreByteIdentical) {
   ASSERT_GT(first.second, 0u);
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(first.second, second.second);
+}
+
+// Transport cycles are charged from this thread's SHA-256 compression
+// deltas, so two fleets serving side by side on two threads must each read
+// exactly what a solo run reads.
+TEST(FederationTest, ConcurrentFleetsChargeOnlyTheirOwnCrypto) {
+  auto serve = [] {
+    FederatedFleet fleet(FleetConfig(2));
+    FederationStats stats;
+    if (!fleet.HostEverywhere(TestModel()).ok() || !fleet.JoinAll().ok()) {
+      return stats;
+    }
+    for (int i = 0; i < 200; ++i) {
+      fleet.Submit("concurrent req " + std::to_string(i));
+    }
+    fleet.RunUntilDrained();
+    return fleet.stats();
+  };
+  auto fields = [](const FederationStats& s) {
+    return std::make_tuple(s.submitted, s.completed, s.failed, s.lost,
+                           s.full_handshakes, s.resumed_handshakes,
+                           s.join_refusals, s.records_routed,
+                           s.record_failures, s.transport_cycles,
+                           s.serve_cycles);
+  };
+  const FederationStats solo = serve();
+  ASSERT_EQ(solo.completed, 200u);
+  ASSERT_GT(solo.transport_cycles, 0u);
+  FederationStats a;
+  FederationStats b;
+  std::thread ta([&] { a = serve(); });
+  std::thread tb([&] { b = serve(); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(fields(a), fields(solo));
+  EXPECT_EQ(fields(b), fields(solo));
 }
 
 }  // namespace

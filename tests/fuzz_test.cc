@@ -260,7 +260,7 @@ TEST(ScenarioFuzzTest, BlockedPromptNeverCompletes) {
   EXPECT_TRUE(violations.empty()) << RenderViolations(violations);
 
   const GuillotineSystem& sys = fuzzer.runner().system();
-  const auto& events = sys.trace().events();
+  const std::vector<TraceEvent> events = sys.trace().events();
   bool saw_block = false;
   for (size_t i = 0; i < events.size(); ++i) {
     if (events[i].kind != "detect.input" ||

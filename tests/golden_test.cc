@@ -7,16 +7,20 @@
 // tab-separated line of tests/golden/corpus_seed7.tsv:
 //
 //   index  script_hash  slices  trace_hash  final_clock  guest_instr
-//   guest_cycles  traffic_digest
+//   guest_cycles  traffic_digest  hv_busy
 //
 // script_hash is FNV-1a over the serialized scenario script, so a generator
 // change (every later draw shifts) reads apart from a simulation change
 // (same script, new trace). slices names the corpus slices the scenario
-// rides. guest_instr and guest_cycles sum the model cores' counters: the
-// clock advances in whole quanta, so a guest timing change can leave every
-// trace timestamp where it was, and these two columns catch it. traffic_digest
-// is FNV-1a over ContinuousReport::Digest() of the last open-world traffic
-// burst, "-" when the scenario had no traffic.
+// rides, spelled as the script header spells them: the header line's fields
+// after the quoted name, comma-joined, "-" when there are none. guest_instr
+// and guest_cycles sum the model cores' counters: the clock advances in
+// whole quanta, so a guest timing change can leave every trace timestamp
+// where it was, and these two columns catch it. traffic_digest is FNV-1a
+// over ContinuousReport::Digest() of the last open-world traffic burst, "-"
+// when the scenario had no traffic. hv_busy sums the hv cores' busy cycles,
+// which the hv charges for mediation work (detector scans, port service)
+// that need not move a trace timestamp either.
 //
 // GUILLOTINE_GOLDEN_SCENARIOS=N checks the first N lines (default 512; the
 // CI release job checks all 2048). GUILLOTINE_GOLDEN_REPIN=1 rewrites the
@@ -69,27 +73,6 @@ std::string Hex(u64 value) {
   return buf;
 }
 
-std::string Slices(const Scenario& s) {
-  std::string out;
-  auto add = [&](const std::string& slice) { out += (out.empty() ? "" : ",") + slice; };
-  if (s.hv_cores() != 0) {
-    add("hv_cores=" + std::to_string(s.hv_cores()));
-  }
-  if (s.priority_traffic()) {
-    add("priority");
-  }
-  if (s.traffic().has_value()) {
-    add("traffic=" + std::string(TrafficShapeName(*s.traffic())));
-  }
-  if (s.recovery()) {
-    add("recovery");
-  }
-  if (s.fabric_hosts() != 0) {
-    add("fabric=" + std::to_string(s.fabric_hosts()));
-  }
-  return out.empty() ? "-" : out;
-}
-
 std::string Script(const Scenario& s) {
   const Result<std::string> script = SerializeScenarioScript(s);
   return script.ok() ? *script : "<unserializable: " + script.status().ToString() + ">";
@@ -99,16 +82,26 @@ std::string GoldenLine(size_t index, const Scenario& s, ScenarioRunner& runner) 
   const ScenarioResult result = runner.Run(s);
   const ContinuousReport* traffic = runner.traffic_report();
   Machine& machine = runner.system().machine();
-  u64 instructions = 0, cycles = 0;
+  u64 instructions = 0, cycles = 0, hv_busy = 0;
   for (int core = 0; core < machine.num_model_cores(); ++core) {
     instructions += machine.model_core(core).stats().instructions;
     cycles += machine.model_core(core).stats().cycles;
   }
+  for (int core = 0; core < machine.num_hv_cores(); ++core) {
+    hv_busy += machine.hv_core(core).busy_cycles();
+  }
+  const std::string script = Script(s);
+  const std::string header = script.substr(0, script.find('\n'));
+  std::istringstream header_fields(header.substr(header.rfind('"') + 1));
+  std::string slices;
+  for (std::string field; header_fields >> field;) {
+    slices += (slices.empty() ? "" : ",") + field;
+  }
   std::ostringstream line;
-  line << index << '\t' << Hex(Fnv(Script(s))) << '\t' << Slices(s) << '\t'
-       << Hex(result.trace_hash) << '\t' << runner.system().clock().now() << '\t'
-       << instructions << '\t' << cycles << '\t'
-       << (traffic != nullptr ? Hex(Fnv(traffic->Digest())) : "-");
+  line << index << '\t' << Hex(Fnv(script)) << '\t' << (slices.empty() ? "-" : slices)
+       << '\t' << Hex(result.trace_hash) << '\t' << runner.system().clock().now()
+       << '\t' << instructions << '\t' << cycles << '\t'
+       << (traffic != nullptr ? Hex(Fnv(traffic->Digest())) : "-") << '\t' << hv_busy;
   return line.str();
 }
 
@@ -120,9 +113,9 @@ size_t EnvOr(const char* name, size_t fallback) {
   return static_cast<size_t>(std::strtoull(value, nullptr, 0));
 }
 
-constexpr std::array<const char*, 8> kColumns = {
-    "index",       "script_hash", "slices",       "trace_hash",
-    "final_clock", "guest_instr", "guest_cycles", "traffic_digest"};
+constexpr std::array<const char*, 9> kColumns = {
+    "index",       "script_hash",  "slices",         "trace_hash", "final_clock",
+    "guest_instr", "guest_cycles", "traffic_digest", "hv_busy"};
 
 std::vector<std::string> SplitColumns(const std::string& line) {
   std::vector<std::string> out;

@@ -149,10 +149,10 @@ TEST_F(HvExtrasTest, TamperedSnapshotRefusesRestore) {
   // The refusal is a security event in the audit trail, carrying both the
   // sealed and the recomputed digest prefixes.
   ASSERT_EQ(trace_.CountKind("snapshot.tamper"), 1u);
-  const TraceEvent* event = trace_.OfKind("snapshot.tamper").front();
-  EXPECT_EQ(event->category, TraceCategory::kSecurity);
-  EXPECT_NE(event->detail.find("sealed="), std::string::npos);
-  EXPECT_NE(event->detail.find("recomputed="), std::string::npos);
+  const EventTrace::EventRef event = trace_.Select({"snapshot.tamper"}).front();
+  EXPECT_EQ(event.category, TraceCategory::kSecurity);
+  EXPECT_NE(event.detail().find("sealed="), std::string::npos);
+  EXPECT_NE(event.detail().find("recomputed="), std::string::npos);
   // Nothing was restored: no DRAM rewrite happened after the bit flip.
   EXPECT_EQ(trace_.CountKind("snapshot.restore"), 0u);
 }

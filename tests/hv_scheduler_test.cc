@@ -139,7 +139,7 @@ TEST(ServiceSchedulerTest, RerunsAreByteIdenticalIncludingHandoffs) {
   auto run = [] {
     Driver driver(4, 4, /*slice=*/2'000);
     driver.OfferAndPump(/*port0_rate=*/24, /*passes=*/8);
-    return std::make_tuple(TraceDigestHash(driver.trace),
+    return std::make_tuple(driver.trace.digest_hash(),
                            driver.scheduler.StatsDigest(),
                            driver.scheduler.handoffs());
   };
@@ -201,12 +201,12 @@ TEST(PrioritySchedulingTest, KillPortServicedFirstWithinPass) {
   StageRequests(driver, kill, 1, /*doorbell=*/true);
   driver.scheduler.RunPass(/*poll_all=*/false);
 
-  const auto requests = driver.trace.OfKind("port.request");
+  const auto requests = driver.trace.Select({"port.request"});
   ASSERT_EQ(requests.size(), 2u);
-  EXPECT_NE(requests[0]->detail.find("port=1 "), std::string::npos)
+  EXPECT_NE(requests[0].detail().find("port=1 "), std::string::npos)
       << "kill-class port must be drained before any bulk work: "
-      << requests[0]->detail;
-  EXPECT_NE(requests[1]->detail.find("port=0 "), std::string::npos);
+      << requests[0].detail();
+  EXPECT_NE(requests[1].detail().find("port=0 "), std::string::npos);
   const ServiceStats& stats = driver.hv.lifetime_stats();
   EXPECT_EQ(stats.kill_requests, 1u);
   EXPECT_EQ(stats.bulk_requests, 1u);

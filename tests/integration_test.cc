@@ -205,9 +205,9 @@ TEST(IntegrationTest, GuestForgedKillPortTailFailsSafe) {
   EXPECT_EQ(ring.head(), 0u) << "the hv popped forged slots";
   EXPECT_EQ(sys.trace().CountKind("hv.assertion_failure"), 1u);
 
-  const auto forced = sys.trace().OfKind("console.force_offline");
+  const auto forced = sys.trace().Select({"console.force_offline"});
   ASSERT_EQ(forced.size(), 1u);
-  EXPECT_EQ(forced[0]->detail,
+  EXPECT_EQ(forced[0].detail(),
             "hv assertion failure: ring overflow on port " + std::to_string(port));
   EXPECT_GE(sys.console().level(), IsolationLevel::kSevered);
   EXPECT_EQ(sys.console().level(), IsolationLevel::kOffline);
@@ -215,9 +215,9 @@ TEST(IntegrationTest, GuestForgedKillPortTailFailsSafe) {
   // plant's disconnect and power-cut latency.
   const Cycles bound = DeploymentConfig{}.quantum + kNetDisconnectLatency + kPowerCutLatency;
   Cycles offline_at = 0;
-  for (const TraceEvent* e : sys.trace().OfKind("isolation.transition")) {
-    if (e->value == static_cast<i64>(IsolationLevel::kOffline)) {
-      offline_at = e->time;
+  for (const EventTrace::EventRef& e : sys.trace().Select({"isolation.transition"})) {
+    if (e.value == static_cast<i64>(IsolationLevel::kOffline)) {
+      offline_at = e.time;
     }
   }
   ASSERT_NE(offline_at, 0u);

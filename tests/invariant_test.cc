@@ -3,6 +3,8 @@
 // severed-forward counter, and the trace/log coherence rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/testing/invariants.h"
 
 namespace guillotine {
@@ -173,6 +175,30 @@ TEST(InvariantCheckerTest, HvAssertionFailurePathHoldsInvariants) {
   ctx.system = &runner.system();
   const auto violations = InvariantChecker::Default().Check(ctx);
   EXPECT_TRUE(violations.empty()) << RenderViolations(violations);
+}
+
+// --- transition-audit: the trace and the console log must agree. ---
+
+// A transition recorded in the trace that the console never executed is a
+// forged audit record: the counts disagree and the audit says so.
+TEST(InvariantCheckerTest, ForgedTransitionRecordTripsTransitionAudit) {
+  Scenario s("forged-transition");
+  s.EscalateFromHypervisor(IsolationLevel::kSevered, "lockdown")
+      .Custom("forge_transition", [](GuillotineSystem& sys, StepOutcome&) {
+        sys.trace().Event(sys.clock().now(), TraceCategory::kIsolation, "console",
+                          "isolation.transition", "", {},
+                          static_cast<i64>(IsolationLevel::kOffline));
+      });
+  ScenarioRunner runner;
+  const auto violations = RunAndCheck(s, runner);
+  const auto audit = std::ranges::find_if(violations, [](const InvariantViolation& v) {
+    return v.invariant == "transition-audit";
+  });
+  ASSERT_NE(audit, violations.end()) << RenderViolations(violations);
+  EXPECT_NE(audit->detail.find(
+                "trace has 2 isolation.transition events but the console log has 1"),
+            std::string::npos)
+      << audit->detail;
 }
 
 // --- Custom invariants register alongside the defaults. ---
