@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "src/core/guillotine.h"
+#include "src/hv/snapshot.h"
 #include "src/isa/assembler.h"
 #include "src/model/mlp_compiler.h"
+#include "src/testing/scenario.h"
 
 namespace guillotine {
 namespace {
@@ -213,6 +215,35 @@ void BM_DeploymentBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeploymentBuild);
+
+// One snapshot round trip, as quarantine-migrate and console recovery make
+// it: capture, verify the seal, restore. The board is the 1 MiB scenario
+// deployment hosting a {16,32,8} MLP, severed so its complex is quiesced for
+// the capture bus; the image holds only the few pages the model load wrote.
+// A retention cap keeps the trace from growing with the iteration count.
+void BM_SnapshotCycle(benchmark::State& state) {
+  GuillotineSystem sys(DefaultScenarioDeployment());
+  sys.trace().SetRetention(4096);
+  Rng rng(4);
+  const MlpModel model = MlpModel::Random({16, 32, 8}, rng);
+  if (!sys.AttachDefaultDevices().ok() ||
+      !sys.HostModel(model, sys.MakeVerifier()).ok() ||
+      !sys.console()
+           .EscalateFromHypervisor(IsolationLevel::kSevered, "snapshot bench")
+           .ok()) {
+    state.SkipWithError("could not host and sever the model");
+    return;
+  }
+  for (auto _ : state) {
+    const Result<ModelSnapshot> snapshot = CaptureSnapshot(sys.hv(), 0);
+    if (!snapshot.ok() || !VerifySnapshotSealed(sys.hv(), *snapshot).ok() ||
+        !RestoreSnapshot(sys.hv(), *snapshot).ok()) {
+      state.SkipWithError("snapshot round trip failed");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_SnapshotCycle);
 
 }  // namespace
 }  // namespace guillotine

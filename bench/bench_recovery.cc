@@ -119,8 +119,8 @@ RecoveryOutcome RunRecovery(int hv_cores, bool flooded, u32 samples) {
     // The tamper gate: a bit-flipped snapshot must be refused while the
     // board is still dark.
     ModelSnapshot bad = *snapshot;
-    if (!bad.dram.empty()) {
-      bad.dram[0] ^= 1;
+    if (bad.dram_size != 0) {
+      bad.PageAt(0)[0] ^= 1;
     }
     if (!sys.console()
              .RecoverFromSnapshot(IsolationLevel::kStandard, {0, 1, 2, 3, 4},

@@ -358,7 +358,10 @@ std::vector<EventTrace::EventRef> EventTrace::Select(
   // value, category all ride the 24-byte entry), so a k-way merge over the
   // per-kind lists streams seq-ordered refs directly — no sort over the
   // merged result and no event loads from the window, either of which at
-  // audit scale would dominate the whole sweep.
+  // audit scale would dominate the whole sweep. The merge works in runs: the
+  // list with the lowest next seq emits every posting below the runner-up's
+  // next seq before the lists are compared again, so a kind that leads for a
+  // stretch of the trace streams it in one loop.
   struct Cursor {
     std::deque<Posting>::const_iterator it;
     std::deque<Posting>::const_iterator end;
@@ -382,33 +385,34 @@ std::vector<EventTrace::EventRef> EventTrace::Select(
   const u64 base = WindowBaseSeq();
   while (!cursors.empty()) {
     size_t best = 0;
+    u64 limit = ~u64{0};  // the runner-up's next seq
     for (size_t c = 1; c < cursors.size(); ++c) {
       if (cursors[c].cur_seq < cursors[best].cur_seq) {
+        limit = cursors[best].cur_seq;
         best = c;
+      } else if (cursors[c].cur_seq < limit) {
+        limit = cursors[c].cur_seq;
       }
     }
     Cursor& cur = cursors[best];
-    const Posting& p = *cur.it;
-    const u64 seq = cur.cur_seq;
-    const u16 kind_id = cur.kind_id;
-    if (++cur.it == cur.end) {
+    for (; cur.it != cur.end; ++cur.it) {
+      const Posting& p = *cur.it;
+      const u64 seq = p.seq();
+      if (seq >= limit) {
+        break;
+      }
+      if (seq < base &&
+          !std::binary_search(pinned_seqs_.begin(), pinned_seqs_.end(), seq)) {
+        continue;  // evicted posting not yet pruned
+      }
+      out.push_back({this, seq, p.time, p.value, p.category(), cur.kind_id,
+                     p.has_value()});
+    }
+    if (cur.it == cur.end) {
       cursors.erase(cursors.begin() + static_cast<ptrdiff_t>(best));
     } else {
       cur.cur_seq = cur.it->seq();
     }
-    if (seq < base &&
-        !std::binary_search(pinned_seqs_.begin(), pinned_seqs_.end(), seq)) {
-      continue;  // evicted posting not yet pruned
-    }
-    EventRef ref;
-    ref.trace = this;
-    ref.seq = seq;
-    ref.time = p.time;
-    ref.value = p.value;
-    ref.category = p.category();
-    ref.kind_id = kind_id;
-    ref.has_value = p.has_value();
-    out.push_back(ref);
   }
   return out;
 }

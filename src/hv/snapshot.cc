@@ -1,6 +1,7 @@
 #include "src/hv/snapshot.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "src/crypto/sha256.h"
@@ -20,8 +21,8 @@ Bytes SerializeArch(const ArchState& arch) {
   return out;
 }
 
-// A full zero page and its digest, built once per process. Model DRAM is
-// mostly untouched, so most pages of a snapshot compare equal to it.
+// A full zero page and its digest, built once per process. Every full page a
+// snapshot leaves out takes this digest, and so does a stored page of zeros.
 struct ZeroPage {
   Bytes bytes = Bytes(kSnapshotPageBytes, 0);
   Sha256Digest digest = Sha256::Hash(std::span<const u8>(bytes.data(), bytes.size()));
@@ -48,29 +49,55 @@ Sha256Digest PageDigest(std::span<const u8> page) {
 // kSnapshotPageBytes page of the memory image in page order (a partial last
 // page is hashed at its real length). Folding the header in is what makes a
 // retarget (core/taken_at mutation) or a geometry swap indistinguishable from
-// a bit-flip to IntegrityOk. Every call rehashes every nonzero page of the
-// image it is handed: nothing is cached across calls.
+// a bit-flip to IntegrityOk. Pages the list leaves out are zero: a full one
+// takes the zero page's digest, a partial last one is hashed as that many
+// zero bytes, as the dense image would have it. Every call rehashes every
+// nonzero stored page it is handed: nothing is cached across calls.
 Sha256Digest DigestOver(int core, Cycles taken_at, const ArchState& arch,
-                        const Bytes& dram) {
+                        size_t dram_size, std::span<const DramPage> pages) {
+  if (!Dram::PagesFit(pages, dram_size)) {
+    return Sha256Digest{};
+  }
   Sha256 hasher;
   Bytes header;
   PutU64(header, static_cast<u64>(core));
   PutU64(header, taken_at);
-  PutU64(header, dram.size());
+  PutU64(header, dram_size);
   hasher.Update(std::span<const u8>(header.data(), header.size()));
   const Bytes arch_bytes = SerializeArch(arch);
   hasher.Update(std::span<const u8>(arch_bytes.data(), arch_bytes.size()));
-  for (size_t offset = 0; offset < dram.size(); offset += kSnapshotPageBytes) {
-    const size_t len = std::min(kSnapshotPageBytes, dram.size() - offset);
-    const Sha256Digest page = PageDigest(std::span<const u8>(dram.data() + offset, len));
+  const ZeroPage& zero = TheZeroPage();
+  auto stored = pages.begin();
+  for (size_t index = 0; index * kSnapshotPageBytes < dram_size; ++index) {
+    Sha256Digest page;
+    if (stored != pages.end() && stored->index == index) {
+      page = PageDigest(stored->bytes);
+      ++stored;
+    } else {
+      const size_t len = Dram::PageLength(dram_size, index);
+      page = len == kSnapshotPageBytes
+                 ? zero.digest
+                 : Sha256::Hash(std::span<const u8>(zero.bytes.data(), len));
+    }
     hasher.Update(std::span<const u8>(page.data(), page.size()));
   }
   return hasher.Finalize();
 }
 }  // namespace
 
+Bytes& ModelSnapshot::PageAt(size_t index) {
+  assert(index * kSnapshotPageBytes < dram_size);
+  auto it = std::lower_bound(
+      pages.begin(), pages.end(), index,
+      [](const DramPage& page, size_t i) { return page.index < i; });
+  if (it == pages.end() || it->index != index) {
+    it = pages.insert(it, DramPage{index, Bytes(Dram::PageLength(dram_size, index), 0)});
+  }
+  return it->bytes;
+}
+
 Sha256Digest ModelSnapshot::ComputeDigest() const {
-  return DigestOver(core, taken_at, arch, dram);
+  return DigestOver(core, taken_at, arch, dram_size, pages);
 }
 
 Sha256Digest ModelSnapshot::PortableDigest() const {
@@ -81,7 +108,7 @@ Sha256Digest ModelSnapshot::PortableDigest() const {
   ArchState portable = arch;
   portable.csr[static_cast<size_t>(Csr::kCycle)] = 0;
   portable.csr[static_cast<size_t>(Csr::kCoreId)] = 0;
-  return DigestOver(core, /*taken_at=*/0, portable, dram);
+  return DigestOver(core, /*taken_at=*/0, portable, dram_size, pages);
 }
 
 Result<ModelSnapshot> CaptureSnapshot(SoftwareHypervisor& hv, int core) {
@@ -91,8 +118,8 @@ Result<ModelSnapshot> CaptureSnapshot(SoftwareHypervisor& hv, int core) {
   snapshot.core = core;
   snapshot.taken_at = machine.clock().now();
   GLL_ASSIGN_OR_RETURN(snapshot.arch, bus.ReadArchState(0, core));
-  GLL_ASSIGN_OR_RETURN(snapshot.dram,
-                       bus.ReadModelDram(0, 0, machine.model_dram().size()));
+  snapshot.dram_size = machine.model_dram().size();
+  GLL_ASSIGN_OR_RETURN(snapshot.pages, bus.CaptureModelDram(0));
   snapshot.digest = snapshot.ComputeDigest();
   machine.trace().Event(machine.clock().now(), TraceCategory::kControlBus, "hv",
                         "snapshot.capture", "core={} digest={}",
@@ -120,7 +147,7 @@ Status RestoreSnapshot(SoftwareHypervisor& hv, const ModelSnapshot& snapshot) {
   ControlBus& bus = hv.control_bus();
   GLL_RETURN_IF_ERROR(VerifySnapshotSealed(hv, snapshot));
   const int core = snapshot.core;
-  if (snapshot.dram.size() != machine.model_dram().size()) {
+  if (snapshot.dram_size != machine.model_dram().size()) {
     return InvalidArgument("snapshot DRAM geometry does not match machine");
   }
   // The snapshot carries architectural state only; whatever I/O epoch the
@@ -130,7 +157,7 @@ Status RestoreSnapshot(SoftwareHypervisor& hv, const ModelSnapshot& snapshot) {
   GLL_RETURN_IF_ERROR(hv.QuiesceEpochState(core));
   // Power-cycle to a clean halted state, then repaint memory and registers.
   GLL_RETURN_IF_ERROR(bus.PowerUp(0, core, snapshot.arch.pc));
-  GLL_RETURN_IF_ERROR(bus.WriteModelDram(0, 0, snapshot.dram));
+  GLL_RETURN_IF_ERROR(bus.RestoreModelDram(0, snapshot.pages));
   for (int reg = 1; reg < kNumRegisters; ++reg) {
     GLL_RETURN_IF_ERROR(
         bus.WriteRegister(0, core, reg, snapshot.arch.x[static_cast<size_t>(reg)]));

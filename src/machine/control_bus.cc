@@ -203,4 +203,30 @@ Status ControlBus::WriteModelDram(int hv_core, PhysAddr addr,
   return OkStatus();
 }
 
+Result<std::vector<DramPage>> ControlBus::CaptureModelDram(int hv_core) {
+  GLL_RETURN_IF_ERROR(CheckCores(hv_core, 0));
+  if (!machine_.AllModelCoresQuiesced()) {
+    return FailedPrecondition("model complex must be quiesced for DRAM inspection");
+  }
+  const Dram& dram = machine_.model_dram();
+  std::vector<DramPage> pages = dram.ReadLivePages();
+  Charge(hv_core, kDramSetupCost + dram.size() / 8);
+  Log(hv_core, 0, "ctl.read_dram", "modelcore{} addr={} len={}", PhysAddr{0},
+      dram.size());
+  return pages;
+}
+
+Status ControlBus::RestoreModelDram(int hv_core, std::span<const DramPage> pages) {
+  GLL_RETURN_IF_ERROR(CheckCores(hv_core, 0));
+  if (!machine_.AllModelCoresQuiesced()) {
+    return FailedPrecondition("model complex must be quiesced for DRAM writes");
+  }
+  Dram& dram = machine_.model_dram();
+  GLL_RETURN_IF_ERROR(dram.RestorePages(pages));
+  Charge(hv_core, kDramSetupCost + dram.size() / 8);
+  Log(hv_core, 0, "ctl.write_dram", "modelcore{} addr={} len={}", PhysAddr{0},
+      dram.size());
+  return OkStatus();
+}
+
 }  // namespace guillotine

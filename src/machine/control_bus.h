@@ -69,6 +69,12 @@ class ControlBus {
   // against a stopped complex).
   Result<Bytes> ReadModelDram(int hv_core, PhysAddr addr, size_t len);
   Status WriteModelDram(int hv_core, PhysAddr addr, std::span<const u8> data);
+  // Whole-module images as Dram's live-page lists (see dram.h): capture
+  // reads the live pages, restore refuses a malformed list before changing
+  // anything, then clears model DRAM and writes the pages. Each costs and
+  // logs exactly what a whole-module ReadModelDram / WriteModelDram does.
+  Result<std::vector<DramPage>> CaptureModelDram(int hv_core);
+  Status RestoreModelDram(int hv_core, std::span<const DramPage> pages);
 
  private:
   Status CheckCores(int hv_core, int model_core) const;

@@ -22,7 +22,7 @@ Dram::Dram(size_t size_bytes, std::string name)
 
 void Dram::Materialize(size_t page) {
   const size_t base = page << kPageShift;
-  std::memset(bytes_.get() + base, 0, std::min(kPageBytes, size_ - base));
+  std::memset(bytes_.get() + base, 0, PageLength(size_, page));
   live_[page] = kLive;
   const size_t next = base + kPageBytes;
   if (page + 1 < num_pages_ && live_[page + 1] == kNotLive) {
@@ -130,6 +130,41 @@ Status Dram::WriteBlock(PhysAddr addr, std::span<const u8> data) {
     len -= chunk;
   }
   return OkStatus();
+}
+
+std::vector<DramPage> Dram::ReadLivePages() const {
+  std::vector<DramPage> pages;
+  for (size_t page = 0; page < num_pages_; ++page) {
+    if (live_[page] != kNotLive) {
+      const u8* bytes = bytes_.get() + (page << kPageShift);
+      pages.push_back({page, Bytes(bytes, bytes + PageLength(size_, page))});
+    }
+  }
+  return pages;
+}
+
+Status Dram::RestorePages(std::span<const DramPage> pages) {
+  if (!PagesFit(pages, size_)) {
+    return InvalidArgument(name_ + ": malformed page list");
+  }
+  Clear();
+  for (const DramPage& page : pages) {
+    CopyIn(page.index << kPageShift, page.bytes.data(), page.bytes.size());
+  }
+  return OkStatus();
+}
+
+bool Dram::PagesFit(std::span<const DramPage> pages, size_t size_bytes) {
+  const size_t num_pages = (size_bytes + kPageBytes - 1) >> kPageShift;
+  size_t next = 0;  // lowest index the next page may have
+  for (const DramPage& page : pages) {
+    if (page.index < next || page.index >= num_pages ||
+        page.bytes.size() != PageLength(size_bytes, page.index)) {
+      return false;
+    }
+    next = page.index + 1;
+  }
+  return true;
 }
 
 void Dram::Clear() {

@@ -33,20 +33,34 @@
 // bump code_epoch(), which every cached decode is stamped with, and the page
 // drops back to plain live (no cached decode outlives the bump, so none can
 // come from it). A store into a plain live page stays one table test.
+//
+// The live table also names what a whole-module image must carry:
+// ReadLivePages copies out only the live pages, and RestorePages clears the
+// module and writes such a list back, so a mostly-empty module round-trips
+// in proportion to what it holds rather than to its size.
 #ifndef SRC_MEM_DRAM_H_
 #define SRC_MEM_DRAM_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 
 namespace guillotine {
+
+// One page of a sparse module image: its index and its bytes, kPageBytes
+// long except for a partial last page, which holds the module's remainder.
+struct DramPage {
+  size_t index = 0;
+  Bytes bytes;
+};
 
 class Dram {
  public:
@@ -75,11 +89,26 @@ class Dram {
 
   // Block accessors used by buses, loaders, and audit tooling. ReadBlock
   // returns `len` new bytes and writes each once: live pages are copied and
-  // the rest appended as zeros, so a 1 MiB snapshot costs one pass, not a
-  // zero-fill and a copy. WriteBlock leaves an all-zero chunk over a
+  // the rest appended as zeros. WriteBlock leaves an all-zero chunk over a
   // non-live page non-live.
   Result<Bytes> ReadBlock(PhysAddr addr, size_t len) const;
   Status WriteBlock(PhysAddr addr, std::span<const u8> data);
+
+  // Whole-module images. ReadLivePages copies every live page, in ascending
+  // index order; every page it leaves out reads as zeros. RestorePages makes
+  // the module hold exactly `pages` over zeros: it refuses a list that
+  // PagesFit rejects before changing anything, then clears (bumping
+  // code_epoch()) and writes each page.
+  std::vector<DramPage> ReadLivePages() const;
+  Status RestorePages(std::span<const DramPage> pages);
+  // True when `pages` could image a `size_bytes` module: indices strictly
+  // ascending and inside it, each page exactly PageLength long.
+  static bool PagesFit(std::span<const DramPage> pages, size_t size_bytes);
+  // Length of page `index` (inside the module) of a `size_bytes` module:
+  // kPageBytes, or the remainder for a partial last page.
+  static size_t PageLength(size_t size_bytes, size_t index) {
+    return std::min(kPageBytes, size_bytes - (index << kPageShift));
+  }
 
   // Zero the whole module (used on power-down / immolation). Bumps
   // code_epoch().

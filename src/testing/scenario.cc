@@ -825,8 +825,8 @@ void ApplySnapshotTamper(std::string_view mode, ModelSnapshot& snapshot) {
     snapshot.core ^= 1;
   } else if (mode == "time") {
     snapshot.taken_at ^= 1;
-  } else if (mode == "bit" && !snapshot.dram.empty()) {
-    snapshot.dram[0] ^= 1;
+  } else if (mode == "bit" && snapshot.dram_size != 0) {
+    snapshot.PageAt(0)[0] ^= 1;
   }
 }
 

@@ -272,6 +272,47 @@ TEST(TraceTest, RetentionPinsEvidenceAndPreservesDigest) {
   }
 }
 
+// Select merges its kinds' postings in runs; whatever the interleaving, and
+// with evicted postings still awaiting a prune, it must return exactly the
+// retained events of those kinds in seq order, as a filtered scan does.
+TEST(TraceTest, SelectMatchesAFilteredScanOfRetainedEvents) {
+  const std::vector<std::string_view> kinds = {"a.hot", "b.hot", "c.warm",
+                                               "d.rare", "e.pinned"};
+  for (const size_t cap : {size_t{0}, size_t{64}}) {
+    EventTrace trace;
+    trace.SetRetention(cap);
+    trace.PinKind("e.pinned");
+    Rng rng(cap + 3);
+    for (int i = 0; i < 20'000; ++i) {
+      const u64 r = rng.NextBelow(100);
+      const size_t k = r < 40 ? 0 : r < 80 ? 1 : r < 94 ? 2 : r < 98 ? 3 : 4;
+      trace.Event(static_cast<Cycles>(i), TraceCategory::kPortIo, "src", kinds[k],
+                  "", {}, static_cast<i64>(r));
+    }
+    const std::vector<TraceEvent> retained = trace.events();
+    const std::vector<std::vector<std::string_view>> sets = {
+        {"a.hot"},
+        {"a.hot", "b.hot"},
+        {"d.rare", "a.hot", "e.pinned"},
+        {"c.warm", "e.pinned", "b.hot", "d.rare"},
+        {"e.pinned", "never.recorded"}};
+    for (const std::vector<std::string_view>& set : sets) {
+      std::vector<std::pair<Cycles, i64>> scanned;
+      for (const TraceEvent& e : retained) {
+        if (std::find(set.begin(), set.end(), e.kind) != set.end()) {
+          scanned.emplace_back(e.time, e.value);
+        }
+      }
+      std::vector<std::pair<Cycles, i64>> selected;
+      for (const EventTrace::EventRef& e : trace.Select(set)) {
+        EXPECT_NE(std::find(set.begin(), set.end(), e.kind()), set.end());
+        selected.emplace_back(e.time, e.value);
+      }
+      EXPECT_EQ(selected, scanned) << "cap " << cap << ", " << set.size() << " kinds";
+    }
+  }
+}
+
 // Interned ids are dense, stable, and identical across repeated interning
 // (the hot-path memo cache must never change an assignment).
 TEST(InternerTest, IdsAreStableAndCacheIsTransparent) {

@@ -569,6 +569,44 @@ TEST(DramTest, ZeroBlockOverUntouchedPagesStaysZeroAndLiveWritesLand) {
   EXPECT_EQ(fetched[7], 0xFF);
 }
 
+TEST(DramTest, LivePagesRoundTripAndMalformedListsChangeNothing) {
+  constexpr size_t kSize = 4 * Dram::kPageBytes + 100;  // partial page 4
+  PoisonHeap(kSize);
+  Dram source(kSize);
+  ASSERT_TRUE(source.Write64(Dram::kPageBytes + 8, 0x1122334455667788ULL));
+  ASSERT_TRUE(source.Write64(kSize - 8, ~0ULL));
+  const std::vector<DramPage> pages = source.ReadLivePages();
+  ASSERT_EQ(pages.size(), 2u);
+  EXPECT_EQ(pages[0].index, 1u);
+  EXPECT_EQ(pages[0].bytes.size(), Dram::kPageBytes);
+  EXPECT_EQ(pages[1].index, 4u);
+  EXPECT_EQ(pages[1].bytes.size(), 100u);
+  EXPECT_TRUE(Dram::PagesFit(pages, kSize));
+
+  // The target's own live code page is cleared, and its decodes with it.
+  Dram target(kSize);
+  ASSERT_TRUE(target.Write64(2 * Dram::kPageBytes, 0x99));
+  target.MarkCode(2 * Dram::kPageBytes);
+  const Bytes target_before = *target.ReadBlock(0, kSize);
+  const u64 epoch = target.code_epoch();
+
+  const auto expect_refused = [&](std::vector<DramPage> bad, std::string_view what) {
+    EXPECT_FALSE(Dram::PagesFit(bad, kSize)) << what;
+    EXPECT_EQ(target.RestorePages(bad).code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_TRUE(*target.ReadBlock(0, kSize) == target_before) << what;
+    EXPECT_EQ(target.code_epoch(), epoch) << what;
+  };
+  expect_refused({pages[1], pages[0]}, "unsorted");
+  expect_refused({pages[0], pages[0]}, "duplicate");
+  expect_refused({pages[0], {5, Bytes(Dram::kPageBytes, 1)}}, "past the end");
+  expect_refused({{1, Bytes(Dram::kPageBytes + 1, 1)}}, "long page");
+  expect_refused({pages[0], {4, Bytes(Dram::kPageBytes, 1)}}, "full-length last page");
+
+  ASSERT_TRUE(target.RestorePages(pages).ok());
+  EXPECT_GT(target.code_epoch(), epoch);
+  EXPECT_TRUE(*target.ReadBlock(0, kSize) == *source.ReadBlock(0, kSize));
+}
+
 TEST(TlbTest, HoldsKTlbEntriesTranslations) {
   Tlb tlb;
   for (u64 i = 0; i < kTlbEntries; ++i) {
