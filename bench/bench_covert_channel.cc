@@ -47,10 +47,8 @@ constexpr u64 kResultAddr = 0x80100;
 
 MachineConfig BigDramConfig(bool co_tenant) {
   MachineConfig config;
-  config.num_model_cores = 1;
-  config.num_hv_cores = 1;
-  config.model_dram_bytes = 8 << 20;  // room for 16 bits * 16 lines * 128 KiB? No:
-  // receiver touches kProbeBase + (bit*lines+k)*stride; max = 16*16*128K = 32 MiB.
+  // The cross-tenant receiver touches kProbeBase + bit * 64 + k * kLineStride
+  // (128 bits, 16 lines each): its probe span ends under 2 MiB past kProbeBase.
   config.model_dram_bytes = 64 << 20;
   config.io_dram_bytes = 64 * 1024;
   config.co_tenant_l3 = co_tenant;

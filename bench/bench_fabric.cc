@@ -44,13 +44,8 @@ u64 MixStr(u64 hash, std::string_view s) {
 
 DeploymentConfig MemberConfig() {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.period = 100'000;
   config.console.heartbeat.timeout = 10'000'000'000ULL;  // effectively off
-  config.data_base = 0x40000;
   return config;
 }
 

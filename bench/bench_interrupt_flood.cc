@@ -36,9 +36,6 @@ constexpr Cycles kIrqHandlingCost = 400;
 
 FloodOutcome RunFlood(bool throttle, u32 stores, u32 spacing_spins) {
   MachineConfig mc;
-  mc.num_model_cores = 1;
-  mc.num_hv_cores = 1;
-  mc.model_dram_bytes = 1 << 20;
   mc.io_dram_bytes = 64 * 1024;
   mc.lapic.throttle_enabled = throttle;
   SimClock clock;
@@ -106,10 +103,7 @@ struct FloodSweepOutcome {
 
 FloodSweepOutcome RunFloodSweep(int hv_cores, u32 rate_per_port, u32 passes) {
   MachineConfig mc;
-  mc.num_model_cores = 1;
   mc.num_hv_cores = hv_cores;
-  mc.model_dram_bytes = 1 << 20;
-  mc.io_dram_bytes = 512 * 1024;
   SimClock clock;
   EventTrace trace;
   Machine machine(mc, clock, trace);
@@ -217,9 +211,12 @@ int RunHvCoreFloodSweep(const std::vector<u64>& hv_core_counts) {
 
 int Run(const std::vector<u64>& hv_core_counts) {
   BenchHeader("E4 / Figure 3",
-              "the LAPIC token bucket prevents doorbell floods from "
-              "live-locking hypervisor cores; legitimate request rates pass "
-              "untouched");
+              "the LAPIC token bucket caps delivered doorbell IRQs near its "
+              "refill rate (one per 10k cycles), so in the full run "
+              "hv_busy_frac stays about 0.04 at every offered rate with the "
+              "throttle on, against 0.066 -> 5.8 with it off; every offered "
+              "rate exceeds the refill rate, so once the burst is spent even "
+              "the lowest one coalesces");
 
   TextTable table({"offered_irq_per_Mcyc", "throttle", "delivered", "coalesced",
                    "hv_busy_frac"});

@@ -34,14 +34,9 @@ const std::vector<u32>& Dims() {
 
 ModeResult RunMode(IntrospectionMode mode) {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   config.introspection = mode;
   config.quantum = 10'000;
-  config.data_base = 0x40000;
   GuillotineSystem sys(config);
   sys.AttachDefaultDevices().ok();
   Rng rng(17);

@@ -19,12 +19,7 @@ namespace {
 
 DeploymentConfig Config() {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
-  config.data_base = 0x40000;
   return config;
 }
 

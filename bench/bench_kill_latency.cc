@@ -55,10 +55,7 @@ struct LatencyOutcome {
 // channel, and count cycles until the hypervisor reads >= Severed.
 LatencyOutcome RunKillLatency(int hv_cores, bool flooded, u32 samples) {
   MachineConfig mc;
-  mc.num_model_cores = 1;
   mc.num_hv_cores = hv_cores;
-  mc.model_dram_bytes = 1 << 20;
-  mc.io_dram_bytes = 512 * 1024;
   SimClock clock;
   EventTrace trace;
   Machine machine(mc, clock, trace);

@@ -19,9 +19,6 @@ namespace {
 
 void BM_InterpreterAluLoop(benchmark::State& state) {
   MachineConfig config;
-  config.num_model_cores = 1;
-  config.num_hv_cores = 1;
-  config.model_dram_bytes = 1 << 20;
   config.io_dram_bytes = 64 * 1024;
   SimClock clock;
   EventTrace trace;
@@ -56,9 +53,6 @@ BENCHMARK(BM_InterpreterAluLoop);
 // arms it. Each iteration reruns one full pass over warm caches.
 void BM_InterpreterMlpForward(benchmark::State& state) {
   MachineConfig config;
-  config.num_model_cores = 1;
-  config.num_hv_cores = 1;
-  config.model_dram_bytes = 1 << 20;
   config.io_dram_bytes = 64 * 1024;
   SimClock clock;
   EventTrace trace;
@@ -117,10 +111,8 @@ void BM_CacheAccessLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccessLoop);
 
-// Builds and destroys one Machine, the construction every deployment pays.
-// Arg 0 is the scenario harness's board (1 model core, 1 hv core, 1 MiB model
-// DRAM, 512 KiB IO DRAM); arg 1 is the MachineConfig default (2 model cores,
-// 16 MiB model DRAM, 1 MiB IO DRAM).
+// Builds and destroys one Machine of the default board, the construction
+// every deployment pays.
 //
 // The untimed setup keeps the heap warm. Without it glibc can hand the DRAM
 // buffers back to the OS on every destroy and regrow the heap on every
@@ -130,12 +122,7 @@ BENCHMARK(BM_CacheAccessLoop);
 // second keeps its memory below the heap top once it is freed, and every
 // timed build reuses that memory.
 void BM_MachineBuild(benchmark::State& state) {
-  MachineConfig config;
-  if (state.range(0) == 0) {
-    config.num_model_cores = 1;
-    config.model_dram_bytes = 1 << 20;
-    config.io_dram_bytes = 512 * 1024;
-  }
+  const MachineConfig config;
   SimClock clock;
   EventTrace trace;
   std::optional<Machine> warm;
@@ -149,7 +136,7 @@ void BM_MachineBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(&machine);
   }
 }
-BENCHMARK(BM_MachineBuild)->ArgName("default_config")->Arg(0)->Arg(1);
+BENCHMARK(BM_MachineBuild);
 
 void BM_Sha256_4KiB(benchmark::State& state) {
   Bytes data(4096, 0xA5);
@@ -205,9 +192,9 @@ void BM_SimSigKeyGen(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSigKeyGen);
 
-// Builds and destroys one GuillotineSystem from the default config: the
-// Machine, the hypervisor and console, and 8 SimSig keypairs, which are most
-// of the cost.
+// Builds and destroys one GuillotineSystem from the default config, the
+// board every workload builds: the Machine, the hypervisor and console, and
+// 8 SimSig keypairs, which are most of the cost.
 void BM_DeploymentBuild(benchmark::State& state) {
   for (auto _ : state) {
     GuillotineSystem sys(DeploymentConfig{});

@@ -18,9 +18,6 @@ namespace {
 
 MachineConfig Config() {
   MachineConfig config;
-  config.num_model_cores = 1;
-  config.num_hv_cores = 1;
-  config.model_dram_bytes = 1 << 20;
   config.io_dram_bytes = 64 * 1024;
   return config;
 }

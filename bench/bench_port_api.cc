@@ -81,10 +81,7 @@ struct SweepOutcome {
 
 SweepOutcome RunServiceSweep(int hv_cores, u32 per_port_rate, u32 passes) {
   MachineConfig mc;
-  mc.num_model_cores = 1;
   mc.num_hv_cores = hv_cores;
-  mc.model_dram_bytes = 1 << 20;
-  mc.io_dram_bytes = 512 * 1024;
   SimClock clock;
   EventTrace trace;
   Machine machine(mc, clock, trace);
@@ -225,10 +222,6 @@ int Run(const std::vector<u64>& hv_core_counts) {
 
     // --- Guillotine port path, guest-observed. ---
     DeploymentConfig config;
-    config.machine.num_model_cores = 1;
-    config.machine.num_hv_cores = 1;
-    config.machine.model_dram_bytes = 1 << 20;
-    config.machine.io_dram_bytes = 512 * 1024;
     config.console.heartbeat.timeout = ~0ULL >> 1;
     GuillotineSystem sys(config);
     const u32 disk_index =

@@ -79,13 +79,8 @@ std::vector<InferenceRequest> FleetWorkload(int n, Cycles spacing) {
 
 DeploymentConfig SysConfig(IntrospectionMode mode) {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   config.introspection = mode;
-  config.data_base = 0x40000;
   return config;
 }
 

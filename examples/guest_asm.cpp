@@ -59,9 +59,6 @@ int main() {
                   .c_str());
 
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
   config.machine.io_dram_bytes = 64 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);

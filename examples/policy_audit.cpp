@@ -51,10 +51,6 @@ int main() {
   // 2. A deployment gets certified by the regulator (attestation first).
   std::printf("\nregulator certification:\n");
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);
   Require(sys.AttachDefaultDevices(), "device setup");

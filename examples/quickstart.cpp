@@ -15,12 +15,7 @@ int main() {
   // 1. Describe the deployment: one model core, one hypervisor core,
   //    detectors on, default kill-switch plant and 7-admin console.
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;  // quickstart: no watchdog
-  config.data_base = 0x40000;
   GuillotineSystem sys(config);
   if (!sys.AttachDefaultDevices().ok()) {
     std::printf("device setup failed\n");

@@ -36,12 +36,7 @@ int main() {
   knowledge.AddText("runbook: rotate credentials monthly via the vault job");
 
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
-  config.data_base = 0x40000;
   GuillotineSystem sys(config);
   Require(sys.AttachDefaultDevices(&knowledge), "device setup");
   Rng rng(11);

@@ -36,10 +36,6 @@ int main() {
   std::printf("== Rogue containment drill ==\n\n");
 
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);
   Require(sys.AttachDefaultDevices(), "device setup");

@@ -119,6 +119,9 @@ void FederatedFleet::AttachMemberHost(size_t member) {
 }
 
 Status FederatedFleet::Join(size_t member, std::string_view tamper) {
+  if (member >= members_.size()) {
+    return InvalidArgument("Join: no such federation member");
+  }
   Member& m = *members_[member];
   if (m.joined) {
     return OkStatus();
@@ -357,6 +360,9 @@ void FederatedFleet::OnRouterFrame(const Frame& frame) {
 }
 
 void FederatedFleet::SeverHost(size_t member) {
+  if (member >= members_.size()) {
+    return;
+  }
   Member& m = *members_[member];
   if (m.severed) {
     return;
@@ -371,6 +377,9 @@ void FederatedFleet::SeverHost(size_t member) {
 }
 
 Status FederatedFleet::HealHost(size_t member) {
+  if (member >= members_.size()) {
+    return InvalidArgument("HealHost: no such federation member");
+  }
   Member& m = *members_[member];
   if (!m.severed) {
     return OkStatus();
@@ -403,6 +412,9 @@ Status FederatedFleet::HealHost(size_t member) {
 Result<std::string> FederatedFleet::RemoteRoundTrip(size_t member,
                                                     const std::string& prompt,
                                                     Cycles& cycles) {
+  if (member >= members_.size()) {
+    return InvalidArgument("RemoteRoundTrip: no such federation member");
+  }
   Member& m = *members_[member];
   if (!m.joined) {
     return FailedPrecondition("member " + m.name + " has not joined the ring");

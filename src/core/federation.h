@@ -92,7 +92,9 @@ class FederatedFleet {
 
   // Attestation-gated ring admission. `tamper` is a kJoinTamperModes name;
   // everything except "none" must be refused (the member stays out of the
-  // ring, no channel is established, stats().join_refusals grows).
+  // ring, no channel is established, stats().join_refusals grows). Join,
+  // HealHost and RemoteRoundTrip refuse a `member` >= size() as
+  // InvalidArgument; SeverHost ignores one.
   Status Join(size_t member, std::string_view tamper = "none");
   Status JoinAll();
   bool joined(size_t member) const;

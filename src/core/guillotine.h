@@ -73,9 +73,9 @@ struct DeploymentConfig {
   IntrospectionMode introspection = IntrospectionMode::kNone;
   u64 seed = 42;
   u32 fabric_host_id = 1;
-  // Load addresses for hosted models.
+  // Load addresses for hosted models, inside the default board's model DRAM.
   u64 code_base = 0x1000;
-  u64 data_base = 0x100000;
+  u64 data_base = 0x40000;
   // Scheduling quantum for PumpOnce / Infer loops.
   Cycles quantum = 20'000;
 };

@@ -41,12 +41,15 @@ struct LapicConfig {
   bool throttle_enabled = true;
 };
 
+// The defaults are the board every deployment, scenario, bench and example
+// builds: one model core and one hypervisor core, 1 MiB of model DRAM and a
+// 512 KiB IO DRAM window. A site overrides only what it really varies.
 struct MachineConfig {
-  int num_model_cores = 2;
+  int num_model_cores = 1;
   int num_hv_cores = 1;
 
-  size_t model_dram_bytes = 16 * 1024 * 1024;
-  size_t io_dram_bytes = 1 * 1024 * 1024;
+  size_t model_dram_bytes = 1 << 20;
+  size_t io_dram_bytes = 512 * 1024;
 
   // Baseline-only: model complex and hypervisor complex share one L3, as on
   // a traditional virtualization-aware processor. Guillotine silicon keeps

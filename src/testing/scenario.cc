@@ -719,14 +719,9 @@ std::string ScenarioResult::Summary() const {
 
 DeploymentConfig DefaultScenarioDeployment() {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   // A live watchdog: lapses of >50k cycles without heartbeats force Offline.
   config.console.heartbeat.period = 1'000;
   config.console.heartbeat.timeout = 50'000;
-  config.data_base = 0x40000;
   return config;
 }
 

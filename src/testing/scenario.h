@@ -260,8 +260,8 @@ struct ScenarioRunnerConfig {
   ScenarioRunnerConfig();
 };
 
-// Small deployment (1 model core + 1 hv core, 1 MiB DRAM) with a live
-// heartbeat watchdog — what every scenario runs against unless overridden.
+// The default board (`DeploymentConfig{}`) with a live heartbeat watchdog —
+// what every scenario runs against unless overridden.
 DeploymentConfig DefaultScenarioDeployment();
 
 class ScenarioRunner {

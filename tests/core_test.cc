@@ -5,20 +5,16 @@
 
 #include "src/core/guillotine.h"
 #include "src/model/attacks.h"
+#include "src/testing/scenario.h"
 
 namespace guillotine {
 namespace {
 
 DeploymentConfig TestConfig(u64 seed = 42) {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.period = 100'000;
   config.console.heartbeat.timeout = 10'000'000'000ULL;  // effectively off
   config.seed = seed;
-  config.data_base = 0x40000;
   return config;
 }
 
@@ -37,6 +33,26 @@ TEST(GuillotineSystemTest, HostsModelThroughAttestationGate) {
   // Trace shows the attestation happened before the load.
   EXPECT_GE(sys.trace().CountKind("attest.verified"), 1u);
   EXPECT_GE(sys.trace().CountKind("model.load"), 1u);
+}
+
+// The config defaults are the one board every binary builds: the scenario
+// deployment differs from DeploymentConfig{} only in its live watchdog.
+TEST(GuillotineSystemTest, DefaultConfigIsTheScenarioBoard) {
+  const DeploymentConfig board;
+  const DeploymentConfig scenario = DefaultScenarioDeployment();
+  EXPECT_EQ(scenario.machine.num_model_cores, board.machine.num_model_cores);
+  EXPECT_EQ(scenario.machine.num_hv_cores, board.machine.num_hv_cores);
+  EXPECT_EQ(scenario.machine.model_dram_bytes, board.machine.model_dram_bytes);
+  EXPECT_EQ(scenario.machine.io_dram_bytes, board.machine.io_dram_bytes);
+  EXPECT_EQ(scenario.data_base, board.data_base);
+
+  // With no override at all, the board hosts a model and answers.
+  GuillotineSystem sys(board);
+  ASSERT_TRUE(sys.AttachDefaultDevices().ok());
+  ASSERT_TRUE(sys.HostModel(TestModel(), sys.MakeVerifier()).ok());
+  const auto reply = sys.Infer("what is the weather");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply->empty());
 }
 
 TEST(GuillotineSystemTest, TamperedPlatformCannotHostModel) {

@@ -14,23 +14,12 @@
 namespace guillotine {
 namespace {
 
-DeploymentConfig MemberConfig() {
-  DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
-  config.console.heartbeat.period = 100'000;
-  config.console.heartbeat.timeout = 10'000'000'000ULL;  // effectively off
-  config.data_base = 0x40000;
-  return config;
-}
-
 FederationConfig FleetConfig(size_t hosts, size_t batch_window = 8) {
   FederationConfig fc;
   fc.num_hosts = hosts;
   fc.batch_window = batch_window;
-  fc.deployment = MemberConfig();
+  fc.deployment.console.heartbeat.period = 100'000;
+  fc.deployment.console.heartbeat.timeout = 10'000'000'000ULL;  // effectively off
   return fc;
 }
 
@@ -166,6 +155,24 @@ TEST(FederationTest, SeveranceLosesInFlightWorkAndResumptionRecovers) {
   EXPECT_EQ(fleet.stats().completed - completed_before, 8u);
   // Lost requests stay lost: completed + lost == submitted.
   EXPECT_EQ(fleet.stats().completed + fleet.stats().lost, fleet.stats().submitted);
+}
+
+TEST(FederationTest, OutOfRangeMemberIsRefusedAndChangesNothing) {
+  FederatedFleet fleet(FleetConfig(2));
+  ASSERT_TRUE(fleet.HostEverywhere(TestModel()).ok());
+  ASSERT_TRUE(fleet.JoinAll().ok());
+  const size_t missing = fleet.size();
+  EXPECT_EQ(fleet.Join(missing).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.HealHost(missing).code(), StatusCode::kInvalidArgument);
+  Cycles cycles = 0;
+  EXPECT_EQ(fleet.RemoteRoundTrip(missing, "anyone there", cycles).status().code(),
+            StatusCode::kInvalidArgument);
+  fleet.SeverHost(missing);  // ignored
+  EXPECT_EQ(fleet.trace().CountKind("federation.sever"), 0u);
+  EXPECT_EQ(fleet.stats().submitted, 0u);
+  EXPECT_EQ(fleet.stats().full_handshakes, 2u);
+  // The members in range still serve.
+  EXPECT_TRUE(fleet.RemoteRoundTrip(1, "still here", cycles).ok());
 }
 
 TEST(FederationTest, RemoteReplicaServesThroughModelService) {

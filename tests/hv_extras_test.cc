@@ -13,8 +13,6 @@ namespace {
 
 MachineConfig SmallConfig() {
   MachineConfig config;
-  config.num_model_cores = 1;
-  config.num_hv_cores = 1;
   config.model_dram_bytes = 256 * 1024;
   config.io_dram_bytes = 64 * 1024;
   return config;
@@ -324,13 +322,7 @@ TEST(SnapshotSealTest, QuarantineMigrateHashesPagesNotTheWholeImage) {
   // re-capture, two portable digests). Hashing the raw image took 98,369
   // compressions; hashing 256 page digests, three of them nonzero pages,
   // takes ~2k including the fresh deployment's attested model load.
-  DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
-  config.data_base = 0x40000;
-  GuillotineFleet fleet(2, config);
+  GuillotineFleet fleet(2, DeploymentConfig{});
   Rng rng(14);
   const MlpModel model = MlpModel::Random({16, 32, 8}, rng);
   ASSERT_TRUE(fleet.HostEverywhere(model).ok());
@@ -613,10 +605,6 @@ TEST_F(HvExtrasTest, SnapshotRequiresQuiescedComplex) {
 
 TEST(ProbationTest, PolicySuspendsNicAndClampsQuotas) {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);
   ASSERT_TRUE(sys.AttachDefaultDevices().ok());
@@ -643,10 +631,6 @@ TEST(ProbationTest, PolicySuspendsNicAndClampsQuotas) {
 
 TEST(ProbationTest, DeviceTypeSuspensionList) {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
-  config.machine.num_hv_cores = 1;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);
   ASSERT_TRUE(sys.AttachDefaultDevices().ok());

@@ -14,15 +14,6 @@
 namespace guillotine {
 namespace {
 
-MachineConfig SchedConfig(int hv_cores) {
-  MachineConfig config;
-  config.num_model_cores = 1;
-  config.num_hv_cores = hv_cores;
-  config.model_dram_bytes = 1 << 20;
-  config.io_dram_bytes = 256 * 1024;
-  return config;
-}
-
 // A self-contained deterministic driver: `ports` storage ports, `rate`
 // requests pushed into port 0 and one into every other port per pass
 // (skewed so the round-robin initial ownership overloads core 0), serviced
@@ -37,7 +28,8 @@ struct Driver {
   u64 tag = 1;
 
   Driver(int hv_cores, int num_ports, Cycles slice)
-      : machine(SchedConfig(hv_cores), clock, trace),
+      : machine(MachineConfig{.num_hv_cores = hv_cores, .io_dram_bytes = 256 * 1024},
+                clock, trace),
         hv(machine, nullptr,
            [slice] {
              HvConfig c;
@@ -299,10 +291,7 @@ TEST(ServiceSchedulerTest, RebalanceFiresAtTheGap) {
 
 TEST(MultiHvCoreSystemTest, PumpServicesPortsOwnedByEveryCore) {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
   config.machine.num_hv_cores = 2;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);
   ASSERT_TRUE(sys.AttachDefaultDevices().ok());
@@ -360,10 +349,7 @@ TEST(MultiHvCoreSystemTest, ScenarioWithHvCoresRoundTripsAndStaysContained) {
 
 TEST(MultiHvCoreSystemTest, DefaultDeploymentOpensKillClassControlPorts) {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
   config.machine.num_hv_cores = 2;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);
   ASSERT_TRUE(sys.AttachDefaultDevices().ok());
@@ -393,10 +379,7 @@ TEST(MultiHvCoreSystemTest, DefaultDeploymentOpensKillClassControlPorts) {
 
 TEST(MultiHvCoreSystemTest, EscalationPortDrivesConsoleRestriction) {
   DeploymentConfig config;
-  config.machine.num_model_cores = 1;
   config.machine.num_hv_cores = 2;
-  config.machine.model_dram_bytes = 1 << 20;
-  config.machine.io_dram_bytes = 512 * 1024;
   config.console.heartbeat.timeout = ~0ULL >> 1;
   GuillotineSystem sys(config);
   ASSERT_TRUE(sys.AttachDefaultDevices().ok());

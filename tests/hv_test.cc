@@ -18,9 +18,6 @@ constexpr int kT0 = 12, kT1 = 13;
 
 MachineConfig SmallConfig() {
   MachineConfig config;
-  config.num_model_cores = 1;
-  config.num_hv_cores = 1;
-  config.model_dram_bytes = 1 << 20;
   config.io_dram_bytes = 64 * 1024;
   return config;
 }

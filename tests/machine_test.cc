@@ -26,8 +26,6 @@ namespace {
 MachineConfig SmallConfig() {
   MachineConfig config;
   config.num_model_cores = 2;
-  config.num_hv_cores = 1;
-  config.model_dram_bytes = 1 << 20;  // 1 MiB
   config.io_dram_bytes = 64 * 1024;
   return config;
 }

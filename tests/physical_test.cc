@@ -248,21 +248,12 @@ TEST(HeartbeatTest, EachPeriodCostsEightCompressions) {
 class ConsoleTest : public ::testing::Test {
  protected:
   ConsoleTest()
-      : machine_(MakeMachineConfig(), clock_, trace_),
+      : machine_(MachineConfig{.io_dram_bytes = 64 * 1024}, clock_, trace_),
         hv_(machine_, nullptr),
         plant_(clock_, trace_),
         fabric_(clock_),
         rng_(42),
         console_(MakeConsoleConfig(), hv_, plant_, &fabric_, rng_) {}
-
-  static MachineConfig MakeMachineConfig() {
-    MachineConfig config;
-    config.num_model_cores = 1;
-    config.num_hv_cores = 1;
-    config.model_dram_bytes = 1 << 20;
-    config.io_dram_bytes = 64 * 1024;
-    return config;
-  }
 
   static ConsoleConfig MakeConsoleConfig() {
     ConsoleConfig config;

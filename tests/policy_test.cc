@@ -124,16 +124,8 @@ TEST(ComplianceTest, MultipleViolationsAllReported) {
 class AuditFixture : public ::testing::Test {
  protected:
   AuditFixture()
-      : machine_(MakeConfig(), clock_, trace_), plant_(clock_, trace_) {}
-
-  static MachineConfig MakeConfig() {
-    MachineConfig config;
-    config.num_model_cores = 1;
-    config.num_hv_cores = 1;
-    config.model_dram_bytes = 1 << 20;
-    config.io_dram_bytes = 64 * 1024;
-    return config;
-  }
+      : machine_(MachineConfig{.io_dram_bytes = 64 * 1024}, clock_, trace_),
+        plant_(clock_, trace_) {}
 
   SimClock clock_;
   EventTrace trace_;
