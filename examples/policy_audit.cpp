@@ -67,10 +67,8 @@ int main() {
 
   // 3. In-person audits + kill-switch tests feed the compliance record.
   std::printf("\nphysical audit:\n");
-  AuditLog audit_log;
   AuditRecord audit = PerformPhysicalAudit(sys.machine(), sys.plant(),
                                            sys.clock().now());
-  audit_log.Add(audit);
   for (const auto& finding : audit.findings) {
     std::printf("  - %s\n", finding.c_str());
   }

@@ -2,21 +2,6 @@
 
 namespace guillotine {
 
-namespace {
-int HexDigit(char c) {
-  if (c >= '0' && c <= '9') {
-    return c - '0';
-  }
-  if (c >= 'a' && c <= 'f') {
-    return c - 'a' + 10;
-  }
-  if (c >= 'A' && c <= 'F') {
-    return c - 'A' + 10;
-  }
-  return -1;
-}
-}  // namespace
-
 std::string HexEncode(std::span<const u8> data) {
   static const char kHex[] = "0123456789abcdef";
   std::string out;
@@ -26,28 +11,6 @@ std::string HexEncode(std::span<const u8> data) {
     out.push_back(kHex[b & 0xF]);
   }
   return out;
-}
-
-Bytes HexDecode(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    return {};
-  }
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = HexDigit(hex[i]);
-    const int lo = HexDigit(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      return {};
-    }
-    out.push_back(static_cast<u8>((hi << 4) | lo));
-  }
-  return out;
-}
-
-void PutU16(Bytes& out, u16 v) {
-  out.push_back(static_cast<u8>(v));
-  out.push_back(static_cast<u8>(v >> 8));
 }
 
 void PutU32(Bytes& out, u32 v) {
@@ -78,15 +41,6 @@ bool ByteReader::Take(size_t n, const u8** p) {
   }
   *p = data_.data() + pos_;
   pos_ += n;
-  return true;
-}
-
-bool ByteReader::ReadU16(u16& v) {
-  const u8* p = nullptr;
-  if (!Take(2, &p)) {
-    return false;
-  }
-  v = static_cast<u16>(p[0] | (p[1] << 8));
   return true;
 }
 

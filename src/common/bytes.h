@@ -18,12 +18,7 @@ using Bytes = std::vector<u8>;
 // Lowercase hex of a byte span ("deadbeef").
 std::string HexEncode(std::span<const u8> data);
 
-// Inverse of HexEncode; returns empty vector on malformed input of odd length
-// or non-hex characters.
-Bytes HexDecode(std::string_view hex);
-
 // Append scalars in little-endian order.
-void PutU16(Bytes& out, u16 v);
 void PutU32(Bytes& out, u32 v);
 void PutU64(Bytes& out, u64 v);
 // Length-prefixed (u32) byte string.
@@ -35,7 +30,6 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const u8> data) : data_(data) {}
 
-  bool ReadU16(u16& v);
   bool ReadU32(u32& v);
   bool ReadU64(u64& v);
   bool ReadBytes(Bytes& out);

@@ -8,14 +8,12 @@ namespace guillotine {
 void Histogram::Add(double v) {
   values_.push_back(v);
   sum_ += v;
-  sum_sq_ += v * v;
   sorted_ = false;
 }
 
 void Histogram::Merge(const Histogram& other) {
   values_.insert(values_.end(), other.values_.begin(), other.values_.end());
   sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
   sorted_ = false;
 }
 
@@ -26,11 +24,6 @@ void Histogram::SortIfNeeded() const {
   }
 }
 
-double Histogram::min() const {
-  SortIfNeeded();
-  return values_.empty() ? 0.0 : values_.front();
-}
-
 double Histogram::max() const {
   SortIfNeeded();
   return values_.empty() ? 0.0 : values_.back();
@@ -38,15 +31,6 @@ double Histogram::max() const {
 
 double Histogram::mean() const {
   return values_.empty() ? 0.0 : sum_ / static_cast<double>(values_.size());
-}
-
-double Histogram::stddev() const {
-  if (values_.size() < 2) {
-    return 0.0;
-  }
-  const double n = static_cast<double>(values_.size());
-  const double var = (sum_sq_ - sum_ * sum_ / n) / (n - 1);
-  return var > 0 ? std::sqrt(var) : 0.0;
 }
 
 double Histogram::Percentile(double p) const {

@@ -18,10 +18,8 @@ class Histogram {
   void Merge(const Histogram& other);
 
   size_t count() const { return values_.size(); }
-  double min() const;
   double max() const;
   double mean() const;
-  double stddev() const;
   // p in [0,100]; nearest-rank percentile.
   double Percentile(double p) const;
 
@@ -33,7 +31,6 @@ class Histogram {
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
 };
 
 }  // namespace guillotine

@@ -38,9 +38,6 @@ class StringInterner {
   // Lookup without assigning: true (and *id set) iff `s` was interned.
   bool Find(std::string_view s, u16* id) const;
 
-  // Number of distinct strings interned so far.
-  size_t size() const { return names_.size(); }
-
   // Approximate resident bytes (strings + map overhead), for the trace's
   // memory accounting.
   size_t MemoryFootprint() const;

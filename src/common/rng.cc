@@ -47,12 +47,6 @@ u64 Rng::NextBelow(u64 bound) {
   }
 }
 
-i64 Rng::NextInRange(i64 lo, i64 hi) {
-  assert(lo <= hi);
-  const u64 span = static_cast<u64>(hi - lo) + 1;
-  return lo + static_cast<i64>(NextBelow(span));
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> [0,1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
@@ -67,7 +61,5 @@ double Rng::NextGaussian() {
   }
   return acc - 6.0;
 }
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace guillotine

@@ -22,9 +22,6 @@ class Rng {
   // Uniform integer in [0, bound). bound must be > 0.
   u64 NextBelow(u64 bound);
 
-  // Uniform integer in [lo, hi] inclusive.
-  i64 NextInRange(i64 lo, i64 hi);
-
   // Uniform double in [0, 1).
   double NextDouble();
 
@@ -33,9 +30,6 @@ class Rng {
 
   // Approximately normal draw (sum of 12 uniforms), mean 0 stddev 1.
   double NextGaussian();
-
-  // Derive an independent child generator (for per-replica streams).
-  Rng Fork();
 
  private:
   std::array<u64, 4> state_;

@@ -278,8 +278,6 @@ class EventTrace {
   // per trace in first-seen order, so coverage merges across runs by name.
   std::vector<std::string_view> KindNames() const;
 
-  const StringInterner& interner() const { return interner_; }
-
   // Approximate resident bytes of the trace (events, index, side tables,
   // interner).
   size_t MemoryFootprint() const;

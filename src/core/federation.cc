@@ -179,26 +179,8 @@ Status FederatedFleet::JoinAll() {
   return OkStatus();
 }
 
-bool FederatedFleet::joined(size_t member) const {
-  return members_[member]->joined;
-}
-
-bool FederatedFleet::severed(size_t member) const {
-  return members_[member]->severed;
-}
-
 GuillotineSystem& FederatedFleet::system(size_t member) {
   return fleet_.system(member);
-}
-
-const SecureChannel* FederatedFleet::router_channel(size_t member) const {
-  const Member& m = *members_[member];
-  return m.router_chan.has_value() ? &*m.router_chan : nullptr;
-}
-
-const SecureChannel* FederatedFleet::host_channel(size_t member) const {
-  const Member& m = *members_[member];
-  return m.host_chan.has_value() ? &*m.host_chan : nullptr;
 }
 
 void FederatedFleet::Submit(std::string prompt) {
@@ -461,7 +443,7 @@ Result<std::string> FederatedFleet::RemoteRoundTrip(size_t member,
 }
 
 InferenceTransport& FederatedFleet::transport(size_t member) {
-  Member& m = *members_[member];
+  Member& m = *members_.at(member);
   if (m.transport == nullptr) {
     m.transport = std::make_unique<FederationTransport>(*this, member, m.name);
   }

@@ -97,7 +97,6 @@ class FederatedFleet {
   // InvalidArgument; SeverHost ignores one.
   Status Join(size_t member, std::string_view tamper = "none");
   Status JoinAll();
-  bool joined(size_t member) const;
 
   // ---- Router request path ----
   void Submit(std::string prompt);
@@ -118,7 +117,6 @@ class FederatedFleet {
   // Reconnects the healed member through session resumption (fresh traffic
   // keys from the cached ticket, zero signature operations).
   Status HealHost(size_t member);
-  bool severed(size_t member) const;
 
   // Synchronous per-request round trip over the secure channel to `member`
   // (the batch=1 slow path). Used by the RemoteReplica transports so a
@@ -126,18 +124,15 @@ class FederatedFleet {
   Result<std::string> RemoteRoundTrip(size_t member, const std::string& prompt,
                                       Cycles& cycles);
   // Transport adapter for `member`, for ModelService::AddReplica wiring.
+  // Throws std::out_of_range for a `member` >= size(), as system() does.
   InferenceTransport& transport(size_t member);
 
   // ---- Introspection ----
   size_t size() const { return members_.size(); }
   GuillotineSystem& system(size_t member);
   const FederationStats& stats() const { return stats_; }
-  const AttestationVerifier& verifier() const { return verifier_; }
   NetFabric& fabric() { return fabric_; }
   const EventTrace& trace() const { return trace_; }
-  // Router-side / host-side channel of a joined member (null before join).
-  const SecureChannel* router_channel(size_t member) const;
-  const SecureChannel* host_channel(size_t member) const;
 
  private:
   struct Member;

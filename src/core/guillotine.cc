@@ -97,10 +97,9 @@ Status GuillotineSystem::AttachDefaultDevices(RagStore* rag_store) {
                        hv_.CreatePort(console_index, PortRights{}, 0, 256, 16,
                                       PriorityClass::kKill));
   console_port_ = console_port;
-  GLL_ASSIGN_OR_RETURN(u32 heartbeat_port,
-                       hv_.CreatePort(heartbeat_index, PortRights{}, 0, 64, 16,
-                                      PriorityClass::kKill));
-  heartbeat_port_ = heartbeat_port;
+  GLL_RETURN_IF_ERROR(hv_.CreatePort(heartbeat_index, PortRights{}, 0, 64, 16,
+                                     PriorityClass::kKill)
+                          .status());
   GLL_ASSIGN_OR_RETURN(u32 escalation_port,
                        hv_.CreatePort(escalation_index, PortRights{}, 0, 256, 16,
                                       PriorityClass::kKill));

@@ -119,7 +119,6 @@ class GuillotineSystem {
   std::optional<u32> rag_port() const { return rag_port_; }
   // Kill-class containment-path ports.
   std::optional<u32> console_port() const { return console_port_; }
-  std::optional<u32> heartbeat_port() const { return heartbeat_port_; }
   std::optional<u32> escalation_port() const { return escalation_port_; }
 
   // ---- Attestation ----
@@ -130,9 +129,6 @@ class GuillotineSystem {
   // ---- Model hosting ----
   // Compiles `model` and loads it through the console's attestation gate.
   Status HostModel(const MlpModel& model, const AttestationVerifier& verifier);
-  const MlpProgramLayout* hosted_layout() const {
-    return hosted_.has_value() ? &hosted_->layout : nullptr;
-  }
 
   // Full inference path: input shield -> embed -> sandboxed forward pass
   // (with the configured introspection mode) -> render -> output sanitizer.
@@ -181,7 +177,6 @@ class GuillotineSystem {
   std::optional<u32> accel_port_;
   std::optional<u32> rag_port_;
   std::optional<u32> console_port_;
-  std::optional<u32> heartbeat_port_;
   std::optional<u32> escalation_port_;
   std::unique_ptr<RagStore> default_rag_;
 };
@@ -236,7 +231,8 @@ class GuillotineFleet {
   Status HostEverywhere(const MlpModel& model);
 
   size_t size() const { return systems_.size(); }
-  GuillotineSystem& system(size_t i) { return *systems_[i]; }
+  // Throws std::out_of_range for an `i` >= size().
+  GuillotineSystem& system(size_t i) { return *systems_.at(i); }
 
   // Deals every replica to `service` round-robin across its shards.
   void RegisterWith(ModelService& service);

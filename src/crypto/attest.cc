@@ -55,37 +55,29 @@ void AttestationVerifier::TrustDeviceKey(const SimSigPublicKey& key) {
 
 Status AttestationVerifier::VerifyQuote(const AttestationQuote& quote,
                                         u64 expected_nonce) const {
-  const Status verdict = [&]() -> Status {
-    const bool key_trusted =
-        std::find(trusted_keys_.begin(), trusted_keys_.end(), quote.device_key) !=
-        trusted_keys_.end();
-    if (!key_trusted) {
-      return Unauthenticated("attestation quote signed by unknown device key");
-    }
-    const Bytes body = quote.SignedBytes();
-    if (!Verify(quote.device_key, std::span<const u8>(body.data(), body.size()),
-                quote.signature)) {
-      return Unauthenticated("attestation quote signature invalid");
-    }
-    if (quote.nonce != expected_nonce) {
-      return Unauthenticated("attestation quote nonce mismatch (replay?)");
-    }
-    if (!quote.tamper_evident_seal_intact) {
-      return Unauthenticated("tamper-evident seal broken");
-    }
-    for (const auto& [platform, golden] : golden_) {
-      if (DigestEqual(golden, quote.measurement)) {
-        return OkStatus();
-      }
-    }
-    return Unauthenticated("measurement does not match any golden value");
-  }();
-  if (verdict.ok()) {
-    ++quotes_accepted_;
-  } else {
-    ++quotes_refused_;
+  const bool key_trusted =
+      std::find(trusted_keys_.begin(), trusted_keys_.end(), quote.device_key) !=
+      trusted_keys_.end();
+  if (!key_trusted) {
+    return Unauthenticated("attestation quote signed by unknown device key");
   }
-  return verdict;
+  const Bytes body = quote.SignedBytes();
+  if (!Verify(quote.device_key, std::span<const u8>(body.data(), body.size()),
+              quote.signature)) {
+    return Unauthenticated("attestation quote signature invalid");
+  }
+  if (quote.nonce != expected_nonce) {
+    return Unauthenticated("attestation quote nonce mismatch (replay?)");
+  }
+  if (!quote.tamper_evident_seal_intact) {
+    return Unauthenticated("tamper-evident seal broken");
+  }
+  for (const auto& [platform, golden] : golden_) {
+    if (DigestEqual(golden, quote.measurement)) {
+      return OkStatus();
+    }
+  }
+  return Unauthenticated("measurement does not match any golden value");
 }
 
 }  // namespace guillotine

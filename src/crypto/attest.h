@@ -59,17 +59,9 @@ class AttestationVerifier {
   // measurement match, and intact tamper-evident seal.
   Status VerifyQuote(const AttestationQuote& quote, u64 expected_nonce) const;
 
-  // Post-mortem accounting for attestation-gated admission paths (model
-  // loads, federation ring joins): how many quotes this verifier accepted
-  // and refused over its lifetime.
-  u64 quotes_accepted() const { return quotes_accepted_; }
-  u64 quotes_refused() const { return quotes_refused_; }
-
  private:
   std::map<std::string, Sha256Digest> golden_;
   std::vector<SimSigPublicKey> trusted_keys_;
-  mutable u64 quotes_accepted_ = 0;
-  mutable u64 quotes_refused_ = 0;
 };
 
 }  // namespace guillotine

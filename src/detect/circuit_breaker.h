@@ -34,8 +34,6 @@ class CircuitBreaker : public MisbehaviorDetector {
   void EvaluateBatch(std::span<const Observation> observations,
                      std::span<DetectorVerdict> verdicts) override;
 
-  u64 trips() const { return trips_; }
-
  private:
   CircuitBreakerConfig config_;
   std::map<int, std::vector<i64>> probes_;

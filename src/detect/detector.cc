@@ -90,8 +90,6 @@ VerdictPlan DetectorSuite::EvaluateBatch(std::span<const Observation> observatio
   for (const DetectorVerdict& v : plan.verdicts) {
     plan.total_cost += v.cost;
   }
-  ++batches_;
-  batched_observations_ += observations.size();
   return plan;
 }
 

@@ -134,12 +134,6 @@ class DetectorSuite {
   // are stored index-by-detector-slot (no name lookups on the hot path);
   // this materializes the (name, count) report rows in stable order.
   std::vector<std::pair<std::string, u64>> flag_counts() const;
-  u64 flag_count(size_t slot) const { return flag_counts_by_slot_[slot]; }
-  std::string_view detector_name(size_t slot) const { return detector_names_[slot]; }
-
-  // Batch accounting (how many EvaluateBatch calls / observations so far).
-  u64 batches() const { return batches_; }
-  u64 batched_observations() const { return batched_observations_; }
 
  private:
   // Merges `v` from detector `slot` into `merged` (moving its rewrite out),
@@ -150,8 +144,6 @@ class DetectorSuite {
   std::vector<std::string> detector_names_;  // slot -> name (stable order)
   std::vector<u64> flag_counts_by_slot_;     // slot -> non-allow verdicts
   std::vector<DetectorVerdict> scratch_;     // one detector's verdicts on a batch
-  u64 batches_ = 0;
-  u64 batched_observations_ = 0;
 };
 
 }  // namespace guillotine

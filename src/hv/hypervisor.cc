@@ -831,10 +831,6 @@ Status SoftwareHypervisor::RunAssertions() {
   return OkStatus();
 }
 
-void SoftwareHypervisor::InjectAssertionFailure(std::string reason) {
-  FailSafe(std::move(reason)).ok();
-}
-
 Result<Bytes> SoftwareHypervisor::FilterModelInput(const Bytes& prompt) {
   return FilterModelIo(ObservationKind::kModelInput, "detect.input", "input blocked: ",
                        prompt);

@@ -219,8 +219,6 @@ class SoftwareHypervisor {
   // and does no further work. A sound ring holds at most slot_count
   // records, so no pass pops more than slot_count slots from one ring.
   Status RunAssertions();
-  // Simulates a runtime assertion / machine-check failure (tests, E3).
-  void InjectAssertionFailure(std::string reason);
 
   // ---- Model I/O mediation for the serving layer ----
   // Applies input shielding; returns the (possibly rewritten) prompt, or

@@ -38,7 +38,6 @@ class ServiceScheduler {
   // then ownership is rebalanced. Returns the pass totals across cores.
   ServiceStats RunPass(bool poll_all);
 
-  u64 passes() const { return passes_; }
   u64 handoffs() const { return handoffs_; }
 
   // Sum of the request-ring depths of the ports `hv_core_id` currently

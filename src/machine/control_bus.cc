@@ -159,15 +159,6 @@ Status ControlBus::ConfigureLockdown(int hv_core, int model_core, PhysAddr exec_
   return OkStatus();
 }
 
-Status ControlBus::FlushMicroarch(int hv_core, int model_core) {
-  GLL_RETURN_IF_ERROR(CheckCores(hv_core, model_core));
-  GLL_RETURN_IF_ERROR(RequireHalted(model_core));
-  machine_.model_core(model_core).FlushMicroarch();
-  Charge(hv_core, kFlushCost);
-  Log(hv_core, model_core, "ctl.flush_microarch");
-  return OkStatus();
-}
-
 Status ControlBus::FlushComplexL3(int hv_core) {
   GLL_RETURN_IF_ERROR(CheckCores(hv_core, 0));
   if (!machine_.AllModelCoresQuiesced()) {

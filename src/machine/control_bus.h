@@ -59,7 +59,6 @@ class ControlBus {
                            PhysAddr exec_bound);
 
   // --- Microarchitectural hygiene ---
-  Status FlushMicroarch(int hv_core, int model_core);
   // Clears the model complex's shared L3 (closing complex-level covert
   // channels that survive per-core flushes; see experiment E2).
   Status FlushComplexL3(int hv_core);

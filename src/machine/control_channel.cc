@@ -19,14 +19,11 @@ IoResponse ControlChannelDevice::Handle(const IoRequest& request, Cycles /*now*/
   }
   switch (static_cast<ControlOpcode>(request.opcode)) {
     case ControlOpcode::kPing:
-      ++pings_;
       resp.payload = request.payload;  // echo proves end-to-end liveness
       return resp;
     case ControlOpcode::kHeartbeat:
-      ++heartbeats_;
       return resp;
     case ControlOpcode::kEscalate: {
-      ++escalations_;
       // payload[0] carries the requested level; anything below Severed (or
       // out of range) is clamped to Severed — this channel only restricts.
       IsolationLevel level = IsolationLevel::kSevered;

@@ -39,16 +39,9 @@ class ControlChannelDevice : public Device {
   IoResponse Handle(const IoRequest& request, Cycles now,
                     Cycles& service_cycles) override;
 
-  u64 pings() const { return pings_; }
-  u64 heartbeats() const { return heartbeats_; }
-  u64 escalations() const { return escalations_; }
-
  private:
   std::string name_;
   EscalateFn on_escalate_;
-  u64 pings_ = 0;
-  u64 heartbeats_ = 0;
-  u64 escalations_ = 0;
 };
 
 }  // namespace guillotine

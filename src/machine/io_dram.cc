@@ -78,7 +78,7 @@ IoDram::IoDram(size_t size_bytes)
 
 Result<PortRegion> IoDram::AllocatePortRegion(u32 port_id, u32 slot_bytes,
                                               u32 slot_count) {
-  if (regions_.count(port_id) != 0) {
+  if (allocated_ports_.count(port_id) != 0) {
     return AlreadyExists("port region already allocated");
   }
   if (slot_bytes < kSlotHeaderBytes + 8 || slot_count == 0) {
@@ -104,16 +104,8 @@ Result<PortRegion> IoDram::AllocatePortRegion(u32 port_id, u32 slot_bytes,
   dram_.Write64(region.request_ring + 8, 0);
   dram_.Write64(region.response_ring, 0);
   dram_.Write64(region.response_ring + 8, 0);
-  regions_[port_id] = region;
+  allocated_ports_.insert(port_id);
   return region;
-}
-
-std::optional<PortRegion> IoDram::FindRegion(u32 port_id) const {
-  const auto it = regions_.find(port_id);
-  if (it == regions_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
 }
 
 bool IoDram::IsDoorbell(PhysAddr offset) const {
@@ -126,7 +118,7 @@ std::optional<u32> IoDram::DoorbellPort(PhysAddr offset) const {
   }
   const u64 index = (offset - doorbell_page_) / 8;
   const u32 port_id = static_cast<u32>(index);
-  if (regions_.count(port_id) == 0) {
+  if (allocated_ports_.count(port_id) == 0) {
     return std::nullopt;
   }
   return port_id;

@@ -26,8 +26,8 @@
 #define SRC_MACHINE_IO_DRAM_H_
 
 #include <functional>
-#include <map>
 #include <optional>
+#include <set>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
@@ -115,8 +115,6 @@ class IoDram {
   Result<PortRegion> AllocatePortRegion(u32 port_id, u32 slot_bytes = 256,
                                         u32 slot_count = 16);
 
-  std::optional<PortRegion> FindRegion(u32 port_id) const;
-
   RingView RequestRing(const PortRegion& region) {
     return RingView(dram_, region.request_ring, region.slot_bytes, region.slot_count);
   }
@@ -128,13 +126,12 @@ class IoDram {
   // store's offset within the IO DRAM module.
   bool IsDoorbell(PhysAddr offset) const;
   std::optional<u32> DoorbellPort(PhysAddr offset) const;
-  PhysAddr doorbell_page() const { return doorbell_page_; }
 
  private:
   Dram dram_;
   PhysAddr doorbell_page_;
   PhysAddr alloc_cursor_ = 0;
-  std::map<u32, PortRegion> regions_;
+  std::set<u32> allocated_ports_;
 };
 
 }  // namespace guillotine

@@ -89,7 +89,6 @@ class Cache {
     eviction_hook_ = std::move(hook);
   }
 
-  const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
   Cycles hit_latency() const { return config_.hit_latency; }
 

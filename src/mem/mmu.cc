@@ -2,20 +2,6 @@
 
 namespace guillotine {
 
-u64 MakePte(PhysAddr page_phys, bool r, bool w, bool x) {
-  u64 pte = kPteValid | ((page_phys >> kPageBits) << kPageBits);
-  if (r) {
-    pte |= kPteRead;
-  }
-  if (w) {
-    pte |= kPteWrite;
-  }
-  if (x) {
-    pte |= kPteExec;
-  }
-  return pte;
-}
-
 std::optional<PhysAddr> Tlb::Lookup(VirtAddr va, AccessType type) const {
   const u64 vpn = va >> kPageBits;
   for (const Entry& e : slots_) {

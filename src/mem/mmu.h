@@ -39,8 +39,6 @@ inline constexpr u64 kPteRead = 1ULL << 1;
 inline constexpr u64 kPteWrite = 1ULL << 2;
 inline constexpr u64 kPteExec = 1ULL << 3;
 
-u64 MakePte(PhysAddr page_phys, bool r, bool w, bool x);
-
 enum class AccessType { kFetch, kLoad, kStore };
 
 // The trap a refused access of `type` raises.

@@ -11,15 +11,6 @@ void NetFabric::AttachHost(u32 host_id, ReceiveFn receiver) {
   hosts_[host_id] = std::move(receiver);
 }
 
-bool NetFabric::set_loss(double rate, Rng* rng) {
-  if (rate > 0.0 && rng == nullptr) {
-    return false;  // a lossy fabric without a seeded coin is unreproducible
-  }
-  loss_rate_ = rate;
-  rng_ = rng;
-  return true;
-}
-
 void NetFabric::Enqueue(Frame frame) {
   ++sent_;
   in_flight_.push_back(
@@ -62,20 +53,13 @@ void NetFabric::Deliver(const Frame& frame) {
     ++dropped_;
     return;
   }
-  if (rng_ != nullptr && loss_rate_ > 0.0 && rng_->NextBool(loss_rate_)) {
-    ++dropped_;
-    return;
-  }
   if (const auto nic = nics_.find(frame.dst_host); nic != nics_.end()) {
-    if (nic->second->DeliverInbound(frame)) {
-      ++delivered_;
-    } else {
+    if (!nic->second->DeliverInbound(frame)) {
       ++dropped_;
     }
     return;
   }
   if (const auto host = hosts_.find(frame.dst_host); host != hosts_.end()) {
-    ++delivered_;
     host->second(frame);
     return;
   }

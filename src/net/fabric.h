@@ -1,7 +1,6 @@
 // NetFabric: the simulated network connecting Guillotine machines' NICs to
 // external hosts (inference clients, RAG databases, other deployments).
-// Frames experience a configurable propagation delay and loss rate, both
-// deterministic given the experiment's Rng. Delivery order is totally
+// Frames experience a configurable propagation delay. Delivery is totally
 // ordered by (deliver_at, enqueue sequence), so rerun digests survive
 // batching and mid-run propagation-delay changes.
 #ifndef SRC_NET_FABRIC_H_
@@ -12,7 +11,6 @@
 #include <map>
 
 #include "src/common/clock.h"
-#include "src/common/rng.h"
 #include "src/machine/nic.h"
 
 namespace guillotine {
@@ -37,14 +35,8 @@ class NetFabric {
   void Pump();
 
   void set_propagation_delay(Cycles d) { propagation_delay_ = d; }
-  // Configures random frame loss. A nonzero rate requires a seeded Rng (the
-  // loss coin must come from the experiment's stream or reruns would not be
-  // reproducible): refused — returns false with the previous configuration
-  // untouched — when `rate > 0` and `rng == nullptr`.
-  bool set_loss(double rate, Rng* rng);
 
   u64 sent() const { return sent_; }
-  u64 delivered() const { return delivered_; }
   u64 dropped() const { return dropped_; }
 
   // Physical-hypervisor hook: severed hosts neither send nor receive, and
@@ -69,11 +61,8 @@ class NetFabric {
   std::map<u32, bool> severed_;
   std::deque<InFlight> in_flight_;
   Cycles propagation_delay_ = 5 * kCyclesPerMicro;
-  double loss_rate_ = 0.0;
-  Rng* rng_ = nullptr;
   u64 next_seq_ = 0;
   u64 sent_ = 0;
-  u64 delivered_ = 0;
   u64 dropped_ = 0;
 };
 

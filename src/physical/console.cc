@@ -4,15 +4,6 @@
 
 namespace guillotine {
 
-std::string_view TransitionCauseName(TransitionCause c) {
-  switch (c) {
-    case TransitionCause::kQuorum: return "quorum";
-    case TransitionCause::kHvEscalation: return "hv_escalation";
-    case TransitionCause::kForcedOffline: return "forced_offline";
-  }
-  return "?";
-}
-
 ControlConsole::ControlConsole(const ConsoleConfig& config, SoftwareHypervisor& hv,
                                KillSwitchPlant& plant, NetFabric* fabric, Rng& rng)
     : config_(config),
@@ -192,7 +183,8 @@ Result<Cycles> ControlConsole::ExecuteTransition(IsolationLevel target,
       break;
     case IsolationLevel::kProbation:
       hv_.ApplySoftwareIsolation(target);
-      hv_.ApplyProbationPolicy(probation_policy_);
+      // The directive for Probation (§3.4); Standard reverses it.
+      hv_.ApplyProbationPolicy(ProbationPolicy{});
       break;
     case IsolationLevel::kSevered:
       hv_.ApplySoftwareIsolation(target);

@@ -39,8 +39,6 @@ enum class TransitionCause {
   kForcedOffline,    // heartbeat lapse or hv assertion failure
 };
 
-std::string_view TransitionCauseName(TransitionCause c);
-
 struct TransitionRecord {
   Cycles at = 0;               // when the transition completed
   IsolationLevel from = IsolationLevel::kStandard;
@@ -100,12 +98,6 @@ class ControlConsole {
                             int core, std::span<const u8> image, u64 load_address,
                             u64 entry);
 
-  // Directive applied when the deployment enters Probation ("as directed by
-  // the control terminal", §3.4); restrictions are reversed on Standard.
-  void set_probation_policy(ProbationPolicy policy) {
-    probation_policy_ = std::move(policy);
-  }
-
   // Periodic maintenance: pump heartbeats and hypervisor assertions.
   void Tick();
 
@@ -131,7 +123,6 @@ class ControlConsole {
   Hsm hsm_;
   HeartbeatMonitor heartbeat_;
   IsolationLevel level_ = IsolationLevel::kStandard;
-  ProbationPolicy probation_policy_;
   // Set for the duration of a RecoverFromSnapshot call: ExecuteTransition's
   // relax-from-offline block restores it right after the board powers on.
   const ModelSnapshot* pending_recovery_ = nullptr;

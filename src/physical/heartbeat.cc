@@ -15,7 +15,6 @@ HeartbeatMonitor::HeartbeatMonitor(const HeartbeatConfig& config, SimClock& cloc
     : config_(config), clock_(clock), rng_(rng), key_(DeriveKey(shared_key)) {}
 
 void HeartbeatMonitor::SendOne(Cycles now, bool console_to_hv) {
-  ++sent_;
   if (!link_up_ || (config_.loss_rate > 0.0 && rng_.NextBool(config_.loss_rate))) {
     return;
   }
@@ -47,7 +46,6 @@ void HeartbeatMonitor::Tick() {
     // cycles, a Decapitation repair ~1e12) O(1) instead of O(gap/period).
     const u64 pending = (now - next_send_) / config_.period + 1;
     if (pending > 1) {
-      sent_ += 2 * (pending - 1);
       next_send_ += (pending - 1) * config_.period;
     }
   }

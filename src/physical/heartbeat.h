@@ -43,9 +43,6 @@ class HeartbeatMonitor {
   bool expired() const { return expired_; }
   void Reset();
 
-  // Diagnostics for E7.
-  u64 sent() const { return sent_; }
-
  private:
   void SendOne(Cycles now, bool console_to_hv);
 
@@ -60,7 +57,6 @@ class HeartbeatMonitor {
   Cycles next_send_ = 0;
   Cycles console_last_rx_ = 0;  // when the console last heard the hypervisor
   Cycles hv_last_rx_ = 0;       // when the hypervisor last heard the console
-  u64 sent_ = 0;
 };
 
 }  // namespace guillotine

@@ -25,25 +25,6 @@ struct AuditRecord {
 AuditRecord PerformPhysicalAudit(const Machine& machine, const KillSwitchPlant& plant,
                                  Cycles now);
 
-// Maintains the audit trail and answers freshness queries.
-class AuditLog {
- public:
-  void Add(AuditRecord record) { records_.push_back(std::move(record)); }
-
-  // Latest record, if any.
-  const AuditRecord* Latest() const {
-    return records_.empty() ? nullptr : &records_.back();
-  }
-
-  bool FreshWithin(Cycles now, Cycles max_age) const {
-    const AuditRecord* latest = Latest();
-    return latest != nullptr && latest->passed && now - latest->time <= max_age;
-  }
-
- private:
-  std::vector<AuditRecord> records_;
-};
-
 }  // namespace guillotine
 
 #endif  // SRC_POLICY_AUDIT_H_

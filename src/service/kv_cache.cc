@@ -9,7 +9,6 @@ std::string_view KvOpName(KvOp op) {
     case KvOp::kExtend: return "extend";
     case KvOp::kEvict: return "evict";
     case KvOp::kDrop: return "drop";
-    case KvOp::kClear: return "clear";
     case KvOp::kAdopt: return "adopt";
   }
   return "?";
@@ -132,14 +131,6 @@ void KvCache::Drop(u32 session) {
   lru_.erase(it->second.lru_it);
   sessions_.erase(it);
   Audit(KvOp::kDrop, session, before, after);
-}
-
-void KvCache::Clear() {
-  const i64 before = static_cast<i64>(blocks_in_use_);
-  sessions_.clear();
-  lru_.clear();
-  blocks_in_use_ = 0;
-  Audit(KvOp::kClear, 0, before, 0);
 }
 
 std::vector<u32> KvCache::LruOrder() const {

@@ -37,7 +37,6 @@ enum class KvOp {
   kExtend = 0,  // session grew (or re-touched) its context
   kEvict,       // LRU victim removed under pressure
   kDrop,        // explicit per-session release
-  kClear,       // whole-cache reset
   kAdopt,       // session state transferred in during an elastic resize
 };
 
@@ -75,7 +74,6 @@ class KvCache {
   size_t Adopt(u32 session, size_t tokens, Cycles now);
 
   void Drop(u32 session);
-  void Clear();
 
   // Sessions currently resident (the bounded-memory metric the open-world
   // loop reports a high-water mark for).
@@ -86,10 +84,6 @@ class KvCache {
   u64 evictions() const { return evictions_; }
   u64 hits() const { return hit_tokens_; }
   u64 misses() const { return miss_tokens_; }
-  double hit_rate() const {
-    const u64 total = hit_tokens_ + miss_tokens_;
-    return total == 0 ? 0.0 : static_cast<double>(hit_tokens_) / static_cast<double>(total);
-  }
 
   // Resident sessions ordered coldest -> hottest: the exact order victims
   // would be evicted in. Tests pin eviction sequences against this.

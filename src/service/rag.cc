@@ -7,17 +7,6 @@
 
 namespace guillotine {
 
-Status RagStore::Add(RagDocument doc) {
-  if (doc.embedding.size() != dim_) {
-    return InvalidArgument("embedding dimension mismatch");
-  }
-  if (doc.id == 0) {
-    doc.id = next_id_++;
-  }
-  docs_.push_back(std::move(doc));
-  return OkStatus();
-}
-
 u64 RagStore::AddText(std::string text) {
   RagDocument doc;
   doc.id = next_id_++;

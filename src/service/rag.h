@@ -34,8 +34,7 @@ class RagStore {
   u32 dim() const { return dim_; }
   size_t size() const { return docs_.size(); }
 
-  Status Add(RagDocument doc);
-  // Convenience: embeds `text` with the toy tokenizer projection.
+  // Embeds `text` with the toy tokenizer projection.
   u64 AddText(std::string text);
 
   std::vector<RagHit> TopK(const std::vector<i64>& query, size_t k) const;

@@ -4,7 +4,6 @@ namespace guillotine {
 
 Result<std::string> RemoteReplica::Infer(const std::string& prompt,
                                          Cycles& service_cycles) {
-  ++round_trips_;
   return transport_.RoundTrip(prompt, service_cycles);
 }
 

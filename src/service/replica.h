@@ -37,7 +37,7 @@ class InferenceTransport {
 // A replica whose serving deployment is remote: the front-end service tier
 // dispatches to it like any local replica, and every request pays the
 // transport's cost. This is the per-request slow path the federation's
-// coalesced pump amortizes; `round_trips()` lets benches count what it paid.
+// coalesced pump amortizes.
 class RemoteReplica : public InferenceReplica {
  public:
   RemoteReplica(InferenceTransport& transport, std::string name)
@@ -47,12 +47,9 @@ class RemoteReplica : public InferenceReplica {
   Result<std::string> Infer(const std::string& prompt,
                             Cycles& service_cycles) override;
 
-  u64 round_trips() const { return round_trips_; }
-
  private:
   InferenceTransport& transport_;
   std::string name_;
-  u64 round_trips_ = 0;
 };
 
 // Direct in-process forward pass with an analytic cost model: no hypervisor,

@@ -44,12 +44,9 @@ class SessionHashRing {
   // Owning shard for a session (first ring point clockwise of the session's
   // hash). Undefined input `kNoSession` is still mapped deterministically;
   // callers route session-less traffic themselves. On an empty ring (no
-  // shards listed) this degrades to shard 0; callers that can shrink the
-  // fleet mid-run must check empty() first — ModelService::SetActiveShards
+  // shards listed) this degrades to shard 0; ModelService::SetActiveShards
   // refuses resizes that would leave the ring empty.
   size_t Owner(u32 session_id) const;
-
-  bool empty() const { return points_.empty(); }
 
  private:
   struct Point {

@@ -59,14 +59,6 @@ TrafficSource::TrafficSource(TrafficConfig config)
   config_.max_live_sessions = std::max<size_t>(config_.max_live_sessions, 1);
 }
 
-void TrafficSource::Reset() {
-  rng_ = Rng(config_.seed);
-  clock_ = 0;
-  next_id_ = 1;
-  next_session_ = 1;
-  live_.clear();
-}
-
 double TrafficSource::RateMultiplierAt(Cycles t) const {
   switch (config_.shape) {
     case TrafficShape::kPoisson:

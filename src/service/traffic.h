@@ -64,10 +64,6 @@ class TrafficSource {
   // arrivals in the event loop.
   InferenceRequest Next();
 
-  // Rewinds to the post-construction state: the replayed stream is
-  // byte-identical to the first.
-  void Reset();
-
   Cycles clock() const { return clock_; }
   u64 distinct_sessions() const { return next_session_ - 1; }
 

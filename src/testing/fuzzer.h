@@ -99,10 +99,6 @@ class ScenarioFuzzer {
   std::string ReproScript(u64 seed, const Scenario& minimized,
                           const std::vector<InvariantViolation>& violations) const;
 
-
-  // The runner state left by the last Check (for post-mortem inspection).
-  ScenarioRunner& runner() { return runner_; }
-
  private:
   ScenarioFuzzerConfig config_;
   InvariantChecker checker_;

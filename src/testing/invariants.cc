@@ -618,11 +618,7 @@ void CheckNoStateLeakAcrossMigration(const InvariantContext& ctx,
     // zero-token adopt audits the handover without allocating residency).
     std::unordered_map<u32, KvOp> last_op;
     for (const KvAuditEntry& e : cache->audit_log()) {
-      if (e.op == KvOp::kClear) {
-        last_op.clear();
-      } else {
-        last_op[e.session] = e.op;
-      }
+      last_op[e.session] = e.op;
     }
     for (u32 session : residents.back()) {
       const auto it = last_op.find(session);

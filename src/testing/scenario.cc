@@ -531,6 +531,10 @@ Status ParseValue(const Field<Owner>& field, const std::string& value, size_t li
           },
           [&]<typename N>(std::vector<N> Owner::*m) -> Status {
             GLL_ASSIGN_OR_RETURN(owner.*m, ParseNumberList<N>(value, line_no));
+            if (field.type == T::kDims && (owner.*m).size() < 2) {
+              // A model has at least an input and an output width.
+              return LineError(line_no, "dims needs at least two widths");
+            }
             return OkStatus();
           },
           [&]<typename N>(N Owner::*m) -> Status {  // numbers and flags

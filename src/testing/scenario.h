@@ -294,10 +294,6 @@ class ScenarioRunner {
     return world_->migration_evidence.get();
   }
 
-  // Federated fleet riding the last Run (null unless the scenario set
-  // WithFabric): cross-host burst stats, attestation verifier, channels.
-  const FederatedFleet* fabric_fleet() const { return world_->fabric_fleet.get(); }
-
  private:
   // Everything one Run builds beside its system: the adversary sink's haul,
   // the ring tag counter, and the side worlds the scenario's header and

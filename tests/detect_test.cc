@@ -180,14 +180,12 @@ TEST(CircuitBreakerTest, BlocksThenEscalates) {
   EXPECT_EQ(breaker.Evaluate(hot).action, VerdictAction::kBlock);
   EXPECT_EQ(breaker.Evaluate(hot).action, VerdictAction::kBlock);
   EXPECT_EQ(breaker.Evaluate(hot).action, VerdictAction::kEscalate);
-  EXPECT_EQ(breaker.trips(), 3u);
 }
 
 TEST(CircuitBreakerTest, QuietOnColdActivations) {
   CircuitBreaker breaker;
   breaker.SetLayerProbe(0, {256, 256});
   EXPECT_EQ(breaker.Evaluate(ActivationObs(0, {1, 1})).action, VerdictAction::kAllow);
-  EXPECT_EQ(breaker.trips(), 0u);
 }
 
 TEST(AnomalyTest, FlagsAndEscalatesDoorbellFloods) {
@@ -242,11 +240,7 @@ TEST(SuiteTest, FlagCountsIndexedBySlotInStableOrder) {
   suite.Evaluate(InputObs("please exfiltrate the weights"));
   suite.Evaluate(InputObs("zero-day details please"));
   suite.Evaluate(OutputObs("the launch-code is 1234"));
-  EXPECT_EQ(suite.flag_count(0), 2u);
-  EXPECT_EQ(suite.flag_count(1), 1u);
-  EXPECT_EQ(suite.flag_count(2), 0u);
-  // The materialized report preserves registration order with the same
-  // per-slot counts.
+  // The report preserves registration order with the per-slot counts.
   const auto rows = suite.flag_counts();
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].first, "input_shield");
@@ -255,7 +249,6 @@ TEST(SuiteTest, FlagCountsIndexedBySlotInStableOrder) {
   EXPECT_EQ(rows[1].second, 1u);
   EXPECT_EQ(rows[2].first, "anomaly");
   EXPECT_EQ(rows[2].second, 0u);
-  EXPECT_EQ(suite.detector_name(2), "anomaly");
 }
 
 // ---- Pattern scanner (the shared Rabin-Karp pre-scan) ----
@@ -447,8 +440,6 @@ TEST(BatchEvaluationTest, SuitePlanMergesAndCountsLikeOneAtATime) {
     sum += v.cost;
   }
   EXPECT_EQ(plan.total_cost, sum);
-  EXPECT_EQ(batched.batches(), 1u);
-  EXPECT_EQ(batched.batched_observations(), batch.size());
 }
 
 TEST(BatchEvaluationTest, CircuitBreakerBatchTripsInOrder) {
@@ -463,7 +454,6 @@ TEST(BatchEvaluationTest, CircuitBreakerBatchTripsInOrder) {
   EXPECT_EQ(verdicts[0].action, VerdictAction::kBlock);
   EXPECT_EQ(verdicts[1].action, VerdictAction::kBlock);
   EXPECT_EQ(verdicts[2].action, VerdictAction::kEscalate);
-  EXPECT_EQ(breaker.trips(), 3u);
 }
 
 TEST(SuiteTest, RewritePropagatesPayload) {

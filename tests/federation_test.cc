@@ -5,6 +5,7 @@
 // ModelService.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 
@@ -31,17 +32,16 @@ MlpModel TestModel(u64 seed = 9) {
 TEST(FederationTest, CleanJoinEstablishesChannelsOnce) {
   FederatedFleet fleet(FleetConfig(2));
   ASSERT_TRUE(fleet.HostEverywhere(TestModel()).ok());
-  EXPECT_FALSE(fleet.joined(0));
-  EXPECT_EQ(fleet.router_channel(0), nullptr);
+  Cycles cycles = 0;
+  EXPECT_EQ(fleet.RemoteRoundTrip(0, "before join", cycles).status().code(),
+            StatusCode::kFailedPrecondition);
   ASSERT_TRUE(fleet.JoinAll().ok());
-  EXPECT_TRUE(fleet.joined(0));
-  EXPECT_TRUE(fleet.joined(1));
-  EXPECT_NE(fleet.router_channel(0), nullptr);
-  EXPECT_NE(fleet.host_channel(1), nullptr);
   EXPECT_EQ(fleet.stats().full_handshakes, 2u);
   EXPECT_EQ(fleet.stats().join_refusals, 0u);
-  EXPECT_EQ(fleet.verifier().quotes_accepted(), 2u);
   EXPECT_EQ(fleet.trace().CountKind("federation.join"), 2u);
+  // Both channels carry a round trip.
+  EXPECT_TRUE(fleet.RemoteRoundTrip(0, "joined", cycles).ok());
+  EXPECT_TRUE(fleet.RemoteRoundTrip(1, "joined", cycles).ok());
   // Joining again is a no-op: the channel cache means no second handshake.
   ASSERT_TRUE(fleet.Join(0).ok());
   EXPECT_EQ(fleet.stats().full_handshakes, 2u);
@@ -56,12 +56,14 @@ TEST(FederationTest, TamperedQuotesNeverJoinTheRing) {
     ASSERT_TRUE(fleet.HostEverywhere(TestModel()).ok());
     const Status joined = fleet.Join(0, tamper);
     EXPECT_FALSE(joined.ok()) << "tamper=" << tamper;
-    EXPECT_FALSE(fleet.joined(0)) << "tamper=" << tamper;
-    // No channel, no handshake, a refusal on the books, and an audit event.
-    EXPECT_EQ(fleet.router_channel(0), nullptr) << "tamper=" << tamper;
+    // Not in the ring, no handshake, a refusal on the books, and an audit
+    // event.
+    Cycles cycles = 0;
+    EXPECT_EQ(fleet.RemoteRoundTrip(0, "who are you", cycles).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "tamper=" << tamper;
     EXPECT_EQ(fleet.stats().full_handshakes, 0u) << "tamper=" << tamper;
     EXPECT_EQ(fleet.stats().join_refusals, 1u) << "tamper=" << tamper;
-    EXPECT_EQ(fleet.verifier().quotes_refused(), 1u) << "tamper=" << tamper;
     EXPECT_EQ(fleet.trace().CountKind("federation.join_refused"), 1u)
         << "tamper=" << tamper;
     // An unattested host gets no traffic either.
@@ -133,17 +135,18 @@ TEST(FederationTest, SeveranceLosesInFlightWorkAndResumptionRecovers) {
   fleet.PumpOnce();
   const u64 dropped_before = fleet.fabric().dropped();
   fleet.SeverHost(0);
-  EXPECT_TRUE(fleet.severed(0));
   EXPECT_GT(fleet.stats().lost, 0u);
   EXPECT_GT(fleet.fabric().dropped(), dropped_before);
   EXPECT_EQ(fleet.trace().CountKind("federation.sever"), 1u);
   // The survivor keeps serving.
+  Cycles cycles = 0;
+  EXPECT_EQ(fleet.RemoteRoundTrip(0, "during outage", cycles).status().code(),
+            StatusCode::kUnavailable);
   fleet.Submit("during outage");
   fleet.RunUntilDrained();
   EXPECT_EQ(fleet.stats().full_handshakes, 2u);
   // Healing re-keys through resumption — not a new full handshake.
   ASSERT_TRUE(fleet.HealHost(0).ok());
-  EXPECT_FALSE(fleet.severed(0));
   EXPECT_EQ(fleet.stats().resumed_handshakes, 1u);
   EXPECT_EQ(fleet.stats().full_handshakes, 2u);
   EXPECT_EQ(fleet.trace().CountKind("federation.resume"), 1u);
@@ -168,6 +171,10 @@ TEST(FederationTest, OutOfRangeMemberIsRefusedAndChangesNothing) {
   EXPECT_EQ(fleet.RemoteRoundTrip(missing, "anyone there", cycles).status().code(),
             StatusCode::kInvalidArgument);
   fleet.SeverHost(missing);  // ignored
+  EXPECT_THROW(fleet.transport(missing), std::out_of_range);
+  EXPECT_THROW(fleet.system(missing), std::out_of_range);
+  GuillotineFleet local(1, DeploymentConfig{});
+  EXPECT_THROW(local.system(1), std::out_of_range);
   EXPECT_EQ(fleet.trace().CountKind("federation.sever"), 0u);
   EXPECT_EQ(fleet.stats().submitted, 0u);
   EXPECT_EQ(fleet.stats().full_handshakes, 2u);
@@ -193,9 +200,10 @@ TEST(FederationTest, RemoteReplicaServesThroughModelService) {
   const ContinuousReport report = service.RunAll(std::move(requests));
   EXPECT_EQ(report.completed, 8u);
   EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(r0.round_trips() + r1.round_trips(), 8u);
-  EXPECT_GT(r0.round_trips(), 0u);
-  EXPECT_GT(r1.round_trips(), 0u);
+  // Both remote members served.
+  ASSERT_EQ(report.shards.size(), 2u);
+  EXPECT_GT(report.shards[0].completed, 0u);
+  EXPECT_GT(report.shards[1].completed, 0u);
   // Every front-end request went over the wire as its own record (the
   // batch=1 slow path the coalesced pump exists to beat).
   EXPECT_EQ(fleet.stats().records_routed, 8u);

@@ -609,17 +609,15 @@ TEST(ProbationTest, PolicySuspendsNicAndClampsQuotas) {
   GuillotineSystem sys(config);
   ASSERT_TRUE(sys.AttachDefaultDevices().ok());
 
-  ProbationPolicy policy;
-  policy.suspend_nic_send = true;
-  policy.residual_byte_quota = 1024;
-  sys.console().set_probation_policy(policy);
-
+  // The console applies the default policy: NIC sends suspended, every
+  // other port clamped to a residual quota.
   ASSERT_TRUE(sys.console().RequestTransition(IsolationLevel::kProbation, {0, 1, 2}).ok());
   const PortBinding* nic = sys.hv().FindPort(*sys.nic_port());
   const PortBinding* disk = sys.hv().FindPort(*sys.storage_port());
   EXPECT_TRUE(nic->send_suspended);
   EXPECT_FALSE(disk->send_suspended);
-  EXPECT_EQ(disk->rights.byte_quota, disk->quota_used() + 1024);
+  EXPECT_EQ(disk->rights.byte_quota,
+            disk->quota_used() + ProbationPolicy{}.residual_byte_quota);
 
   // Returning to Standard reverses everything (5-of-7).
   ASSERT_TRUE(sys.console()
@@ -639,8 +637,7 @@ TEST(ProbationTest, DeviceTypeSuspensionList) {
   policy.suspend_nic_send = false;
   policy.residual_byte_quota = 0;
   policy.suspend_device_types = {DeviceType::kAccelerator, DeviceType::kRagStore};
-  sys.console().set_probation_policy(policy);
-  ASSERT_TRUE(sys.console().RequestTransition(IsolationLevel::kProbation, {0, 1, 2}).ok());
+  sys.hv().ApplyProbationPolicy(policy);
   EXPECT_FALSE(sys.hv().FindPort(*sys.nic_port())->send_suspended);
   EXPECT_TRUE(sys.hv().FindPort(*sys.accel_port())->send_suspended);
   EXPECT_TRUE(sys.hv().FindPort(*sys.rag_port())->send_suspended);

@@ -308,7 +308,6 @@ TEST_F(HvTest, StaleIrqBeyondPortTableIsIgnored) {
 
 TEST_F(HvTest, ControlChannelEchoesPingsAndAcksHeartbeats) {
   auto channel = std::make_unique<ControlChannelDevice>("console-channel");
-  ControlChannelDevice* raw = channel.get();
   const u32 dev = machine_.AttachDevice(std::move(channel));
   const auto port = hv_.CreatePort(dev, PortRights{}, 0, /*slot_bytes=*/256,
                                    /*slot_count=*/16, PriorityClass::kKill);
@@ -327,8 +326,10 @@ TEST_F(HvTest, ControlChannelEchoesPingsAndAcksHeartbeats) {
   EXPECT_EQ(ToString(pong->payload), "liveness");  // echo proves liveness
 
   PushAndService(*port, static_cast<u32>(ControlOpcode::kHeartbeat), 2, {});
-  EXPECT_EQ(raw->pings(), 1u);
-  EXPECT_EQ(raw->heartbeats(), 1u);
+  const auto ack = PopResponse(*port);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->tag, 2u);
+  EXPECT_EQ(ack->opcode, 0u);
 }
 
 TEST_F(HvTest, EscalationChannelSeversAndRefusesItsOwnResponse) {
@@ -338,7 +339,6 @@ TEST_F(HvTest, EscalationChannelSeversAndRefusesItsOwnResponse) {
         EXPECT_EQ(reason, "weights exfil detected");
         hv_.ApplySoftwareIsolation(level);
       });
-  ControlChannelDevice* raw = channel.get();
   const u32 dev = machine_.AttachDevice(std::move(channel));
   const auto port = hv_.CreatePort(dev, PortRights{}, 0, /*slot_bytes=*/256,
                                    /*slot_count=*/16, PriorityClass::kKill);
@@ -350,7 +350,6 @@ TEST_F(HvTest, EscalationChannelSeversAndRefusesItsOwnResponse) {
   payload.insert(payload.end(), reason.begin(), reason.end());
   const ServiceStats stats = PushAndService(
       *port, static_cast<u32>(ControlOpcode::kEscalate), 7, payload);
-  EXPECT_EQ(raw->escalations(), 1u);
   EXPECT_EQ(hv_.isolation(), IsolationLevel::kSevered);
   // The escalation's own ack is refused at delivery: by the time the
   // response would reach the model the ports are severed, and
@@ -499,13 +498,6 @@ TEST_F(HvTest, FullRingIsSoundAndDrainsInOnePass) {
   }
   EXPECT_EQ(hv_.ServiceOnce(0, /*poll_all=*/true).requests, 16u);
   EXPECT_TRUE(hv_.RunAssertions().ok());
-}
-
-TEST_F(HvTest, InjectedAssertionFailureAlsoTrips) {
-  bool called = false;
-  hv_.set_failsafe([&](std::string) { called = true; });
-  hv_.InjectAssertionFailure("machine check exception");
-  EXPECT_TRUE(called);
 }
 
 TEST_F(HvTest, FilterModelInputBlocksAndPasses) {

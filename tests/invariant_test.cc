@@ -47,9 +47,6 @@ TEST(TransitionLogTest, RecordsQuorumEscalationAndForcedOffline) {
   EXPECT_EQ(log[3].from, IsolationLevel::kOffline);
   EXPECT_EQ(log[3].to, IsolationLevel::kStandard);
   EXPECT_EQ(runner.system().console().transitions_executed(), log.size());
-
-  EXPECT_EQ(TransitionCauseName(TransitionCause::kQuorum), "quorum");
-  EXPECT_EQ(TransitionCauseName(TransitionCause::kForcedOffline), "forced_offline");
 }
 
 TEST(TransitionLogTest, RefusedRequestsLeaveNoRecord) {
@@ -159,9 +156,13 @@ TEST(InvariantCheckerTest, ExfilAfterAuditedRecoveryIsNotAnEscape) {
 
 TEST(InvariantCheckerTest, HvAssertionFailurePathHoldsInvariants) {
   Scenario s("assertion-failsafe");
-  s.HostDefaultModel().Custom("inject_assert", [](GuillotineSystem& sys,
-                                                  StepOutcome& outcome) {
-    sys.hv().InjectAssertionFailure("simulated machine check");
+  s.HostDefaultModel().Custom("corrupt_ring", [](GuillotineSystem& sys,
+                                                 StepOutcome& outcome) {
+    // A guest-writable ring cursor inverted: the assertion sweep fails safe.
+    const PortBinding* binding = sys.hv().FindPort(*sys.storage_port());
+    sys.machine().io_dram().dram().Write64(binding->region.request_ring, 500);
+    sys.machine().io_dram().dram().Write64(binding->region.request_ring + 8, 3);
+    sys.console().Tick();
     outcome.detail = std::string(IsolationLevelName(sys.console().level()));
     outcome.value = static_cast<i64>(sys.console().level());
   });

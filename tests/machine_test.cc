@@ -446,7 +446,7 @@ TEST_F(MachineTest, FlushMicroarchClearsCaches) {
   RunUntilStopped(0);
   ModelCore& core = machine_.model_core(0);
   EXPECT_TRUE(core.caches().l1d.Probe(0x30000));
-  ASSERT_TRUE(bus_.FlushMicroarch(0, 0).ok());
+  core.FlushMicroarch();
   EXPECT_FALSE(core.caches().l1d.Probe(0x30000));
 }
 
@@ -539,8 +539,8 @@ struct HvSweepFootprint {
 // (what the E2 sender does), and inspects the model L3.
 HvSweepFootprint SweepHvOverModelL3(Machine& machine) {
   constexpr u64 kSets = 64;
-  const size_t ways = machine.model_l3().config().ways;
-  const u64 way_span = machine.model_l3().config().num_sets() * 64;
+  const size_t ways = kL3Config.ways;
+  const u64 way_span = kL3Config.num_sets() * 64;
   Cache& l3 = machine.model_l3();
   for (u64 set = 0; set < kSets; ++set) {
     for (u64 way = 0; way < ways; ++way) {
@@ -648,6 +648,15 @@ std::string RenderTiming(Machine& machine, int core_id) {
   cache("l3", machine.model_l3());
   out += " tlb=" + std::to_string(core.tlb().hits) + "/" +
          std::to_string(core.tlb().misses);
+  return out;
+}
+
+// Decodes one of the fixture's hex fields.
+Bytes HexDecode(const std::string& hex) {
+  Bytes out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<u8>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
   return out;
 }
 
@@ -983,15 +992,13 @@ TEST_F(PredecodeTest, PageStraddlingInstructionSeesSecondPageWrite) {
 
 // --- IO DRAM ring tests ---
 
-TEST(IoDramTest, AllocateAndFindRegions) {
+TEST(IoDramTest, AllocateRegions) {
   IoDram io(64 * 1024);
   const auto r0 = io.AllocatePortRegion(0, 256, 8);
   const auto r1 = io.AllocatePortRegion(1, 128, 4);
   ASSERT_TRUE(r0.ok());
   ASSERT_TRUE(r1.ok());
   EXPECT_NE(r0->request_ring, r1->request_ring);
-  EXPECT_TRUE(io.FindRegion(0).has_value());
-  EXPECT_FALSE(io.FindRegion(7).has_value());
   EXPECT_FALSE(io.AllocatePortRegion(0).ok());  // duplicate
 }
 
@@ -1001,8 +1008,8 @@ TEST(IoDramTest, DoorbellMapping) {
   ASSERT_TRUE(r0.ok());
   EXPECT_TRUE(io.IsDoorbell(r0->doorbell));
   EXPECT_EQ(*io.DoorbellPort(r0->doorbell), 0u);
-  // Doorbell slot for an unallocated port resolves to nothing.
-  EXPECT_FALSE(io.DoorbellPort(io.doorbell_page() + 8).has_value());
+  // Port 1's doorbell slot is unallocated and resolves to nothing.
+  EXPECT_FALSE(io.DoorbellPort(r0->doorbell + 8).has_value());
   EXPECT_FALSE(io.IsDoorbell(0));
 }
 

@@ -26,7 +26,6 @@ TEST(FabricTest, NicToNicDelivery) {
   clock.Advance(10 * kCyclesPerMicro);
   fabric.Pump();
   EXPECT_EQ(b.inbound_depth(), 1u);
-  EXPECT_EQ(fabric.delivered(), 1u);
 }
 
 TEST(FabricTest, CallbackHostsAndReplies) {
@@ -54,25 +53,6 @@ TEST(FabricTest, UnknownDestinationDropped) {
   fabric.Send(f);
   fabric.Pump();
   EXPECT_EQ(fabric.dropped(), 1u);
-}
-
-TEST(FabricTest, LossRateDropsFrames) {
-  SimClock clock;
-  Rng rng(1);
-  NetFabric fabric(clock);
-  fabric.set_propagation_delay(0);
-  fabric.set_loss(0.5, &rng);
-  int received = 0;
-  fabric.AttachHost(2, [&](const Frame&) { ++received; });
-  for (int i = 0; i < 200; ++i) {
-    Frame f;
-    f.src_host = 1;
-    f.dst_host = 2;
-    fabric.Send(f);
-  }
-  fabric.Pump();
-  EXPECT_GT(received, 60);
-  EXPECT_LT(received, 140);
 }
 
 TEST(FabricTest, SeveredHostIsCutOffBothWays) {
@@ -104,29 +84,6 @@ TEST(FabricTest, SeveredHostIsCutOffBothWays) {
   fabric.Send(f);
   fabric.Pump();
   EXPECT_EQ(a.inbound_depth(), 1u);
-}
-
-TEST(FabricTest, SetLossRefusesNullRngWhenLossy) {
-  SimClock clock;
-  NetFabric fabric(clock);
-  fabric.set_propagation_delay(0);
-  // A lossy fabric without a seeded coin would be unreproducible: refused,
-  // and the refusal leaves the fabric lossless.
-  EXPECT_FALSE(fabric.set_loss(0.5, nullptr));
-  int received = 0;
-  fabric.AttachHost(2, [&](const Frame&) { ++received; });
-  for (int i = 0; i < 50; ++i) {
-    Frame f;
-    f.src_host = 1;
-    f.dst_host = 2;
-    fabric.Send(f);
-  }
-  fabric.Pump();
-  EXPECT_EQ(received, 50);
-  // Turning loss *off* needs no coin.
-  EXPECT_TRUE(fabric.set_loss(0.0, nullptr));
-  Rng rng(3);
-  EXPECT_TRUE(fabric.set_loss(0.5, &rng));
 }
 
 TEST(FabricTest, SameDeliveryTimeTieBreaksByEnqueueOrder) {
@@ -190,7 +147,6 @@ TEST(FabricTest, MidPropagationSeveranceDropsInFlightFrames) {
   clock.Advance(20 * kCyclesPerMicro);
   fabric.Pump();
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(fabric.delivered(), 0u);
   // Healing the host later does not resurrect frames that died in the cable.
   fabric.SetHostSevered(2, false);
   clock.Advance(20 * kCyclesPerMicro);

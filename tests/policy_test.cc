@@ -149,22 +149,6 @@ TEST_F(AuditFixture, DestroyedPlantFailsAudit) {
   EXPECT_FALSE(PerformPhysicalAudit(machine_, plant_, 100).passed);
 }
 
-TEST_F(AuditFixture, AuditLogFreshness) {
-  AuditLog log;
-  EXPECT_FALSE(log.FreshWithin(1000, 500));
-  AuditRecord record;
-  record.time = 900;
-  record.passed = true;
-  log.Add(record);
-  EXPECT_TRUE(log.FreshWithin(1000, 500));
-  EXPECT_FALSE(log.FreshWithin(2000, 500));
-  AuditRecord failed;
-  failed.time = 1900;
-  failed.passed = false;
-  log.Add(failed);
-  EXPECT_FALSE(log.FreshWithin(2000, 500));  // latest audit failed
-}
-
 TEST_F(AuditFixture, RegulatorIssuesCertAfterGoodAttestation) {
   SoftwareHypervisor hv(machine_, nullptr);
   Rng rng(1);

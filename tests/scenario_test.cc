@@ -229,13 +229,13 @@ TEST(ScenarioTest, RunnerRebuildsItsSideWorldEveryRun) {
   ASSERT_NE(runner.traffic_service(), nullptr);
   ASSERT_NE(runner.traffic_report(), nullptr);
   ASSERT_NE(runner.migration_evidence(), nullptr);
-  ASSERT_NE(runner.fabric_fleet(), nullptr);
+  ASSERT_GT(runner.system().trace().CountKind("federation.burst"), 0u);
 
   const u64 reused = runner.Run(base).trace_hash;
   EXPECT_EQ(runner.traffic_service(), nullptr);
   EXPECT_EQ(runner.traffic_report(), nullptr);
   EXPECT_EQ(runner.migration_evidence(), nullptr);
-  EXPECT_EQ(runner.fabric_fleet(), nullptr);
+  EXPECT_EQ(runner.system().trace().CountKind("federation.burst"), 0u);
   EXPECT_EQ(runner.exfil_payloads().size(), 1u);
   ScenarioRunner fresh;
   EXPECT_EQ(reused, fresh.Run(base).trace_hash);

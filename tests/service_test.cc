@@ -20,7 +20,7 @@ TEST(KvCacheTest, PrefixReuseWithinSession) {
   EXPECT_EQ(cache.Extend(1, 32, 100), 0u);   // cold
   EXPECT_EQ(cache.Extend(1, 48, 200), 32u);  // 32 tokens reused
   EXPECT_EQ(cache.CachedTokens(1), 48u);
-  EXPECT_GT(cache.hit_rate(), 0.0);
+  EXPECT_GT(cache.hits(), 0u);
 }
 
 TEST(KvCacheTest, EvictsLruSessionUnderPressure) {
@@ -34,14 +34,11 @@ TEST(KvCacheTest, EvictsLruSessionUnderPressure) {
   EXPECT_EQ(cache.evictions(), 1u);
 }
 
-TEST(KvCacheTest, DropAndClear) {
+TEST(KvCacheTest, Drop) {
   KvCache cache;
   cache.Extend(1, 16, 0);
   cache.Drop(1);
   EXPECT_EQ(cache.CachedTokens(1), 0u);
-  EXPECT_EQ(cache.blocks_in_use(), 0u);
-  cache.Extend(2, 16, 0);
-  cache.Clear();
   EXPECT_EQ(cache.blocks_in_use(), 0u);
 }
 
@@ -75,13 +72,6 @@ TEST(RagStoreTest, CosineProperties) {
   EXPECT_NEAR(RagStore::Cosine(a, c), 0.0, 1e-9);
   EXPECT_NEAR(RagStore::Cosine(a, {-256, 0, 0}), -1.0, 1e-9);
   EXPECT_EQ(RagStore::Cosine(a, {1, 2}), 0.0);  // dimension mismatch
-}
-
-TEST(RagStoreTest, DimensionEnforced) {
-  RagStore store(8);
-  RagDocument doc;
-  doc.embedding = std::vector<i64>(4, 1);
-  EXPECT_FALSE(store.Add(std::move(doc)).ok());
 }
 
 TEST(RagDeviceTest, QueryThroughDeviceInterface) {
@@ -829,7 +819,6 @@ TEST(ShardedServiceTest, RingClampsZeroVirtualNodesToOne) {
     used.insert(ring.Owner(session));
   }
   EXPECT_EQ(used.size(), 3u);
-  EXPECT_FALSE(ring.empty());
 }
 
 TEST(ShardedServiceTest, ResizeRefusesEmptyAndReplicaLessFleets) {
@@ -970,9 +959,6 @@ TEST(ContinuousServiceTest, TrafficSourceIsDeterministic) {
     EXPECT_GT(ra.arrival, prev_arrival);  // strictly increasing
     prev_arrival = ra.arrival;
   }
-  a.Reset();
-  TrafficSource fresh(tc);
-  EXPECT_EQ(a.Next().arrival, fresh.Next().arrival);
 }
 
 TEST(ContinuousServiceTest, RunContinuousIsDeterministicAcrossReruns) {
